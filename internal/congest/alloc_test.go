@@ -9,6 +9,7 @@ package congest
 import (
 	"testing"
 
+	"distlap/internal/faultinject"
 	"distlap/internal/graph"
 )
 
@@ -27,6 +28,31 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	round() // warm the pooled delivery buffer
 	if a := testing.AllocsPerRun(10, round); a > 0 {
 		t.Fatalf("steady-state Exchange allocates %.1f per round, want 0", a)
+	}
+}
+
+// TestFaultyExchangeSteadyStateAllocs pins Exchange under a lossy plan at
+// zero steady-state allocations too: fates are resolved inside the same
+// send scan, drops are retransmitted from the pooled retry buffer, and the
+// fault records use constant trace names.
+func TestFaultyExchangeSteadyStateAllocs(t *testing.T) {
+	g := graph.Grid(12, 12)
+	plan := faultinject.MustNew(faultinject.Spec{Seed: 3, DropProb: 0.05})
+	nw := NewNetwork(g, Options{Supported: true, Seed: 3, Faults: plan})
+	round := func() {
+		nw.Exchange(
+			func(v graph.NodeID, h graph.Half) (Word, bool) { return Word(v), true },
+			func(v graph.NodeID, h graph.Half, w Word) {},
+		)
+	}
+	for i := 0; i < 10; i++ {
+		round() // warm the delivery and retry buffers
+	}
+	if nw.FaultStats().Drops == 0 {
+		t.Fatal("the plan dropped nothing; the test would not exercise the retry path")
+	}
+	if a := testing.AllocsPerRun(10, round); a > 0 {
+		t.Fatalf("steady-state faulty Exchange allocates %.1f per round, want 0", a)
 	}
 }
 

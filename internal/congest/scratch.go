@@ -14,8 +14,11 @@ import "distlap/internal/graph"
 // primitive that uses the same pool family; the per-primitive doc comments
 // state which. Callers that need longer retention must copy.
 type scratch struct {
-	// Exchange: the per-round delivery batch.
+	// Exchange: the per-round delivery batch, and the sends a fault plan
+	// dropped this round, retransmitted next round (touched only after a
+	// drop, so reliable networks never allocate it).
 	deliveries []delivery
+	retry      []transmission
 
 	// Tree scheduler (treeSched): per-directed-edge FIFOs, the sorted
 	// active-edge list, and the per-round delivered batch. Queues keep
