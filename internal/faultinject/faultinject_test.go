@@ -34,6 +34,8 @@ func TestValidation(t *testing.T) {
 		{DropProb: 0.5, DupProb: 0.4, DelayProb: 0.3}, // sums to 1.2
 		{DelayProb: 0.1, MaxDelay: -1},
 		{CrashProb: 0.1, CrashWindow: -2},
+		{DropProb: math.NaN(), DupProb: 0.5}, // NaN passes a p < 0 || p > 1 check
+		{DupProb: math.NaN()},                // ... and would disable the plan silently
 	}
 	for i, s := range cases {
 		if _, err := New(s); err == nil {
