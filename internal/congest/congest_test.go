@@ -117,7 +117,7 @@ func TestConvergecastSingleTreeSum(t *testing.T) {
 func TestConvergecastSingletonTreeIsFree(t *testing.T) {
 	g := graph.Path(3)
 	nw := newNet(g)
-	tr := graph.BFSTreeOfSubgraph(g, []graph.NodeID{1}, nil, 1)
+	tr := graph.BFSTreeOfSubgraph(g, []graph.NodeID{1}, 1)
 	out, err := nw.ConvergecastMany([]*graph.Tree{tr},
 		func(_ int, v graph.NodeID) Word { return 42 }, AggMin)
 	if err != nil {
@@ -186,8 +186,8 @@ func TestAggregateManyRoundTrip(t *testing.T) {
 	top := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
 	bot := []graph.NodeID{8, 9, 10, 11, 12, 13, 14, 15}
 	trees := []*graph.Tree{
-		graph.BFSTreeOfSubgraph(g, top, nil, 0),
-		graph.BFSTreeOfSubgraph(g, bot, nil, 8),
+		graph.BFSTreeOfSubgraph(g, top, 0),
+		graph.BFSTreeOfSubgraph(g, bot, 8),
 	}
 	out, err := nw.AggregateMany(trees,
 		func(_ int, v graph.NodeID) Word { return Word(v) }, AggMax)

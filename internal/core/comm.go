@@ -249,6 +249,7 @@ func (c *CongestComm) treeList(k int) []*graph.Tree {
 func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, error) {
 	g := c.nw.Graph()
 	trees := make([]*graph.Tree, len(clusters))
+	var sub graph.Induced
 	for i, cl := range clusters {
 		if len(cl) == 0 {
 			return nil, fmt.Errorf("core: cluster %d empty", i)
@@ -257,7 +258,7 @@ func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, er
 			trees[i] = steinerTreeOfGlobal(g, c.globalTree, cl)
 			continue
 		}
-		tr := graph.BFSTreeOfSubgraph(g, cl, nil, cl[0])
+		tr := sub.Tree(g, cl, cl[0])
 		if len(tr.Members) != len(cl) {
 			return nil, fmt.Errorf("core: cluster %d not induced-connected", i)
 		}

@@ -287,13 +287,13 @@ func TestBFSTreeOfSubgraph(t *testing.T) {
 	g := Grid(3, 3)
 	// Two opposite corners plus a shortcut edge joining them directly.
 	id := g.MustAddEdge(0, 8, 1)
-	tr := BFSTreeOfSubgraph(g, []NodeID{0, 8}, []EdgeID{id}, 0)
-	if len(tr.Members) != 2 || tr.Depth[8] != 1 {
+	tr := BFSTreeOfSubgraph(g, []NodeID{0, 8}, 0)
+	if len(tr.Members) != 2 || tr.Depth[8] != 1 || tr.ParentEdge[8] != id {
 		t.Fatalf("shortcut subtree wrong: members=%v depth8=%d", tr.Members, tr.Depth[8])
 	}
-	// Without the extra edge the corners are separate (fresh grid, since g
-	// itself was augmented above).
-	tr2 := BFSTreeOfSubgraph(Grid(3, 3), []NodeID{0, 8}, nil, 0)
+	// Without the shortcut edge the corners are separate (fresh grid, since
+	// g itself was augmented above).
+	tr2 := BFSTreeOfSubgraph(Grid(3, 3), []NodeID{0, 8}, 0)
 	if tr2.Contains(8) {
 		t.Fatal("unreachable member should not be in tree")
 	}

@@ -122,6 +122,7 @@ func LowStretchTree(g *Graph, seed int64) *Tree {
 	// union-find over original nodes.
 	uf := NewUnionFind(n)
 	beta := 0.8
+	var sub Induced // one kernel for every cluster of every round's quotient
 	for round := 0; uf.Count() > 1 && round < 40; round++ {
 		// Build the quotient multigraph on current components.
 		repOf := make(map[int]int) // root -> dense quotient id
@@ -174,7 +175,7 @@ func LowStretchTree(g *Graph, seed int64) *Tree {
 			if len(cl) < 2 {
 				continue
 			}
-			tr := BFSTreeOfSubgraph(q, cl, nil, cl[0])
+			tr := sub.Tree(q, cl, cl[0])
 			for _, v := range tr.Members {
 				if tr.Parent[v] == -1 {
 					continue

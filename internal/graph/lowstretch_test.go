@@ -114,7 +114,7 @@ func TestAverageStretchCycle(t *testing.T) {
 func TestAverageStretchDisconnectedTree(t *testing.T) {
 	g := Grid(3, 3)
 	// A tree covering only part of the graph: stretch is infinite.
-	tr := BFSTreeOfSubgraph(g, []NodeID{0, 1, 2}, nil, 0)
+	tr := BFSTreeOfSubgraph(g, []NodeID{0, 1, 2}, 0)
 	if !math.IsInf(AverageStretch(g, tr), 1) {
 		t.Fatal("want +Inf for non-spanning tree")
 	}

@@ -141,30 +141,12 @@ func IsConnected(g *Graph) bool {
 }
 
 // InducedConnected reports whether the subgraph of g induced by nodes is
-// connected (vacuously true for |nodes| <= 1). It runs in time proportional
-// to the degrees of the listed nodes.
+// connected (vacuously true for |nodes| <= 1; false when a node repeats).
+// Loops over many node sets should reuse one Induced and call its
+// Connected method.
 func InducedConnected(g *Graph, nodes []NodeID) bool {
-	if len(nodes) <= 1 {
-		return true
-	}
-	in := make(map[NodeID]bool, len(nodes))
-	for _, v := range nodes {
-		in[v] = true
-	}
-	seen := make(map[NodeID]bool, len(nodes))
-	stack := []NodeID{nodes[0]}
-	seen[nodes[0]] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, h := range g.Neighbors(v) {
-			if in[h.To] && !seen[h.To] {
-				seen[h.To] = true
-				stack = append(stack, h.To)
-			}
-		}
-	}
-	return len(seen) == len(nodes)
+	var s Induced
+	return s.Connected(g, nodes)
 }
 
 func intSort(a []int) {
@@ -233,29 +215,10 @@ func ApproxCenter(g *Graph) NodeID {
 }
 
 // ApproxCenterOf returns a low-eccentricity node of the subgraph induced
-// by nodes (double sweep within the induced subgraph). Falls back to
-// nodes[0] for degenerate inputs.
+// by nodes (double sweep within the induced subgraph: from nodes[0], then
+// from the first node found at the largest depth, returning the midpoint of
+// that sweep's deepest path). Falls back to nodes[0] for degenerate inputs.
 func ApproxCenterOf(g *Graph, nodes []NodeID) NodeID {
-	if len(nodes) == 0 {
-		return 0
-	}
-	first := BFSTreeOfSubgraph(g, nodes, nil, nodes[0])
-	u := nodes[0]
-	for _, v := range first.Members {
-		if first.Depth[v] > first.Depth[u] {
-			u = v
-		}
-	}
-	second := BFSTreeOfSubgraph(g, nodes, nil, u)
-	w := u
-	for _, v := range second.Members {
-		if second.Depth[v] > second.Depth[w] {
-			w = v
-		}
-	}
-	v := w
-	for i := 0; i < second.Depth[w]/2; i++ {
-		v = second.Parent[v]
-	}
-	return v
+	var s Induced
+	return s.Center(g, nodes)
 }

@@ -173,6 +173,7 @@ func EmbedPaths(base *graph.Graph, paths []Path, seed int64) (*Embedding, error)
 // and each part is induced-connected in the layered graph.
 func (e *Embedding) verify() error {
 	owner := make(map[graph.NodeID]int)
+	var sub graph.Induced
 	for j, part := range e.Parts {
 		for _, x := range part {
 			if prev, ok := owner[x]; ok {
@@ -181,7 +182,7 @@ func (e *Embedding) verify() error {
 			}
 			owner[x] = j
 		}
-		if !graph.InducedConnected(e.Layered.G, part) {
+		if !sub.Connected(e.Layered.G, part) {
 			return fmt.Errorf("layered: embedded part %d disconnected", j)
 		}
 	}

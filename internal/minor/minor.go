@@ -34,6 +34,7 @@ var (
 // Validate checks disjointness and connectivity of the branch sets.
 func (c *Certificate) Validate(g *graph.Graph) error {
 	owner := make(map[graph.NodeID]int)
+	var sub graph.Induced
 	for i, bs := range c.BranchSets {
 		if len(bs) == 0 {
 			return fmt.Errorf("minor: branch set %d empty", i)
@@ -47,7 +48,7 @@ func (c *Certificate) Validate(g *graph.Graph) error {
 			}
 			owner[v] = i
 		}
-		if !graph.InducedConnected(g, bs) {
+		if !sub.Connected(g, bs) {
 			return fmt.Errorf("%w: set %d", ErrDisconnected, i)
 		}
 	}

@@ -22,9 +22,10 @@ type decomposedPath struct {
 	attachEdge graph.EdgeID // G edge nodes[0]-attach; -1 for level 0
 }
 
-// decomposePart heavy-path-decomposes the BFS spanning tree of the part.
-func decomposePart(g *graph.Graph, part []graph.NodeID, partIdx int) ([]decomposedPath, error) {
-	tr := graph.BFSTreeOfSubgraph(g, part, nil, part[0])
+// decomposePart heavy-path-decomposes the BFS spanning tree of the part,
+// built with the caller's kernel.
+func decomposePart(sub *graph.Induced, g *graph.Graph, part []graph.NodeID, partIdx int) ([]decomposedPath, error) {
+	tr := sub.Tree(g, part, part[0])
 	if len(tr.Members) != len(part) {
 		return nil, fmt.Errorf("partwise: part %d not induced-connected", partIdx)
 	}

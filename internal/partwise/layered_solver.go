@@ -55,8 +55,9 @@ func (s LayeredSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) 
 
 	// 1. Decompose all parts into heavy paths grouped by level.
 	var all []decomposedPath
+	var sub graph.Induced
 	for i, p := range inst.Parts {
-		dps, err := decomposePart(g, p, i)
+		dps, err := decomposePart(&sub, g, p, i)
 		if err != nil {
 			return nil, err
 		}

@@ -194,7 +194,7 @@ func TestShortcutSolverChargesConstructionInCongest(t *testing.T) {
 
 func TestDecomposePartPath(t *testing.T) {
 	g := graph.Path(6)
-	paths, err := decomposePart(g, []graph.NodeID{0, 1, 2, 3, 4, 5}, 0)
+	paths, err := decomposePart(new(graph.Induced), g, []graph.NodeID{0, 1, 2, 3, 4, 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestDecomposePartPath(t *testing.T) {
 func TestDecomposePartStar(t *testing.T) {
 	g := graph.Star(6)
 	part := []graph.NodeID{0, 1, 2, 3, 4, 5}
-	paths, err := decomposePart(g, part, 3)
+	paths, err := decomposePart(new(graph.Induced), g, part, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestDecomposePartCoversEachNodeOnce(t *testing.T) {
 	for i := range part {
 		part[i] = i
 	}
-	paths, err := decomposePart(g, part, 0)
+	paths, err := decomposePart(new(graph.Induced), g, part, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,9 @@ func chargeConstruction(nw *congest.Network, s *shortcut.Shortcut) {
 
 // SolveOneCongested is the Proposition 6 engine shared by every solver:
 // build a shortcut for the parts, take a BFS tree of each augmented part
-// G[P_i] ∪ H_i, and run a concurrent convergecast+broadcast over all trees.
+// G[P_i ∪ V(H_i)] (the subgraph induced on the part plus the endpoints of
+// its extra edges, which contains G[P_i] ∪ H_i), and run a concurrent
+// convergecast+broadcast over all trees.
 // val(i, v) supplies the input of part i at node v (only part members are
 // queried with their own values; relay nodes contribute the identity).
 // Returns the per-part aggregates and the shortcut used.
@@ -50,6 +52,7 @@ func SolveOneCongested(
 
 	trees := make([]*graph.Tree, len(parts))
 	members := make([]map[graph.NodeID]bool, len(parts))
+	var sub graph.Induced
 	for i, p := range parts {
 		members[i] = make(map[graph.NodeID]bool, len(p))
 		memberList := make([]graph.NodeID, 0, len(p))
@@ -71,7 +74,7 @@ func SolveOneCongested(
 				}
 			}
 		}
-		trees[i] = graph.BFSTreeOfSubgraph(g, memberList, sc.Extra[i], p[0])
+		trees[i] = sub.Tree(g, memberList, p[0])
 		if len(trees[i].Members) != len(memberList) {
 			return nil, nil, fmt.Errorf("partwise: augmented part %d disconnected", i)
 		}

@@ -38,14 +38,15 @@ type region struct {
 
 // Build implements Builder.
 func (b RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
-	if err := ValidateParts(g, parts); err != nil {
+	var sub graph.Induced // one kernel for every part and region
+	if err := validateParts(&sub, g, parts); err != nil {
 		return nil, err
 	}
 	minRegion := b.MinRegion
 	if minRegion < 2 {
 		minRegion = 8
 	}
-	regions, leafOf, err := buildRegionHierarchy(g, minRegion)
+	regions, leafOf, err := buildRegionHierarchy(&sub, g, minRegion)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +86,7 @@ func (b RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut,
 		ri := smallestCommon(p)
 		reg := &regions[ri]
 		if reg.tree == nil {
-			reg.tree = graph.BFSTreeOfSubgraph(g, reg.nodes, nil, graph.ApproxCenterOf(g, reg.nodes))
+			reg.tree = sub.Tree(g, reg.nodes, sub.Center(g, reg.nodes))
 			if len(reg.tree.Members) != len(reg.nodes) {
 				return nil, fmt.Errorf("shortcut: region %d disconnected", ri)
 			}
@@ -103,7 +104,7 @@ func (b RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut,
 // with separator nodes folded into the largest child to keep the regions a
 // laminar family covering all nodes. Returns the regions and each node's
 // deepest (leaf) region.
-func buildRegionHierarchy(g *graph.Graph, minRegion int) ([]region, []int, error) {
+func buildRegionHierarchy(sub *graph.Induced, g *graph.Graph, minRegion int) ([]region, []int, error) {
 	n := g.N()
 	all := make([]graph.NodeID, n)
 	for i := range all {
@@ -128,7 +129,7 @@ func buildRegionHierarchy(g *graph.Graph, minRegion int) ([]region, []int, error
 		if len(tk.nodes) <= minRegion || tk.depth > 40 {
 			continue
 		}
-		children := splitByMiddleLayer(g, tk.nodes)
+		children := splitByMiddleLayer(sub, g, tk.nodes)
 		if len(children) <= 1 {
 			continue
 		}
@@ -142,9 +143,8 @@ func buildRegionHierarchy(g *graph.Graph, minRegion int) ([]region, []int, error
 // splitByMiddleLayer removes the middle BFS layer of the induced subgraph
 // and returns the resulting components with the separator folded into the
 // largest one. Returns nil when no balanced split exists.
-func splitByMiddleLayer(g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
-	root := graph.ApproxCenterOf(g, nodes)
-	tr := graph.BFSTreeOfSubgraph(g, nodes, nil, root)
+func splitByMiddleLayer(sub *graph.Induced, g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
+	tr := sub.Tree(g, nodes, sub.Center(g, nodes))
 	if len(tr.Members) != len(nodes) {
 		return nil
 	}
@@ -169,8 +169,8 @@ func splitByMiddleLayer(g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
 		return nil
 	}
 	// Components of the region minus the separator.
-	sub, orig := g.Subgraph(rest)
-	comps := graph.Components(sub)
+	restG, orig := g.Subgraph(rest)
+	comps := graph.Components(restG)
 	if len(comps) < 2 {
 		return nil
 	}
@@ -235,7 +235,7 @@ func splitByMiddleLayer(g *graph.Graph, nodes []graph.NodeID) [][]graph.NodeID {
 	}
 	// Children must stay connected; drop the split if folding broke one.
 	for _, ch := range out {
-		if !graph.InducedConnected(g, ch) {
+		if !sub.Connected(g, ch) {
 			return nil
 		}
 	}

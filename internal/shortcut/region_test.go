@@ -50,7 +50,7 @@ func TestRegionBuilderMixedScales(t *testing.T) {
 
 func TestRegionHierarchyLaminar(t *testing.T) {
 	g := graph.Grid(8, 8)
-	regions, leafOf, err := buildRegionHierarchy(g, 4)
+	regions, leafOf, err := buildRegionHierarchy(new(graph.Induced), g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSplitByMiddleLayerPath(t *testing.T) {
 	}
 	// The middle BFS layer from the path's center removes two nodes,
 	// leaving two or three pieces depending on folding.
-	children := splitByMiddleLayer(g, all)
+	children := splitByMiddleLayer(new(graph.Induced), g, all)
 	if len(children) < 2 {
 		t.Fatalf("children=%d", len(children))
 	}
@@ -109,7 +109,7 @@ func TestSplitByMiddleLayerPath(t *testing.T) {
 func TestSplitByMiddleLayerDegenerate(t *testing.T) {
 	g := graph.Complete(5) // height 1 BFS tree: no balanced split
 	all := []graph.NodeID{0, 1, 2, 3, 4}
-	if children := splitByMiddleLayer(g, all); children != nil {
+	if children := splitByMiddleLayer(new(graph.Induced), g, all); children != nil {
 		t.Fatalf("unexpected split: %v", children)
 	}
 }

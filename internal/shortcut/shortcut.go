@@ -22,6 +22,7 @@ package shortcut
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"distlap/internal/graph"
@@ -51,6 +52,13 @@ var (
 // ValidateParts checks that every part is nonempty, within range and
 // induced-connected in g (the precondition of Definitions 4/5).
 func ValidateParts(g *graph.Graph, parts [][]graph.NodeID) error {
+	var sub graph.Induced
+	return validateParts(&sub, g, parts)
+}
+
+// validateParts is ValidateParts with a caller-owned kernel, so one kernel
+// serves every part.
+func validateParts(sub *graph.Induced, g *graph.Graph, parts [][]graph.NodeID) error {
 	for i, p := range parts {
 		if len(p) == 0 {
 			return fmt.Errorf("part %d: %w", i, ErrEmptyPart)
@@ -60,7 +68,7 @@ func ValidateParts(g *graph.Graph, parts [][]graph.NodeID) error {
 				return fmt.Errorf("part %d: %w: node %d", i, graph.ErrNodeRange, v)
 			}
 		}
-		if !graph.InducedConnected(g, p) {
+		if !sub.Connected(g, p) {
 			return fmt.Errorf("part %d: %w", i, ErrPartDisconnected)
 		}
 	}
@@ -91,7 +99,8 @@ func Verify(g *graph.Graph, s *Shortcut) error {
 	if len(s.Extra) != len(s.Parts) {
 		return ErrPartsMismatch
 	}
-	if err := ValidateParts(g, s.Parts); err != nil {
+	var sub graph.Induced
+	if err := validateParts(&sub, g, s.Parts); err != nil {
 		return err
 	}
 	use := make(map[graph.EdgeID]int)
@@ -107,7 +116,7 @@ func Verify(g *graph.Graph, s *Shortcut) error {
 				cong = use[id]
 			}
 		}
-		d, err := augmentedDiameter(g, p, s.Extra[i])
+		d, err := augmentedDiameter(&sub, g, p, s.Extra[i])
 		if err != nil {
 			return fmt.Errorf("part %d: %w", i, err)
 		}
@@ -120,41 +129,37 @@ func Verify(g *graph.Graph, s *Shortcut) error {
 	return nil
 }
 
-// augmentedDiameter returns the hop-diameter of the subgraph on the node set
-// touched by G[P] ∪ H (part nodes plus extra-edge endpoints).
-func augmentedDiameter(g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID) (int, error) {
-	nodes := map[graph.NodeID]bool{}
-	for _, v := range part {
-		nodes[v] = true
-	}
+// augmentedDiameter returns the dilation certificate of one part: the
+// hop-diameter of G[P ∪ V(H)], the subgraph induced on the part plus the
+// endpoints of its extra edges (it contains every edge of G[P] ∪ H). The
+// subgraph is laid out once in sub and every sweep runs on that layout.
+func augmentedDiameter(sub *graph.Induced, g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID) (int, error) {
+	nodes := make([]graph.NodeID, 0, len(part)+2*len(extra))
+	nodes = append(nodes, part...)
 	for _, id := range extra {
 		e := g.Edge(id)
-		nodes[e.U] = true
-		nodes[e.V] = true
+		nodes = append(nodes, e.U, e.V)
 	}
+	// Sorted once: deterministic BFS input and sweep order.
+	sortNodeIDs(nodes)
+	nodes = slices.Compact(nodes)
+	k := sub.Build(g, nodes)
 	// The dilation certificate must be an upper bound. For small augmented
 	// parts compute the exact diameter (all-pairs BFS); for large ones use
 	// the 2-approximation upper bound 2·ecc(x), refined by a double sweep
 	// so the reported value is max(ecc(far), min over the two sweeps of
 	// 2·ecc) — still a valid upper bound, at most 2× the truth.
-	ordered := keys(nodes) // sorted once: deterministic BFS input and sweep order
-	sweep := func(root graph.NodeID) (int, int, error) {
-		tr := graph.BFSTreeOfSubgraph(g, ordered, extra, root)
-		if len(tr.Members) != len(nodes) {
+	sweep := func(root int) (int, int, error) {
+		reached, ecc, far := sub.Sweep(root)
+		if reached != k {
 			return 0, 0, fmt.Errorf("augmented part disconnected: %w", ErrPartDisconnected)
-		}
-		far, ecc := root, 0
-		for _, v := range tr.Members {
-			if tr.Depth[v] > ecc {
-				ecc, far = tr.Depth[v], v
-			}
 		}
 		return ecc, far, nil
 	}
 	const exactCutoff = 192
-	if len(nodes) <= exactCutoff {
+	if k <= exactCutoff {
 		diam := 0
-		for _, v := range ordered {
+		for v := 0; v < k; v++ {
 			ecc, _, err := sweep(v)
 			if err != nil {
 				return 0, err
@@ -165,7 +170,7 @@ func augmentedDiameter(g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID
 		}
 		return diam, nil
 	}
-	ecc1, far, err := sweep(part[0])
+	ecc1, far, err := sweep(sort.SearchInts(nodes, part[0]))
 	if err != nil {
 		return 0, err
 	}
