@@ -1,0 +1,62 @@
+//go:build !race
+
+// Allocation-regression guards for the induced-subgraph kernel. The race
+// runtime changes allocation behaviour, so these run only in the plain
+// test pass (`make alloc-check`); the race pass covers the same code for
+// correctness.
+package graph
+
+import "testing"
+
+// TestInducedSweepAllocs pins a sweep on a built kernel at zero
+// allocations: depth, parent and visit-order buffers are all reused.
+func TestInducedSweepAllocs(t *testing.T) {
+	g := Grid(32, 32)
+	var part []NodeID
+	for r := 4; r < 20; r++ {
+		for c := 4; c < 20; c++ {
+			part = append(part, GridID(32, r, c))
+		}
+	}
+	var sub Induced
+	k := sub.Build(g, part)
+	root := 0
+	sweep := func() {
+		_, _, root = sub.Sweep(root)
+		root = (root + 1) % k
+	}
+	if a := testing.AllocsPerRun(100, sweep); a > 0 {
+		t.Fatalf("Sweep allocates %.1f per call, want 0", a)
+	}
+}
+
+// TestInducedRebuildAllocs pins a rebuild of a reused kernel at zero
+// allocations when the part has no more nodes and edges than an earlier
+// one: the host-to-local index and every part-sized buffer are reused.
+func TestInducedRebuildAllocs(t *testing.T) {
+	g := Grid(32, 32)
+	block := func(r0, c0, side int) []NodeID {
+		var part []NodeID
+		for r := r0; r < r0+side; r++ {
+			for c := c0; c < c0+side; c++ {
+				part = append(part, GridID(32, r, c))
+			}
+		}
+		return part
+	}
+	big, small := block(0, 0, 16), block(10, 12, 9)
+	var sub Induced
+	sub.Build(g, big)
+	i := 0
+	rebuild := func() {
+		if i++; i%2 == 0 {
+			sub.Build(g, big)
+		} else {
+			sub.Build(g, small)
+		}
+		sub.Sweep(0)
+	}
+	if a := testing.AllocsPerRun(100, rebuild); a > 0 {
+		t.Fatalf("rebuild allocates %.1f per call, want 0", a)
+	}
+}
