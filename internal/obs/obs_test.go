@@ -24,7 +24,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		{3, 2}, {4, 2},
 		{8, 3},
 		{8.1, 4}, {1e9, 4}, // overflow bucket
-		{-5, 0},            // below every bound: first bucket
+		{-5, 0}, // below every bound: first bucket
 	}
 	for _, c := range cases {
 		if got := bucketIndex(bounds, c.v); got != c.want {
