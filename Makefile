@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet lint lint-json race test alloc-check bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke snapshot-check
+.PHONY: check build fmt-check vet lint lint-json race test alloc-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke snapshot-check
 
-check: build fmt-check vet lint test alloc-check trace-smoke daemon-smoke chaos-smoke metrics-smoke snapshot-check
+check: build fmt-check vet lint test alloc-check bench-module microbench trace-smoke daemon-smoke chaos-smoke metrics-smoke snapshot-check
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,12 @@ test:
 # same code for correctness.
 alloc-check:
 	$(GO) test -run 'Allocs' ./internal/graph ./internal/congest ./internal/ncc ./internal/core
+
+# The distbench benchmark (benchmark/) is its own Go module, so the root
+# `go vet ./...` and `go test ./...` never compile it; this vets and tests
+# it against the checkout's sources.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Focused race-detector pass over the packages sanctioned to run
 # goroutines — the experiments worker pool, the simtrace writer, the
@@ -94,7 +100,10 @@ bench-compare:
 bench-wall:
 	$(GO) run ./cmd/bench -quick -label ci -parallel 4 -wall BENCH_seed_quick.json
 
-# Go microbenchmarks (per-experiment testing.B harness in bench_test.go).
+# Go microbenchmarks (per-experiment testing.B harness in bench_test.go,
+# the ablations in ablation_bench_test.go and the layer benchmarks), each
+# run once: part of `make check` so every benchmark at least compiles and
+# completes.
 microbench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 

@@ -68,7 +68,10 @@ func BenchmarkAblationPrecond(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.Solve(comm, rhs, core.Options{Tol: 1e-8, Precond: pre})
+				if err := pre.Setup(comm); err != nil {
+					b.Fatal(err)
+				}
+				res, err := core.Iterate(comm, rhs, pre, core.Options{Tol: 1e-8})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -92,7 +95,7 @@ func BenchmarkAblationPWAOracle(b *testing.B) {
 		b.Run(string(mode), func(b *testing.B) {
 			totalRounds := 0
 			for i := 0; i < b.N; i++ {
-				res, _, err := core.SolveOnGraph(g, rhs, mode, 1e-6, 3)
+				res, err := core.SolveOnce(g, rhs, core.PrepareConfig{Mode: mode, Tol: 1e-6, Seed: 3})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,7 +120,7 @@ func BenchmarkAblationIteration(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.Solve(comm, rhs, core.Options{Tol: 1e-5})
+			res, err := core.Iterate(comm, rhs, nil, core.Options{Tol: 1e-5})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -126,6 +129,7 @@ func BenchmarkAblationIteration(b *testing.B) {
 		b.ReportMetric(float64(total)/float64(b.N), "rounds/op")
 	})
 	b.Run("chebyshev", func(b *testing.B) {
+		lo, hi := linalg.SpectralBounds(linalg.NewLaplacian(g))
 		total := 0
 		for i := 0; i < b.N; i++ {
 			nw := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1})
@@ -133,7 +137,9 @@ func BenchmarkAblationIteration(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.SolveChebyshev(comm, rhs, core.ChebyshevOptions{Tol: 1e-5, CheckEvery: 16})
+			res, err := core.SolveChebyshev(comm, rhs, core.ChebyshevOptions{
+				Tol: 1e-5, Lo: lo, Hi: hi, CheckEvery: 16,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}

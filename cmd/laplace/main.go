@@ -73,13 +73,13 @@ func run(args []string) error {
 		}
 	}
 	b := linalg.RandomBVector(g.N(), *seed)
-	res, comm, err := core.SolveOnGraph(g, b, core.Mode(*mode), *eps, *seed)
+	res, err := core.SolveOnce(g, b, core.PrepareConfig{Mode: core.Mode(*mode), Tol: *eps, Seed: *seed})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("graph:       %s (n=%d, m=%d, D≈%d)\n",
 		*family, g.N(), g.M(), graph.DiameterApprox(g))
-	fmt.Printf("model:       %s\n", comm.Name())
+	fmt.Printf("model:       %s\n", *mode)
 	fmt.Printf("eps:         %.1e\n", *eps)
 	fmt.Printf("iterations:  %d\n", res.Iterations)
 	fmt.Printf("rounds:      %d (setup %d, per-iteration %.1f)\n",

@@ -19,7 +19,7 @@ import (
 // runPipeline executes the representative pipeline — seeded graph
 // generation, shortcut-quality estimation, full distributed solve — and
 // returns everything observable about the run.
-func runPipeline(t *testing.T, seed int64) ([]float64, shortcut.QualityEstimate, congest.Metrics, int) {
+func runPipeline(t *testing.T, seed int64) ([]float64, shortcut.QualityEstimate, core.EngineMetrics, int) {
 	t.Helper()
 	g := graph.RandomRegular(96, 4, seed)
 	sq, err := shortcut.EstimateSQ(g, seed)
@@ -36,15 +36,11 @@ func runPipeline(t *testing.T, seed int64) ([]float64, shortcut.QualityEstimate,
 	for i := range b {
 		b[i] -= mean
 	}
-	res, c, err := core.SolveOnGraph(g, b, core.ModeUniversal, 1e-8, seed)
+	res, err := core.SolveOnce(g, b, core.PrepareConfig{Mode: core.ModeUniversal, Tol: 1e-8, Seed: seed})
 	if err != nil {
-		t.Fatalf("SolveOnGraph: %v", err)
+		t.Fatalf("SolveOnce: %v", err)
 	}
-	cc, ok := c.(*core.CongestComm)
-	if !ok {
-		t.Fatalf("expected *core.CongestComm, got %T", c)
-	}
-	return res.X, sq, cc.Network().Metrics(), res.Iterations
+	return res.X, sq, res.Metrics.Congest, res.Iterations
 }
 
 func TestSameSeedBitIdentical(t *testing.T) {

@@ -15,10 +15,13 @@
 //
 // The preferred API is the Solver: construct once with functional options
 // (WithMode, WithEps, WithSeed, WithTrace, WithChebyshev) and call its
-// methods. For repeated work on one graph — multiple right-hand sides,
-// flow queries, a serving daemon (cmd/distlapd) — call Solver.Prepare once
-// and issue requests against the returned Instance: per-graph setup is paid
-// exactly once and every request runs only iteration.
+// methods. Every solve runs one pipeline: Solver.Prepare builds the
+// per-graph setup into an Instance and each request runs only iteration
+// against it; a one-shot solve is Prepare plus one request pinned to its
+// seed. For repeated work on one graph — multiple right-hand sides, flow
+// queries, a serving daemon (cmd/distlapd) — call Solver.Prepare once and
+// issue requests against the returned Instance: per-graph setup is paid
+// exactly once.
 //
 // The package-level functions (Solve, Flow, MaxFlow, ...) are frozen
 // compatibility wrappers over a default-configured Solver: they remain

@@ -53,15 +53,7 @@ func (sv *Solver) Prepare(ctx context.Context, g *Graph) (*Instance, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inner, err := core.PrepareInstance(ctx, g, core.PrepareConfig{
-		Mode:      sv.mode,
-		Tol:       sv.eps,
-		Seed:      sv.seed,
-		Trace:     sv.trace,
-		Chebyshev: sv.cheb,
-		Lo:        sv.lo,
-		Hi:        sv.hi,
-	})
+	inner, err := core.PrepareInstance(ctx, g, sv.prepareConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +79,9 @@ func WithRequestTrace(c Collector) ReqOption {
 	return func(rc *reqCfg) { rc.trace = c }
 }
 
-// WithRequestEps overrides the solve tolerance for this request only.
+// WithRequestEps overrides the solve tolerance for this request only. 0
+// keeps the instance's tolerance; any other value outside (0, 1) fails the
+// request with an error.
 func WithRequestEps(eps float64) ReqOption {
 	return func(rc *reqCfg) { rc.eps = eps }
 }

@@ -118,7 +118,7 @@ func (a *ApproxMaxFlow) probe(g *graph.Graph, s, t graph.NodeID, f int64) ([]flo
 		b := make([]float64, g.N())
 		b[s] = float64(f)
 		b[t] = -float64(f)
-		sol, _, err := core.SolveOnGraphWith(rg, b, core.SolveConfig{
+		sol, err := core.SolveOnce(rg, b, core.PrepareConfig{
 			Mode: a.Mode, Tol: 1e-8, Seed: seedderive.Derive(a.Seed, "mwu-solve", int64(it)), Trace: a.Trace,
 		})
 		if err != nil {

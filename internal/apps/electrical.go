@@ -14,7 +14,7 @@ import (
 type Electrical struct {
 	G    *graph.Graph
 	Mode core.Mode
-	Tol  float64
+	Tol  float64 // solve tolerance (0 selects 1e-8)
 	Seed int64
 	// Trace receives the underlying solve's instrumentation (nil = Nop).
 	Trace simtrace.Collector
@@ -77,13 +77,8 @@ func (el *Electrical) Flow(s, t graph.NodeID) (*FlowResult, error) {
 	if err := CheckSTPair(el.G, s, t); err != nil {
 		return nil, err
 	}
-	tol := el.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	b := UnitDemand(el.G.N(), s, t)
-	res, _, err := core.SolveOnGraphWith(el.G, b, core.SolveConfig{
-		Mode: el.Mode, Tol: tol, Seed: el.Seed, Trace: el.Trace,
+	res, err := core.SolveOnce(el.G, UnitDemand(el.G.N(), s, t), core.PrepareConfig{
+		Mode: el.Mode, Tol: el.Tol, Seed: el.Seed, Trace: el.Trace,
 	})
 	if err != nil {
 		return nil, err

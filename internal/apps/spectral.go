@@ -20,7 +20,7 @@ import (
 // paradigm (paper §1) exists to accelerate.
 type SpectralPartitioner struct {
 	Mode core.Mode
-	Tol  float64 // per-solve tolerance (default 1e-8)
+	Tol  float64 // per-solve tolerance (0 selects 1e-8)
 	Seed int64
 	// Iterations of inverse power iteration (default 12 — inverse
 	// iteration converges geometrically in λ₂/λ₃).
@@ -48,10 +48,6 @@ func (sp *SpectralPartitioner) Partition(g *graph.Graph) (*SpectralResult, error
 	if !graph.IsConnected(g) {
 		return nil, fmt.Errorf("apps: %w", ErrDisconnected)
 	}
-	tol := sp.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
 	iters := sp.Iterations
 	if iters <= 0 {
 		iters = 12
@@ -65,8 +61,8 @@ func (sp *SpectralPartitioner) Partition(g *graph.Graph) (*SpectralResult, error
 	res := &SpectralResult{}
 	l := linalg.NewLaplacian(g)
 	for it := 0; it < iters; it++ {
-		sol, _, err := core.SolveOnGraphWith(g, x, core.SolveConfig{
-			Mode: sp.Mode, Tol: tol, Seed: seedderive.Derive(sp.Seed, "inverse-iter", int64(it)), Trace: sp.Trace,
+		sol, err := core.SolveOnce(g, x, core.PrepareConfig{
+			Mode: sp.Mode, Tol: sp.Tol, Seed: seedderive.Derive(sp.Seed, "inverse-iter", int64(it)), Trace: sp.Trace,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("apps: inverse iteration %d: %w", it, err)

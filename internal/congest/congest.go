@@ -116,7 +116,7 @@ type Network struct {
 	g       *graph.Graph
 	csr     *graph.CSR // flat topology: charge accounting, edge lookups
 	opts    Options
-	rng     *rand.Rand
+	rng     *rand.Rand // seeded from opts.Seed on the first draw (randomDelays)
 	metrics Metrics
 	load    []int64 // per directed edge: total words carried
 	trace   simtrace.Collector
@@ -195,7 +195,6 @@ func NewNetwork(g *graph.Graph, opts Options) *Network {
 		g:      g,
 		csr:    csr,
 		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
 		load:   make([]int64, 2*g.M()),
 		trace:  tr,
 		quiet:  quiet,

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math/rand"
 
 	"distlap/internal/faultinject"
 	"distlap/internal/graph"
@@ -227,7 +228,9 @@ func (nw *Network) treeCongestion(trees []*graph.Tree) int {
 // (Ghaffari'15-style random-delay scheduling). With delays disabled all
 // trees start immediately. The returned slice is pooled scratch, valid
 // until the next primitive on this network; the RNG draw sequence is
-// identical to the historical allocating version.
+// identical to the historical allocating version. The network's only RNG
+// consumer, it seeds the source on the first draw, so a network that never
+// draws (a Prepare-time setup network) never builds one.
 func (nw *Network) randomDelays(k, c int) []int {
 	delays := grownInts(nw.scr.delayBuf, k)
 	nw.scr.delayBuf = delays
@@ -236,6 +239,9 @@ func (nw *Network) randomDelays(k, c int) []int {
 	}
 	if nw.opts.DisableRandomDelays || c <= 1 {
 		return delays
+	}
+	if nw.rng == nil {
+		nw.rng = rand.New(rand.NewSource(nw.opts.Seed))
 	}
 	for i := range delays {
 		delays[i] = nw.rng.Intn(c)

@@ -11,8 +11,9 @@ import (
 type ChebyshevOptions struct {
 	// Tol is the target relative residual.
 	Tol float64
-	// Lo, Hi bound the nonzero Laplacian spectrum; zero values select the
-	// safe defaults of linalg.SpectralBounds.
+	// Lo, Hi bound the nonzero Laplacian spectrum and are required
+	// (0 < Lo < Hi). PrepareInstance is where automatic bounds come from:
+	// a Chebyshev instance caches linalg.SpectralBounds' safe defaults.
 	Lo, Hi float64
 	// CheckEvery controls how often the (communication-bearing) residual
 	// check runs; 0 selects 8.
@@ -42,10 +43,7 @@ func SolveChebyshev(c Comm, b []float64, opts ChebyshevOptions) (*Result, error)
 		return nil, fmt.Errorf("%w: %g", ErrBadTol, opts.Tol)
 	}
 	lo, hi := opts.Lo, opts.Hi
-	if lo <= 0 || hi <= 0 {
-		lo, hi = linalg.SpectralBounds(linalg.NewLaplacian(g))
-	}
-	if hi <= lo {
+	if lo <= 0 || hi <= lo {
 		return nil, fmt.Errorf("core: bad spectral bounds [%g, %g]", lo, hi)
 	}
 	checkEvery := opts.CheckEvery

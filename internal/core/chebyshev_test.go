@@ -8,11 +8,18 @@ import (
 	"distlap/internal/linalg"
 )
 
+// chebOpts returns options at tolerance tol with the safe automatic
+// spectral bounds a Chebyshev instance would cache for g.
+func chebOpts(g *graph.Graph, tol float64) ChebyshevOptions {
+	lo, hi := linalg.SpectralBounds(linalg.NewLaplacian(g))
+	return ChebyshevOptions{Tol: tol, Lo: lo, Hi: hi}
+}
+
 func TestSolveChebyshevMatchesExact(t *testing.T) {
 	g := graph.Path(12)
 	b := linalg.RandomBVector(12, 4)
 	c := universalComm(t, g)
-	res, err := SolveChebyshev(c, b, ChebyshevOptions{Tol: 1e-8})
+	res, err := SolveChebyshev(c, b, chebOpts(g, 1e-8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +37,7 @@ func TestSolveChebyshevTighterBoundsFewerIterations(t *testing.T) {
 	g := graph.Grid(5, 5)
 	b := linalg.RandomBVector(25, 2)
 	l := linalg.NewLaplacian(g)
-	loose, err := SolveChebyshev(universalComm(t, g), b, ChebyshevOptions{Tol: 1e-6})
+	loose, err := SolveChebyshev(universalComm(t, g), b, chebOpts(g, 1e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +67,15 @@ func TestSolveChebyshevBadInputs(t *testing.T) {
 	if _, err := SolveChebyshev(c, make([]float64, 4), ChebyshevOptions{Tol: 1e-6, Lo: 5, Hi: 1}); err == nil {
 		t.Fatal("want bounds error")
 	}
+	if _, err := SolveChebyshev(c, make([]float64, 4), ChebyshevOptions{Tol: 1e-6}); err == nil {
+		t.Fatal("want missing-bounds error")
+	}
 }
 
 func TestSolveChebyshevZeroRHS(t *testing.T) {
 	g := graph.Path(4)
 	c := universalComm(t, g)
-	res, err := SolveChebyshev(c, make([]float64, 4), ChebyshevOptions{Tol: 1e-6})
+	res, err := SolveChebyshev(c, make([]float64, 4), chebOpts(g, 1e-6))
 	if err != nil || res.Iterations != 0 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -78,13 +88,15 @@ func TestChebyshevCommunicationProfile(t *testing.T) {
 	b := linalg.RandomBVector(96, 6)
 	nwC := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1})
 	cc, _ := NewCongestComm(nwC, false)
-	cheb, err := SolveChebyshev(cc, b, ChebyshevOptions{Tol: 1e-5, CheckEvery: 16})
+	opts := chebOpts(g, 1e-5)
+	opts.CheckEvery = 16
+	cheb, err := SolveChebyshev(cc, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nwP := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1})
 	pc, _ := NewCongestComm(nwP, false)
-	pcg, err := Solve(pc, b, Options{Tol: 1e-5})
+	pcg, err := Iterate(pc, b, nil, Options{Tol: 1e-5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,6 @@ import (
 // on. All methods physically move data through the underlying engines and
 // accumulate measured rounds.
 type Comm interface {
-	Name() string
 	Graph() *graph.Graph
 	// Rounds returns the total rounds charged so far across the comm's
 	// underlying engines.
@@ -152,14 +151,6 @@ func newCongestCommWithTree(nw *congest.Network, naive bool, tree *graph.Tree) *
 	return &CongestComm{nw: nw, naive: naive, globalTree: tree}
 }
 
-// Name implements Comm.
-func (c *CongestComm) Name() string {
-	if c.naive {
-		return "congest-naive"
-	}
-	return "congest-universal"
-}
-
 // Graph implements Comm.
 func (c *CongestComm) Graph() *graph.Graph { return c.nw.Graph() }
 
@@ -173,9 +164,6 @@ func (c *CongestComm) Tracer() simtrace.Collector { return c.nw.Trace() }
 func (c *CongestComm) CollectMetrics() Metrics {
 	return Metrics{Congest: CongestEngineMetrics(c.nw), Phases: PhasesOf(c.nw.Trace())}
 }
-
-// Network exposes the underlying engine (for metrics in experiments).
-func (c *CongestComm) Network() *congest.Network { return c.nw }
 
 // GlobalTree exposes the global BFS tree (used by the tree preconditioner).
 func (c *CongestComm) GlobalTree() *graph.Tree { return c.globalTree }
@@ -412,23 +400,6 @@ type HybridComm struct {
 }
 
 var _ Comm = (*HybridComm)(nil)
-
-// NewHybridComm builds a hybrid comm over the same node set. The NCC engine
-// shares the CONGEST network's trace collector, so a single trace covers
-// both engines' charges.
-func NewHybridComm(nw *congest.Network) (*HybridComm, error) {
-	local, err := NewCongestComm(nw, false)
-	if err != nil {
-		return nil, err
-	}
-	return &HybridComm{
-		local:  local,
-		global: ncc.NewNetworkWith(nw.Graph().N(), nw.Trace()),
-	}, nil
-}
-
-// Name implements Comm.
-func (h *HybridComm) Name() string { return "hybrid" }
 
 // Graph implements Comm.
 func (h *HybridComm) Graph() *graph.Graph { return h.local.Graph() }

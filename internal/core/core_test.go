@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,16 @@ func universalComm(t *testing.T, g *graph.Graph) *CongestComm {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// solveWith sets pre up on c and iterates — the path of every caller that
+// picks its own preconditioner.
+func solveWith(t *testing.T, c Comm, b []float64, pre Preconditioner, tol float64) (*Result, error) {
+	t.Helper()
+	if err := pre.Setup(c); err != nil {
+		t.Fatalf("%s setup: %v", pre.Name(), err)
+	}
+	return Iterate(c, b, pre, Options{Tol: tol})
 }
 
 func TestMatVecMatchesLinalg(t *testing.T) {
@@ -70,7 +81,7 @@ func TestSolveIdentityPrecond(t *testing.T) {
 	g := graph.Grid(4, 4)
 	c := universalComm(t, g)
 	b := linalg.RandomBVector(16, 9)
-	res, err := Solve(c, b, Options{Tol: 1e-9})
+	res, err := Iterate(c, b, nil, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +108,7 @@ func TestSolveAllPreconditioners(t *testing.T) {
 	}
 	for _, pre := range preconds {
 		c := universalComm(t, g)
-		res, err := Solve(c, b, Options{Tol: 1e-9, Precond: pre})
+		res, err := solveWith(t, c, b, pre, 1e-9)
 		if err != nil {
 			t.Fatalf("%s: %v", pre.Name(), err)
 		}
@@ -112,7 +123,7 @@ func TestSolveToleranceScalesIterations(t *testing.T) {
 	b := linalg.RandomBVector(36, 8)
 	iters := func(tol float64) int {
 		c := universalComm(t, g)
-		res, err := Solve(c, b, Options{Tol: tol, Precond: &JacobiPrecond{}})
+		res, err := solveWith(t, c, b, &JacobiPrecond{}, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,13 +137,13 @@ func TestSolveToleranceScalesIterations(t *testing.T) {
 func TestSolveBadInputs(t *testing.T) {
 	g := graph.Path(4)
 	c := universalComm(t, g)
-	if _, err := Solve(c, []float64{1}, Options{Tol: 1e-6}); err == nil {
+	if _, err := Iterate(c, []float64{1}, nil, Options{Tol: 1e-6}); err == nil {
 		t.Fatal("want dimension error")
 	}
-	if _, err := Solve(c, make([]float64, 4), Options{Tol: 0}); err == nil {
+	if _, err := Iterate(c, make([]float64, 4), nil, Options{Tol: 0}); err == nil {
 		t.Fatal("want tolerance error")
 	}
-	if _, err := Solve(c, make([]float64, 4), Options{Tol: 2}); err == nil {
+	if _, err := Iterate(c, make([]float64, 4), nil, Options{Tol: 2}); err == nil {
 		t.Fatal("want tolerance error")
 	}
 }
@@ -140,7 +151,7 @@ func TestSolveBadInputs(t *testing.T) {
 func TestSolveZeroRHS(t *testing.T) {
 	g := graph.Path(5)
 	c := universalComm(t, g)
-	res, err := Solve(c, make([]float64, 5), Options{Tol: 1e-8})
+	res, err := Iterate(c, make([]float64, 5), nil, Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +166,11 @@ func TestHybridCommSolve(t *testing.T) {
 	l := linalg.NewLaplacian(g)
 	xStar, _ := l.SolveExact(b)
 
-	resU, cu, err := SolveOnGraph(g, b, ModeUniversal, 1e-8, 1)
+	resU, err := SolveOnce(g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resH, ch, err := SolveOnGraph(g, b, ModeHybrid, 1e-8, 1)
+	resH, err := SolveOnce(g, b, PrepareConfig{Mode: ModeHybrid, Tol: 1e-8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +183,7 @@ func TestHybridCommSolve(t *testing.T) {
 		t.Fatalf("hybrid rounds %d should beat congest rounds %d on a path",
 			resH.Rounds, resU.Rounds)
 	}
-	_ = cu
-	if hc, ok := ch.(*HybridComm); !ok || hc.NCC().Rounds() == 0 {
+	if resH.Metrics.NCC == nil || resH.Metrics.NCC.Rounds == 0 {
 		t.Fatal("hybrid did not use NCC")
 	}
 }
@@ -184,11 +194,11 @@ func TestBaselineVsUniversalOnLowDiameter(t *testing.T) {
 	// local cluster trees stay parallel.
 	g := graph.RandomRegular(256, 4, 5)
 	b := linalg.RandomBVector(g.N(), 2)
-	resB, _, err := SolveOnGraph(g, b, ModeBaseline, 1e-6, 3)
+	resB, err := SolveOnce(g, b, PrepareConfig{Mode: ModeBaseline, Tol: 1e-6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, _, err := SolveOnGraph(g, b, ModeUniversal, 1e-6, 3)
+	resU, err := SolveOnce(g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +213,11 @@ func TestBaselineVsUniversalOnLowDiameter(t *testing.T) {
 func TestModeCongestPaysConstruction(t *testing.T) {
 	g := graph.Grid(6, 6)
 	b := linalg.RandomBVector(36, 1)
-	resS, _, err := SolveOnGraph(g, b, ModeUniversal, 1e-6, 1)
+	resS, err := SolveOnce(g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resC, _, err := SolveOnGraph(g, b, ModeCongest, 1e-6, 1)
+	resC, err := SolveOnce(g, b, PrepareConfig{Mode: ModeCongest, Tol: 1e-6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +227,8 @@ func TestModeCongestPaysConstruction(t *testing.T) {
 	}
 }
 
-func TestNewCommUnknownMode(t *testing.T) {
-	if _, err := NewComm(graph.Path(3), Mode("nope"), 1); err == nil {
+func TestPrepareInstanceUnknownMode(t *testing.T) {
+	if _, err := PrepareInstance(context.Background(), graph.Path(3), PrepareConfig{Mode: "nope"}); err == nil {
 		t.Fatal("want unknown-mode error")
 	}
 }
@@ -261,7 +271,7 @@ func TestSolveResidualProperty(t *testing.T) {
 		g := graph.RandomConnected(20, 15, 4, seed)
 		b := linalg.RandomBVector(20, seed)
 		for _, mode := range []Mode{ModeUniversal, ModeBaseline, ModeHybrid} {
-			res, _, err := SolveOnGraph(g, b, mode, 1e-7, seed)
+			res, err := SolveOnce(g, b, PrepareConfig{Mode: mode, Tol: 1e-7, Seed: seed})
 			if err != nil {
 				return false
 			}
@@ -287,7 +297,7 @@ func TestSolveLErrorProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, _, err := SolveOnGraph(g, b, ModeUniversal, 1e-10, seed)
+		res, err := SolveOnce(g, b, PrepareConfig{Mode: ModeUniversal, Tol: 1e-10, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -304,7 +314,7 @@ func TestLowStretchTreePrecond(t *testing.T) {
 	l := linalg.NewLaplacian(g)
 	xStar, _ := l.SolveExact(b)
 	c := universalComm(t, g)
-	res, err := Solve(c, b, Options{Tol: 1e-9, Precond: &TreePrecond{LowStretch: true, Seed: 3}})
+	res, err := solveWith(t, c, b, &TreePrecond{LowStretch: true, Seed: 3}, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +328,7 @@ func TestSchwarzMPXClusters(t *testing.T) {
 	b := linalg.RandomBVector(36, 2)
 	c := universalComm(t, g)
 	pre := &SchwarzPrecond{TargetSize: 8, Overlap: 2, Seed: 4, Method: "mpx"}
-	res, err := Solve(c, b, Options{Tol: 1e-8, Precond: pre})
+	res, err := solveWith(t, c, b, pre, 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}

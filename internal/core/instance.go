@@ -33,7 +33,7 @@ type Instance struct {
 	hybrid    bool
 	supported bool
 	tree      *graph.Tree
-	csr       *graph.CSR     // flat topology shared by every request engine
+	csr       *graph.CSR     // flat topology shared by the setup and request engines
 	pre       Preconditioner // nil for Chebyshev instances
 
 	cheb   bool
@@ -42,19 +42,21 @@ type Instance struct {
 	setup Metrics // communication cost paid by PrepareInstance
 }
 
-// PrepareConfig configures PrepareInstance.
+// PrepareConfig configures PrepareInstance and SolveOnce.
 type PrepareConfig struct {
 	// Mode selects the communication model (default ModeUniversal).
 	Mode Mode
-	// Tol is the default request tolerance (0 selects 1e-8); individual
-	// requests may override it.
+	// Tol is the default request tolerance (0 selects 1e-8; any other
+	// value outside (0, 1) is ErrBadTol); individual requests may override
+	// it.
 	Tol float64
 	// Seed drives every randomized setup phase (cluster covers) and is the
 	// base from which callers derive per-request seeds.
 	Seed int64
 	// Trace receives the setup's instrumentation (nil = Nop): the
 	// "prepare" span encloses comm-setup — including the charged BFS in
-	// ModeCongest — and precond-setup with its cluster-tree construction.
+	// ModeCongest — and precond-setup with its cluster-tree construction,
+	// or spectral-bounds for a Chebyshev instance.
 	Trace simtrace.Collector
 	// Chebyshev prepares for Chebyshev iteration instead of PCG: no
 	// preconditioner is built, and the spectral bounds (Lo, Hi, or the safe
@@ -63,12 +65,32 @@ type PrepareConfig struct {
 	Lo, Hi    float64
 }
 
+// defaultTol is the tolerance a zero PrepareConfig.Tol selects.
+const defaultTol = 1e-8
+
+// ErrBadTol is returned for nonsensical tolerances.
+var ErrBadTol = errors.New("core: tolerance must be in (0, 1)")
+
+// resolveTol applies the one tolerance rule of every solve entry point: 0
+// selects def, and any other value outside (0, 1) is ErrBadTol.
+func resolveTol(tol, def float64) (float64, error) {
+	//distlint:allow floateq zero is the "unset" sentinel; negative tolerances must still reach the ErrBadTol check below
+	if tol == 0 {
+		tol = def
+	}
+	if tol <= 0 || tol >= 1 {
+		return 0, fmt.Errorf("%w: %g", ErrBadTol, tol)
+	}
+	return tol, nil
+}
+
 // PrepareInstance runs the one-time per-graph pipeline and returns the
 // cached Instance. This is the expensive half the paper's amortization
 // story rests on: low-stretch/BFS tree construction, cluster covers,
 // cluster aggregation trees and preconditioner state are all paid for here,
 // exactly once, so each additional right-hand side pays only iteration.
-// ctx cancels setup between engine rounds.
+// It is the only code that sets up a Laplacian solve; a one-shot solve is
+// SolveOnce. ctx cancels setup between engine rounds.
 func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in *Instance, err error) {
 	if g == nil || g.N() == 0 {
 		return nil, errors.New("core: empty graph")
@@ -77,13 +99,14 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 	if mode == "" {
 		mode = ModeUniversal
 	}
-	tol := cfg.Tol
-	//distlint:allow floateq zero is the "unset" sentinel; negative tolerances must still reach the ErrBadTol check below
-	if tol == 0 {
-		tol = 1e-8
+	switch mode {
+	case ModeUniversal, ModeCongest, ModeBaseline, ModeHybrid:
+	default:
+		return nil, fmt.Errorf("core: unknown mode %q", mode)
 	}
-	if tol <= 0 || tol >= 1 {
-		return nil, fmt.Errorf("%w: %g", ErrBadTol, tol)
+	tol, err := resolveTol(cfg.Tol, defaultTol)
+	if err != nil {
+		return nil, err
 	}
 	defer congest.CatchCancel(&err)
 	tr := simtrace.OrNop(cfg.Trace)
@@ -92,34 +115,27 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c, err := NewCommWith(g, CommConfig{Mode: mode, Seed: cfg.Seed, Trace: tr, Cancel: ctx.Err})
+	in = &Instance{
+		g:    g,
+		csr:  graph.BuildCSR(g),
+		mode: mode,
+		seed: cfg.Seed,
+		tol:  tol,
+		// ModeBaseline stays Supported, so its comparison against
+		// ModeUniversal isolates the aggregation structure (global tree vs
+		// per-cluster) rather than construction costs.
+		supported: mode != ModeCongest,
+		naive:     mode == ModeBaseline,
+		hybrid:    mode == ModeHybrid,
+		cheb:      cfg.Chebyshev,
+	}
+	c, err := in.setupComm(tr, cfg.Seed, ctx.Err)
 	if err != nil {
 		return nil, err
 	}
-	in = &Instance{
-		g:      g,
-		csr:    graph.BuildCSR(g),
-		mode:   mode,
-		seed:   cfg.Seed,
-		tol:    tol,
-		hybrid: mode == ModeHybrid,
-		naive:  mode == ModeBaseline,
-		cheb:   cfg.Chebyshev,
-	}
-	switch cc := c.(type) {
-	case *CongestComm:
-		in.tree = cc.globalTree
-		in.supported = cc.nw.Supported()
-	case *HybridComm:
-		in.tree = cc.local.globalTree
-		in.supported = cc.local.nw.Supported()
-	default:
-		return nil, fmt.Errorf("core: comm %q exposes no cacheable state", c.Name())
-	}
 	if cfg.Chebyshev {
 		// Spectral bounds are a pure function of the graph — exactly the
-		// kind of per-instance work worth caching (the one-shot path
-		// recomputes them on every solve).
+		// kind of per-instance work worth caching.
 		lo, hi := cfg.Lo, cfg.Hi
 		if lo <= 0 || hi <= 0 {
 			tr.Begin("spectral-bounds")
@@ -147,9 +163,67 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 	return in, nil
 }
 
+// setupComm builds Prepare's own comm over the instance CSR and caches its
+// global tree. The tree's cost — the charged BFS in ModeCongest, nothing in
+// the Supported modes — is paid under "comm-setup".
+func (in *Instance) setupComm(tr simtrace.Collector, seed int64, cancel func() error) (Comm, error) {
+	tr.Begin("comm-setup")
+	defer tr.End("comm-setup")
+	nw := congest.NewNetwork(in.g, congest.Options{
+		Supported: in.supported,
+		Topology:  in.csr,
+		Seed:      seed,
+		Trace:     tr,
+		Cancel:    cancel,
+	})
+	local, err := NewCongestComm(nw, in.naive)
+	if err != nil {
+		return nil, err
+	}
+	in.tree = local.globalTree
+	return in.withNCC(local, nil), nil
+}
+
+// withNCC completes a comm for the instance's mode: in ModeHybrid it adds
+// the NCC engine, which shares the CONGEST network's trace collector so a
+// single trace covers both engines' charges.
+func (in *Instance) withNCC(local *CongestComm, faults *faultinject.Plan) Comm {
+	if !in.hybrid {
+		return local
+	}
+	global := ncc.NewNetworkWith(in.g.N(), local.nw.Trace())
+	global.SetFaults(faults)
+	return &HybridComm{local: local, global: global}
+}
+
+// SolveOnce is a one-shot solve: PrepareInstance followed by one request
+// whose engine seed is pinned to cfg.Seed. Prepare draws no scheduling
+// randomness, so the request engine replays exactly the execution one
+// engine running setup and iteration back to back would. When Prepare
+// charged rounds (the BFS of ModeCongest), they are folded into the result:
+// Rounds, SetupRounds and Metrics cover setup plus iteration, and
+// Metrics.Congest.MaxEdgeLoad is the larger of the two engines' maxima.
+func SolveOnce(g *graph.Graph, b []float64, cfg PrepareConfig) (*Result, error) {
+	in, err := PrepareInstance(context.Background(), g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := in.Solve(b, Request{Seed: cfg.Seed, Trace: cfg.Trace})
+	if err != nil {
+		return nil, err
+	}
+	if setup := in.SetupMetrics(); setup.TotalRounds() > 0 {
+		addEngineMetrics(&res.Metrics, setup)
+		res.Rounds += setup.TotalRounds()
+		res.SetupRounds += setup.TotalRounds()
+	}
+	return res, nil
+}
+
 // Request configures one per-request execution against a prepared Instance.
 type Request struct {
-	// Tol overrides the instance's default tolerance when positive.
+	// Tol overrides the instance's default tolerance; 0 keeps the default,
+	// and any other value outside (0, 1) is ErrBadTol.
 	Tol float64
 	// Seed seeds the request's private engine (scheduling randomness).
 	// Callers derive it from the instance seed and a request identity via
@@ -212,13 +286,7 @@ func (in *Instance) Comm(req Request) Comm {
 		Cancel:    req.Cancel,
 		Faults:    req.Faults,
 	})
-	local := newCongestCommWithTree(nw, in.naive, in.tree)
-	if in.hybrid {
-		global := ncc.NewNetworkWith(in.g.N(), nw.Trace())
-		global.SetFaults(req.Faults)
-		return &HybridComm{local: local, global: global}
-	}
-	return local
+	return in.withNCC(newCongestCommWithTree(nw, in.naive, in.tree), req.Faults)
 }
 
 // Network builds a request-private supported CONGEST network over the
@@ -247,9 +315,9 @@ func (in *Instance) Solve(b []float64, req Request) (res *Result, err error) {
 			return nil, err
 		}
 	}
-	tol := req.Tol
-	if tol <= 0 {
-		tol = in.tol
+	tol, err := resolveTol(req.Tol, in.tol)
+	if err != nil {
+		return nil, err
 	}
 	if req.Faults != nil {
 		// Faulty execution runs the self-checking recovery loop

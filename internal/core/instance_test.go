@@ -127,3 +127,42 @@ func TestInstanceSizeBytes(t *testing.T) {
 		t.Fatalf("size not monotone: grid(12) %d <= grid(6) %d", big.SizeBytes(), small.SizeBytes())
 	}
 }
+
+// TestToleranceRule pins the one tolerance rule on every solve entry
+// point: 0 selects the default, and any other value outside (0, 1) is
+// ErrBadTol.
+func TestToleranceRule(t *testing.T) {
+	in, b := prepared(t, ModeUniversal, 1)
+	g := in.Graph()
+	paths := []struct {
+		name string
+		run  func(tol float64) error
+	}{
+		{"PrepareInstance", func(tol float64) error {
+			_, err := PrepareInstance(context.Background(), g, PrepareConfig{Tol: tol, Seed: 1})
+			return err
+		}},
+		{"Instance.Solve", func(tol float64) error {
+			_, err := in.Solve(b, Request{Tol: tol, Seed: 1})
+			return err
+		}},
+		{"SolveOnce", func(tol float64) error {
+			_, err := SolveOnce(g, b, PrepareConfig{Tol: tol, Seed: 1})
+			return err
+		}},
+	}
+	for _, tc := range []struct {
+		tol float64
+		ok  bool
+	}{{0, true}, {-1, false}, {1, false}, {2, false}, {1e-6, true}} {
+		for _, p := range paths {
+			err := p.run(tc.tol)
+			if tc.ok && err != nil {
+				t.Errorf("%s(tol=%g): %v", p.name, tc.tol, err)
+			}
+			if !tc.ok && !errors.Is(err, ErrBadTol) {
+				t.Errorf("%s(tol=%g): got %v, want ErrBadTol", p.name, tc.tol, err)
+			}
+		}
+	}
+}

@@ -180,6 +180,17 @@ func NewSchwarzPrecond(targetSize, overlap int, seed int64) *SchwarzPrecond {
 	return &SchwarzPrecond{TargetSize: targetSize, Overlap: overlap, Seed: seed}
 }
 
+// DefaultPrecond returns the standard preconditioner for a graph: the
+// overlapping-cluster Schwarz preconditioner with ~√n-sized clusters and
+// overlap 2 (the congested-PWA component of the solver).
+func DefaultPrecond(g *graph.Graph, seed int64) Preconditioner {
+	size := 4
+	for (size+1)*(size+1) <= g.N() {
+		size++
+	}
+	return NewSchwarzPrecond(size, 2, seed)
+}
+
 // Name implements Preconditioner.
 func (p *SchwarzPrecond) Name() string { return "schwarz" }
 

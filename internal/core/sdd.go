@@ -23,14 +23,11 @@ import (
 // reads zero.
 //
 // extra must be nonnegative with at least one positive entry (otherwise
-// the system is a plain Laplacian — use Solve). Unlike Laplacian systems,
-// b may have any sum.
-func SolveSDD(g *graph.Graph, extra []int64, b []float64, mode Mode, tol float64, seed int64) (*Result, error) {
-	return SolveSDDWith(g, extra, b, SolveConfig{Mode: mode, Tol: tol, Seed: seed})
-}
-
-// SolveSDDWith is SolveSDD taking a full config (trace collector included).
-func SolveSDDWith(g *graph.Graph, extra []int64, b []float64, cfg SolveConfig) (*Result, error) {
+// the system is a plain Laplacian — use SolveOnce). Unlike Laplacian
+// systems, b may have any sum. The augmented system is a SolveOnce under
+// cfg, always by PCG: cfg's Chebyshev fields are ignored, because explicit
+// bounds for L_g say nothing about the grounded Laplacian's spectrum.
+func SolveSDD(g *graph.Graph, extra []int64, b []float64, cfg PrepareConfig) (*Result, error) {
 	n := g.N()
 	if len(extra) != n || len(b) != n {
 		return nil, fmt.Errorf("core: extra/b have %d/%d entries for n=%d", len(extra), len(b), n)
@@ -45,7 +42,7 @@ func SolveSDDWith(g *graph.Graph, extra []int64, b []float64, cfg SolveConfig) (
 		}
 	}
 	if !anyPositive {
-		return nil, errors.New("core: extra diagonal is all zero; use Solve for pure Laplacians")
+		return nil, errors.New("core: extra diagonal is all zero; use SolveOnce for pure Laplacians")
 	}
 	aug := g.Clone()
 	z := aug.AddNode()
@@ -64,7 +61,8 @@ func SolveSDDWith(g *graph.Graph, extra []int64, b []float64, cfg SolveConfig) (
 	}
 	bAug[z] = -sum
 
-	res, _, err := SolveOnGraphWith(aug, bAug, cfg)
+	cfg.Chebyshev = false
+	res, err := SolveOnce(aug, bAug, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -15,8 +14,6 @@ type Options struct {
 	Tol float64
 	// MaxIter caps PCG iterations (0 selects a safe default).
 	MaxIter int
-	// Precond selects the preconditioner (nil = identity).
-	Precond Preconditioner
 	// Cancel, when non-nil, is polled at every iteration boundary; a
 	// non-nil return aborts the solve with that error. Engine-internal
 	// round barriers are additionally covered by the comm's own Cancel
@@ -49,52 +46,22 @@ type Result struct {
 	Metrics Metrics
 }
 
-// ErrBadTol is returned for nonsensical tolerances.
-var ErrBadTol = errors.New("core: tolerance must be in (0, 1)")
-
-// Solve runs the distributed preconditioned conjugate-gradient Laplacian
-// solver over the given communication substrate. The right-hand side must
+// Iterate runs the distributed preconditioned conjugate-gradient Laplacian
+// solver over the given communication substrate. pre (nil = identity) must
+// already be set up against a comm over the same graph — by PrepareInstance,
+// or by a caller that picks its own preconditioner — and its Apply must be
+// read-only, as every shipped preconditioner's is after Setup. Iterate
+// charges and traces iteration cost only. The right-hand side must
 // (approximately) sum to zero; the returned solution is mean-centered.
 //
 // Every numerical reduction goes through comm.GlobalSums, every
 // matrix-vector product through comm.MatVecLaplacian, and preconditioner
 // applications through tree sweeps — so Result.Rounds is the measured
-// CONGEST/HYBRID round complexity of the whole solve (Theorem 28's
+// CONGEST/HYBRID round complexity of the iteration (Theorem 28's
 // #iterations × Q(p) structure, with Q measured rather than assumed).
-func Solve(c Comm, b []float64, opts Options) (*Result, error) {
-	g := c.Graph()
-	n := g.N()
-	if len(b) != n {
-		return nil, fmt.Errorf("core: b has %d entries for n=%d", len(b), n)
-	}
-	if opts.Tol <= 0 || opts.Tol >= 1 {
-		return nil, fmt.Errorf("%w: %g", ErrBadTol, opts.Tol)
-	}
-	pre := opts.Precond
-	if pre == nil {
-		pre = &IdentityPrecond{}
-	}
-	tr := c.Tracer()
-	tr.Begin("solve")
-	defer tr.End("solve")
-	tr.Begin("precond-setup")
-	err := pre.Setup(c)
-	tr.End("precond-setup")
-	if err != nil {
-		return nil, fmt.Errorf("core: precond setup: %w", err)
-	}
-	return iterate(c, b, pre, opts)
-}
-
-// Iterate runs the per-request half of a solve on a preconditioner whose
-// Setup already ran (a prepared Instance, or any caller that amortizes
-// setup across right-hand sides). It charges only iteration cost — no
-// construction phase ever appears in its trace; setup phases belong to
-// Prepare. pre must be non-nil and already set up against a comm over the
-// same graph; its Apply must be read-only (the contract every shipped
-// preconditioner satisfies after Setup).
 func Iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, error) {
-	n := c.Graph().N()
+	g := c.Graph()
+	n := g.N()
 	if len(b) != n {
 		return nil, fmt.Errorf("core: b has %d entries for n=%d", len(b), n)
 	}
@@ -104,23 +71,13 @@ func Iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, er
 	if pre == nil {
 		pre = &IdentityPrecond{}
 	}
-	tr := c.Tracer()
-	tr.Begin("solve")
-	defer tr.End("solve")
-	return iterate(c, b, pre, opts)
-}
-
-// iterate is the shared iteration half of Solve and Iterate: from centering
-// b through PCG convergence. The caller holds the "solve" span open and has
-// validated b and Tol; pre is set up.
-func iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, error) {
-	g := c.Graph()
-	n := g.N()
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 40*n + 200
 	}
 	tr := c.Tracer()
+	tr.Begin("solve")
+	defer tr.End("solve")
 
 	// Center b: one global sum, then a local subtraction (n is common
 	// knowledge).

@@ -94,13 +94,13 @@ func E9b(cfg Config) (*Table, error) {
 		pts = append(pts, func(tr simtrace.Collector) ([][]string, error) {
 			g := f.mk()
 			b := linalg.RandomBVector(g.N(), 3)
-			resU, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
+			resU, err := core.SolveOnce(g, b, core.PrepareConfig{
 				Mode: core.ModeUniversal, Tol: 1e-6, Seed: 2, Trace: tr,
 			})
 			if err != nil {
 				return nil, err
 			}
-			resB, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
+			resB, err := core.SolveOnce(g, b, core.PrepareConfig{
 				Mode: core.ModeBaseline, Tol: 1e-6, Seed: 2, Trace: tr,
 			})
 			if err != nil {
@@ -149,13 +149,13 @@ func E10(cfg Config) (*Table, error) {
 		pts = append(pts, func(tr simtrace.Collector) ([][]string, error) {
 			g := f.mk()
 			b := linalg.RandomBVector(g.N(), 7)
-			resC, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
+			resC, err := core.SolveOnce(g, b, core.PrepareConfig{
 				Mode: core.ModeUniversal, Tol: 1e-6, Seed: 4, Trace: tr,
 			})
 			if err != nil {
 				return nil, err
 			}
-			resH, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
+			resH, err := core.SolveOnce(g, b, core.PrepareConfig{
 				Mode: core.ModeHybrid, Tol: 1e-6, Seed: 4, Trace: tr,
 			})
 			if err != nil {

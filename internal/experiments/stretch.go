@@ -46,7 +46,10 @@ func E14(cfg Config) (*Table, error) {
 				if err != nil {
 					return 0, err
 				}
-				res, err := core.Solve(c, b, core.Options{Tol: 1e-8, Precond: pre})
+				if err := pre.Setup(c); err != nil {
+					return 0, err
+				}
+				res, err := core.Iterate(c, b, pre, core.Options{Tol: 1e-8})
 				if err != nil {
 					return 0, err
 				}

@@ -202,10 +202,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts := []distlap.Option{distlap.WithMode(mode), distlap.WithSeed(req.Seed)}
-	if req.Eps > 0 {
-		opts = append(opts, distlap.WithEps(req.Eps))
-	}
+	opts := []distlap.Option{distlap.WithMode(mode), distlap.WithEps(req.Eps), distlap.WithSeed(req.Seed)}
 	if req.Chebyshev {
 		opts = append(opts, distlap.WithChebyshev(req.Lo, req.Hi))
 	}
@@ -288,10 +285,7 @@ type SolveResponse struct {
 }
 
 func requestOpts(eps float64, seed *int64) []distlap.ReqOption {
-	var opts []distlap.ReqOption
-	if eps > 0 {
-		opts = append(opts, distlap.WithRequestEps(eps))
-	}
+	opts := []distlap.ReqOption{distlap.WithRequestEps(eps)}
 	if seed != nil {
 		opts = append(opts, distlap.WithRequestSeed(*seed))
 	}

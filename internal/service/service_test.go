@@ -132,6 +132,7 @@ func TestServerErrorSurface(t *testing.T) {
 		{"load without id", "POST", "/v1/graphs", `{"graph":{"family":"grid","size":16}}`, http.StatusBadRequest},
 		{"load bad family", "POST", "/v1/graphs", `{"id":"x","graph":{"family":"moebius","size":16}}`, http.StatusBadRequest},
 		{"load bad mode", "POST", "/v1/graphs", `{"id":"x","graph":{"family":"grid","size":16},"mode":"quantum"}`, http.StatusBadRequest},
+		{"load negative eps", "POST", "/v1/graphs", `{"id":"x","graph":{"family":"grid","size":16},"eps":-1}`, http.StatusBadRequest},
 		{"load bad edge", "POST", "/v1/graphs", `{"id":"x","graph":{"n":2,"edges":[[0,5,1]]}}`, http.StatusBadRequest},
 		{"malformed json", "POST", "/v1/graphs", `{"id":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/graphs", `{"id":"x","graf":{}}`, http.StatusBadRequest},
@@ -153,6 +154,12 @@ func TestServerErrorSurface(t *testing.T) {
 	mustStatus(t, "empty solve", code, http.StatusBadRequest, body)
 	code, body = doReq(t, h, "POST", "/v1/graphs/g1/solve", `{"b":[1,-1],"bs":[[1,-1]]}`)
 	mustStatus(t, "both b and bs", code, http.StatusBadRequest, body)
+
+	// A tolerance outside (0, 1) is rejected, never silently defaulted.
+	code, body = doReq(t, h, "POST", "/v1/graphs/g1/solve", `{"b":`+unitRHS(36, 0, 35)+`,"eps":-1}`)
+	mustStatus(t, "negative solve eps", code, http.StatusBadRequest, body)
+	code, body = doReq(t, h, "POST", "/v1/graphs/g1/flow", `{"s":0,"t":35,"eps":-1}`)
+	mustStatus(t, "negative flow eps", code, http.StatusBadRequest, body)
 }
 
 func TestServerCancelledContext(t *testing.T) {

@@ -68,12 +68,15 @@ func NopTrace() Collector { return simtrace.Nop{} }
 // immutable and safe for concurrent use — requests share only read-only
 // state, and each request attaches its own collector via WithRequestTrace.
 //
-// Amortization. Every one-shot method rebuilds the full per-graph setup
-// (aggregation trees, cluster covers, preconditioner state) on each call.
-// When the same graph is solved more than once — multiple right-hand sides,
-// repeated flow queries, a serving daemon — call Prepare once and issue
-// requests against the returned Instance; setup is then charged exactly
-// once, under Prepare.
+// Amortization. Every Laplacian solve a one-shot method runs — Solve,
+// SolveSDD, Flow, EffectiveResistance, and each step of SpectralPartition
+// and MaxFlow — is exactly Prepare followed by one request whose engine
+// seed is pinned to that solve's seed, so each pays the full per-graph
+// setup (aggregation trees, cluster covers, preconditioner state) under
+// its own "prepare" span. When the same graph is solved more than once —
+// multiple right-hand sides, repeated flow queries, a serving daemon —
+// call Prepare once and issue requests against the returned Instance;
+// setup is then charged exactly once.
 type Solver struct {
 	mode  Mode
 	eps   float64
@@ -91,6 +94,8 @@ type Option func(*Solver)
 func WithMode(m Mode) Option { return func(s *Solver) { s.mode = m } }
 
 // WithEps sets the relative-residual tolerance of solves (default 1e-8).
+// 0 selects the default; any other value outside (0, 1) makes Prepare and
+// every solving method (Solve, SolveSDD, Flow, ...) return an error.
 func WithEps(eps float64) Option { return func(s *Solver) { s.eps = eps } }
 
 // WithSeed sets the deterministic seed (default 1). Every derived source of
@@ -121,32 +126,34 @@ func NewSolver(opts ...Option) *Solver {
 	return s
 }
 
+// prepareConfig is the Solver's configuration as core sees it, shared by
+// Prepare and the one-shot solves.
+func (sv *Solver) prepareConfig() core.PrepareConfig {
+	return core.PrepareConfig{
+		Mode:      sv.mode,
+		Tol:       sv.eps,
+		Seed:      sv.seed,
+		Trace:     sv.trace,
+		Chebyshev: sv.cheb,
+		Lo:        sv.lo,
+		Hi:        sv.hi,
+	}
+}
+
 // Solve solves the Laplacian system L_g x = b to the configured tolerance
 // and reports the measured communication cost. b must sum to
 // (approximately) zero; the solution is mean-centered. With WithChebyshev
 // the system is solved by Chebyshev iteration instead of preconditioned CG.
 func (sv *Solver) Solve(g *Graph, b []float64) (*Result, error) {
-	if sv.cheb {
-		c, err := core.NewCommWith(g, core.CommConfig{Mode: sv.mode, Seed: sv.seed, Trace: sv.trace})
-		if err != nil {
-			return nil, err
-		}
-		return core.SolveChebyshev(c, b, core.ChebyshevOptions{Tol: sv.eps, Lo: sv.lo, Hi: sv.hi})
-	}
-	res, _, err := core.SolveOnGraphWith(g, b, core.SolveConfig{
-		Mode: sv.mode, Tol: sv.eps, Seed: sv.seed, Trace: sv.trace,
-	})
-	return res, err
+	return core.SolveOnce(g, b, sv.prepareConfig())
 }
 
 // SolveSDD solves the symmetric diagonally-dominant system
 // (L_g + diag(extra)) x = b via the grounded-Laplacian reduction. extra
 // must be nonnegative integers with at least one positive entry; b may have
-// any sum.
+// any sum. It always iterates by preconditioned CG, WithChebyshev or not.
 func (sv *Solver) SolveSDD(g *Graph, extra []int64, b []float64) (*Result, error) {
-	return core.SolveSDDWith(g, extra, b, core.SolveConfig{
-		Mode: sv.mode, Tol: sv.eps, Seed: sv.seed, Trace: sv.trace,
-	})
+	return core.SolveSDD(g, extra, b, sv.prepareConfig())
 }
 
 // Flow computes the unit s-t electrical flow on g (potentials, currents,

@@ -9,6 +9,7 @@ package distlap_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"distlap"
@@ -84,19 +85,29 @@ func TestJSONLByteStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPhaseRoundsSumToTotal pins the accounting identity for the universal
-// and baseline modes: exclusive per-phase rounds (plus untracked) sum
-// exactly to the network's total rounds.
+// TestPhaseRoundsSumToTotal pins the accounting identity in every mode:
+// exclusive per-phase rounds (plus untracked) sum exactly to the measured
+// rounds and the engine totals — in ModeCongest too, whose charged BFS runs
+// on Prepare's engine and is folded into the one-shot result. A traced
+// one-shot solve opens exactly one top-level prepare span and one
+// top-level solve span.
 func TestPhaseRoundsSumToTotal(t *testing.T) {
-	for _, mode := range []distlap.Mode{distlap.ModeUniversal, distlap.ModeBaseline} {
+	for _, mode := range modes() {
 		tr := distlap.NewInMemoryTrace()
 		res := solveTraced(t, mode, tr)
 		if open := tr.OpenSpans(); open != 0 {
 			t.Errorf("mode %v: %d spans left open", mode, open)
 		}
 		sum := 0
+		top := map[string]int{}
 		for _, ph := range tr.Phases() {
 			sum += ph.Rounds
+			if ph.Path != "" && !strings.Contains(ph.Path, "/") {
+				top[ph.Path] += ph.Count
+			}
+		}
+		if len(top) != 2 || top["prepare"] != 1 || top["solve"] != 1 {
+			t.Errorf("mode %v: top-level spans %v, want one prepare and one solve", mode, top)
 		}
 		if sum != res.Rounds {
 			t.Errorf("mode %v: phase rounds sum %d != measured rounds %d", mode, sum, res.Rounds)
