@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet lint lint-json race test alloc-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke snapshot-check
+.PHONY: check build fmt-check vet lint lint-json race test alloc-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
 
-check: build fmt-check vet lint test alloc-check bench-module microbench trace-smoke daemon-smoke chaos-smoke metrics-smoke snapshot-check
+check: build fmt-check vet lint test alloc-check bench-module microbench trace-smoke daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,24 @@ snapshot-check:
 	cmp chaos_output.txt $(CURDIR)/.snapshot-chaos.txt
 	rm -f $(CURDIR)/.snapshot-experiments.txt $(CURDIR)/.snapshot-chaos.txt
 	@echo snapshot-check: both experiment tiers match their golden files
+
+# Trace gate: the JSONL series traces of the quick paper suite and of the
+# quick chaos tier must hash to the two lines of traces_quick.sha256. A
+# trace records every round's charges, phase spans and gauge samples, so
+# this fails when a refactor moves a single charge or span, even one that
+# leaves every table cell and bench count in place. On a failure, write the
+# same two traces at the parent commit and diff them against this tree's:
+# the first differing line is the first moved event. Regenerate after an
+# intentional change:
+#   go run ./cmd/experiments -quick -parallel 1 -series -trace .trace-quick.jsonl >/dev/null
+#   go run ./cmd/experiments -chaos -quick -parallel 1 -series -trace .trace-chaos-quick.jsonl >/dev/null
+#   sha256sum .trace-quick.jsonl .trace-chaos-quick.jsonl > traces_quick.sha256
+trace-check:
+	$(GO) run ./cmd/experiments -quick -parallel 1 -series -trace $(CURDIR)/.trace-quick.jsonl >/dev/null 2>&1
+	$(GO) run ./cmd/experiments -chaos -quick -parallel 1 -series -trace $(CURDIR)/.trace-chaos-quick.jsonl >/dev/null 2>&1
+	sha256sum -c traces_quick.sha256
+	rm -f $(CURDIR)/.trace-quick.jsonl $(CURDIR)/.trace-chaos-quick.jsonl
+	@echo trace-check: both quick series traces match their committed hashes
 
 # Daemon smoke test: distlapd's -selftest drives the whole request cycle
 # (load → list → solve → multi-RHS batch → flow → mst → evict → 404)

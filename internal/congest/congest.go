@@ -94,13 +94,6 @@ type Options struct {
 	// same delivery loops with one hoisted nil check and no per-message
 	// call (DESIGN.md §9).
 	Faults *faultinject.Plan
-
-	// Topology, when non-nil, supplies a prebuilt CSR view of the graph —
-	// the per-instance flat topology a prepared core.Instance shares across
-	// its requests so each request-private network skips the Θ(n+m)
-	// flattening. It must describe exactly the same graph; nil makes the
-	// network build its own.
-	Topology *graph.CSR
 }
 
 // Network is a CONGEST communication network over a fixed graph.
@@ -114,7 +107,6 @@ type Options struct {
 // goroutines.
 type Network struct {
 	g       *graph.Graph
-	csr     *graph.CSR // flat topology: charge accounting, edge lookups
 	opts    Options
 	rng     *rand.Rand // seeded from opts.Seed on the first draw (randomDelays)
 	metrics Metrics
@@ -185,15 +177,10 @@ func NewNetwork(g *graph.Graph, opts Options) *Network {
 	if engine == "" {
 		engine = simtrace.EngineCongest
 	}
-	csr := opts.Topology
-	if csr == nil {
-		csr = graph.BuildCSR(g)
-	}
 	tr := simtrace.OrNop(opts.Trace)
 	_, quiet := tr.(simtrace.Nop)
 	return &Network{
 		g:      g,
-		csr:    csr,
 		opts:   opts,
 		load:   make([]int64, 2*g.M()),
 		trace:  tr,
@@ -202,10 +189,6 @@ func NewNetwork(g *graph.Graph, opts Options) *Network {
 		link:   faultinject.Link{Plan: opts.Faults, Trace: tr},
 	}
 }
-
-// Topology returns the network's flat CSR view of the graph (read-only,
-// shared; see graph.CSR).
-func (nw *Network) Topology() *graph.CSR { return nw.csr }
 
 // Graph returns the underlying communication graph.
 func (nw *Network) Graph() *graph.Graph { return nw.g }
@@ -253,7 +236,7 @@ func (nw *Network) chargeRound() {
 // dirEdge encodes a directed use of an undirected edge: 2*edge for U->V and
 // 2*edge+1 for V->U.
 func (nw *Network) dirEdge(id graph.EdgeID, from graph.NodeID) int {
-	if int(nw.csr.EdgeU[id]) == from {
+	if nw.g.Edge(id).U == from {
 		return 2 * id
 	}
 	return 2*id + 1
@@ -276,8 +259,8 @@ func (nw *Network) chargeEdge(de int) {
 		return
 	}
 	nw.trace.Messages(nw.engine, de, 1)
-	id := de / 2
-	from, to := graph.NodeID(nw.csr.EdgeU[id]), graph.NodeID(nw.csr.EdgeV[id])
+	e := nw.g.Edge(de / 2)
+	from, to := e.U, e.V
 	if de%2 == 1 {
 		from, to = to, from
 	}

@@ -40,13 +40,7 @@ func (nw *Network) ConvergecastAll(
 		return nil, nil, ErrNoTrees
 	}
 	k := len(trees)
-	st := nw.ccStateFor(trees)
-	sched := newTreeSched(nw)
-	delays := nw.randomDelays(k, nw.treeCongestion(trees))
-	st.initConvergecast(nw, sched, trees, delays, val)
-	deliver := func(ps pendingSend) { st.deliverUp(nw, sched, trees, agg, ps) }
-	for sched.step(deliver) {
-	}
+	st := nw.convergecast(trees, val, agg)
 	roots = make([]Word, k)
 	subtree = make([][]Word, k)
 	for t, tr := range trees {
@@ -75,51 +69,5 @@ func (nw *Network) DownSweepMany(
 	next func(t int, parent, child graph.NodeID, parentVal Word) Word,
 	on func(t int, v graph.NodeID, w Word),
 ) error {
-	if len(trees) == 0 {
-		return ErrNoTrees
-	}
-	if len(rootVal) != len(trees) {
-		return fmt.Errorf("congest: %d root values for %d trees", len(rootVal), len(trees))
-	}
-	k := len(trees)
-	nw.scr.nextEpoch(k * nw.g.N())
-	sched := newTreeSched(nw)
-	delays := nw.randomDelays(k, nw.treeCongestion(trees))
-	ci := nw.buildChildIndex(trees)
-	received := grownInts(nw.scr.recvCount, k)
-	nw.scr.recvCount = received
-	for i := range received {
-		received[i] = 0
-	}
-
-	fanOut := func(t int, v graph.NodeID, w Word, eligible int) {
-		for _, c := range ci.children(t, v) {
-			sched.push(nw.dirEdge(trees[t].ParentEdge[c], v), pendingSend{
-				tree: t, from: v, to: c, w: next(t, v, c, w), eligible: eligible,
-			})
-		}
-	}
-	for t, tr := range trees {
-		nw.bcSeen(t, tr.Root)
-		received[t]++
-		on(t, tr.Root, rootVal[t])
-		fanOut(t, tr.Root, rootVal[t], 1+delays[t])
-	}
-	deliver := func(ps pendingSend) {
-		if nw.bcSeen(ps.tree, ps.to) {
-			return
-		}
-		received[ps.tree]++
-		on(ps.tree, ps.to, ps.w)
-		fanOut(ps.tree, ps.to, ps.w, sched.round+1)
-	}
-	for sched.step(deliver) {
-	}
-	for t, tr := range trees {
-		if received[t] != len(tr.Members) {
-			return fmt.Errorf("congest: down-sweep of tree %d reached %d of %d members",
-				t, received[t], len(tr.Members))
-		}
-	}
-	return nil
+	return nw.sweepDown("down-sweep", trees, rootVal, next, on)
 }

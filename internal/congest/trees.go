@@ -271,14 +271,19 @@ func (nw *Network) ccStateFor(trees []*graph.Tree) ccState {
 	return ccState{n: n, pending: s.ccPending, acc: s.ccAcc, stamp: s.ccStamp, epoch: epoch}
 }
 
-// initConvergecast seeds the dense state for one convergecast pass: every
-// member's accumulator starts at val(t, v), its pending count at its child
-// count, and the leaves' initial sends are pushed. Identical visit order
-// (tree-members order) and push order to the historical map-based setup.
-func (st *ccState) initConvergecast(
-	nw *Network, sched *treeSched, trees []*graph.Tree, delays []int,
+// convergecast is the one body of ConvergecastMany and ConvergecastAll: a
+// scheduled convergecast of val under agg on every tree. It returns the
+// dense state the pass leaves behind (each member's subtree aggregate and
+// remaining child count); the two primitives differ only in how they
+// check that state for completion.
+func (nw *Network) convergecast(
+	trees []*graph.Tree,
 	val func(t int, v graph.NodeID) Word,
-) {
+	agg Agg,
+) ccState {
+	st := nw.ccStateFor(trees)
+	sched := newTreeSched(nw)
+	delays := nw.randomDelays(len(trees), nw.treeCongestion(trees))
 	for t, tr := range trees {
 		base := t * st.n
 		for _, v := range tr.Members {
@@ -303,22 +308,23 @@ func (st *ccState) initConvergecast(
 			}
 		}
 	}
-}
-
-// deliverUp folds one delivered send into the receiver's accumulator and
-// forwards the receiver's total when its subtree completes — the upward
-// half of every convergecast.
-func (st *ccState) deliverUp(nw *Network, sched *treeSched, trees []*graph.Tree, agg Agg, ps pendingSend) {
-	tr := trees[ps.tree]
-	i := ps.tree*st.n + ps.to
-	st.acc[i] = agg(st.acc[i], ps.w)
-	st.pending[i]--
-	if st.pending[i] == 0 && ps.to != tr.Root {
-		sched.push(nw.dirEdge(tr.ParentEdge[ps.to], ps.to), pendingSend{
-			tree: ps.tree, from: ps.to, to: tr.Parent[ps.to], w: st.acc[i],
-			eligible: sched.round + 1,
-		})
+	// A delivered word folds into the receiver's accumulator; a receiver
+	// whose subtree is complete forwards its total to its parent.
+	deliver := func(ps pendingSend) {
+		tr := trees[ps.tree]
+		i := ps.tree*st.n + ps.to
+		st.acc[i] = agg(st.acc[i], ps.w)
+		st.pending[i]--
+		if st.pending[i] == 0 && ps.to != tr.Root {
+			sched.push(nw.dirEdge(tr.ParentEdge[ps.to], ps.to), pendingSend{
+				tree: ps.tree, from: ps.to, to: tr.Parent[ps.to], w: st.acc[i],
+				eligible: sched.round + 1,
+			})
+		}
 	}
+	for sched.step(deliver) {
+	}
+	return st
 }
 
 // ConvergecastMany aggregates, concurrently for every tree, the value
@@ -337,13 +343,7 @@ func (nw *Network) ConvergecastMany(
 	if len(trees) == 0 {
 		return nil, ErrNoTrees
 	}
-	st := nw.ccStateFor(trees)
-	sched := newTreeSched(nw)
-	delays := nw.randomDelays(len(trees), nw.treeCongestion(trees))
-	st.initConvergecast(nw, sched, trees, delays, val)
-	deliver := func(ps pendingSend) { st.deliverUp(nw, sched, trees, agg, ps) }
-	for sched.step(deliver) {
-	}
+	st := nw.convergecast(trees, val, agg)
 	out := make([]Word, len(trees))
 	for t, tr := range trees {
 		i := t*st.n + tr.Root
@@ -376,6 +376,22 @@ func (nw *Network) BroadcastMany(
 	rootVal []Word,
 	on func(t int, v graph.NodeID, w Word),
 ) error {
+	return nw.sweepDown("broadcast", trees, rootVal, nil, on)
+}
+
+// sweepDown is the one body of BroadcastMany and DownSweepMany: every root
+// sends rootVal[t] toward its leaves, one scheduled hop per tree edge, and
+// on(t, v, w) fires once at every member with the value it received (the
+// root at round 0). A parent sends each child next(t, parent, child,
+// parentVal); a nil next forwards the parent's own value. what names the
+// primitive in the completion error.
+func (nw *Network) sweepDown(
+	what string,
+	trees []*graph.Tree,
+	rootVal []Word,
+	next func(t int, parent, child graph.NodeID, parentVal Word) Word,
+	on func(t int, v graph.NodeID, w Word),
+) error {
 	if len(trees) == 0 {
 		return ErrNoTrees
 	}
@@ -395,8 +411,12 @@ func (nw *Network) BroadcastMany(
 
 	fanOut := func(t int, v graph.NodeID, w Word, eligible int) {
 		for _, c := range ci.children(t, v) {
+			cw := w
+			if next != nil {
+				cw = next(t, v, c, w)
+			}
 			sched.push(nw.dirEdge(trees[t].ParentEdge[c], v), pendingSend{
-				tree: t, from: v, to: c, w: w, eligible: eligible,
+				tree: t, from: v, to: c, w: cw, eligible: eligible,
 			})
 		}
 	}
@@ -419,8 +439,8 @@ func (nw *Network) BroadcastMany(
 
 	for t, tr := range trees {
 		if received[t] != len(tr.Members) {
-			return fmt.Errorf("congest: broadcast of tree %d reached %d of %d members",
-				t, received[t], len(tr.Members))
+			return fmt.Errorf("congest: %s of tree %d reached %d of %d members",
+				what, t, received[t], len(tr.Members))
 		}
 	}
 	return nil

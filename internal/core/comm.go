@@ -170,8 +170,8 @@ func (c *CongestComm) GlobalTree() *graph.Tree { return c.globalTree }
 
 // MatVecLaplacian implements Comm: one exchange round in which every node
 // sends its x value to each neighbor and accumulates w·(x_v − x_u). Edge
-// weights come from the engine's CSR topology (a flat array lookup per
-// received word) and the output vector is pooled — valid until the next
+// weights are read from the graph's edge list by the received half-edge's
+// EdgeID, and the output vector is pooled — valid until the next
 // MatVecLaplacian on this comm.
 func (c *CongestComm) MatVecLaplacian(x []float64) ([]float64, error) {
 	g := c.nw.Graph()
@@ -185,14 +185,14 @@ func (c *CongestComm) MatVecLaplacian(x []float64) ([]float64, error) {
 	for i := range y {
 		y[i] = 0
 	}
-	ew := c.nw.Topology().EdgeW
+	edges := g.EdgeList()
 	c.nw.Exchange(
 		func(v graph.NodeID, h graph.Half) (congest.Word, bool) {
 			return congest.FloatWord(x[v]), true
 		},
 		func(v graph.NodeID, h graph.Half, w congest.Word) {
 			xu := congest.WordFloat(w)
-			y[v] += ew[h.Edge] * (x[v] - xu)
+			y[v] += float64(edges[h.Edge].Weight) * (x[v] - xu)
 		},
 	)
 	return y, nil

@@ -33,7 +33,6 @@ type Instance struct {
 	hybrid    bool
 	supported bool
 	tree      *graph.Tree
-	csr       *graph.CSR     // flat topology shared by the setup and request engines
 	pre       Preconditioner // nil for Chebyshev instances
 
 	cheb   bool
@@ -117,7 +116,6 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 	}
 	in = &Instance{
 		g:    g,
-		csr:  graph.BuildCSR(g),
 		mode: mode,
 		seed: cfg.Seed,
 		tol:  tol,
@@ -163,7 +161,7 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 	return in, nil
 }
 
-// setupComm builds Prepare's own comm over the instance CSR and caches its
+// setupComm builds Prepare's own comm over the instance graph and caches its
 // global tree. The tree's cost — the charged BFS in ModeCongest, nothing in
 // the Supported modes — is paid under "comm-setup".
 func (in *Instance) setupComm(tr simtrace.Collector, seed int64, cancel func() error) (Comm, error) {
@@ -171,7 +169,6 @@ func (in *Instance) setupComm(tr simtrace.Collector, seed int64, cancel func() e
 	defer tr.End("comm-setup")
 	nw := congest.NewNetwork(in.g, congest.Options{
 		Supported: in.supported,
-		Topology:  in.csr,
 		Seed:      seed,
 		Trace:     tr,
 		Cancel:    cancel,
@@ -280,7 +277,6 @@ func (in *Instance) SetupMetrics() Metrics { return in.setup }
 func (in *Instance) Comm(req Request) Comm {
 	nw := congest.NewNetwork(in.g, congest.Options{
 		Supported: in.supported,
-		Topology:  in.csr,
 		Seed:      req.Seed,
 		Trace:     simtrace.OrNop(req.Trace),
 		Cancel:    req.Cancel,
@@ -295,7 +291,6 @@ func (in *Instance) Comm(req Request) Comm {
 func (in *Instance) Network(req Request) *congest.Network {
 	return congest.NewNetwork(in.g, congest.Options{
 		Supported: true,
-		Topology:  in.csr,
 		Seed:      req.Seed,
 		Trace:     simtrace.OrNop(req.Trace),
 		Cancel:    req.Cancel,

@@ -184,14 +184,14 @@ func Chebyshev(l *Laplacian, b []float64, lo, hi, tol float64, maxIter int) (*PC
 }
 
 // SpectralBounds returns safe bounds on the nonzero Laplacian spectrum of a
-// connected graph: hi = 2·max weighted degree (Gershgorin), lo = a crude
-// algebraic-connectivity lower bound w_min·(2/(n·diamW))-ish; we use the
-// standard λ₂ ≥ 4/(n·D_w) bound with D_w ≤ n·w_max... kept deliberately
-// conservative: lo = 1/(n²·w_max⁻¹-free form) — callers who need tight
-// bounds should estimate them; these are safe defaults for Chebyshev.
+// connected graph for Chebyshev iteration. hi = 2·max weighted degree
+// (Gershgorin). lo rests on Mohar's bound λ₂ ≥ 4/(n·D) for a unit-weight
+// graph of hop diameter D: since D ≤ n−1, 4/n² is below it, and scaling
+// every weight down to the minimum w_min can only lower λ₂, so
+// lo = 4·w_min/n². Callers who need tight bounds should estimate them.
 func SpectralBounds(l *Laplacian) (lo, hi float64) {
 	maxDeg := 0.0
-	for _, v := range l.CSR().WDeg {
+	for _, v := range l.Degrees() {
 		if v > maxDeg {
 			maxDeg = v
 		}
@@ -201,11 +201,9 @@ func SpectralBounds(l *Laplacian) (lo, hi float64) {
 		return 1, 1
 	}
 	hi = 2 * maxDeg
-	// λ₂ >= 4 / (n * diam_w); diam_w <= n * max resistance-ish. Use the
-	// very safe 1/n² scaling with the minimum edge weight.
 	minW := math.Inf(1)
-	for _, w := range l.CSR().EdgeW {
-		if w < minW {
+	for _, e := range l.G.EdgeList() {
+		if w := float64(e.Weight); w < minW {
 			minW = w
 		}
 	}

@@ -9,23 +9,18 @@ import (
 )
 
 // Laplacian is the operator view of a weighted graph's Laplacian
-// L = D − A. It never materializes the matrix; MatVec streams over the
-// graph's flat CSR edge arrays (built once in NewLaplacian), in EdgeID
-// order — the same order the historical per-call edge-copy walked — so
-// results are bit-identical while the steady-state kernels allocate
-// nothing beyond their output vector.
+// L = D − A. It never materializes the matrix: every kernel streams over
+// the graph's own edge list in EdgeID order, so the float64 summation
+// order is a function of the graph alone and the steady-state kernels
+// allocate nothing beyond their output vector.
 type Laplacian struct {
-	G   *graph.Graph
-	csr *graph.CSR
+	G *graph.Graph
 }
 
-// NewLaplacian wraps g, flattening it to CSR form once (Θ(n + m)).
+// NewLaplacian wraps g. O(1): the operator reads g's edge list directly.
 func NewLaplacian(g *graph.Graph) *Laplacian {
-	return &Laplacian{G: g, csr: graph.BuildCSR(g)}
+	return &Laplacian{G: g}
 }
-
-// CSR exposes the cached flat view (read-only; shared).
-func (l *Laplacian) CSR() *graph.CSR { return l.csr }
 
 // N returns the dimension.
 func (l *Laplacian) N() int { return l.G.N() }
@@ -53,12 +48,10 @@ func (l *Laplacian) MatVecInto(y, x []float64) error {
 	for i := range y {
 		y[i] = 0
 	}
-	c := l.csr
-	for i := range c.EdgeW {
-		u, v := c.EdgeU[i], c.EdgeV[i]
-		d := c.EdgeW[i] * (x[u] - x[v])
-		y[u] += d
-		y[v] -= d
+	for _, e := range l.G.EdgeList() {
+		d := float64(e.Weight) * (x[e.U] - x[e.V])
+		y[e.U] += d
+		y[e.V] -= d
 	}
 	return nil
 }
@@ -67,10 +60,9 @@ func (l *Laplacian) MatVecInto(y, x []float64) error {
 // Edge-order summation; allocation-free.
 func (l *Laplacian) Quadratic(x []float64) float64 {
 	s := 0.0
-	c := l.csr
-	for i := range c.EdgeW {
-		d := x[c.EdgeU[i]] - x[c.EdgeV[i]]
-		s += c.EdgeW[i] * d * d
+	for _, e := range l.G.EdgeList() {
+		d := x[e.U] - x[e.V]
+		s += float64(e.Weight) * d * d
 	}
 	return s
 }
@@ -79,12 +71,15 @@ func (l *Laplacian) Quadratic(x []float64) float64 {
 // uses.
 func (l *Laplacian) LNorm(x []float64) float64 { return math.Sqrt(l.Quadratic(x)) }
 
-// Degrees returns a copy of the weighted degree vector (the diagonal of
-// L). The degrees were accumulated in EdgeID order at CSR build time, so
-// they carry the exact bits per-call accumulation produced.
+// Degrees returns the weighted degree vector (the diagonal of L) in a
+// fresh slice, accumulated in EdgeID order. Θ(n + m).
 func (l *Laplacian) Degrees() []float64 {
-	d := make([]float64, len(l.csr.WDeg))
-	copy(d, l.csr.WDeg)
+	d := make([]float64, l.G.N())
+	for _, e := range l.G.EdgeList() {
+		w := float64(e.Weight)
+		d[e.U] += w
+		d[e.V] += w
+	}
 	return d
 }
 

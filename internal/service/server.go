@@ -130,10 +130,17 @@ type GraphSpec struct {
 	Size   int        `json:"size,omitempty"`
 }
 
-func (gs *GraphSpec) build() (*distlap.Graph, error) {
+// build constructs the graph a load names. Before allocating anything it
+// rejects a spec no admitted body could describe as a connected graph: an
+// explicit graph with more nodes than its edges can join, and a family
+// size above maxSize.
+func (gs *GraphSpec) build(maxSize int) (*distlap.Graph, error) {
 	if gs.Family != "" {
 		if gs.Size <= 0 {
 			return nil, errors.New("family graphs need a positive size")
+		}
+		if gs.Size > maxSize {
+			return nil, fmt.Errorf("family size %d exceeds the limit of %d nodes", gs.Size, maxSize)
 		}
 		for _, f := range distlap.Families() {
 			if f.Name == gs.Family {
@@ -144,6 +151,9 @@ func (gs *GraphSpec) build() (*distlap.Graph, error) {
 	}
 	if gs.N <= 0 {
 		return nil, errors.New("graph needs n > 0 or a family")
+	}
+	if gs.N > len(gs.Edges)+1 {
+		return nil, fmt.Errorf("graph with n=%d and %d edges cannot be connected", gs.N, len(gs.Edges))
 	}
 	g := distlap.NewGraph(gs.N)
 	for i, e := range gs.Edges {
@@ -197,7 +207,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	g, err := req.Graph.build()
+	// Each JSON edge takes at least 8 bytes, so no body within the cap holds
+	// a connected explicit graph on more than maxBody/8 nodes; a family
+	// larger than that is refused the same way.
+	g, err := req.Graph.build(int(s.maxBody / 8))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

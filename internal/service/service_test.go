@@ -136,6 +136,9 @@ func TestServerErrorSurface(t *testing.T) {
 		{"load bad edge", "POST", "/v1/graphs", `{"id":"x","graph":{"n":2,"edges":[[0,5,1]]}}`, http.StatusBadRequest},
 		{"malformed json", "POST", "/v1/graphs", `{"id":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/graphs", `{"id":"x","graf":{}}`, http.StatusBadRequest},
+		{"load n past its edges", "POST", "/v1/graphs", `{"id":"a","graph":{"n":1099511627776}}`, http.StatusBadRequest},
+		{"load huge family", "POST", "/v1/graphs", `{"id":"a","graph":{"family":"path","size":1099511627776}}`, http.StatusBadRequest},
+		{"load disconnected", "POST", "/v1/graphs", `{"id":"a","graph":{"n":3,"edges":[[0,1,1]]}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code, body := doReq(t, h, c.method, c.path, c.body)
@@ -145,6 +148,12 @@ func TestServerErrorSurface(t *testing.T) {
 		if !bytes.Contains(body, []byte(`"error"`)) {
 			t.Errorf("%s: error body missing envelope: %s", c.name, body)
 		}
+	}
+
+	// The family-size limit is the default body cap over 8 bytes per edge.
+	_, body := doReq(t, h, "POST", "/v1/graphs", `{"id":"a","graph":{"family":"path","size":1048577}}`)
+	if !bytes.Contains(body, []byte("limit of 1048576 nodes")) {
+		t.Errorf("family-size error does not name the limit: %s", body)
 	}
 
 	// Solve needs exactly one of b / bs.
