@@ -78,3 +78,28 @@ func TestAggregateManySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state AggregateMany allocates %.1f per call, budget %d", a, budget)
 	}
 }
+
+// TestUpDownManySteadyStateAllocs pins the tree-solver sweep (one layout,
+// a convergecast and a transforming down-sweep over member-slot state) at
+// zero steady-state allocations: it returns nothing but its error.
+func TestUpDownManySteadyStateAllocs(t *testing.T) {
+	g := graph.Grid(12, 12)
+	nw := NewNetwork(g, Options{Supported: true, Seed: 3})
+	tr := graph.BFSTree(g, 0)
+	trees := []*graph.Tree{tr, tr, tr}
+	pot := make([]Word, g.N())
+	val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
+	rootVal := func(int, Word) Word { return 0 }
+	down := func(_ int, _, _ graph.NodeID, parentVal, childSub Word) Word { return parentVal + childSub }
+	on := func(_ int, v graph.NodeID, w Word) { pot[v] = w }
+	sweep := func() {
+		if err := nw.UpDownMany(trees, val, AggSum, rootVal, down, on); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep() // warm the layout, sweep state and scheduler queues
+	sweep()
+	if a := testing.AllocsPerRun(10, sweep); a > 0 {
+		t.Fatalf("steady-state UpDownMany allocates %.1f per call, want 0", a)
+	}
+}

@@ -64,10 +64,15 @@ func bracketTrees(g *graph.Graph, rng *rand.Rand, balls bool) []*graph.Tree {
 // max(c, h) rounds (c words queue on one link, and the tallest tree is a
 // chain of h hops) and at most c·h rounds with random delays off (a word
 // waits behind at most c−1 others at each of at most h hops), or
-// (c−1) + c·h with delays drawn from [0, c). AggregateMany is one pass
-// each way, so it must stay within twice the bracket. Half of the 300
-// random connected graphs run with delays off, which is what catches a
-// scheduler that sends more than one word per link per round.
+// (c−1) + c·h with delays drawn from [0, c). AggregateMany and UpDownMany
+// are one pass each way, so they must stay within twice the bracket. Half
+// of the 300 random connected graphs run with delays off, which is what
+// catches a scheduler that sends more than one word per link per round.
+//
+// Each graph runs three tree families through every primitive on one
+// network, and before every call the layout's congestion must equal
+// treeBracket's count (at least 1): a layout that left its per-edge counts
+// behind would inflate c, and with it the delays, on the next call.
 func TestTreePrimitiveRoundBracket(t *testing.T) {
 	const base = int64(0xB7AC)
 	for i := int64(0); i < 300; i++ {
@@ -75,53 +80,58 @@ func TestTreePrimitiveRoundBracket(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
 		g := graph.RandomConnected(n, rng.Intn(n), 1, seed)
-		trees := bracketTrees(g, rng, i%2 == 0)
 		noDelays := (i/2)%2 == 0
-		c, h := treeBracket(trees)
-		lo, hi := max(c, h), (c-1)+c*h
-		if noDelays {
-			hi = c * h
-		}
-		net := func() *Network {
-			return NewNetwork(g, Options{Seed: seed, DisableRandomDelays: noDelays})
-		}
-		one := func(int, graph.NodeID) Word { return 1 }
-		forward := func(_ int, _, _ graph.NodeID, w Word) Word { return w }
-		nop := func(int, graph.NodeID, Word) {}
-		roots := make([]Word, len(trees))
-
-		primitives := []struct {
-			name   string
-			lo, hi int
-			run    func(*Network) error
-		}{
-			{"ConvergecastMany", lo, hi, func(nw *Network) error {
-				_, err := nw.ConvergecastMany(trees, one, AggSum)
-				return err
-			}},
-			{"ConvergecastAll", lo, hi, func(nw *Network) error {
-				_, _, err := nw.ConvergecastAll(trees, one, AggSum)
-				return err
-			}},
-			{"BroadcastMany", lo, hi, func(nw *Network) error {
-				return nw.BroadcastMany(trees, roots, nop)
-			}},
-			{"DownSweepMany", lo, hi, func(nw *Network) error {
-				return nw.DownSweepMany(trees, roots, forward, nop)
-			}},
-			{"AggregateMany", 2 * lo, 2 * hi, func(nw *Network) error {
-				_, err := nw.AggregateMany(trees, one, AggSum)
-				return err
-			}},
-		}
-		for _, p := range primitives {
-			nw := net()
-			if err := p.run(nw); err != nil {
-				t.Fatalf("seed %d: %s: %v", seed, p.name, err)
+		nw := NewNetwork(g, Options{Seed: seed, DisableRandomDelays: noDelays})
+		for f := int64(0); f < 3; f++ {
+			trees := bracketTrees(g, rng, (i+f)%2 == 0)
+			c, h := treeBracket(trees)
+			lo, hi := max(c, h), (c-1)+c*h
+			if noDelays {
+				hi = c * h
 			}
-			if r := nw.Rounds(); r < p.lo || r > p.hi {
-				t.Fatalf("seed %d (n=%d, %d trees, c=%d, h=%d, delays off=%v): %s took %d rounds, want [%d, %d]",
-					seed, n, len(trees), c, h, noDelays, p.name, r, p.lo, p.hi)
+			one := func(int, graph.NodeID) Word { return 1 }
+			total := func(_ int, w Word) Word { return w }
+			forward := func(_ int, _, _ graph.NodeID, w, _ Word) Word { return w }
+			nop := func(int, graph.NodeID, Word) {}
+			roots := make([]Word, len(trees))
+
+			primitives := []struct {
+				name   string
+				lo, hi int
+				run    func() error
+			}{
+				{"ConvergecastMany", lo, hi, func() error {
+					_, err := nw.ConvergecastMany(trees, one, AggSum)
+					return err
+				}},
+				{"BroadcastMany", lo, hi, func() error {
+					return nw.BroadcastMany(trees, roots, nop)
+				}},
+				{"AggregateMany", 2 * lo, 2 * hi, func() error {
+					_, err := nw.AggregateMany(trees, one, AggSum)
+					return err
+				}},
+				{"UpDownMany", 2 * lo, 2 * hi, func() error {
+					return nw.UpDownMany(trees, one, AggSum, total, forward, nop)
+				}},
+			}
+			for _, p := range primitives {
+				l, err := nw.layoutFor(trees)
+				if err != nil {
+					t.Fatalf("seed %d family %d: layout: %v", seed, f, err)
+				}
+				if l.c != max(c, 1) {
+					t.Fatalf("seed %d family %d: before %s the layout counts c=%d, want %d",
+						seed, f, p.name, l.c, max(c, 1))
+				}
+				before := nw.Rounds()
+				if err := p.run(); err != nil {
+					t.Fatalf("seed %d family %d: %s: %v", seed, f, p.name, err)
+				}
+				if r := nw.Rounds() - before; r < p.lo || r > p.hi {
+					t.Fatalf("seed %d family %d (n=%d, %d trees, c=%d, h=%d, delays off=%v): %s took %d rounds, want [%d, %d]",
+						seed, f, n, len(trees), c, h, noDelays, p.name, r, p.lo, p.hi)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -208,6 +209,31 @@ func TestBroadcastManyBadArgs(t *testing.T) {
 	if err := nw.BroadcastMany([]*graph.Tree{tr}, nil,
 		func(int, graph.NodeID, Word) {}); err == nil {
 		t.Fatal("want error for mismatched root values")
+	}
+}
+
+func TestTreePrimitivesRejectMalformedTrees(t *testing.T) {
+	g := graph.Path(4)
+	nw := newNet(g)
+	noRoot := graph.BFSTree(g, 0)
+	noRoot.Members = noRoot.Members[1:]
+	orphan := graph.BFSTree(g, 0)
+	orphan.Members = []graph.NodeID{0, 2} // 2's parent 1 is missing
+	for _, tc := range []struct {
+		tree *graph.Tree
+		want string
+	}{
+		{noRoot, "does not list its root 0"},
+		{orphan, "member 2 of tree 0 has parent 1 outside the tree"},
+	} {
+		_, err := nw.ConvergecastMany([]*graph.Tree{tc.tree},
+			func(int, graph.NodeID) Word { return 1 }, AggSum)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("err=%v, want one containing %q", err, tc.want)
+		}
+	}
+	if nw.Rounds() != 0 {
+		t.Fatalf("a rejected tree collection charged %d rounds", nw.Rounds())
 	}
 }
 

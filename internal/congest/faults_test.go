@@ -223,6 +223,43 @@ func TestBroadcastSurvivesDrops(t *testing.T) {
 	}
 }
 
+func TestBroadcastDropsDuplicates(t *testing.T) {
+	// A duplicated word reaches its receiver twice; the down-sweep must
+	// hand it to on once, so every member of every tree hears its root's
+	// value exactly once.
+	g := graph.Grid(6, 6)
+	trees := []*graph.Tree{graph.BFSTree(g, 0), graph.BFSTree(g, 17), graph.BFSTree(g, 35)}
+	rootVal := []Word{11, 22, 33}
+	nw := faultyNet(g, 6, faultinject.Spec{DupProb: 0.5})
+	heard := make([][]int, len(trees))
+	for i := range heard {
+		heard[i] = make([]int, g.N())
+	}
+	wrong := 0
+	err := nw.BroadcastMany(trees, rootVal, func(i int, v graph.NodeID, w Word) {
+		heard[i][v]++
+		if w != rootVal[i] {
+			wrong++
+		}
+	})
+	if err != nil {
+		t.Fatalf("broadcast under duplication: %v", err)
+	}
+	if wrong != 0 {
+		t.Fatalf("%d deliveries carried a value other than their root's", wrong)
+	}
+	for i, tr := range trees {
+		for _, v := range tr.Members {
+			if heard[i][v] != 1 {
+				t.Fatalf("tree %d: on fired %d times at node %d, want once", i, heard[i][v], v)
+			}
+		}
+	}
+	if nw.FaultStats().Dups == 0 {
+		t.Fatal("the plan duplicated nothing; the test would not exercise the seen mark")
+	}
+}
+
 func TestFaultyTreeSchedTerminates(t *testing.T) {
 	// drop+delay bands sum to 1: nothing ever crosses, so the scheduler
 	// must abandon at its round cap and surface an incomplete broadcast,

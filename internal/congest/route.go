@@ -68,12 +68,12 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 		}
 		remaining++
 		sched.push(nw.dirEdge(p.Edges[0], p.Start), pendingSend{
-			tree: i, from: p.Start, to: nw.g.Other(p.Edges[0], p.Start),
+			id: int32(i), from: p.Start, to: nw.g.Other(p.Edges[0], p.Start),
 			w: p.Payload, eligible: 1 + delays[i],
 		})
 	}
 	deliver := func(ps pendingSend) {
-		i := ps.tree
+		i := int(ps.id)
 		st := &states[i]
 		st.at = ps.to
 		st.next++
@@ -84,7 +84,7 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 		}
 		id := pkts[i].Edges[st.next]
 		sched.push(nw.dirEdge(id, st.at), pendingSend{
-			tree: i, from: st.at, to: nw.g.Other(id, st.at),
+			id: int32(i), from: st.at, to: nw.g.Other(id, st.at),
 			w: ps.w, eligible: sched.round + 1,
 		})
 	}

@@ -1,18 +1,18 @@
 package congest
 
-import "distlap/internal/graph"
+import (
+	"fmt"
+
+	"distlap/internal/graph"
+)
 
 // scratch is the Network's pooled working memory: every buffer the engine
 // primitives previously allocated per call, hoisted onto the (request-
 // private, single-goroutine) network so steady-state rounds allocate
 // nothing. All of it is dead between primitive calls — no buffer carries
 // information from one call into the next, and none of it ever feeds the
-// RNG or the charge counters, so pooling cannot perturb determinism.
-//
-// Invalidation contract: slices handed out by primitives that alias these
-// pools (ConvergecastAll's subtree view) are valid until the next tree
-// primitive that uses the same pool family; the per-primitive doc comments
-// state which. Callers that need longer retention must copy.
+// RNG or the charge counters, so pooling cannot perturb determinism. No
+// primitive returns a view of it.
 type scratch struct {
 	// Exchange: the per-round delivery batch, and the sends a fault plan
 	// dropped this round, retransmitted next round (touched only after a
@@ -29,148 +29,148 @@ type scratch struct {
 	schedActive    []int
 	schedDelivered []pendingSend
 
-	// treeCongestion: per-directed-edge usage counts.
-	edgeUse []int32
-
 	// randomDelays: the per-tree delay vector.
 	delayBuf []int
 
-	// Convergecast state, dense over (tree, node) with epoch-stamped
-	// validity (no O(k·n) clearing): child counts still pending, and the
-	// running subtree accumulator.
-	ccPending []int32
-	ccAcc     []Word
-	ccStamp   []uint32
-
-	// Broadcast / down-sweep state: epoch-stamped received marks, per-tree
-	// received counts, and the flat child index (per-tree CSR offsets into
-	// a shared child list, with a fill cursor).
-	bcStamp   []uint32
-	recvCount []int
-	ciStart   []int32
-	ciNext    []int32
-	ciList    []graph.NodeID
-
-	// epoch is the stamp value identifying the current primitive call;
-	// incremented at the start of every primitive that uses stamped state.
-	epoch uint32
+	// The tree primitives' member layout and sweep state, and the two
+	// host-sized arrays that build it: host node → slot (written tree by
+	// tree, never cleared) and per-directed-edge tree counts (all zero
+	// between calls).
+	lay     layout
+	slotOf  []int32
+	edgeUse []int32
 }
 
-// grownI32 returns buf resized to n (reallocating only on growth).
-func grownI32(buf []int32, n int) []int32 {
+// grown returns buf resized to n, reallocating only on growth. The
+// contents are not cleared: callers overwrite or clear what they read.
+func grown[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// grownU32 returns buf resized to n (reallocating only on growth). The
-// contents are NOT cleared: stamped users must bump their epoch instead.
-// A fresh (zeroed) allocation is always valid because epochs start at 1.
-func grownU32(buf []uint32, n int) []uint32 {
-	if cap(buf) < n {
-		return make([]uint32, n)
-	}
-	return buf[:n]
+// layout numbers the members of one call's tree collection: slot s is the
+// s-th member counted tree by tree in Members order, so every per-member
+// array below is Σ members long and a call costs Θ(Σ members + scheduled
+// rounds), never k·n.
+type layout struct {
+	first  []int32        // per tree, plus a sentinel: tree t owns slots first[t]:first[t+1]
+	root   []int32        // per tree: its root's slot
+	tree   []int32        // per slot: its tree
+	node   []graph.NodeID // per slot: its host node
+	parent []int32        // per slot: its parent's slot, -1 at the root
+	up     []int32        // per slot: the child→parent directed edge (unused at the root)
+	kids   []int32        // per slot, plus a sentinel: offsets into kid
+	kid    []int32        // child slots grouped by parent, each group in Members order
+	c      int            // congestion: most trees on one directed edge, at least 1
+
+	// Sweep state. Upward: each slot's running subtree aggregate and the
+	// children it has not heard from. Downward: each slot's receipt mark,
+	// and per tree the members reached.
+	acc     []Word
+	pending []int32
+	seen    []bool
+	got     []int
 }
 
-// grownWords returns buf resized to n (reallocating only on growth).
-func grownWords(buf []Word, n int) []Word {
-	if cap(buf) < n {
-		return make([]Word, n)
-	}
-	return buf[:n]
-}
-
-// grownInts returns buf resized to n (reallocating only on growth).
-func grownInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-// grownNodes returns buf resized to n (reallocating only on growth).
-func grownNodes(buf []graph.NodeID, n int) []graph.NodeID {
-	if cap(buf) < n {
-		return make([]graph.NodeID, n)
-	}
-	return buf[:n]
-}
-
-// nextEpoch advances and returns the scratch epoch, growing the stamped
-// arrays to k·n entries. Epoch 0 is never current, so freshly grown
-// (zeroed) stamp arrays read as "stale" everywhere — exactly the
-// uninitialized semantics the dense sweep state needs.
-func (s *scratch) nextEpoch(kn int) uint32 {
-	s.epoch++
-	s.ccStamp = grownU32(s.ccStamp, kn)
-	s.bcStamp = grownU32(s.bcStamp, kn)
-	if s.epoch == 0 { // wrapped: invalidate everything explicitly
-		for i := range s.ccStamp {
-			s.ccStamp[i] = 0
-		}
-		for i := range s.bcStamp {
-			s.bcStamp[i] = 0
-		}
-		s.epoch = 1
-	}
-	return s.epoch
-}
-
-// childIndex is the flat per-call child index over a tree collection:
-// children of node v in tree t occupy list[start[t*(n+1)+v] :
-// start[t*(n+1)+v+1]], in the same order Tree.Children would list them
-// (tree-members order). Offsets are absolute into list.
-type childIndex struct {
-	n     int
-	start []int32
-	list  []graph.NodeID
-}
-
-func (ci *childIndex) children(t int, v graph.NodeID) []graph.NodeID {
-	base := t*(ci.n+1) + v
-	return ci.list[ci.start[base]:ci.start[base+1]]
-}
-
-// buildChildIndex flattens the child lists of every tree into pooled
-// storage: count, prefix-sum, fill in members order — the exact per-parent
-// order the historical per-call Tree.Children allocation produced.
-func (nw *Network) buildChildIndex(trees []*graph.Tree) childIndex {
-	n := nw.g.N()
+// layoutFor builds the pooled layout of trees in O(Σ members). It rejects
+// an empty collection (ErrNoTrees), a tree whose root is not among its
+// members, and a member whose parent is not. The per-edge counts behind
+// the congestion c are reset by walking the same edges again, so the
+// 2m-entry array is never cleared.
+func (nw *Network) layoutFor(trees []*graph.Tree) (*layout, error) {
 	k := len(trees)
+	if k == 0 {
+		return nil, ErrNoTrees
+	}
+	s := &nw.scr
+	l := &s.lay
 	total := 0
 	for _, tr := range trees {
 		total += len(tr.Members)
 	}
-	s := &nw.scr
-	s.ciStart = grownI32(s.ciStart, k*(n+1))
-	s.ciNext = grownI32(s.ciNext, n)
-	s.ciList = grownNodes(s.ciList, total)
-	pos := int32(0)
+	l.first = grown(l.first, k+1)
+	l.root = grown(l.root, k)
+	l.tree = grown(l.tree, total)
+	l.node = grown(l.node, total)
+	l.parent = grown(l.parent, total)
+	l.up = grown(l.up, total)
+	l.kids = grown(l.kids, total+1)
+	l.kid = grown(l.kid, total)
+	s.slotOf = grown(s.slotOf, nw.g.N())
+	slotOf := s.slotOf
+
+	slot := int32(0)
 	for t, tr := range trees {
-		row := s.ciStart[t*(n+1) : (t+1)*(n+1)]
-		for i := range row {
-			row[i] = 0
-		}
+		first := slot
+		l.first[t] = first
+		l.root[t] = -1
 		for _, v := range tr.Members {
-			if p := tr.Parent[v]; p != -1 {
-				row[p+1]++
+			if v == tr.Root {
+				l.root[t] = slot
 			}
+			slotOf[v] = slot
+			l.tree[slot] = int32(t)
+			l.node[slot] = v
+			slot++
 		}
-		row[0] = pos
-		for v := 0; v < n; v++ {
-			row[v+1] += row[v]
+		if l.root[t] == -1 {
+			return nil, fmt.Errorf("congest: tree %d does not list its root %d among its members", t, tr.Root)
 		}
-		next := s.ciNext[:n]
-		copy(next, row[:n])
-		for _, v := range tr.Members {
-			if p := tr.Parent[v]; p != -1 {
-				s.ciList[next[p]] = v
-				next[p]++
+		for i := first; i < slot; i++ {
+			if i == l.root[t] {
+				l.parent[i] = -1
+				continue
 			}
+			v := l.node[i]
+			p := tr.Parent[v]
+			ps := int32(-1)
+			if p >= 0 {
+				ps = slotOf[p]
+			}
+			if ps < first || ps >= slot || l.node[ps] != p {
+				return nil, fmt.Errorf("congest: member %d of tree %d has parent %d outside the tree", v, t, p)
+			}
+			l.parent[i] = ps
+			l.up[i] = int32(nw.dirEdge(tr.ParentEdge[v], v))
 		}
-		pos = row[n]
 	}
-	return childIndex{n: n, start: s.ciStart, list: s.ciList[:pos]}
+	l.first[k] = slot
+
+	// One pass counts, per directed edge, the trees whose child→parent
+	// edges use it (the congestion c), and per slot its children. The
+	// fill pass resets the edge counts by walking the same edges.
+	s.edgeUse = grown(s.edgeUse, 2*nw.g.M())
+	use := s.edgeUse
+	c := int32(1)
+	clear(l.kids)
+	for i, p := range l.parent {
+		if p != -1 {
+			use[l.up[i]]++
+			c = max(c, use[l.up[i]])
+			l.kids[p+1]++
+		}
+	}
+	l.c = int(c)
+	// Child lists: prefix-sum the counts, then fill in slot order using
+	// each parent's offset as its cursor, which leaves kids shifted by one.
+	for i := 1; i <= total; i++ {
+		l.kids[i] += l.kids[i-1]
+	}
+	for i, p := range l.parent {
+		if p != -1 {
+			use[l.up[i]] = 0
+			l.kid[l.kids[p]] = int32(i)
+			l.kids[p]++
+		}
+	}
+	copy(l.kids[1:], l.kids[:total])
+	l.kids[0] = 0
+
+	l.acc = grown(l.acc, total)
+	l.pending = grown(l.pending, total)
+	l.seen = grown(l.seen, total)
+	l.got = grown(l.got, k)
+	return l, nil
 }

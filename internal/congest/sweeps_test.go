@@ -1,10 +1,13 @@
 package congest
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"distlap/internal/faultinject"
 	"distlap/internal/graph"
 )
 
@@ -20,51 +23,65 @@ func TestFloatWordRoundtrip(t *testing.T) {
 	}
 }
 
-func TestConvergecastAllSubtreeSums(t *testing.T) {
+// subtreeSums runs UpDownMany with a down transform that hands every
+// child its own subtree aggregate, so on reports each member's subtree
+// sum (the root's being its total).
+func subtreeSums(nw *Network, trees []*graph.Tree, val func(t int, v graph.NodeID) Word) ([]map[graph.NodeID]Word, error) {
+	sums := make([]map[graph.NodeID]Word, len(trees))
+	for t := range sums {
+		sums[t] = map[graph.NodeID]Word{}
+	}
+	err := nw.UpDownMany(trees, val, AggSum,
+		func(_ int, total Word) Word { return total },
+		func(_ int, _, _ graph.NodeID, _, childSub Word) Word { return childSub },
+		func(t int, v graph.NodeID, w Word) { sums[t][v] = w })
+	return sums, err
+}
+
+func TestUpDownManySubtreeSums(t *testing.T) {
 	// Path rooted at 0: subtree of node v is {v, ..., n-1}.
 	g := graph.Path(6)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
-	roots, sub, err := nw.ConvergecastAll([]*graph.Tree{tr},
-		func(_ int, v graph.NodeID) Word { return 1 }, AggSum)
+	sums, err := subtreeSums(nw, []*graph.Tree{tr},
+		func(_ int, v graph.NodeID) Word { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if roots[0] != 6 {
-		t.Fatalf("root sum=%d", roots[0])
-	}
 	for v := 0; v < 6; v++ {
-		if sub[0][v] != Word(6-v) {
-			t.Fatalf("subtree[%d]=%d, want %d", v, sub[0][v], 6-v)
+		if sums[0][v] != Word(6-v) {
+			t.Fatalf("subtree[%d]=%d, want %d", v, sums[0][v], 6-v)
 		}
 	}
 }
 
-func TestConvergecastAllMultipleOverlappingTrees(t *testing.T) {
+func TestUpDownManyMultipleOverlappingTrees(t *testing.T) {
 	g := graph.Grid(3, 3)
 	nw := newNet(g)
 	trees := []*graph.Tree{graph.BFSTree(g, 0), graph.BFSTree(g, 8)}
-	roots, sub, err := nw.ConvergecastAll(trees,
-		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
+	sums, err := subtreeSums(nw, trees,
+		func(t int, v graph.NodeID) Word { return Word(v) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if roots[0] != 36 || roots[1] != 36 {
-		t.Fatalf("roots=%v", roots)
+	if sums[0][0] != 36 || sums[1][8] != 36 {
+		t.Fatalf("roots=%d,%d, want 36,36", sums[0][0], sums[1][8])
 	}
-	if len(sub[0]) != 9 || len(sub[1]) != 9 {
+	if len(sums[0]) != 9 || len(sums[1]) != 9 {
 		t.Fatal("incomplete subtree maps")
 	}
 }
 
-func TestDownSweepManyPrefixTransform(t *testing.T) {
+func TestUpDownManyPrefixTransform(t *testing.T) {
 	// Depth computation via transform: child value = parent value + 1.
 	g := graph.Grid(3, 4)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
 	depths := make(map[graph.NodeID]Word)
-	err := nw.DownSweepMany([]*graph.Tree{tr}, []Word{0},
-		func(_ int, _, _ graph.NodeID, parentVal Word) Word { return parentVal + 1 },
+	err := nw.UpDownMany([]*graph.Tree{tr},
+		func(int, graph.NodeID) Word { return 0 }, AggSum,
+		func(int, Word) Word { return 0 },
+		func(_ int, _, _ graph.NodeID, parentVal, _ Word) Word { return parentVal + 1 },
 		func(_ int, v graph.NodeID, w Word) { depths[v] = w })
 	if err != nil {
 		t.Fatal(err)
@@ -74,34 +91,81 @@ func TestDownSweepManyPrefixTransform(t *testing.T) {
 			t.Fatalf("depth[%d]=%d, want %d", v, depths[v], tr.Depth[v])
 		}
 	}
-	if nw.Rounds() != tr.Height() {
-		t.Fatalf("rounds=%d, want height %d", nw.Rounds(), tr.Height())
+	// One pass up and one down, each as long as the tree is tall.
+	if nw.Rounds() != 2*tr.Height() {
+		t.Fatalf("rounds=%d, want twice the height %d", nw.Rounds(), tr.Height())
 	}
 }
 
-func TestDownSweepManyErrors(t *testing.T) {
-	nw := newNet(graph.Path(2))
-	if err := nw.DownSweepMany(nil, nil, nil, nil); err == nil {
-		t.Fatal("want no-trees error")
-	}
-	tr := graph.BFSTree(nw.Graph(), 0)
-	if err := nw.DownSweepMany([]*graph.Tree{tr}, nil,
-		func(int, graph.NodeID, graph.NodeID, Word) Word { return 0 },
-		func(int, graph.NodeID, Word) {}); err == nil {
-		t.Fatal("want root-value mismatch error")
-	}
-}
-
+// The convergecast that every member must finish is UpDownMany's upward
+// pass; an empty tree collection is rejected before it starts.
 func TestConvergecastAllNoTrees(t *testing.T) {
 	nw := newNet(graph.Path(2))
-	if _, _, err := nw.ConvergecastAll(nil, nil, AggSum); err == nil {
-		t.Fatal("want no-trees error")
+	if err := nw.UpDownMany(nil, nil, AggSum, nil, nil, nil); !errors.Is(err, ErrNoTrees) {
+		t.Fatalf("err=%v, want ErrNoTrees", err)
+	}
+	if nw.Rounds() != 0 {
+		t.Fatalf("an empty tree collection charged %d rounds", nw.Rounds())
 	}
 }
 
-// Property: tree-Laplacian solve via ConvergecastAll + DownSweepMany
-// satisfies L_T y = r on random trees (the preconditioner identity used by
-// internal/core).
+// crashPath2 returns a network on the two-node path whose plan crashes
+// both nodes, each in round 1 or 2 (CrashWindow 2). It takes the first
+// seed whose plan has node 0 down in round 1 iff root0 and node 1 down in
+// round 1 iff child1.
+func crashPath2(t *testing.T, root0, child1 bool) *Network {
+	t.Helper()
+	g := graph.Path(2)
+	for seed := int64(1); seed <= 64; seed++ {
+		nw := faultyNet(g, seed, faultinject.Spec{CrashProb: 1, CrashWindow: 2})
+		if p := nw.FaultPlan(); p.Crashed(0, 1) == root0 && p.Crashed(1, 1) == child1 {
+			return nw
+		}
+	}
+	t.Fatalf("no seed in 1..64 crashes node 0 in round 1 = %v and node 1 = %v", root0, child1)
+	return nil
+}
+
+// Each downward pass checks its own receipts and names itself: a member
+// the down half never reaches fails the call even when the upward pass
+// finished, and the shared body reports "broadcast" or "down-sweep".
+func TestDownSweepManyErrors(t *testing.T) {
+	tr := graph.BFSTree(graph.Path(2), 0)
+	var heard []graph.NodeID
+	on := func(_ int, v graph.NodeID, _ Word) { heard = append(heard, v) }
+
+	// Both nodes live through round 1, which carries the child's value up,
+	// and are down in round 2, which would carry the root's word back.
+	nw := crashPath2(t, false, false)
+	err := nw.UpDownMany([]*graph.Tree{tr},
+		func(int, graph.NodeID) Word { return 1 }, AggSum,
+		func(_ int, total Word) Word { return total },
+		func(_ int, _, _ graph.NodeID, parentVal, _ Word) Word { return parentVal },
+		on)
+	if want := "down-sweep of tree 0 reached 1 of 2 members"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err=%v, want one containing %q", err, want)
+	}
+	if nw.Rounds() != 2 {
+		t.Fatalf("rounds=%d, want 2 (one up, one down)", nw.Rounds())
+	}
+	if len(heard) != 1 || heard[0] != 0 {
+		t.Fatalf("on fired at %v, want only the root 0", heard)
+	}
+
+	// The child is down from round 1, so the broadcast's one word dies.
+	heard = heard[:0]
+	nw = crashPath2(t, false, true)
+	err = nw.BroadcastMany([]*graph.Tree{tr}, []Word{7}, on)
+	if want := "broadcast of tree 0 reached 1 of 2 members"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err=%v, want one containing %q", err, want)
+	}
+	if len(heard) != 1 || heard[0] != 0 {
+		t.Fatalf("on fired at %v, want only the root 0", heard)
+	}
+}
+
+// Property: tree-Laplacian solve via UpDownMany satisfies L_T y = r on
+// random trees (the preconditioner identity used by internal/core).
 func TestTreeSolveIdentityProperty(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%20) + 3
@@ -122,16 +186,13 @@ func TestTreeSolveIdentityProperty(t *testing.T) {
 			r[v] -= mean
 		}
 		fsum := func(a, b Word) Word { return FloatWord(WordFloat(a) + WordFloat(b)) }
-		_, sub, err := nw.ConvergecastAll([]*graph.Tree{tr},
-			func(_ int, v graph.NodeID) Word { return FloatWord(r[v]) }, fsum)
-		if err != nil {
-			return false
-		}
 		y := make([]float64, n)
-		err = nw.DownSweepMany([]*graph.Tree{tr}, []Word{FloatWord(0)},
-			func(_ int, _, child graph.NodeID, parentVal Word) Word {
+		err := nw.UpDownMany([]*graph.Tree{tr},
+			func(_ int, v graph.NodeID) Word { return FloatWord(r[v]) }, fsum,
+			func(int, Word) Word { return FloatWord(0) },
+			func(_ int, _, child graph.NodeID, parentVal, childSub Word) Word {
 				w := float64(g.Edge(tr.ParentEdge[child]).Weight)
-				return FloatWord(WordFloat(parentVal) + WordFloat(sub[0][child])/w)
+				return FloatWord(WordFloat(parentVal) + WordFloat(childSub)/w)
 			},
 			func(_ int, v graph.NodeID, w Word) { y[v] = WordFloat(w) })
 		if err != nil {

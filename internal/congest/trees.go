@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"distlap/internal/faultinject"
 	"distlap/internal/graph"
@@ -39,9 +40,11 @@ func AggOr(a, b Word) Word {
 	return 0
 }
 
-// pendingSend is one word waiting to cross a directed edge.
+// pendingSend is one word waiting to cross a directed edge. id tells the
+// receiver what the word is for: its own layout slot in the tree
+// primitives, the packet index in RouteMany.
 type pendingSend struct {
-	tree     int
+	id       int32
 	from     graph.NodeID
 	to       graph.NodeID
 	w        Word
@@ -57,11 +60,10 @@ type pendingSend struct {
 // Ordering invariant: active holds exactly the directed edges with
 // nonempty FIFOs, and is processed in ascending order every round. dirty
 // is set only when push activates a new edge — the per-round filtering
-// preserves sortedness, so the re-sort the map-based scheduler ran every
-// step is needed only after pushes (and the insertion sort is then nearly
-// linear on the almost-sorted list). The processed order is identical
-// either way, which is what keeps charge order and delivery order — and
-// therefore every gated metric — byte-identical.
+// preserves sortedness, so a re-sort is needed only after pushes. The list
+// holds distinct edges, so any sort yields the same processed order, which
+// is what keeps charge order and delivery order — and therefore every
+// gated metric — byte-identical.
 type treeSched struct {
 	nw     *Network
 	active []int // sorted dirEdges with nonempty queues (aliases scr.schedActive)
@@ -122,7 +124,7 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 	}
 	nw.checkCancel()
 	if s.dirty {
-		sortInts(s.active)
+		slices.Sort(s.active)
 		s.dirty = false
 	}
 	s.round++
@@ -191,39 +193,6 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 	return true
 }
 
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// treeCongestion returns the maximum number of trees whose parent edges use
-// any single directed edge (the scheduler's congestion parameter c).
-// Counting runs over a pooled flat per-directed-edge array.
-func (nw *Network) treeCongestion(trees []*graph.Tree) int {
-	use := grownI32(nw.scr.edgeUse, 2*nw.g.M())
-	nw.scr.edgeUse = use
-	for i := range use {
-		use[i] = 0
-	}
-	c := int32(1)
-	for _, t := range trees {
-		for _, v := range t.Members {
-			if t.Parent[v] == -1 {
-				continue
-			}
-			de := nw.dirEdge(t.ParentEdge[v], v)
-			use[de]++
-			if use[de] > c {
-				c = use[de]
-			}
-		}
-	}
-	return int(c)
-}
-
 // randomDelays draws, for each tree, an initial delay uniform in [0, c)
 // (Ghaffari'15-style random-delay scheduling). With delays disabled all
 // trees start immediately. The returned slice is pooled scratch, valid
@@ -232,7 +201,7 @@ func (nw *Network) treeCongestion(trees []*graph.Tree) int {
 // consumer, it seeds the source on the first draw, so a network that never
 // draws (a Prepare-time setup network) never builds one.
 func (nw *Network) randomDelays(k, c int) []int {
-	delays := grownInts(nw.scr.delayBuf, k)
+	delays := grown(nw.scr.delayBuf, k)
 	nw.scr.delayBuf = delays
 	for i := range delays {
 		delays[i] = 0
@@ -249,82 +218,54 @@ func (nw *Network) randomDelays(k, c int) []int {
 	return delays
 }
 
-// ccState is the dense convergecast working state over (tree, node) slots:
-// slot t*n+v holds node v's remaining child count and running subtree
-// accumulator in tree t. Slots are valid only when stamped with the
-// current epoch, so no O(k·n) clearing happens per call.
-type ccState struct {
-	n       int
-	pending []int32
-	acc     []Word
-	stamp   []uint32
-	epoch   uint32
-}
-
-func (nw *Network) ccStateFor(trees []*graph.Tree) ccState {
-	n := nw.g.N()
-	kn := len(trees) * n
-	s := &nw.scr
-	epoch := s.nextEpoch(kn)
-	s.ccPending = grownI32(s.ccPending, kn)
-	s.ccAcc = grownWords(s.ccAcc, kn)
-	return ccState{n: n, pending: s.ccPending, acc: s.ccAcc, stamp: s.ccStamp, epoch: epoch}
-}
-
-// convergecast is the one body of ConvergecastMany and ConvergecastAll: a
-// scheduled convergecast of val under agg on every tree. It returns the
-// dense state the pass leaves behind (each member's subtree aggregate and
-// remaining child count); the two primitives differ only in how they
-// check that state for completion.
-func (nw *Network) convergecast(
-	trees []*graph.Tree,
-	val func(t int, v graph.NodeID) Word,
-	agg Agg,
-) ccState {
-	st := nw.ccStateFor(trees)
+// sweepUp is the one upward body of the tree primitives: a scheduled
+// convergecast of val under agg on every tree of l. It leaves each slot's
+// subtree aggregate in l.acc and its unheard children in l.pending; the
+// primitives differ only in how they check that state for completion.
+func (nw *Network) sweepUp(l *layout, val func(t int, v graph.NodeID) Word, agg Agg) {
 	sched := newTreeSched(nw)
-	delays := nw.randomDelays(len(trees), nw.treeCongestion(trees))
-	for t, tr := range trees {
-		base := t * st.n
-		for _, v := range tr.Members {
-			i := base + v
-			st.stamp[i] = st.epoch
-			st.pending[i] = 0
-			st.acc[i] = val(t, v)
-		}
-		for _, v := range tr.Members {
-			if p := tr.Parent[v]; p != -1 {
-				st.pending[base+p]++
-			}
-		}
-		// Leaves are immediately ready to send to their parents.
-		for _, v := range tr.Members {
-			i := base + v
-			if st.pending[i] == 0 && v != tr.Root {
-				sched.push(nw.dirEdge(tr.ParentEdge[v], v), pendingSend{
-					tree: t, from: v, to: tr.Parent[v], w: st.acc[i],
-					eligible: 1 + delays[t],
-				})
-			}
+	delays := nw.randomDelays(len(l.root), l.c)
+	for i, v := range l.node {
+		l.acc[i] = val(int(l.tree[i]), v)
+		l.pending[i] = l.kids[i+1] - l.kids[i]
+	}
+	// Leaves are immediately ready to send to their parents.
+	for i, p := range l.parent {
+		if l.pending[i] == 0 && p != -1 {
+			sched.push(int(l.up[i]), pendingSend{
+				id: p, from: l.node[i], to: l.node[p], w: l.acc[i],
+				eligible: 1 + delays[l.tree[i]],
+			})
 		}
 	}
 	// A delivered word folds into the receiver's accumulator; a receiver
 	// whose subtree is complete forwards its total to its parent.
 	deliver := func(ps pendingSend) {
-		tr := trees[ps.tree]
-		i := ps.tree*st.n + ps.to
-		st.acc[i] = agg(st.acc[i], ps.w)
-		st.pending[i]--
-		if st.pending[i] == 0 && ps.to != tr.Root {
-			sched.push(nw.dirEdge(tr.ParentEdge[ps.to], ps.to), pendingSend{
-				tree: ps.tree, from: ps.to, to: tr.Parent[ps.to], w: st.acc[i],
+		i := ps.id
+		l.acc[i] = agg(l.acc[i], ps.w)
+		l.pending[i]--
+		if p := l.parent[i]; l.pending[i] == 0 && p != -1 {
+			sched.push(int(l.up[i]), pendingSend{
+				id: p, from: ps.to, to: l.node[p], w: l.acc[i],
 				eligible: sched.round + 1,
 			})
 		}
 	}
 	for sched.step(deliver) {
 	}
-	return st
+}
+
+// rootTotals returns each tree's root aggregate after sweepUp, or an error
+// for the first tree whose root has not heard from every child.
+func (l *layout) rootTotals() ([]Word, error) {
+	out := make([]Word, len(l.root))
+	for t, i := range l.root {
+		if l.pending[i] != 0 {
+			return nil, fmt.Errorf("congest: convergecast of tree %d did not complete", t)
+		}
+		out[t] = l.acc[i]
+	}
+	return out, nil
 }
 
 // ConvergecastMany aggregates, concurrently for every tree, the value
@@ -333,37 +274,19 @@ func (nw *Network) convergecast(
 // most one word per round, so the measured cost is the true scheduled
 // makespan (O(congestion + depth) with random delays, up to log factors).
 // Returns the per-tree root aggregates. Aside from the returned slice, a
-// steady-state call runs entirely on pooled flat state: cost
+// steady-state call runs entirely on pooled member-slot state: cost
 // Θ(Σ members + scheduled rounds), zero allocation after warmup.
 func (nw *Network) ConvergecastMany(
 	trees []*graph.Tree,
 	val func(t int, v graph.NodeID) Word,
 	agg Agg,
 ) ([]Word, error) {
-	if len(trees) == 0 {
-		return nil, ErrNoTrees
+	l, err := nw.layoutFor(trees)
+	if err != nil {
+		return nil, err
 	}
-	st := nw.convergecast(trees, val, agg)
-	out := make([]Word, len(trees))
-	for t, tr := range trees {
-		i := t*st.n + tr.Root
-		if st.stamp[i] != st.epoch || st.pending[i] != 0 {
-			return nil, fmt.Errorf("congest: convergecast of tree %d did not complete", t)
-		}
-		out[t] = st.acc[i]
-	}
-	return out, nil
-}
-
-// bcSeen marks (tree, node) receipt with the current epoch; returns whether
-// it was already marked.
-func (nw *Network) bcSeen(t int, v graph.NodeID) bool {
-	i := t*nw.g.N() + v
-	if nw.scr.bcStamp[i] == nw.scr.epoch {
-		return true
-	}
-	nw.scr.bcStamp[i] = nw.scr.epoch
-	return false
+	nw.sweepUp(l, val, agg)
+	return l.rootTotals()
 }
 
 // BroadcastMany propagates, concurrently for every tree, the root value
@@ -376,71 +299,70 @@ func (nw *Network) BroadcastMany(
 	rootVal []Word,
 	on func(t int, v graph.NodeID, w Word),
 ) error {
-	return nw.sweepDown("broadcast", trees, rootVal, nil, on)
-}
-
-// sweepDown is the one body of BroadcastMany and DownSweepMany: every root
-// sends rootVal[t] toward its leaves, one scheduled hop per tree edge, and
-// on(t, v, w) fires once at every member with the value it received (the
-// root at round 0). A parent sends each child next(t, parent, child,
-// parentVal); a nil next forwards the parent's own value. what names the
-// primitive in the completion error.
-func (nw *Network) sweepDown(
-	what string,
-	trees []*graph.Tree,
-	rootVal []Word,
-	next func(t int, parent, child graph.NodeID, parentVal Word) Word,
-	on func(t int, v graph.NodeID, w Word),
-) error {
-	if len(trees) == 0 {
-		return ErrNoTrees
+	l, err := nw.layoutFor(trees)
+	if err != nil {
+		return err
 	}
 	if len(rootVal) != len(trees) {
 		return fmt.Errorf("congest: %d root values for %d trees", len(rootVal), len(trees))
 	}
-	k := len(trees)
-	nw.scr.nextEpoch(k * nw.g.N())
-	sched := newTreeSched(nw)
-	delays := nw.randomDelays(k, nw.treeCongestion(trees))
-	ci := nw.buildChildIndex(trees)
-	received := grownInts(nw.scr.recvCount, k)
-	nw.scr.recvCount = received
-	for i := range received {
-		received[i] = 0
-	}
+	return nw.sweepDown("broadcast", l, func(t int, _ Word) Word { return rootVal[t] }, nil, on)
+}
 
-	fanOut := func(t int, v graph.NodeID, w Word, eligible int) {
-		for _, c := range ci.children(t, v) {
+// sweepDown is the one downward body of the tree primitives: every root
+// sends rootVal(t, its l.acc entry) toward its leaves, one scheduled hop
+// per tree edge, and on(t, v, w) fires once at every member with the value
+// it received (the root at round 0). A parent sends each child
+// next(t, parent, child, parentVal, childSub), where childSub is the
+// child's l.acc entry; a nil next forwards the parent's own value. A
+// duplicated delivery is dropped by the receiver's seen mark. what names
+// the primitive in the completion error.
+func (nw *Network) sweepDown(
+	what string,
+	l *layout,
+	rootVal func(t int, total Word) Word,
+	next func(t int, parent, child graph.NodeID, parentVal, childSub Word) Word,
+	on func(t int, v graph.NodeID, w Word),
+) error {
+	sched := newTreeSched(nw)
+	delays := nw.randomDelays(len(l.root), l.c)
+	clear(l.seen)
+	clear(l.got)
+	fanOut := func(i int32, w Word, eligible int) {
+		for _, c := range l.kid[l.kids[i]:l.kids[i+1]] {
 			cw := w
 			if next != nil {
-				cw = next(t, v, c, w)
+				cw = next(int(l.tree[i]), l.node[i], l.node[c], w, l.acc[c])
 			}
-			sched.push(nw.dirEdge(trees[t].ParentEdge[c], v), pendingSend{
-				tree: t, from: v, to: c, w: cw, eligible: eligible,
+			// The parent→child directed edge is the child's up edge reversed.
+			sched.push(int(l.up[c]^1), pendingSend{
+				id: c, from: l.node[i], to: l.node[c], w: cw, eligible: eligible,
 			})
 		}
 	}
-	for t, tr := range trees {
-		nw.bcSeen(t, tr.Root)
-		received[t]++
-		on(t, tr.Root, rootVal[t])
-		fanOut(t, tr.Root, rootVal[t], 1+delays[t])
+	for t, i := range l.root {
+		w := rootVal(t, l.acc[i])
+		l.seen[i] = true
+		l.got[t]++
+		on(t, l.node[i], w)
+		fanOut(i, w, 1+delays[t])
 	}
 	deliver := func(ps pendingSend) {
-		if nw.bcSeen(ps.tree, ps.to) {
+		i := ps.id
+		if l.seen[i] {
 			return
 		}
-		received[ps.tree]++
-		on(ps.tree, ps.to, ps.w)
-		fanOut(ps.tree, ps.to, ps.w, sched.round+1)
+		l.seen[i] = true
+		t := int(l.tree[i])
+		l.got[t]++
+		on(t, ps.to, ps.w)
+		fanOut(i, ps.w, sched.round+1)
 	}
 	for sched.step(deliver) {
 	}
-
-	for t, tr := range trees {
-		if received[t] != len(tr.Members) {
-			return fmt.Errorf("congest: %s of tree %d reached %d of %d members",
-				what, t, received[t], len(tr.Members))
+	for t, got := range l.got {
+		if members := int(l.first[t+1] - l.first[t]); got != members {
+			return fmt.Errorf("congest: %s of tree %d reached %d of %d members", what, t, got, members)
 		}
 	}
 	return nil
@@ -454,21 +376,27 @@ func (nw *Network) sweepDown(
 // subgraphs".
 //
 // Charges O(c·(maxdepth + log k)) rounds for congestion c over k trees
-// (random-delay scheduling; see treeCongestion). Deterministic for a fixed
+// (random-delay scheduling; see layoutFor). Deterministic for a fixed
 // network seed: scheduling draws come from the network RNG in canonical
-// tree order. Scheduler queues and dense sweep state are pooled — steady
-// state allocates only the returned []Word (pinned by
-// TestAggregateManySteadyStateAllocs).
+// tree order, once per half. The layout is built once for both halves, and
+// it and the scheduler queues are pooled — steady state allocates only the
+// returned []Word (pinned by TestAggregateManySteadyStateAllocs).
 func (nw *Network) AggregateMany(
 	trees []*graph.Tree,
 	val func(t int, v graph.NodeID) Word,
 	agg Agg,
 ) ([]Word, error) {
-	up, err := nw.ConvergecastMany(trees, val, agg)
+	l, err := nw.layoutFor(trees)
 	if err != nil {
 		return nil, err
 	}
-	if err := nw.BroadcastMany(trees, up, func(int, graph.NodeID, Word) {}); err != nil {
+	nw.sweepUp(l, val, agg)
+	up, err := l.rootTotals()
+	if err != nil {
+		return nil, err
+	}
+	forward := func(_ int, total Word) Word { return total }
+	if err := nw.sweepDown("broadcast", l, forward, nil, func(int, graph.NodeID, Word) {}); err != nil {
 		return nil, err
 	}
 	return up, nil

@@ -108,11 +108,10 @@ type CongestComm struct {
 
 	globalTree *graph.Tree
 
-	mvY      []float64      // MatVecLaplacian output (pooled)
-	gsTrees  []*graph.Tree  // GlobalSums per-call tree list (pooled)
-	udOut    [][]float64    // TreeUpDown row views (pooled)
-	udArena  []float64      // TreeUpDown dense potentials, k·n (pooled)
-	rootVals []congest.Word // per-call downward seeds (pooled)
+	mvY     []float64     // MatVecLaplacian output (pooled)
+	gsTrees []*graph.Tree // GlobalSums per-call tree list (pooled)
+	udOut   [][]float64   // TreeUpDown row views (pooled)
+	udArena []float64     // TreeUpDown dense potentials, k·n (pooled)
 }
 
 var _ Comm = (*CongestComm)(nil)
@@ -311,30 +310,16 @@ func steinerTreeOfGlobal(g *graph.Graph, global *graph.Tree, terminals []graph.N
 	return tr
 }
 
-// TreeUpDown implements Comm via the engine's concurrent sweep primitives.
-// The returned rows are dense, pooled views (see the interface contract):
-// entries outside trees[t].Members are stale scratch.
+// TreeUpDown implements Comm via the engine's UpDownMany. The returned
+// rows are dense, pooled views (see the interface contract): entries
+// outside trees[t].Members are stale scratch.
 func (c *CongestComm) TreeUpDown(
 	trees []*graph.Tree,
 	leaf func(t int, v graph.NodeID) float64,
 	rootVal func(t int, total float64) float64,
 	down func(t int, parent, child graph.NodeID, parentVal, childSubtree float64) float64,
 ) ([][]float64, error) {
-	roots, sub, err := c.nw.ConvergecastAll(trees,
-		func(t int, v graph.NodeID) congest.Word {
-			return congest.FloatWord(leaf(t, v))
-		}, fsum)
-	if err != nil {
-		return nil, err
-	}
 	k := len(trees)
-	if cap(c.rootVals) < k {
-		c.rootVals = make([]congest.Word, k)
-	}
-	rootVals := c.rootVals[:k]
-	for t := range trees {
-		rootVals[t] = congest.FloatWord(rootVal(t, congest.WordFloat(roots[t])))
-	}
 	n := c.nw.Graph().N()
 	if cap(c.udArena) < k*n {
 		c.udArena = make([]float64, k*n)
@@ -347,11 +332,17 @@ func (c *CongestComm) TreeUpDown(
 	for t := range out {
 		out[t] = arena[t*n : (t+1)*n]
 	}
-	err = c.nw.DownSweepMany(trees, rootVals,
-		func(t int, parent, child graph.NodeID, parentVal congest.Word) congest.Word {
+	err := c.nw.UpDownMany(trees,
+		func(t int, v graph.NodeID) congest.Word {
+			return congest.FloatWord(leaf(t, v))
+		},
+		fsum,
+		func(t int, total congest.Word) congest.Word {
+			return congest.FloatWord(rootVal(t, congest.WordFloat(total)))
+		},
+		func(t int, parent, child graph.NodeID, parentVal, childSub congest.Word) congest.Word {
 			return congest.FloatWord(down(t, parent, child,
-				congest.WordFloat(parentVal),
-				congest.WordFloat(sub[t][child])))
+				congest.WordFloat(parentVal), congest.WordFloat(childSub)))
 		},
 		func(t int, v graph.NodeID, w congest.Word) {
 			out[t][v] = congest.WordFloat(w)

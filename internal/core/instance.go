@@ -262,9 +262,6 @@ func (in *Instance) Seed() int64 { return in.seed }
 // Tol returns the instance's default request tolerance.
 func (in *Instance) Tol() float64 { return in.tol }
 
-// GlobalTree exposes the cached global aggregation tree (read-only).
-func (in *Instance) GlobalTree() *graph.Tree { return in.tree }
-
 // SetupMetrics returns the communication cost PrepareInstance paid (the
 // charged BFS in ModeCongest; zero rounds in the Supported modes).
 func (in *Instance) SetupMetrics() Metrics { return in.setup }

@@ -100,18 +100,13 @@ func (p *TreePrecond) Setup(c Comm) error {
 		p.tree = tr
 		return nil
 	}
-	type globalTreer interface{ GlobalTree() *graph.Tree }
 	switch cc := c.(type) {
 	case *CongestComm:
 		p.tree = cc.GlobalTree()
 	case *HybridComm:
 		p.tree = cc.local.GlobalTree()
 	default:
-		if gt, ok := c.(globalTreer); ok {
-			p.tree = gt.GlobalTree()
-		} else {
-			return errors.New("core: comm exposes no global tree")
-		}
+		return errors.New("core: comm exposes no global tree")
 	}
 	return nil
 }

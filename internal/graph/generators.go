@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // The generators below produce the graph families used across the paper's
 // experiments (DESIGN.md §3): paths and trees (high diameter, treewidth 1),
@@ -297,6 +294,3 @@ func log2ceil(n int) int {
 
 // GridID returns the node ID of cell (r, c) in a Grid(rows, cols) graph.
 func GridID(cols, r, c int) NodeID { return r*cols + c }
-
-// FormatSize renders n as a short human label (for experiment tables).
-func FormatSize(n int) string { return fmt.Sprintf("%d", n) }

@@ -20,7 +20,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node; nodes are dense integers in [0, N).
@@ -51,10 +50,9 @@ type Graph struct {
 
 // Sentinel errors returned by graph constructors and validators.
 var (
-	ErrNodeRange  = errors.New("graph: node out of range")
-	ErrBadWeight  = errors.New("graph: weight must be positive")
-	ErrSelfLoop   = errors.New("graph: self-loops are not allowed")
-	ErrEmptyGraph = errors.New("graph: graph has no nodes")
+	ErrNodeRange = errors.New("graph: node out of range")
+	ErrBadWeight = errors.New("graph: weight must be positive")
+	ErrSelfLoop  = errors.New("graph: self-loops are not allowed")
 )
 
 // New returns an empty graph with n nodes and no edges.
@@ -262,19 +260,4 @@ func (g *Graph) Subgraph(nodes []NodeID) (*Graph, []NodeID) {
 		}
 	}
 	return sub, orig
-}
-
-// SortedNeighborIDs returns the distinct neighbor IDs of v in increasing
-// order (convenience for deterministic iteration in tests and algorithms).
-func (g *Graph) SortedNeighborIDs(v NodeID) []NodeID {
-	seen := make(map[NodeID]bool, len(g.adj[v]))
-	out := make([]NodeID, 0, len(g.adj[v]))
-	for _, h := range g.adj[v] {
-		if !seen[h.To] {
-			seen[h.To] = true
-			out = append(out, h.To)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -53,10 +53,10 @@ func (nw *Network) Aggregate(inst *partwise.Instance, spec partwise.AggSpec) ([]
 	}
 	members := s.members[:k]
 	acc := s.acc[:k]
-	s.memArena = grownNodes(s.memArena, total)
-	s.accArena = grownWords(s.accArena, total)
-	s.valWord = grownWords(s.valWord, nw.n)
-	s.valStamp = grownU32(s.valStamp, nw.n)
+	s.memArena = grown(s.memArena, total)
+	s.accArena = grown(s.accArena, total)
+	s.valWord = grown(s.valWord, nw.n)
+	s.valStamp = grown(s.valStamp, nw.n)
 	memPos, accPos := 0, 0
 	maxSize := 0
 	for i, p := range inst.Parts {
@@ -166,11 +166,4 @@ func (nw *Network) Aggregate(inst *partwise.Instance, spec partwise.AggSpec) ([]
 	}
 	nw.trace.End("ncc-down")
 	return out, nil
-}
-
-func grownNodes(buf []graph.NodeID, n int) []graph.NodeID {
-	if cap(buf) < n {
-		return make([]graph.NodeID, n)
-	}
-	return buf[:n]
 }

@@ -75,32 +75,12 @@ type nccScratch struct {
 	routes   []aggRoute
 }
 
-func grownMsgs(buf []Message, n int) []Message {
+// grown returns buf resized to n, reallocating only on growth. The contents
+// are not cleared: stamped users bump their epoch instead, and a fresh
+// zeroed allocation always reads stale because epochs start at 1.
+func grown[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]Message, n)
-	}
-	return buf[:n]
-}
-
-func grownI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// grownU32 resizes without clearing: stamped users bump their epoch instead,
-// and a fresh zeroed allocation always reads stale because epochs start at 1.
-func grownU32(buf []uint32, n int) []uint32 {
-	if cap(buf) < n {
-		return make([]uint32, n)
-	}
-	return buf[:n]
-}
-
-func grownWords(buf []congest.Word, n int) []congest.Word {
-	if cap(buf) < n {
-		return make([]congest.Word, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -180,9 +160,9 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 	// — is unchanged. The borrowed buffers are parked (nil) while recv
 	// callbacks run so a reentrant Deliver cannot corrupt them.
 	s := &nw.scr
-	qStart := grownI32(s.qStart, nw.n+1)
-	qLen := grownI32(s.qLen, nw.n)
-	arena := grownMsgs(s.arena, len(msgs))
+	qStart := grown(s.qStart, nw.n+1)
+	qLen := grown(s.qLen, nw.n)
+	arena := grown(s.arena, len(msgs))
 	delivered := s.delivered[:0]
 	s.qStart, s.qLen, s.arena, s.delivered = nil, nil, nil, nil
 	defer func() {
@@ -222,8 +202,8 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 		}
 		used++
 		round := nw.rounds + 1 // absolute NCC round in progress
-		s.recvLoad = grownI32(s.recvLoad, nw.n)
-		s.recvStamp = grownU32(s.recvStamp, nw.n)
+		s.recvLoad = grown(s.recvLoad, nw.n)
+		s.recvStamp = grown(s.recvStamp, nw.n)
 		s.recvEpoch++
 		if s.recvEpoch == 0 {
 			for i := range s.recvStamp {
