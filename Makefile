@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet lint lint-json race test alloc-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
+.PHONY: check build fmt-check vet lint lint-json race test alloc-check bound-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
 
-check: build fmt-check vet lint test alloc-check bench-module microbench trace-smoke daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
+check: build fmt-check vet lint test alloc-check bound-check bench-module microbench trace-smoke daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,17 @@ test:
 # same code for correctness.
 alloc-check:
 	$(GO) test -run 'Allocs' ./internal/graph ./internal/congest ./internal/ncc ./internal/core
+
+# Checked scheduling mode: built with -tags boundcheck, every reliable tree
+# sweep asserts max(h, c) <= rounds <= delta + c*h against its compiled
+# set's congestion c and height h and its largest drawn delay delta
+# (internal/congest/boundcheck.go), panicking on a violation. It runs the
+# engine and solver tests and the quick suite. The default build compiles a
+# no-op, so no gated output or allocation budget depends on it.
+bound-check:
+	$(GO) test -tags boundcheck ./internal/congest ./internal/core
+	$(GO) run -tags boundcheck ./cmd/experiments -quick -parallel 1 >/dev/null
+	@echo bound-check: every reliable tree sweep stayed inside its round bracket
 
 # The distbench benchmark (benchmark/) is its own Go module, so the root
 # `go vet ./...` and `go test ./...` never compile it; this vets and tests

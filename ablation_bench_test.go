@@ -16,7 +16,8 @@ import (
 
 // BenchmarkAblationDelays compares the tree-aggregation scheduler with and
 // without random initial delays under heavy congestion (64 trees sharing a
-// path).
+// path). Each operation is a full AggregateMany, convergecast and
+// broadcast, so rounds/op counts both halves.
 func BenchmarkAblationDelays(b *testing.B) {
 	for _, disable := range []bool{false, true} {
 		name := "random-delays"
@@ -35,7 +36,11 @@ func BenchmarkAblationDelays(b *testing.B) {
 				for t := range trees {
 					trees[t] = graph.BFSTree(g, 0)
 				}
-				if _, err := nw.ConvergecastMany(trees,
+				set, err := congest.NewTreeSet(g, trees)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := nw.AggregateMany(set,
 					func(int, graph.NodeID) congest.Word { return 1 },
 					congest.AggSum); err != nil {
 					b.Fatal(err)

@@ -59,19 +59,20 @@ func TestFaultyExchangeSteadyStateAllocs(t *testing.T) {
 // TestAggregateManySteadyStateAllocs pins the tree-aggregation pipeline
 // (convergecast + broadcast over shared scheduler/state pools) at its
 // documented steady-state budget: exactly the returned per-tree result
-// slice, nothing per round or per member.
+// slice, nothing per round or per member. The set is compiled once,
+// outside the measured call, as a prepared instance compiles its trees.
 func TestAggregateManySteadyStateAllocs(t *testing.T) {
 	g := graph.Grid(12, 12)
 	nw := NewNetwork(g, Options{Supported: true, Seed: 3})
 	tr := graph.BFSTree(g, 0)
-	trees := []*graph.Tree{tr, tr, tr}
+	trees := mustSet(t, g, tr, tr, tr)
 	val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
 	agg := func() {
 		if _, err := nw.AggregateMany(trees, val, AggSum); err != nil {
 			t.Fatal(err)
 		}
 	}
-	agg() // warm scheduler queues, dense state, child index
+	agg() // warm the scheduler queues and sweep state
 	agg()
 	const budget = 1 // the returned []Word only
 	if a := testing.AllocsPerRun(10, agg); a > budget {
@@ -79,14 +80,15 @@ func TestAggregateManySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestUpDownManySteadyStateAllocs pins the tree-solver sweep (one layout,
-// a convergecast and a transforming down-sweep over member-slot state) at
-// zero steady-state allocations: it returns nothing but its error.
+// TestUpDownManySteadyStateAllocs pins the tree-solver sweep (a
+// convergecast and a transforming down-sweep over a compiled set and
+// member-slot state) at zero steady-state allocations: it returns nothing
+// but its error.
 func TestUpDownManySteadyStateAllocs(t *testing.T) {
 	g := graph.Grid(12, 12)
 	nw := NewNetwork(g, Options{Supported: true, Seed: 3})
 	tr := graph.BFSTree(g, 0)
-	trees := []*graph.Tree{tr, tr, tr}
+	trees := mustSet(t, g, tr, tr, tr)
 	pot := make([]Word, g.N())
 	val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
 	rootVal := func(int, Word) Word { return 0 }
@@ -97,7 +99,7 @@ func TestUpDownManySteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sweep() // warm the layout, sweep state and scheduler queues
+	sweep() // warm the sweep state and scheduler queues
 	sweep()
 	if a := testing.AllocsPerRun(10, sweep); a > 0 {
 		t.Fatalf("steady-state UpDownMany allocates %.1f per call, want 0", a)

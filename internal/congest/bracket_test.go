@@ -60,7 +60,7 @@ func bracketTrees(g *graph.Graph, rng *rand.Rand, balls bool) []*graph.Tree {
 
 // TestTreePrimitiveRoundBracket pins the store-and-forward scheduler's
 // round count between the bounds its FIFO discipline guarantees. With c
-// and h as in treeBracket, every one-directional primitive needs at least
+// and h as in treeBracket, every one-directional sweep needs at least
 // max(c, h) rounds (c words queue on one link, and the tallest tree is a
 // chain of h hops) and at most c·h rounds with random delays off (a word
 // waits behind at most c−1 others at each of at most h hops), or
@@ -69,10 +69,11 @@ func bracketTrees(g *graph.Graph, rng *rand.Rand, balls bool) []*graph.Tree {
 // of the 300 random connected graphs run with delays off, which is what
 // catches a scheduler that sends more than one word per link per round.
 //
-// Each graph runs three tree families through every primitive on one
-// network, and before every call the layout's congestion must equal
-// treeBracket's count (at least 1): a layout that left its per-edge counts
-// behind would inflate c, and with it the delays, on the next call.
+// Each graph runs three tree families through both sweep bodies and both
+// primitives on one network, and every compiled set's congestion and
+// height must equal treeBracket's count (c at least 1): a set that
+// miscounted c would skew the delays, and one that miscounted h the
+// checked mode's bracket.
 func TestTreePrimitiveRoundBracket(t *testing.T) {
 	const base = int64(0xB7AC)
 	for i := int64(0); i < 300; i++ {
@@ -85,6 +86,11 @@ func TestTreePrimitiveRoundBracket(t *testing.T) {
 		for f := int64(0); f < 3; f++ {
 			trees := bracketTrees(g, rng, (i+f)%2 == 0)
 			c, h := treeBracket(trees)
+			set := mustSet(t, g, trees...)
+			if set.c != max(c, 1) || set.height() != h {
+				t.Fatalf("seed %d family %d: the set counts c=%d h=%d, want c=%d h=%d",
+					seed, f, set.c, set.height(), max(c, 1), h)
+			}
 			lo, hi := max(c, h), (c-1)+c*h
 			if noDelays {
 				hi = c * h
@@ -93,37 +99,35 @@ func TestTreePrimitiveRoundBracket(t *testing.T) {
 			total := func(_ int, w Word) Word { return w }
 			forward := func(_ int, _, _ graph.NodeID, w, _ Word) Word { return w }
 			nop := func(int, graph.NodeID, Word) {}
-			roots := make([]Word, len(trees))
 
 			primitives := []struct {
 				name   string
 				lo, hi int
 				run    func() error
 			}{
-				{"ConvergecastMany", lo, hi, func() error {
-					_, err := nw.ConvergecastMany(trees, one, AggSum)
+				{"convergecast", lo, hi, func() error {
+					if err := nw.sweepFor(set); err != nil {
+						return err
+					}
+					nw.sweepUp(set, one, AggSum)
+					_, err := nw.rootTotals(set)
 					return err
 				}},
-				{"BroadcastMany", lo, hi, func() error {
-					return nw.BroadcastMany(trees, roots, nop)
+				{"broadcast", lo, hi, func() error {
+					if err := nw.sweepFor(set); err != nil {
+						return err
+					}
+					return nw.sweepDown("broadcast", set, total, nil, nop)
 				}},
 				{"AggregateMany", 2 * lo, 2 * hi, func() error {
-					_, err := nw.AggregateMany(trees, one, AggSum)
+					_, err := nw.AggregateMany(set, one, AggSum)
 					return err
 				}},
 				{"UpDownMany", 2 * lo, 2 * hi, func() error {
-					return nw.UpDownMany(trees, one, AggSum, total, forward, nop)
+					return nw.UpDownMany(set, one, AggSum, total, forward, nop)
 				}},
 			}
 			for _, p := range primitives {
-				l, err := nw.layoutFor(trees)
-				if err != nil {
-					t.Fatalf("seed %d family %d: layout: %v", seed, f, err)
-				}
-				if l.c != max(c, 1) {
-					t.Fatalf("seed %d family %d: before %s the layout counts c=%d, want %d",
-						seed, f, p.name, l.c, max(c, 1))
-				}
 				before := nw.Rounds()
 				if err := p.run(); err != nil {
 					t.Fatalf("seed %d family %d: %s: %v", seed, f, p.name, err)

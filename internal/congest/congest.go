@@ -233,10 +233,10 @@ func (nw *Network) chargeRound() {
 	}
 }
 
-// dirEdge encodes a directed use of an undirected edge: 2*edge for U->V and
-// 2*edge+1 for V->U.
-func (nw *Network) dirEdge(id graph.EdgeID, from graph.NodeID) int {
-	if nw.g.Edge(id).U == from {
+// dirEdge encodes a directed use of an undirected edge of g: 2*edge for
+// U->V and 2*edge+1 for V->U.
+func dirEdge(g *graph.Graph, id graph.EdgeID, from graph.NodeID) int {
+	if g.Edge(id).U == from {
 		return 2 * id
 	}
 	return 2*id + 1
@@ -322,7 +322,7 @@ func (nw *Network) Exchange(
 				continue
 			}
 			tx := transmission{
-				de: nw.dirEdge(h.Edge, v),
+				de: dirEdge(nw.g, h.Edge, v),
 				d:  delivery{to: h.To, half: graph.Half{To: v, Edge: h.Edge}, w: w},
 			}
 			if faults != nil {

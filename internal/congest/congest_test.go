@@ -1,7 +1,7 @@
 package congest
 
 import (
-	"strings"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +10,43 @@ import (
 
 func newNet(g *graph.Graph) *Network {
 	return NewNetwork(g, Options{Seed: 1})
+}
+
+// mustSet compiles trees over g, failing the test on an error.
+func mustSet(tb testing.TB, g *graph.Graph, trees ...*graph.Tree) *TreeSet {
+	tb.Helper()
+	s, err := NewTreeSet(g, trees)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// convergecast runs the upward sweep body alone and returns the root
+// totals: the first half of AggregateMany.
+func convergecast(nw *Network, trees []*graph.Tree, val func(int, graph.NodeID) Word, agg Agg) ([]Word, error) {
+	s, err := NewTreeSet(nw.Graph(), trees)
+	if err != nil {
+		return nil, err
+	}
+	if err := nw.sweepFor(s); err != nil {
+		return nil, err
+	}
+	nw.sweepUp(s, val, agg)
+	return nw.rootTotals(s)
+}
+
+// broadcast runs the downward sweep body alone, every root sending its
+// rootVal entry: the second half of AggregateMany, with given root values.
+func broadcast(nw *Network, trees []*graph.Tree, rootVal []Word, on func(int, graph.NodeID, Word)) error {
+	s, err := NewTreeSet(nw.Graph(), trees)
+	if err != nil {
+		return err
+	}
+	if err := nw.sweepFor(s); err != nil {
+		return err
+	}
+	return nw.sweepDown("broadcast", s, func(t int, _ Word) Word { return rootVal[t] }, nil, on)
 }
 
 func TestExchangeCostsOneRound(t *testing.T) {
@@ -101,7 +138,7 @@ func TestConvergecastSingleTreeSum(t *testing.T) {
 	g := graph.Path(8)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
-	out, err := nw.ConvergecastMany([]*graph.Tree{tr},
+	out, err := convergecast(nw, []*graph.Tree{tr},
 		func(_ int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +156,7 @@ func TestConvergecastSingletonTreeIsFree(t *testing.T) {
 	g := graph.Path(3)
 	nw := newNet(g)
 	tr := graph.BFSTreeOfSubgraph(g, []graph.NodeID{1}, 1)
-	out, err := nw.ConvergecastMany([]*graph.Tree{tr},
+	out, err := convergecast(nw, []*graph.Tree{tr},
 		func(_ int, v graph.NodeID) Word { return 42 }, AggMin)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +166,7 @@ func TestConvergecastSingletonTreeIsFree(t *testing.T) {
 	}
 }
 
-func TestConvergecastManySharedEdgesQueue(t *testing.T) {
+func TestConvergecastSharedEdgesQueue(t *testing.T) {
 	// k trees all containing the same 2-node path: the shared edge must
 	// serialize, so rounds >= k.
 	g := graph.Path(2)
@@ -139,7 +176,7 @@ func TestConvergecastManySharedEdgesQueue(t *testing.T) {
 	for i := range trees {
 		trees[i] = graph.BFSTree(g, 0)
 	}
-	out, err := nw.ConvergecastMany(trees,
+	out, err := convergecast(nw, trees,
 		func(t int, v graph.NodeID) Word { return Word(t + int(v)) }, AggSum)
 	if err != nil {
 		t.Fatal(err)
@@ -157,12 +194,12 @@ func TestConvergecastManySharedEdgesQueue(t *testing.T) {
 	}
 }
 
-func TestBroadcastMany(t *testing.T) {
+func TestBroadcastReachesEveryMember(t *testing.T) {
 	g := graph.Grid(3, 3)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 4)
 	seen := make(map[graph.NodeID]Word)
-	err := nw.BroadcastMany([]*graph.Tree{tr}, []Word{99},
+	err := broadcast(nw, []*graph.Tree{tr}, []Word{99},
 		func(_ int, v graph.NodeID, w Word) { seen[v] = w })
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +227,7 @@ func TestAggregateManyRoundTrip(t *testing.T) {
 		graph.BFSTreeOfSubgraph(g, top, 0),
 		graph.BFSTreeOfSubgraph(g, bot, 8),
 	}
-	out, err := nw.AggregateMany(trees,
+	out, err := nw.AggregateMany(mustSet(t, g, trees...),
 		func(_ int, v graph.NodeID) Word { return Word(v) }, AggMax)
 	if err != nil {
 		t.Fatal(err)
@@ -200,40 +237,70 @@ func TestAggregateManyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBroadcastManyBadArgs(t *testing.T) {
+// Both halves refuse an empty tree collection before charging anything.
+func TestTreeSweepsRejectNoTrees(t *testing.T) {
 	nw := newNet(graph.Path(2))
-	if err := nw.BroadcastMany(nil, nil, nil); err == nil {
-		t.Fatal("want error for no trees")
+	if err := broadcast(nw, nil, nil, nil); !errors.Is(err, ErrNoTrees) {
+		t.Fatalf("broadcast of no trees: err=%v, want ErrNoTrees", err)
 	}
-	tr := graph.BFSTree(nw.Graph(), 0)
-	if err := nw.BroadcastMany([]*graph.Tree{tr}, nil,
-		func(int, graph.NodeID, Word) {}); err == nil {
-		t.Fatal("want error for mismatched root values")
+	if _, err := nw.AggregateMany(nil, nil, AggSum); !errors.Is(err, ErrNoTrees) {
+		t.Fatalf("AggregateMany of a nil set: err=%v, want ErrNoTrees", err)
+	}
+	if nw.Rounds() != 0 {
+		t.Fatalf("refused calls charged %d rounds", nw.Rounds())
 	}
 }
 
+// NewTreeSet rejects a collection no sweep could run: no trees, a tree
+// that does not list its root, and a member whose parent is missing.
 func TestTreePrimitivesRejectMalformedTrees(t *testing.T) {
 	g := graph.Path(4)
-	nw := newNet(g)
 	noRoot := graph.BFSTree(g, 0)
 	noRoot.Members = noRoot.Members[1:]
 	orphan := graph.BFSTree(g, 0)
 	orphan.Members = []graph.NodeID{0, 2} // 2's parent 1 is missing
+	if _, err := NewTreeSet(g, nil); !errors.Is(err, ErrNoTrees) {
+		t.Fatalf("no trees: err=%v, want ErrNoTrees", err)
+	}
 	for _, tc := range []struct {
-		tree *graph.Tree
-		want string
+		trees []*graph.Tree
+		want  string
 	}{
-		{noRoot, "does not list its root 0"},
-		{orphan, "member 2 of tree 0 has parent 1 outside the tree"},
+		{[]*graph.Tree{noRoot}, "congest: tree 0 does not list its root 0 among its members"},
+		{[]*graph.Tree{orphan}, "congest: member 2 of tree 0 has parent 1 outside the tree"},
+		{[]*graph.Tree{graph.BFSTree(g, 3), orphan}, "congest: member 2 of tree 1 has parent 1 outside the tree"},
 	} {
-		_, err := nw.ConvergecastMany([]*graph.Tree{tc.tree},
-			func(int, graph.NodeID) Word { return 1 }, AggSum)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("err=%v, want one containing %q", err, tc.want)
+		s, err := NewTreeSet(g, tc.trees)
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("err=%v, want %q", err, tc.want)
+		}
+		if s != nil {
+			t.Fatal("a rejected collection returned a set")
 		}
 	}
-	if nw.Rounds() != 0 {
-		t.Fatalf("a rejected tree collection charged %d rounds", nw.Rounds())
+}
+
+// A set compiled for one graph is refused by a network over another, even
+// an identical one, before anything is charged: its directed edges name
+// links of its own graph.
+func TestTreeSetForeignGraph(t *testing.T) {
+	g, other := graph.Grid(3, 3), graph.Grid(3, 3)
+	s := mustSet(t, g, graph.BFSTree(g, 0), graph.BFSTree(g, 8))
+	nw := newNet(other)
+	if _, err := nw.AggregateMany(s, func(int, graph.NodeID) Word { return 1 }, AggSum); !errors.Is(err, errForeignSet) {
+		t.Fatalf("AggregateMany: err=%v, want %v", err, errForeignSet)
+	}
+	nop := func(int, graph.NodeID, Word) {}
+	if err := nw.UpDownMany(s, func(int, graph.NodeID) Word { return 1 }, AggSum,
+		func(int, Word) Word { return 0 }, nil, nop); !errors.Is(err, errForeignSet) {
+		t.Fatalf("UpDownMany: err=%v, want %v", err, errForeignSet)
+	}
+	if m := nw.Metrics(); m != (Metrics{}) {
+		t.Fatalf("a refused set was charged %+v", m)
+	}
+	// The same set runs on a network over its own graph.
+	if _, err := newNet(g).AggregateMany(s, func(int, graph.NodeID) Word { return 1 }, AggSum); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -306,7 +373,7 @@ func TestRandomDelaysAblation(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			trees = append(trees, graph.BFSTree(g, 0))
 		}
-		out, err := nw.ConvergecastMany(trees,
+		out, err := convergecast(nw, trees,
 			func(_ int, v graph.NodeID) Word { return 1 }, AggSum)
 		if err != nil {
 			t.Fatal(err)
@@ -328,7 +395,7 @@ func TestDeterministicRounds(t *testing.T) {
 			graph.BFSTree(g, 24),
 			graph.BFSTree(g, 12),
 		}
-		out, err := nw.AggregateMany(trees,
+		out, err := nw.AggregateMany(mustSet(t, g, trees...),
 			func(t int, v graph.NodeID) Word { return Word(v * (t + 1)) }, AggMax)
 		if err != nil {
 			t.Fatal(err)
@@ -355,7 +422,7 @@ func TestConvergecastSumProperty(t *testing.T) {
 		g := graph.RandomConnected(n, n/2, 1, seed)
 		nw := NewNetwork(g, Options{Seed: seed})
 		tr := graph.BFSTree(g, 0)
-		out, err := nw.ConvergecastMany([]*graph.Tree{tr},
+		out, err := convergecast(nw, []*graph.Tree{tr},
 			func(_ int, v graph.NodeID) Word { return Word(v) + 1 }, AggSum)
 		if err != nil {
 			return false

@@ -160,7 +160,7 @@ func TestConvergecastDetectsFaults(t *testing.T) {
 	g := graph.Grid(4, 4)
 	nw := faultyNet(g, 21, faultinject.Spec{FlakyLinkProb: 1, FlakyDropProb: 1})
 	tree := graph.BFSTree(g, 0)
-	_, err := nw.ConvergecastMany([]*graph.Tree{tree},
+	_, err := convergecast(nw, []*graph.Tree{tree},
 		func(t int, v graph.NodeID) Word { return 1 }, AggSum)
 	if err == nil {
 		t.Fatalf("convergecast over an all-dropping network reported success")
@@ -176,13 +176,13 @@ func TestConvergecastSurvivesDelays(t *testing.T) {
 	g := graph.Grid(5, 5)
 	tree := graph.BFSTree(g, 0)
 	reliable := NewNetwork(g, Options{Seed: 2})
-	want, err := reliable.ConvergecastMany([]*graph.Tree{tree},
+	want, err := convergecast(reliable, []*graph.Tree{tree},
 		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatalf("reliable convergecast: %v", err)
 	}
 	nw := faultyNet(g, 2, faultinject.Spec{DelayProb: 0.4, MaxDelay: 3})
-	got, err := nw.ConvergecastMany([]*graph.Tree{tree},
+	got, err := convergecast(nw, []*graph.Tree{tree},
 		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatalf("delayed convergecast: %v", err)
@@ -203,13 +203,13 @@ func TestBroadcastSurvivesDrops(t *testing.T) {
 	g := graph.Grid(5, 5)
 	tree := graph.BFSTree(g, 0)
 	reliable := NewNetwork(g, Options{Seed: 4})
-	if err := reliable.BroadcastMany([]*graph.Tree{tree}, []Word{7},
+	if err := broadcast(reliable, []*graph.Tree{tree}, []Word{7},
 		func(t int, v graph.NodeID, w Word) {}); err != nil {
 		t.Fatalf("reliable broadcast: %v", err)
 	}
 	nw := faultyNet(g, 4, faultinject.Spec{DropProb: 0.3})
 	seen := make([]Word, g.N())
-	if err := nw.BroadcastMany([]*graph.Tree{tree}, []Word{7},
+	if err := broadcast(nw, []*graph.Tree{tree}, []Word{7},
 		func(t int, v graph.NodeID, w Word) { seen[v] = w }); err != nil {
 		t.Fatalf("broadcast under 30%% drop: %v", err)
 	}
@@ -236,7 +236,7 @@ func TestBroadcastDropsDuplicates(t *testing.T) {
 		heard[i] = make([]int, g.N())
 	}
 	wrong := 0
-	err := nw.BroadcastMany(trees, rootVal, func(i int, v graph.NodeID, w Word) {
+	err := broadcast(nw, trees, rootVal, func(i int, v graph.NodeID, w Word) {
 		heard[i][v]++
 		if w != rootVal[i] {
 			wrong++
@@ -267,7 +267,7 @@ func TestFaultyTreeSchedTerminates(t *testing.T) {
 	g := graph.Path(8)
 	nw := faultyNet(g, 17, faultinject.Spec{DropProb: 0.9, DelayProb: 0.1, MaxDelay: 5})
 	tree := graph.BFSTree(g, 0)
-	err := nw.BroadcastMany([]*graph.Tree{tree}, []Word{42},
+	err := broadcast(nw, []*graph.Tree{tree}, []Word{42},
 		func(t int, v graph.NodeID, w Word) {})
 	if err == nil {
 		t.Fatalf("broadcast under 90%% drop reported success")

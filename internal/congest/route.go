@@ -42,7 +42,7 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 			if e.U != v && e.V != v {
 				return nil, fmt.Errorf("congest: packet %d: edge %d not incident to %d", i, id, v)
 			}
-			de := nw.dirEdge(id, v)
+			de := dirEdge(nw.g, id, v)
 			use[de]++
 			if use[de] > c {
 				c = use[de]
@@ -67,7 +67,7 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 			continue
 		}
 		remaining++
-		sched.push(nw.dirEdge(p.Edges[0], p.Start), pendingSend{
+		sched.push(dirEdge(nw.g, p.Edges[0], p.Start), pendingSend{
 			id: int32(i), from: p.Start, to: nw.g.Other(p.Edges[0], p.Start),
 			w: p.Payload, eligible: 1 + delays[i],
 		})
@@ -83,7 +83,7 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 			return
 		}
 		id := pkts[i].Edges[st.next]
-		sched.push(nw.dirEdge(id, st.at), pendingSend{
+		sched.push(dirEdge(nw.g, id, st.at), pendingSend{
 			id: int32(i), from: st.at, to: nw.g.Other(id, st.at),
 			w: ps.w, eligible: sched.round + 1,
 		})

@@ -21,8 +21,8 @@ func FloatWord(f float64) Word {
 func WordFloat(w Word) float64 { return math.Float64frombits(uint64(w)) }
 
 // UpDownMany runs the two passes of a distributed tree solver,
-// concurrently over every tree: a convergecast of val under agg, then a
-// transforming sweep from each root toward the leaves. The root of tree t
+// concurrently over every tree of s: a convergecast of val under agg, then
+// a transforming sweep from each root toward the leaves. The root of tree t
 // starts the downward pass with rootVal(t, total), where total is its
 // subtree aggregate; a parent sends each child down(t, parent, child,
 // parentVal, childSub), a function of what both endpoints know after the
@@ -30,26 +30,24 @@ func WordFloat(w Word) float64 { return math.Float64frombits(uint64(w)) }
 // fires once at every member with the value it received, the root first.
 //
 // Every member must finish the upward pass ("stuck at node" otherwise)
-// before the downward one starts. The layout is built once for both
-// passes, and each pass draws its random delays as a separate primitive
-// would. A steady-state call allocates nothing.
+// before the downward one starts. Each pass draws its random delays as a
+// separate primitive would. A steady-state call allocates nothing.
 func (nw *Network) UpDownMany(
-	trees []*graph.Tree,
+	s *TreeSet,
 	val func(t int, v graph.NodeID) Word,
 	agg Agg,
 	rootVal func(t int, total Word) Word,
 	down func(t int, parent, child graph.NodeID, parentVal, childSub Word) Word,
 	on func(t int, v graph.NodeID, w Word),
 ) error {
-	l, err := nw.layoutFor(trees)
-	if err != nil {
+	if err := nw.sweepFor(s); err != nil {
 		return err
 	}
-	nw.sweepUp(l, val, agg)
-	for i, left := range l.pending {
+	nw.sweepUp(s, val, agg)
+	for i, left := range nw.scr.pending {
 		if left != 0 {
-			return fmt.Errorf("congest: convergecast of tree %d stuck at node %d", l.tree[i], l.node[i])
+			return fmt.Errorf("congest: convergecast of tree %d stuck at node %d", s.tree[i], s.node[i])
 		}
 	}
-	return nw.sweepDown("down-sweep", l, rootVal, down, on)
+	return nw.sweepDown("down-sweep", s, rootVal, down, on)
 }

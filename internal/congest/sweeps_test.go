@@ -31,7 +31,11 @@ func subtreeSums(nw *Network, trees []*graph.Tree, val func(t int, v graph.NodeI
 	for t := range sums {
 		sums[t] = map[graph.NodeID]Word{}
 	}
-	err := nw.UpDownMany(trees, val, AggSum,
+	s, err := NewTreeSet(nw.Graph(), trees)
+	if err != nil {
+		return nil, err
+	}
+	err = nw.UpDownMany(s, val, AggSum,
 		func(_ int, total Word) Word { return total },
 		func(_ int, _, _ graph.NodeID, _, childSub Word) Word { return childSub },
 		func(t int, v graph.NodeID, w Word) { sums[t][v] = w })
@@ -78,7 +82,7 @@ func TestUpDownManyPrefixTransform(t *testing.T) {
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
 	depths := make(map[graph.NodeID]Word)
-	err := nw.UpDownMany([]*graph.Tree{tr},
+	err := nw.UpDownMany(mustSet(t, g, tr),
 		func(int, graph.NodeID) Word { return 0 }, AggSum,
 		func(int, Word) Word { return 0 },
 		func(_ int, _, _ graph.NodeID, parentVal, _ Word) Word { return parentVal + 1 },
@@ -98,9 +102,13 @@ func TestUpDownManyPrefixTransform(t *testing.T) {
 }
 
 // The convergecast that every member must finish is UpDownMany's upward
-// pass; an empty tree collection is rejected before it starts.
+// pass; an empty tree collection is rejected before it starts, whether
+// at compile time or as a nil set.
 func TestConvergecastAllNoTrees(t *testing.T) {
 	nw := newNet(graph.Path(2))
+	if _, err := NewTreeSet(nw.Graph(), nil); !errors.Is(err, ErrNoTrees) {
+		t.Fatalf("NewTreeSet: err=%v, want ErrNoTrees", err)
+	}
 	if err := nw.UpDownMany(nil, nil, AggSum, nil, nil, nil); !errors.Is(err, ErrNoTrees) {
 		t.Fatalf("err=%v, want ErrNoTrees", err)
 	}
@@ -137,7 +145,7 @@ func TestDownSweepManyErrors(t *testing.T) {
 	// Both nodes live through round 1, which carries the child's value up,
 	// and are down in round 2, which would carry the root's word back.
 	nw := crashPath2(t, false, false)
-	err := nw.UpDownMany([]*graph.Tree{tr},
+	err := nw.UpDownMany(mustSet(t, nw.Graph(), tr),
 		func(int, graph.NodeID) Word { return 1 }, AggSum,
 		func(_ int, total Word) Word { return total },
 		func(_ int, _, _ graph.NodeID, parentVal, _ Word) Word { return parentVal },
@@ -155,7 +163,7 @@ func TestDownSweepManyErrors(t *testing.T) {
 	// The child is down from round 1, so the broadcast's one word dies.
 	heard = heard[:0]
 	nw = crashPath2(t, false, true)
-	err = nw.BroadcastMany([]*graph.Tree{tr}, []Word{7}, on)
+	err = broadcast(nw, []*graph.Tree{tr}, []Word{7}, on)
 	if want := "broadcast of tree 0 reached 1 of 2 members"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err=%v, want one containing %q", err, want)
 	}
@@ -187,7 +195,11 @@ func TestTreeSolveIdentityProperty(t *testing.T) {
 		}
 		fsum := func(a, b Word) Word { return FloatWord(WordFloat(a) + WordFloat(b)) }
 		y := make([]float64, n)
-		err := nw.UpDownMany([]*graph.Tree{tr},
+		s, err := NewTreeSet(g, []*graph.Tree{tr})
+		if err != nil {
+			return false
+		}
+		err = nw.UpDownMany(s,
 			func(_ int, v graph.NodeID) Word { return FloatWord(r[v]) }, fsum,
 			func(int, Word) Word { return FloatWord(0) },
 			func(_ int, _, child graph.NodeID, parentVal, childSub Word) Word {

@@ -2,8 +2,8 @@ package congest
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 
 	"distlap/internal/faultinject"
 	"distlap/internal/graph"
@@ -41,8 +41,8 @@ func AggOr(a, b Word) Word {
 }
 
 // pendingSend is one word waiting to cross a directed edge. id tells the
-// receiver what the word is for: its own layout slot in the tree
-// primitives, the packet index in RouteMany.
+// receiver what the word is for: its own set slot in the tree primitives,
+// the packet index in RouteMany.
 type pendingSend struct {
 	id       int32
 	from     graph.NodeID
@@ -51,50 +51,87 @@ type pendingSend struct {
 	eligible int // earliest round this send may occur
 }
 
+// edgeSet is an ordered set of directed edges: one bit per edge, and one
+// summary bit per 64-edge word, set while that word is nonzero. A walk
+// reads every summary word (one per 4,096 edges) and only the flagged
+// edge words, so it visits the members in ascending order without
+// scanning the empty ones.
+type edgeSet struct {
+	words []uint64 // bit de%64 of words[de/64]: de is in the set
+	sum   []uint64 // bit w%64 of sum[w/64]: words[w] is nonzero
+	n     int      // members
+}
+
+// reset sizes the set for n directed edges, all absent.
+func (e *edgeSet) reset(n int) {
+	e.words = make([]uint64, (n+63)/64)
+	e.sum = make([]uint64, (len(e.words)+63)/64)
+	e.n = 0
+}
+
+// add inserts de, which must be absent.
+func (e *edgeSet) add(de int) {
+	e.words[de>>6] |= 1 << (de & 63)
+	e.sum[de>>12] |= 1 << ((de >> 6) & 63)
+	e.n++
+}
+
 // treeSched is the shared store-and-forward scheduler for tree-structured
 // communication: per directed edge a FIFO of pending sends, at most one
 // crossing per round. The FIFOs live in the network's pooled scratch
 // (indexed by directed edge, so lookup is an array access, not a map
 // probe) and keep their capacity across schedules.
 //
-// Ordering invariant: active holds exactly the directed edges with
-// nonempty FIFOs, and is processed in ascending order every round. dirty
-// is set only when push activates a new edge — the per-round filtering
-// preserves sortedness, so a re-sort is needed only after pushes. The list
-// holds distinct edges, so any sort yields the same processed order, which
-// is what keeps charge order and delivery order — and therefore every
-// gated metric — byte-identical.
+// Ordering invariant: the scratch's edgeSet holds exactly the directed
+// edges with nonempty FIFOs, and every round walks it in ascending order.
+// That processed order is what keeps charge order and delivery order — and
+// therefore every gated metric — byte-identical; a set walk yields it with
+// no sort.
 type treeSched struct {
 	nw     *Network
-	active []int // sorted dirEdges with nonempty queues (aliases scr.schedActive)
-	dirty  bool
 	round  int
 	pushes int // total sends ever queued (sizes the faulty-run round cap)
 }
 
 func newTreeSched(nw *Network) *treeSched {
-	s := &nw.scr
-	if len(s.schedQueues) != 2*nw.g.M() {
-		s.schedQueues = make([][]pendingSend, 2*nw.g.M())
-		s.schedActive = s.schedActive[:0]
+	nw.scr.readySched(2 * nw.g.M())
+	return &treeSched{nw: nw}
+}
+
+// readySched readies the pooled FIFOs for a schedule over m directed
+// edges. A schedule abandoned under faults may have left sends queued; the
+// ordered set still names exactly those FIFOs (push adds an edge, only an
+// emptied edge leaves), so walking it restores the all-empty invariant.
+// It is kept out of newTreeSched, whose inlining keeps the scheduler off
+// the heap.
+func (s *scratch) readySched(m int) {
+	set := &s.schedSet
+	if len(s.schedQueues) != m {
+		s.schedQueues = make([][]pendingSend, m)
+		set.reset(m)
+		return
 	}
-	// A previous schedule abandoned under faults may have left sends
-	// queued; schedActive still lists exactly the nonempty FIFOs
-	// (push adds an edge, only an emptied edge is dropped), so resetting
-	// those restores the all-empty invariant.
-	for _, de := range s.schedActive {
-		s.schedQueues[de] = s.schedQueues[de][:0]
+	for si, sw := range set.sum {
+		for ; sw != 0; sw &= sw - 1 {
+			wi := si<<6 | bits.TrailingZeros64(sw)
+			for w := set.words[wi]; w != 0; w &= w - 1 {
+				de := wi<<6 | bits.TrailingZeros64(w)
+				s.schedQueues[de] = s.schedQueues[de][:0]
+			}
+			set.words[wi] = 0
+		}
+		set.sum[si] = 0
 	}
-	return &treeSched{nw: nw, active: s.schedActive[:0]}
+	set.n = 0
 }
 
 func (s *treeSched) push(de int, ps pendingSend) {
-	q := s.nw.scr.schedQueues[de]
+	scr := &s.nw.scr
+	q := scr.schedQueues[de]
 	if len(q) == 0 {
-		s.active = append(s.active, de)
-		s.dirty = true
+		scr.schedSet.add(de)
 	}
-	s.nw.scr.schedQueues[de] = append(q, ps)
+	scr.schedQueues[de] = append(q, ps)
 	s.pushes++
 }
 
@@ -109,82 +146,87 @@ func (s *treeSched) push(de int, ps pendingSend) {
 // delivered once or twice, swallowed by a crashed receiver, retried next
 // round from its FIFO slot, or stalled uncharged until its delay passes.
 func (s *treeSched) step(deliver func(ps pendingSend)) bool {
-	if len(s.active) == 0 {
-		s.nw.scr.schedActive = s.active
+	nw := s.nw
+	set := &nw.scr.schedSet
+	if set.n == 0 {
 		return false
 	}
-	nw := s.nw
 	faults := nw.link.Plan
 	if faults != nil && s.round >= s.faultRoundCap() {
 		// A fault plan can starve completeness (every remaining send
 		// perpetually delayed); abandon the schedule so the primitives'
 		// completeness checks report the failure instead of spinning.
-		nw.scr.schedActive = s.active
 		return false
 	}
 	nw.checkCancel()
-	if s.dirty {
-		slices.Sort(s.active)
-		s.dirty = false
-	}
 	s.round++
 	round := nw.metrics.Rounds + 1 // global round in progress: fault decisions key on it
 	delivered := nw.scr.schedDelivered[:0]
 	queues := nw.scr.schedQueues
-	newActive := s.active[:0]
-	for _, de := range s.active {
-		q := queues[de]
-		for i := range q {
-			if q[i].eligible > s.round {
-				continue
-			}
-			ps := q[i]
-			o := faultinject.Outcome{} // a reliable link delivers
-			if faults != nil {
-				if nw.link.SenderDown(ps.from, round) {
-					// Every send queued on this edge is from the dead node
-					// (by the directed-edge encoding); all die unsent.
-					nw.link.CrashDrop(len(q))
-					q = q[:0]
+	// Walk the nonempty FIFOs in ascending directed-edge order: summary
+	// bits name the nonzero words, word bits the edges. The round's pushes
+	// happen after the walk, in deliver.
+	for si, sw := range set.sum {
+		for ; sw != 0; sw &= sw - 1 {
+			wi := si<<6 | bits.TrailingZeros64(sw)
+			for w := set.words[wi]; w != 0; w &= w - 1 {
+				de := wi<<6 | bits.TrailingZeros64(w)
+				q := queues[de]
+				for i := range q {
+					if q[i].eligible > s.round {
+						continue
+					}
+					ps := q[i]
+					o := faultinject.Outcome{} // a reliable link delivers
+					if faults != nil {
+						if nw.link.SenderDown(ps.from, round) {
+							// Every send queued on this edge is from the dead node
+							// (by the directed-edge encoding); all die unsent.
+							nw.link.CrashDrop(len(q))
+							q = q[:0]
+							break
+						}
+						o = nw.link.Edge(round, de, ps.to)
+					}
+					switch o.Action {
+					case faultinject.DeliverTwice:
+						nw.chargeEdge(de)
+						delivered = append(delivered, ps)
+						fallthrough // then delivered like any other send
+					case faultinject.Deliver:
+						nw.chargeEdge(de)
+						q = append(q[:i], q[i+1:]...)
+						delivered = append(delivered, ps)
+					case faultinject.Lost:
+						nw.chargeEdge(de)
+						q = append(q[:i], q[i+1:]...)
+					case faultinject.Retry:
+						// Charged and lost; the send keeps its FIFO slot and the link
+						// retries it next round. Only a plan that drops forever
+						// starves the schedule, and faultRoundCap turns that into a
+						// completeness error.
+						nw.chargeEdge(de)
+					case faultinject.Stall:
+						// Nothing crosses: the send keeps its FIFO slot and becomes
+						// eligible again after the delay.
+						q[i].eligible = s.round + o.Delay
+					}
+					if o.Action != faultinject.Deliver {
+						nw.link.Record(o)
+					}
 					break
 				}
-				o = nw.link.Edge(round, de, ps.to)
+				queues[de] = q
+				if len(q) == 0 {
+					set.words[wi] &^= w & -w
+					set.n--
+				}
 			}
-			switch o.Action {
-			case faultinject.DeliverTwice:
-				nw.chargeEdge(de)
-				delivered = append(delivered, ps)
-				fallthrough // then delivered like any other send
-			case faultinject.Deliver:
-				nw.chargeEdge(de)
-				q = append(q[:i], q[i+1:]...)
-				delivered = append(delivered, ps)
-			case faultinject.Lost:
-				nw.chargeEdge(de)
-				q = append(q[:i], q[i+1:]...)
-			case faultinject.Retry:
-				// Charged and lost; the send keeps its FIFO slot and the link
-				// retries it next round. Only a plan that drops forever
-				// starves the schedule, and faultRoundCap turns that into a
-				// completeness error.
-				nw.chargeEdge(de)
-			case faultinject.Stall:
-				// Nothing crosses: the send keeps its FIFO slot and becomes
-				// eligible again after the delay.
-				q[i].eligible = s.round + o.Delay
+			if set.words[wi] == 0 {
+				set.sum[si] &^= sw & -sw
 			}
-			if o.Action != faultinject.Deliver {
-				nw.link.Record(o)
-			}
-			break
-		}
-		queues[de] = q
-		if len(q) > 0 {
-			newActive = append(newActive, de)
 		}
 	}
-	s.active = newActive
-	nw.scr.schedActive = newActive
 	nw.chargeRound()
 	for _, ps := range delivered {
 		deliver(ps)
@@ -218,23 +260,44 @@ func (nw *Network) randomDelays(k, c int) []int {
 	return delays
 }
 
+// sweepFor readies the network's pooled sweep state for set s. A nil set
+// is ErrNoTrees, and a set compiled for another graph is refused; neither
+// charges anything.
+func (nw *Network) sweepFor(s *TreeSet) error {
+	if s == nil {
+		return ErrNoTrees
+	}
+	if s.g != nw.g {
+		return errForeignSet
+	}
+	scr := &nw.scr
+	scr.acc = grown(scr.acc, len(s.node))
+	scr.pending = grown(scr.pending, len(s.node))
+	scr.seen = grown(scr.seen, len(s.node))
+	scr.got = grown(scr.got, len(s.root))
+	return nil
+}
+
 // sweepUp is the one upward body of the tree primitives: a scheduled
-// convergecast of val under agg on every tree of l. It leaves each slot's
-// subtree aggregate in l.acc and its unheard children in l.pending; the
-// primitives differ only in how they check that state for completion.
-func (nw *Network) sweepUp(l *layout, val func(t int, v graph.NodeID) Word, agg Agg) {
+// convergecast of val under agg on every tree of s. It leaves each slot's
+// subtree aggregate in the scratch's acc and its unheard children in
+// pending; the primitives differ only in how they check that state for
+// completion. The caller has run sweepFor.
+func (nw *Network) sweepUp(s *TreeSet, val func(t int, v graph.NodeID) Word, agg Agg) {
+	acc, pending := nw.scr.acc, nw.scr.pending
 	sched := newTreeSched(nw)
-	delays := nw.randomDelays(len(l.root), l.c)
-	for i, v := range l.node {
-		l.acc[i] = val(int(l.tree[i]), v)
-		l.pending[i] = l.kids[i+1] - l.kids[i]
+	delays := nw.randomDelays(len(s.root), s.c)
+	before := nw.metrics.Rounds
+	for i, v := range s.node {
+		acc[i] = val(int(s.tree[i]), v)
+		pending[i] = s.kids[i+1] - s.kids[i]
 	}
 	// Leaves are immediately ready to send to their parents.
-	for i, p := range l.parent {
-		if l.pending[i] == 0 && p != -1 {
-			sched.push(int(l.up[i]), pendingSend{
-				id: p, from: l.node[i], to: l.node[p], w: l.acc[i],
-				eligible: 1 + delays[l.tree[i]],
+	for i, p := range s.parent {
+		if pending[i] == 0 && p != -1 {
+			sched.push(int(s.up[i]), pendingSend{
+				id: p, from: s.node[i], to: s.node[p], w: acc[i],
+				eligible: 1 + delays[s.tree[i]],
 			})
 		}
 	}
@@ -242,161 +305,123 @@ func (nw *Network) sweepUp(l *layout, val func(t int, v graph.NodeID) Word, agg 
 	// whose subtree is complete forwards its total to its parent.
 	deliver := func(ps pendingSend) {
 		i := ps.id
-		l.acc[i] = agg(l.acc[i], ps.w)
-		l.pending[i]--
-		if p := l.parent[i]; l.pending[i] == 0 && p != -1 {
-			sched.push(int(l.up[i]), pendingSend{
-				id: p, from: ps.to, to: l.node[p], w: l.acc[i],
+		acc[i] = agg(acc[i], ps.w)
+		pending[i]--
+		if p := s.parent[i]; pending[i] == 0 && p != -1 {
+			sched.push(int(s.up[i]), pendingSend{
+				id: p, from: ps.to, to: s.node[p], w: acc[i],
 				eligible: sched.round + 1,
 			})
 		}
 	}
 	for sched.step(deliver) {
 	}
+	nw.checkSweep("convergecast", s, delays, nw.metrics.Rounds-before)
 }
 
 // rootTotals returns each tree's root aggregate after sweepUp, or an error
 // for the first tree whose root has not heard from every child.
-func (l *layout) rootTotals() ([]Word, error) {
-	out := make([]Word, len(l.root))
-	for t, i := range l.root {
-		if l.pending[i] != 0 {
+func (nw *Network) rootTotals(s *TreeSet) ([]Word, error) {
+	out := make([]Word, len(s.root))
+	for t, i := range s.root {
+		if nw.scr.pending[i] != 0 {
 			return nil, fmt.Errorf("congest: convergecast of tree %d did not complete", t)
 		}
-		out[t] = l.acc[i]
+		out[t] = nw.scr.acc[i]
 	}
 	return out, nil
 }
 
-// ConvergecastMany aggregates, concurrently for every tree, the value
-// val(t, v) over the tree's members using agg, delivering the result to each
-// tree's root. Trees may share graph edges; every directed edge carries at
-// most one word per round, so the measured cost is the true scheduled
-// makespan (O(congestion + depth) with random delays, up to log factors).
-// Returns the per-tree root aggregates. Aside from the returned slice, a
-// steady-state call runs entirely on pooled member-slot state: cost
-// Θ(Σ members + scheduled rounds), zero allocation after warmup.
-func (nw *Network) ConvergecastMany(
-	trees []*graph.Tree,
-	val func(t int, v graph.NodeID) Word,
-	agg Agg,
-) ([]Word, error) {
-	l, err := nw.layoutFor(trees)
-	if err != nil {
-		return nil, err
-	}
-	nw.sweepUp(l, val, agg)
-	return l.rootTotals()
-}
-
-// BroadcastMany propagates, concurrently for every tree, the root value
-// rootVal[t] to all members. on(t, v, w) is invoked once per member with the
-// received value (including the root itself at round 0). Cost accounting is
-// identical to ConvergecastMany; like it, a steady-state call allocates
-// nothing.
-func (nw *Network) BroadcastMany(
-	trees []*graph.Tree,
-	rootVal []Word,
-	on func(t int, v graph.NodeID, w Word),
-) error {
-	l, err := nw.layoutFor(trees)
-	if err != nil {
-		return err
-	}
-	if len(rootVal) != len(trees) {
-		return fmt.Errorf("congest: %d root values for %d trees", len(rootVal), len(trees))
-	}
-	return nw.sweepDown("broadcast", l, func(t int, _ Word) Word { return rootVal[t] }, nil, on)
-}
-
 // sweepDown is the one downward body of the tree primitives: every root
-// sends rootVal(t, its l.acc entry) toward its leaves, one scheduled hop
-// per tree edge, and on(t, v, w) fires once at every member with the value
-// it received (the root at round 0). A parent sends each child
+// sends rootVal(t, its acc entry) toward its leaves, one scheduled hop per
+// tree edge, and on(t, v, w) fires once at every member with the value it
+// received (the root at round 0). A parent sends each child
 // next(t, parent, child, parentVal, childSub), where childSub is the
-// child's l.acc entry; a nil next forwards the parent's own value. A
+// child's acc entry; a nil next forwards the parent's own value. A
 // duplicated delivery is dropped by the receiver's seen mark. what names
-// the primitive in the completion error.
+// the primitive in the completion error. The caller has run sweepFor.
 func (nw *Network) sweepDown(
 	what string,
-	l *layout,
+	s *TreeSet,
 	rootVal func(t int, total Word) Word,
 	next func(t int, parent, child graph.NodeID, parentVal, childSub Word) Word,
 	on func(t int, v graph.NodeID, w Word),
 ) error {
+	acc, seen, got := nw.scr.acc, nw.scr.seen, nw.scr.got
 	sched := newTreeSched(nw)
-	delays := nw.randomDelays(len(l.root), l.c)
-	clear(l.seen)
-	clear(l.got)
+	delays := nw.randomDelays(len(s.root), s.c)
+	before := nw.metrics.Rounds
+	clear(seen)
+	clear(got)
 	fanOut := func(i int32, w Word, eligible int) {
-		for _, c := range l.kid[l.kids[i]:l.kids[i+1]] {
+		for _, c := range s.kid[s.kids[i]:s.kids[i+1]] {
 			cw := w
 			if next != nil {
-				cw = next(int(l.tree[i]), l.node[i], l.node[c], w, l.acc[c])
+				cw = next(int(s.tree[i]), s.node[i], s.node[c], w, acc[c])
 			}
 			// The parent→child directed edge is the child's up edge reversed.
-			sched.push(int(l.up[c]^1), pendingSend{
-				id: c, from: l.node[i], to: l.node[c], w: cw, eligible: eligible,
+			sched.push(int(s.up[c]^1), pendingSend{
+				id: c, from: s.node[i], to: s.node[c], w: cw, eligible: eligible,
 			})
 		}
 	}
-	for t, i := range l.root {
-		w := rootVal(t, l.acc[i])
-		l.seen[i] = true
-		l.got[t]++
-		on(t, l.node[i], w)
+	for t, i := range s.root {
+		w := rootVal(t, acc[i])
+		seen[i] = true
+		got[t]++
+		on(t, s.node[i], w)
 		fanOut(i, w, 1+delays[t])
 	}
 	deliver := func(ps pendingSend) {
 		i := ps.id
-		if l.seen[i] {
+		if seen[i] {
 			return
 		}
-		l.seen[i] = true
-		t := int(l.tree[i])
-		l.got[t]++
+		seen[i] = true
+		t := int(s.tree[i])
+		got[t]++
 		on(t, ps.to, ps.w)
 		fanOut(i, ps.w, sched.round+1)
 	}
 	for sched.step(deliver) {
 	}
-	for t, got := range l.got {
-		if members := int(l.first[t+1] - l.first[t]); got != members {
-			return fmt.Errorf("congest: %s of tree %d reached %d of %d members", what, t, got, members)
+	nw.checkSweep(what, s, delays, nw.metrics.Rounds-before)
+	for t, n := range got {
+		if members := int(s.first[t+1] - s.first[t]); n != members {
+			return fmt.Errorf("congest: %s of tree %d reached %d of %d members", what, t, n, members)
 		}
 	}
 	return nil
 }
 
-// AggregateMany runs a full part-wise aggregation round-trip on every tree:
-// convergecast of val under agg to the root, then broadcast of the result
-// back to all members. It returns the per-tree aggregates (which, after the
-// call, every member of the corresponding tree knows). This realizes
-// Proposition 6's "solve part-wise aggregation given trees of the shortcut
-// subgraphs".
+// AggregateMany runs a full part-wise aggregation round-trip on every tree
+// of s: convergecast of val under agg to the root, then broadcast of the
+// result back to all members. It returns the per-tree aggregates (which,
+// after the call, every member of the corresponding tree knows). This
+// realizes Proposition 6's "solve part-wise aggregation given trees of the
+// shortcut subgraphs".
 //
 // Charges O(c·(maxdepth + log k)) rounds for congestion c over k trees
-// (random-delay scheduling; see layoutFor). Deterministic for a fixed
-// network seed: scheduling draws come from the network RNG in canonical
-// tree order, once per half. The layout is built once for both halves, and
-// it and the scheduler queues are pooled — steady state allocates only the
-// returned []Word (pinned by TestAggregateManySteadyStateAllocs).
+// (random-delay scheduling). Deterministic for a fixed network seed:
+// scheduling draws come from the network RNG in canonical tree order, once
+// per half. The sweep state and the scheduler queues are pooled — steady
+// state allocates only the returned []Word (pinned by
+// TestAggregateManySteadyStateAllocs).
 func (nw *Network) AggregateMany(
-	trees []*graph.Tree,
+	s *TreeSet,
 	val func(t int, v graph.NodeID) Word,
 	agg Agg,
 ) ([]Word, error) {
-	l, err := nw.layoutFor(trees)
-	if err != nil {
+	if err := nw.sweepFor(s); err != nil {
 		return nil, err
 	}
-	nw.sweepUp(l, val, agg)
-	up, err := l.rootTotals()
+	nw.sweepUp(s, val, agg)
+	up, err := nw.rootTotals(s)
 	if err != nil {
 		return nil, err
 	}
 	forward := func(_ int, total Word) Word { return total }
-	if err := nw.sweepDown("broadcast", l, forward, nil, func(int, graph.NodeID, Word) {}); err != nil {
+	if err := nw.sweepDown("broadcast", s, forward, nil, func(int, graph.NodeID, Word) {}); err != nil {
 		return nil, err
 	}
 	return up, nil

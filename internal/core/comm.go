@@ -58,9 +58,11 @@ type Comm interface {
 	// batched into one pipelined aggregation.
 	GlobalSums(vecs ...[]float64) ([]float64, error)
 	// ClusterTrees materializes aggregation trees for (possibly
-	// overlapping) node clusters; the choice of tree shape is what
-	// separates the universal solver from the baseline.
-	ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, error)
+	// overlapping) node clusters, compiled into one set; the choice of
+	// tree shape is what separates the universal solver from the baseline.
+	// The set is immutable, so a prepared instance shares it read-only
+	// with every request.
+	ClusterTrees(clusters [][]graph.NodeID) (*congest.TreeSet, error)
 	// TreeUpDown runs, concurrently over all trees, an upward subtree-sum
 	// sweep of leaf values followed by a downward transforming sweep, and
 	// returns each tree's node potentials. rootVal seeds the downward pass
@@ -68,12 +70,12 @@ type Comm interface {
 	// from its parent's potential and the child's subtree sum.
 	//
 	// The result is dense: row t is indexed by node ID, defined only at
-	// trees[t].Members (other slots hold stale scratch). Rows alias the
+	// set.Tree(t).Members (other slots hold stale scratch). Rows alias the
 	// comm's pooled sweep buffer and are valid until the next TreeUpDown on
 	// this comm (TreeTotals and the other primitives do not disturb them);
 	// callers needing longer retention must copy.
 	TreeUpDown(
-		trees []*graph.Tree,
+		set *congest.TreeSet,
 		leaf func(t int, v graph.NodeID) float64,
 		rootVal func(t int, total float64) float64,
 		down func(t int, parent, child graph.NodeID, parentVal, childSubtree float64) float64,
@@ -85,7 +87,7 @@ type Comm interface {
 	// the identity — same pushes, same deliveries, same RNG draws — so the
 	// two are charge-equivalent; TreeTotals just skips materializing
 	// per-node potentials nobody reads.
-	TreeTotals(trees []*graph.Tree, leaf func(t int, v graph.NodeID) float64) ([]float64, error)
+	TreeTotals(set *congest.TreeSet, leaf func(t int, v graph.NodeID) float64) ([]float64, error)
 }
 
 // fsum is float64 summation over bit-packed words.
@@ -99,19 +101,23 @@ var FloatSum = partwise.AggSpec{Name: "fsum", Fn: fsum, Identity: congest.FloatW
 
 // CongestComm implements Comm on the CONGEST engine. Like the engine it
 // wraps, a comm is request-private and single-goroutine, so the pooled
-// buffers below (MatVec output, sweep potentials, per-call tree lists) are
-// reused across iterations without synchronization; none of them carries
-// information between calls.
+// buffers below (MatVec output, sweep potentials) are reused across
+// iterations without synchronization; none of them carries information
+// between calls.
 type CongestComm struct {
 	nw    *congest.Network
 	naive bool
 
 	globalTree *graph.Tree
+	// globalSets[k] is the global tree repeated k times, compiled the
+	// first time this request sums k vectors (Iterate and SolveChebyshev
+	// ask for k = 1 and 2). They stay per request: on the instance they
+	// would grow every cached entry for a compile that costs microseconds.
+	globalSets []*congest.TreeSet
 
-	mvY     []float64     // MatVecLaplacian output (pooled)
-	gsTrees []*graph.Tree // GlobalSums per-call tree list (pooled)
-	udOut   [][]float64   // TreeUpDown row views (pooled)
-	udArena []float64     // TreeUpDown dense potentials, k·n (pooled)
+	mvY     []float64   // MatVecLaplacian output (pooled)
+	udOut   [][]float64 // TreeUpDown row views (pooled)
+	udArena []float64   // TreeUpDown dense potentials, k·n (pooled)
 }
 
 var _ Comm = (*CongestComm)(nil)
@@ -203,8 +209,11 @@ func (c *CongestComm) GlobalSums(vecs ...[]float64) ([]float64, error) {
 	if len(vecs) == 0 {
 		return nil, nil
 	}
-	trees := c.treeList(len(vecs))
-	out, err := c.nw.AggregateMany(trees, func(t int, v graph.NodeID) congest.Word {
+	set, err := c.globalSet(len(vecs))
+	if err != nil {
+		return nil, err
+	}
+	out, err := c.nw.AggregateMany(set, func(t int, v graph.NodeID) congest.Word {
 		return congest.FloatWord(vecs[t][v])
 	}, fsum)
 	if err != nil {
@@ -217,23 +226,32 @@ func (c *CongestComm) GlobalSums(vecs ...[]float64) ([]float64, error) {
 	return sums, nil
 }
 
-// treeList returns a pooled k-element slice of the global tree.
-func (c *CongestComm) treeList(k int) []*graph.Tree {
-	if cap(c.gsTrees) < k {
-		c.gsTrees = make([]*graph.Tree, k)
+// globalSet returns the global tree repeated k times, compiled on this
+// request's first k-vector sum.
+func (c *CongestComm) globalSet(k int) (*congest.TreeSet, error) {
+	if k >= len(c.globalSets) {
+		c.globalSets = append(c.globalSets, make([]*congest.TreeSet, k+1-len(c.globalSets))...)
 	}
-	trees := c.gsTrees[:k]
-	for i := range trees {
-		trees[i] = c.globalTree
+	if c.globalSets[k] == nil {
+		trees := make([]*graph.Tree, k)
+		for i := range trees {
+			trees[i] = c.globalTree
+		}
+		set, err := congest.NewTreeSet(c.nw.Graph(), trees)
+		if err != nil {
+			return nil, err
+		}
+		c.globalSets[k] = set
 	}
-	return trees
+	return c.globalSets[k], nil
 }
 
 // ClusterTrees implements Comm. Universal mode: a BFS tree inside each
 // cluster (height ≤ cluster diameter). Naive mode: the cluster's Steiner
 // subtree of the global BFS tree — tall and overlapping near the root, the
-// existential baseline's behaviour.
-func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, error) {
+// existential baseline's behaviour. Either way the trees come back
+// compiled into one set.
+func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) (*congest.TreeSet, error) {
 	g := c.nw.Graph()
 	trees := make([]*graph.Tree, len(clusters))
 	var sub graph.Induced
@@ -251,7 +269,7 @@ func (c *CongestComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, er
 		}
 		trees[i] = tr
 	}
-	return trees, nil
+	return congest.NewTreeSet(g, trees)
 }
 
 // steinerTreeOfGlobal returns the subtree of the global tree spanning the
@@ -312,14 +330,14 @@ func steinerTreeOfGlobal(g *graph.Graph, global *graph.Tree, terminals []graph.N
 
 // TreeUpDown implements Comm via the engine's UpDownMany. The returned
 // rows are dense, pooled views (see the interface contract): entries
-// outside trees[t].Members are stale scratch.
+// outside set.Tree(t).Members are stale scratch.
 func (c *CongestComm) TreeUpDown(
-	trees []*graph.Tree,
+	set *congest.TreeSet,
 	leaf func(t int, v graph.NodeID) float64,
 	rootVal func(t int, total float64) float64,
 	down func(t int, parent, child graph.NodeID, parentVal, childSubtree float64) float64,
 ) ([][]float64, error) {
-	k := len(trees)
+	k := set.Len()
 	n := c.nw.Graph().N()
 	if cap(c.udArena) < k*n {
 		c.udArena = make([]float64, k*n)
@@ -332,7 +350,7 @@ func (c *CongestComm) TreeUpDown(
 	for t := range out {
 		out[t] = arena[t*n : (t+1)*n]
 	}
-	err := c.nw.UpDownMany(trees,
+	err := c.nw.UpDownMany(set,
 		func(t int, v graph.NodeID) congest.Word {
 			return congest.FloatWord(leaf(t, v))
 		},
@@ -358,10 +376,10 @@ func (c *CongestComm) TreeUpDown(
 // the same words over the same schedule; only the unread per-node
 // materialization is skipped).
 func (c *CongestComm) TreeTotals(
-	trees []*graph.Tree,
+	set *congest.TreeSet,
 	leaf func(t int, v graph.NodeID) float64,
 ) ([]float64, error) {
-	out, err := c.nw.AggregateMany(trees, func(t int, v graph.NodeID) congest.Word {
+	out, err := c.nw.AggregateMany(set, func(t int, v graph.NodeID) congest.Word {
 		return congest.FloatWord(leaf(t, v))
 	}, fsum)
 	if err != nil {
@@ -458,24 +476,24 @@ func (h *HybridComm) GlobalSums(vecs ...[]float64) ([]float64, error) {
 }
 
 // ClusterTrees implements Comm (local, universal shape).
-func (h *HybridComm) ClusterTrees(clusters [][]graph.NodeID) ([]*graph.Tree, error) {
+func (h *HybridComm) ClusterTrees(clusters [][]graph.NodeID) (*congest.TreeSet, error) {
 	return h.local.ClusterTrees(clusters)
 }
 
 // TreeUpDown implements Comm (local edges).
 func (h *HybridComm) TreeUpDown(
-	trees []*graph.Tree,
+	set *congest.TreeSet,
 	leaf func(t int, v graph.NodeID) float64,
 	rootVal func(t int, total float64) float64,
 	down func(t int, parent, child graph.NodeID, parentVal, childSubtree float64) float64,
 ) ([][]float64, error) {
-	return h.local.TreeUpDown(trees, leaf, rootVal, down)
+	return h.local.TreeUpDown(set, leaf, rootVal, down)
 }
 
 // TreeTotals implements Comm (local edges).
 func (h *HybridComm) TreeTotals(
-	trees []*graph.Tree,
+	set *congest.TreeSet,
 	leaf func(t int, v graph.NodeID) float64,
 ) ([]float64, error) {
-	return h.local.TreeTotals(trees, leaf)
+	return h.local.TreeTotals(set, leaf)
 }

@@ -326,7 +326,8 @@ func (in *Instance) Solve(b []float64, req Request) (res *Result, err error) {
 }
 
 // SizeBytes estimates the resident size of the cached instance state —
-// graph, global tree, and preconditioner structures — for cache budgeting
+// graph, global tree, and preconditioner structures with the compiled
+// cluster tree set — for cache budgeting
 // (cmd/distlapd's LRU). It is a deterministic structural estimate, not a
 // measured allocation.
 func (in *Instance) SizeBytes() int64 {
@@ -350,9 +351,10 @@ func (in *Instance) SizeBytes() int64 {
 			// reported, so cached-size accounting is unchanged).
 			bytes += int64(len(cl)) * (ptrSize + mapEntry)
 		}
-		for _, t := range sp.trees {
-			bytes += treeSizeBytes(t)
+		for t := 0; t < sp.trees.Len(); t++ {
+			bytes += treeSizeBytes(sp.trees.Tree(t))
 		}
+		bytes += sp.trees.SizeBytes()
 		bytes += 2 * n * 8 // count + invDeg
 	}
 	return bytes

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"distlap/internal/congest"
 	"distlap/internal/graph"
 	"distlap/internal/linalg"
 	"distlap/internal/seedderive"
@@ -82,7 +83,7 @@ type TreePrecond struct {
 	LowStretch bool
 	Seed       int64
 
-	tree *graph.Tree
+	set *congest.TreeSet // the one tree, compiled once for every Apply
 }
 
 var _ Preconditioner = (*TreePrecond)(nil)
@@ -90,24 +91,30 @@ var _ Preconditioner = (*TreePrecond)(nil)
 // Name implements Preconditioner.
 func (*TreePrecond) Name() string { return "tree" }
 
-// Setup implements Preconditioner.
+// Setup implements Preconditioner: pick the tree and compile it once for
+// every Apply.
 func (p *TreePrecond) Setup(c Comm) error {
+	var tree *graph.Tree
 	if p.LowStretch {
-		tr := graph.LowStretchTree(c.Graph(), p.Seed)
-		if len(tr.Members) != c.Graph().N() {
+		tree = graph.LowStretchTree(c.Graph(), p.Seed)
+		if len(tree.Members) != c.Graph().N() {
 			return errors.New("core: low-stretch tree does not span")
 		}
-		p.tree = tr
-		return nil
+	} else {
+		switch cc := c.(type) {
+		case *CongestComm:
+			tree = cc.GlobalTree()
+		case *HybridComm:
+			tree = cc.local.GlobalTree()
+		default:
+			return errors.New("core: comm exposes no global tree")
+		}
 	}
-	switch cc := c.(type) {
-	case *CongestComm:
-		p.tree = cc.GlobalTree()
-	case *HybridComm:
-		p.tree = cc.local.GlobalTree()
-	default:
-		return errors.New("core: comm exposes no global tree")
+	set, err := congest.NewTreeSet(c.Graph(), []*graph.Tree{tree})
+	if err != nil {
+		return err
 	}
+	p.set = set
 	return nil
 }
 
@@ -123,13 +130,14 @@ func (p *TreePrecond) Apply(c Comm, r []float64) ([]float64, error) {
 	// tree Laplacian's range; recenter defensively anyway.
 	rc := linalg.Copy(r)
 	linalg.CenterMean(rc)
+	tree := p.set.Tree(0)
 	c.Tracer().Begin("tree-sweep")
 	defer c.Tracer().End("tree-sweep")
-	pots, err := c.TreeUpDown([]*graph.Tree{p.tree},
+	pots, err := c.TreeUpDown(p.set,
 		func(_ int, v graph.NodeID) float64 { return rc[v] },
 		func(_ int, _ float64) float64 { return 0 },
 		func(_ int, _, child graph.NodeID, parentVal, childSubtree float64) float64 {
-			w := float64(g.Edge(p.tree.ParentEdge[child]).Weight)
+			w := float64(g.Edge(tree.ParentEdge[child]).Weight)
 			return parentVal + childSubtree/w
 		})
 	if err != nil {
@@ -156,9 +164,9 @@ type SchwarzPrecond struct {
 	clusters [][]graph.NodeID
 	member   []bool // flat k×n cluster membership: member[t*n+v]
 	n        int
-	trees    []*graph.Tree
-	count    []float64 // per node: #clusters containing it
-	invDeg   []float64 // Jacobi smoothing term (see Apply)
+	trees    *congest.TreeSet // the clusters' trees, compiled once
+	count    []float64        // per node: #clusters containing it
+	invDeg   []float64        // Jacobi smoothing term (see Apply)
 }
 
 // inCluster reports whether v belongs to cluster t (flat array probe; the
@@ -286,8 +294,8 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	means := make([]float64, len(p.trees))
-	for t := range p.trees {
+	means := make([]float64, p.trees.Len())
+	for t := range means {
 		means[t] = clusterSum[t] / float64(len(p.clusters[t]))
 	}
 	tr.Begin("sweep")
@@ -300,7 +308,7 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 		},
 		func(_ int, _ float64) float64 { return 0 },
 		func(t int, _, child graph.NodeID, parentVal, childSubtree float64) float64 {
-			w := float64(g.Edge(p.trees[t].ParentEdge[child]).Weight)
+			w := float64(g.Edge(p.trees.Tree(t).ParentEdge[child]).Weight)
 			return parentVal + childSubtree/w
 		},
 	)
@@ -327,10 +335,9 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 		return nil, err
 	}
 	z := make([]float64, g.N())
-	for t, tree := range p.trees {
+	for t, row := range pots {
 		mean := potSum[t] / float64(len(p.clusters[t]))
-		row := pots[t]
-		for _, v := range tree.Members {
+		for _, v := range p.trees.Tree(t).Members {
 			if p.inCluster(t, v) {
 				z[v] += (row[v] - mean) / p.count[v]
 			}

@@ -1,0 +1,78 @@
+package core_test
+
+import (
+	"testing"
+
+	"distlap/internal/congest"
+	"distlap/internal/core"
+	"distlap/internal/graph"
+)
+
+// BenchmarkTreeSweeps times the tree layer of a solver iteration on the
+// DefaultPrecond cluster trees of the prepared-solve workload graphs
+// (grid-400 and expander-512, seed 1 as distbench's probe): TreeTotals is
+// one aggregation round trip (restrict and center), TreeUpDown the
+// preconditioner's tree solve (sweep), and NewTreeSet the compile a
+// prepared instance pays once for the same trees.
+func BenchmarkTreeSweeps(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid-400", graph.Grid(20, 20)},
+		{"expander-512", graph.RandomRegular(512, 4, 7)},
+	} {
+		c, err := core.NewCongestComm(congest.NewNetwork(tc.g, congest.Options{Supported: true, Seed: 1}), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pre, ok := core.DefaultPrecond(tc.g, 1).(*core.SchwarzPrecond)
+		if !ok {
+			b.Fatal("the default preconditioner is not Schwarz")
+		}
+		if err := pre.Setup(c); err != nil {
+			b.Fatal(err)
+		}
+		set, err := c.ClusterTrees(pre.Clusters())
+		if err != nil {
+			b.Fatal(err)
+		}
+		trees := make([]*graph.Tree, set.Len())
+		for t := range trees {
+			trees[t] = set.Tree(t)
+		}
+		x := make([]float64, tc.g.N())
+		for v := range x {
+			x[v] = float64(v%7) - 3
+		}
+		leaf := func(_ int, v graph.NodeID) float64 { return x[v] }
+		b.Run(tc.name+"/totals", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.TreeTotals(set, leaf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/updown", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.TreeUpDown(set, leaf,
+					func(int, float64) float64 { return 0 },
+					func(_ int, _, _ graph.NodeID, parentVal, childSubtree float64) float64 {
+						return parentVal + childSubtree
+					}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/compile", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := congest.NewTreeSet(tc.g, trees); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -219,13 +219,27 @@ func MustNew(spec Spec) *Plan {
 // Spec returns the plan's validated spec.
 func (p *Plan) Spec() Spec { return p.spec }
 
+// The decision kinds, each hashed once: a link decision derives from two
+// of them, and it runs once per message per round.
+var (
+	kindCrash       = seedderive.PhaseOf("fault/crash")
+	kindCrashRound  = seedderive.PhaseOf("fault/crash-round")
+	kindFlakyLink   = seedderive.PhaseOf("fault/flaky-link")
+	kindFlakyRound  = seedderive.PhaseOf("fault/flaky-round")
+	kindLink        = seedderive.PhaseOf("fault/link")
+	kindLinkDelay   = seedderive.PhaseOf("fault/link-delay")
+	kindClique      = seedderive.PhaseOf("fault/clique")
+	kindCliqueDelay = seedderive.PhaseOf("fault/clique-delay")
+	phaseSecond     = seedderive.PhaseOf("faultinject")
+)
+
 // u returns the decision variate for (kind, a, b): uniform in [0, 1), a
 // pure function of the plan seed and its arguments. The two-level derive
 // keys the kind and first argument into the phase hash, then mixes the
 // second argument through an independent avalanche, so decision families
 // never share variates.
-func (p *Plan) u(kind string, a, b int64) float64 {
-	h := seedderive.Derive(seedderive.Derive(p.spec.Seed, kind, a), "faultinject", b)
+func (p *Plan) u(kind seedderive.Phase, a, b int64) float64 {
+	h := phaseSecond.Derive(kind.Derive(p.spec.Seed, a), b)
 	return float64(uint64(h)>>11) / (1 << 53)
 }
 
@@ -236,10 +250,10 @@ func (p *Plan) Crashed(v int, round int) bool {
 	if p == nil || p.spec.CrashProb == 0 {
 		return false
 	}
-	if p.u("fault/crash", int64(v), 0) >= p.spec.CrashProb {
+	if p.u(kindCrash, int64(v), 0) >= p.spec.CrashProb {
 		return false
 	}
-	crashRound := 1 + int(p.u("fault/crash-round", int64(v), 0)*float64(p.crashWindow))
+	crashRound := 1 + int(p.u(kindCrashRound, int64(v), 0)*float64(p.crashWindow))
 	return round >= crashRound
 }
 
@@ -248,7 +262,7 @@ func (p *Plan) FlakyLink(edge int) bool {
 	if p == nil || p.spec.FlakyLinkProb == 0 {
 		return false
 	}
-	return p.u("fault/flaky-link", int64(edge), 0) < p.spec.FlakyLinkProb
+	return p.u(kindFlakyLink, int64(edge), 0) < p.spec.FlakyLinkProb
 }
 
 // Link decides the fate of one message crossing directed edge de (encoded
@@ -257,10 +271,10 @@ func (p *Plan) Link(round, de int) Verdict {
 	if p == nil {
 		return deliver
 	}
-	if p.FlakyLink(de/2) && p.u("fault/flaky-round", int64(round), int64(de)) < p.flakyDropProb {
+	if p.FlakyLink(de/2) && p.u(kindFlakyRound, int64(round), int64(de)) < p.flakyDropProb {
 		return Verdict{Fate: FateDrop}
 	}
-	return p.fate("fault/link", "fault/link-delay", int64(round), int64(de))
+	return p.fate(kindLink, kindLinkDelay, int64(round), int64(de))
 }
 
 // Clique decides the fate of one clique message from → to at the given
@@ -270,12 +284,12 @@ func (p *Plan) Clique(round, from, to int) Verdict {
 		return deliver
 	}
 	key := int64(from)<<32 | int64(uint32(to))
-	return p.fate("fault/clique", "fault/clique-delay", int64(round), key)
+	return p.fate(kindClique, kindCliqueDelay, int64(round), key)
 }
 
 // fate partitions one uniform variate into the drop/dup/delay/deliver
 // bands and draws the delay magnitude from an independent variate.
-func (p *Plan) fate(kind, delayKind string, a, b int64) Verdict {
+func (p *Plan) fate(kind, delayKind seedderive.Phase, a, b int64) Verdict {
 	s := &p.spec
 	if s.DropProb == 0 && s.DupProb == 0 && s.DelayProb == 0 {
 		return deliver

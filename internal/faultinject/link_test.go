@@ -30,6 +30,10 @@ func TestTraceCountersMatchStats(t *testing.T) {
 		{"all-drop", faultinject.Spec{Seed: 7, DropProb: 1}},
 	}
 	g := graph.Grid(6, 6)
+	trees, err := congest.NewTreeSet(g, []*graph.Tree{graph.BFSTree(g, 0), graph.BFSTree(g, 35), graph.BFSTree(g, 14)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	engines := []struct {
 		name string
 		run  func(*faultinject.Plan, simtrace.Collector) faultinject.Stats
@@ -46,7 +50,6 @@ func TestTraceCountersMatchStats(t *testing.T) {
 		}},
 		{"AggregateMany", func(p *faultinject.Plan, tr simtrace.Collector) faultinject.Stats {
 			nw := congest.NewNetwork(g, congest.Options{Seed: 3, Faults: p, Trace: tr})
-			trees := []*graph.Tree{graph.BFSTree(g, 0), graph.BFSTree(g, 35), graph.BFSTree(g, 14)}
 			// Faults may leave an aggregation incomplete; only the tally matters here.
 			_, _ = nw.AggregateMany(trees, func(int, graph.NodeID) congest.Word { return 1 }, congest.AggSum)
 			return nw.FaultStats()

@@ -130,16 +130,17 @@ func (s *Induced) Sweep(root int) (reached, ecc, far int) {
 func (s *Induced) Tree(g *Graph, members []NodeID, root NodeID) *Tree {
 	s.Build(g, members)
 	n := g.N()
+	// The three host-sized arrays share one allocation, each capped at its
+	// own length so no append can run into its neighbour.
+	block := make([]int, 3*n)
+	for i := range block {
+		block[i] = -1
+	}
 	t := &Tree{
 		Root:       root,
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-		Depth:      make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		t.Parent[i] = -1
-		t.ParentEdge[i] = -1
-		t.Depth[i] = -1
+		Parent:     block[:n:n],
+		ParentEdge: block[n : 2*n : 2*n],
+		Depth:      block[2*n:],
 	}
 	r := slices.Index(s.nodes, root)
 	if r < 0 {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -119,8 +120,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// LoadDir parses and type-checks the non-test package in dir under the given
-// import path. Results are cached by import path.
+// LoadDir parses and type-checks the non-test package in dir, as the
+// default build compiles it, under the given import path. Results are
+// cached by import path.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
@@ -139,6 +141,13 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Only the files the default build compiles: a file behind a build
+		// tag (congest's boundcheck mode) would redeclare its default twin.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil,

@@ -80,12 +80,16 @@ func SolveOneCongested(
 		}
 	}
 	tr.Begin("part-aggregate")
-	out, err := nw.AggregateMany(trees, func(t int, v graph.NodeID) congest.Word {
-		if members[t][v] {
-			return val(t, v)
-		}
-		return spec.Identity
-	}, spec.Fn)
+	set, err := congest.NewTreeSet(g, trees)
+	var out []congest.Word
+	if err == nil {
+		out, err = nw.AggregateMany(set, func(t int, v graph.NodeID) congest.Word {
+			if members[t][v] {
+				return val(t, v)
+			}
+			return spec.Identity
+		}, spec.Fn)
+	}
 	tr.End("part-aggregate")
 	if err != nil {
 		return nil, nil, err
@@ -130,7 +134,11 @@ func (NaiveGlobalSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec
 	for i := range trees {
 		trees[i] = tree
 	}
-	return nw.AggregateMany(trees, func(t int, v graph.NodeID) congest.Word {
+	set, err := congest.NewTreeSet(g, trees)
+	if err != nil {
+		return nil, err
+	}
+	return nw.AggregateMany(set, func(t int, v graph.NodeID) congest.Word {
 		if w, ok := lut[t][v]; ok {
 			return w
 		}

@@ -19,8 +19,21 @@ package seedderive
 // given base seed. Calls with distinct (phase, idx) pairs yield unrelated
 // seeds; equal arguments always yield the same seed.
 func Derive(base int64, phase string, idx int64) int64 {
+	return PhaseOf(phase).Derive(base, idx)
+}
+
+// Phase is a phase name hashed once, for callers that derive from the same
+// phase in a hot loop (fault decisions run one per message per round).
+// PhaseOf(name).Derive(base, idx) equals Derive(base, name, idx).
+type Phase uint64
+
+// PhaseOf hashes a phase name.
+func PhaseOf(name string) Phase { return Phase(fnv1a(name)) }
+
+// Derive returns the child seed for draw idx of phase p under base.
+func (p Phase) Derive(base int64, idx int64) int64 {
 	x := uint64(base)
-	x ^= fnv1a(phase)
+	x ^= uint64(p)
 	x = mix64(x)
 	x += uint64(idx) * 0x9E3779B97F4A7C15 // golden-ratio increment keeps consecutive idx far apart
 	return int64(mix64(x))

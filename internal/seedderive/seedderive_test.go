@@ -1,6 +1,9 @@
 package seedderive
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestDeterministic pins that Derive is a pure function: equal inputs give
 // equal outputs across calls (the replayability contract).
@@ -46,6 +49,23 @@ func TestPhaseSeparation(t *testing.T) {
 		b := Derive(5, "phase-b", idx)
 		if a == b {
 			t.Fatalf("phases not separated at idx %d: both %d", idx, a)
+		}
+	}
+}
+
+// TestPhaseMatchesDerive pins that a pre-hashed phase derives exactly what
+// Derive does, over random bases, names and indices (fault plans switched
+// to pre-hashed phases with their decisions unchanged).
+func TestPhaseMatchesDerive(t *testing.T) {
+	rng := rand.New(rand.NewSource(Derive(0x5EED, "phase-test", 0)))
+	for i := 0; i < 2000; i++ {
+		name := make([]byte, rng.Intn(24))
+		for j := range name {
+			name[j] = byte(rng.Intn(256))
+		}
+		base, idx := rng.Int63()-rng.Int63(), rng.Int63()-rng.Int63()
+		if got, want := PhaseOf(string(name)).Derive(base, idx), Derive(base, string(name), idx); got != want {
+			t.Fatalf("PhaseOf(%q).Derive(%d, %d) = %d, Derive = %d", name, base, idx, got, want)
 		}
 	}
 }
