@@ -44,12 +44,14 @@ test:
 # fault plan), AggregateMany at 1 alloc/call, UpDownMany at 0,
 # ncc.Deliver at 0 allocs/call (reliable and drop-only), a PCG iteration
 # within its fixed budget, and an induced-subgraph kernel sweep or
-# no-larger rebuild at 0 allocs. The
+# no-larger rebuild at 0 allocs; and two cold-start budgets that hold
+# across graph sizes, a fresh network's first AggregateMany at 28 and
+# layered.New at 6. The
 # tests are `//go:build !race` because the race runtime changes allocation
 # counts, so this is a separate plain-runtime pass; `make test` covers the
 # same code for correctness.
 alloc-check:
-	$(GO) test -run 'Allocs' ./internal/graph ./internal/congest ./internal/ncc ./internal/core
+	$(GO) test -run 'Allocs' ./internal/graph ./internal/congest ./internal/layered ./internal/ncc ./internal/core
 
 # Checked scheduling mode: built with -tags boundcheck, every reliable tree
 # sweep asserts max(h, c) <= rounds <= delta + c*h against its compiled
@@ -160,28 +162,32 @@ snapshot-check:
 	@echo snapshot-check: both experiment tiers match their golden files
 
 # Trace gate: the JSONL series traces of the full paper suite, the quick
-# paper suite and the quick chaos tier must hash to the three lines of
-# traces.sha256. A trace records every round's charges, phase spans and
-# gauge samples, so this fails when a refactor moves a single charge or
-# span, even one that leaves every table cell and bench count in place.
-# The full-suite trace (about 64 MB) is the one an engine change to the
-# solver's sweeps moves; its run prints experiments_output.txt, as
-# snapshot-check already requires. On a failure, write the same traces at
-# the parent commit and diff them against this tree's: the first differing
-# line is the first moved event. The full chaos trace (about 325 MB) stays
-# a by-hand check: `go run ./cmd/experiments -chaos -parallel 1 -series
-# -trace F` at both commits. Regenerate after an intentional change:
+# paper suite, the quick chaos tier and the full chaos tier must hash to the
+# four lines of traces.sha256. A trace records every round's charges, phase
+# spans and gauge samples, so this fails when a refactor moves a single
+# charge or span, even one that leaves every table cell and bench count in
+# place. The full-suite trace (about 64 MB) is the one an engine change to
+# the solver's sweeps moves; its run prints experiments_output.txt, as
+# snapshot-check already requires. The full chaos trace (about 325 MB,
+# 3.2 M lines) drives the tree scheduler's stall, retry and crash-drop
+# branches at full size; it is piped from file descriptor 3 straight into
+# sha256sum, whose line for it names "-" (standard input), so no file is
+# written. On a failure, write the same traces at the parent commit and
+# diff them against this tree's (for the chaos tier, `-chaos -parallel 1
+# -series -trace F`): the first differing line is the first moved event.
+# Regenerate after an intentional change:
 #   go run ./cmd/experiments -parallel 1 -series -trace .trace-full.jsonl >/dev/null
 #   go run ./cmd/experiments -quick -parallel 1 -series -trace .trace-quick.jsonl >/dev/null
 #   go run ./cmd/experiments -chaos -quick -parallel 1 -series -trace .trace-chaos-quick.jsonl >/dev/null
 #   sha256sum .trace-full.jsonl .trace-quick.jsonl .trace-chaos-quick.jsonl > traces.sha256
+#   go run ./cmd/experiments -chaos -parallel 1 -series -trace /dev/fd/3 3>&1 >/dev/null | sha256sum >> traces.sha256
 trace-check:
 	$(GO) run ./cmd/experiments -parallel 1 -series -trace $(CURDIR)/.trace-full.jsonl >/dev/null 2>&1
 	$(GO) run ./cmd/experiments -quick -parallel 1 -series -trace $(CURDIR)/.trace-quick.jsonl >/dev/null 2>&1
 	$(GO) run ./cmd/experiments -chaos -quick -parallel 1 -series -trace $(CURDIR)/.trace-chaos-quick.jsonl >/dev/null 2>&1
-	sha256sum -c traces.sha256
+	$(GO) run ./cmd/experiments -chaos -parallel 1 -series -trace /dev/fd/3 3>&1 >/dev/null 2>&1 | sha256sum -c traces.sha256
 	rm -f $(CURDIR)/.trace-full.jsonl $(CURDIR)/.trace-quick.jsonl $(CURDIR)/.trace-chaos-quick.jsonl
-	@echo trace-check: the full and both quick series traces match their committed hashes
+	@echo trace-check: the full and quick series traces of both tiers match their committed hashes
 
 # Daemon smoke test: distlapd's -selftest drives the whole request cycle
 # (load → list → solve → multi-RHS batch → flow → mst → evict → 404)

@@ -6,6 +6,7 @@ package distlap_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"distlap"
@@ -71,5 +72,61 @@ func TestFaultyRequestRecoversDeterministically(t *testing.T) {
 		a.Metrics.FaultsObserved != c.Metrics.FaultsObserved ||
 		a.Metrics.Degraded != c.Metrics.Degraded {
 		t.Fatalf("recovery metrics diverged: %+v vs %+v", a.Metrics, c.Metrics)
+	}
+}
+
+// A duplicating fault plan delivers some crossings twice. The layered
+// aggregation routes packets along paths, and a packet must advance one
+// hop per crossing, not per arrival, so a faulty request returns the
+// reliable values (a duplicate used to push a packet past its path's end).
+func TestFaultyAggregatePartsUnderDuplication(t *testing.T) {
+	var g *distlap.Graph
+	for _, f := range distlap.Families() {
+		if f.Name == "grid" {
+			g = f.Make(144)
+		}
+	}
+	// Parts: the radius-3 ball around every fifth node, found by BFS.
+	inst := &distlap.PartwiseInstance{}
+	for c := 0; c < g.N(); c += 5 {
+		dist := map[int]int{c: 0}
+		ball := []int{c}
+		for i := 0; i < len(ball); i++ {
+			v := ball[i]
+			for _, h := range g.Neighbors(v) {
+				if _, ok := dist[h.To]; !ok && dist[v] < 3 {
+					dist[h.To] = dist[v] + 1
+					ball = append(ball, h.To)
+				}
+			}
+		}
+		vals := make([]int64, len(ball))
+		for i, v := range ball {
+			vals[i] = int64((7*v + c) % 23)
+		}
+		inst.Parts = append(inst.Parts, ball)
+		inst.Values = append(inst.Values, vals)
+	}
+	ctx := context.Background()
+	prep, err := distlap.NewSolver(distlap.WithSeed(3)).Prepare(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := prep.AggregateParts(ctx, inst, distlap.AggMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		plan, err := distlap.NewFaultPlan(distlap.FaultSpec{Seed: seed, DupProb: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := prep.AggregateParts(ctx, inst, distlap.AggMin, distlap.WithRequestFaults(plan))
+		if err != nil {
+			t.Fatalf("fault seed %d: %v", seed, err)
+		}
+		if !slices.Equal(got.Values, want.Values) {
+			t.Fatalf("fault seed %d: values %v, want the reliable %v", seed, got.Values, want.Values)
+		}
 	}
 }

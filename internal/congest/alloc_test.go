@@ -105,3 +105,28 @@ func TestUpDownManySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state UpDownMany allocates %.1f per call, want 0", a)
 	}
 }
+
+// TestColdAggregateManyAllocs pins what a fresh network's first
+// AggregateMany allocates, which every request pays: the network, its
+// pooled scheduler and sweep state, the RNG and the result. The send store
+// and the scheduler's edge set are flat arrays, not a queue per directed
+// edge, so only the store's doublings grow with the graph; one budget
+// covers an 8×8 grid (24 allocations) and a 24×24 one (28).
+func TestColdAggregateManyAllocs(t *testing.T) {
+	const budget = 28
+	for _, side := range []int{8, 24} {
+		g := graph.Grid(side, side)
+		tr := graph.BFSTree(g, 0)
+		trees := mustSet(t, g, tr, tr, tr)
+		val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
+		cold := func() {
+			nw := NewNetwork(g, Options{Supported: true, Seed: 3})
+			if _, err := nw.AggregateMany(trees, val, AggSum); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(10, cold); a > budget {
+			t.Fatalf("Grid(%d,%d): a fresh network's first AggregateMany allocates %.1f, budget %d", side, side, a, budget)
+		}
+	}
+}

@@ -243,11 +243,10 @@ func dirEdge(g *graph.Graph, id graph.EdgeID, from graph.NodeID) int {
 }
 
 // chargeEdge records one word crossing a directed edge, attributing it to
-// the edge (Messages) and to both endpoint nodes (NodeWords). The endpoints
-// are recovered from the directed-edge encoding: de/2 is the edge id and the
-// parity selects the direction (even = U->V). Metrics accounting is three
-// flat-array operations; the per-message trace emission behind it is
-// skipped entirely on untraced networks (traced runs keep the exact
+// the edge (Messages) and to both endpoint nodes (NodeWords), which are
+// recovered from the directed-edge encoding (ends). Metrics accounting is
+// three flat-array operations; the per-message trace emission behind it
+// is skipped entirely on untraced networks (traced runs keep the exact
 // historical emission order).
 func (nw *Network) chargeEdge(de int) {
 	nw.metrics.Messages++
@@ -259,12 +258,18 @@ func (nw *Network) chargeEdge(de int) {
 		return
 	}
 	nw.trace.Messages(nw.engine, de, 1)
-	e := nw.g.Edge(de / 2)
-	from, to := e.U, e.V
-	if de%2 == 1 {
-		from, to = to, from
-	}
+	from, to := nw.ends(de)
 	nw.trace.NodeWords(nw.engine, from, to, 1)
+}
+
+// ends returns the sending and receiving nodes of directed edge de: de/2
+// is the edge id and the parity selects the direction (even = U->V).
+func (nw *Network) ends(de int) (from, to graph.NodeID) {
+	e := nw.g.Edge(de / 2)
+	if de%2 == 1 {
+		return e.V, e.U
+	}
+	return e.U, e.V
 }
 
 // delivery is one word arriving at its destination at the end of an

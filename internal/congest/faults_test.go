@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -257,6 +258,35 @@ func TestBroadcastDropsDuplicates(t *testing.T) {
 	}
 	if nw.FaultStats().Dups == 0 {
 		t.Fatal("the plan duplicated nothing; the test would not exercise the seen mark")
+	}
+}
+
+func TestRouteManyDropsDuplicates(t *testing.T) {
+	// Under DupProb 1 every crossing arrives twice. A packet crosses at
+	// most one edge per round, so the second arrival must be dropped: the
+	// packets keep the reliable run's arrival rounds, and only the
+	// messages double.
+	g := graph.Path(6)
+	pkts := []Packet{
+		{Start: 0, Edges: []graph.EdgeID{0, 1, 2, 3, 4}},
+		{Start: 5, Edges: []graph.EdgeID{4, 3, 2, 1, 0}},
+		{Start: 1, Edges: []graph.EdgeID{1, 2}},
+	}
+	reliable := NewNetwork(g, Options{Seed: 4})
+	want, err := reliable.RouteMany(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := faultyNet(g, 4, faultinject.Spec{DupProb: 1})
+	got, err := nw.RouteMany(pkts)
+	if err != nil {
+		t.Fatalf("routing under duplication: %v", err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("arrival rounds %v under duplication, want the reliable %v", got, want)
+	}
+	if m, r := nw.Metrics().Messages, reliable.Metrics().Messages; m != 2*r {
+		t.Fatalf("%d messages under duplication, want twice the reliable %d", m, r)
 	}
 }
 

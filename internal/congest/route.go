@@ -55,6 +55,7 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 	type pkState struct {
 		at   graph.NodeID
 		next int // index into Edges
+		last int // round of the latest arrival
 	}
 	states := make([]pkState, len(pkts))
 	arrival := make([]int, len(pkts))
@@ -67,26 +68,25 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 			continue
 		}
 		remaining++
-		sched.push(dirEdge(nw.g, p.Edges[0], p.Start), pendingSend{
-			id: int32(i), from: p.Start, to: nw.g.Other(p.Edges[0], p.Start),
-			w: p.Payload, eligible: 1 + delays[i],
-		})
+		sched.push(dirEdge(nw.g, p.Edges[0], p.Start), int32(i), p.Payload, 1+delays[i])
 	}
-	deliver := func(ps pendingSend) {
-		i := int(ps.id)
+	deliver := func(id int32, w Word) {
+		i := int(id)
 		st := &states[i]
-		st.at = ps.to
+		if st.last == sched.round {
+			// A packet crosses at most one edge per round, so this is the
+			// duplicate a fault plan delivered twice; the receiver drops it.
+			return
+		}
+		st.last = sched.round
+		st.at = nw.g.Other(pkts[i].Edges[st.next], st.at)
 		st.next++
 		if st.next == len(pkts[i].Edges) {
 			arrival[i] = sched.round
 			remaining--
 			return
 		}
-		id := pkts[i].Edges[st.next]
-		sched.push(dirEdge(nw.g, id, st.at), pendingSend{
-			id: int32(i), from: st.at, to: nw.g.Other(id, st.at),
-			w: ps.w, eligible: sched.round + 1,
-		})
+		sched.push(dirEdge(nw.g, pkts[i].Edges[st.next], st.at), id, w, sched.round+1)
 	}
 	for sched.step(deliver) {
 	}

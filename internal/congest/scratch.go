@@ -14,14 +14,11 @@ type scratch struct {
 	deliveries []delivery
 	retry      []transmission
 
-	// Tree scheduler (treeSched): per-directed-edge FIFOs, the ordered set
-	// of the directed edges whose FIFOs are nonempty, and the per-round
-	// delivered batch. Queues keep their capacity across schedules; the
-	// set also names the FIFOs an abandoned (faulty) schedule left
-	// nonempty, so the next schedule can reset exactly those.
-	schedQueues    [][]pendingSend
-	schedSet       edgeSet
-	schedDelivered []pendingSend
+	// Tree scheduler (treeSched): the send store holding every directed
+	// edge's FIFO, the ordered set of the nonempty ones and the per-round
+	// delivered batch. Its set also names the FIFOs an abandoned (faulty)
+	// schedule left nonempty, so the next schedule resets exactly those.
+	sched sendStore
 
 	// randomDelays: the per-tree delay vector.
 	delayBuf []int

@@ -40,15 +40,27 @@ func AggOr(a, b Word) Word {
 	return 0
 }
 
-// pendingSend is one word waiting to cross a directed edge. id tells the
-// receiver what the word is for: its own set slot in the tree primitives,
-// the packet index in RouteMany.
-type pendingSend struct {
+// send is one word waiting to cross a directed edge, a node of that edge's
+// FIFO in the scheduler's send store. id tells the receiver what the word
+// is for: its own set slot in the tree primitives, the packet index in
+// RouteMany. The endpoints are the directed edge's, so a send does not
+// carry them.
+type send struct {
 	id       int32
-	from     graph.NodeID
-	to       graph.NodeID
+	next     int32 // the edge's next send in push order; 0 ends the FIFO
 	w        Word
 	eligible int // earliest round this send may occur
+}
+
+// fifo is one directed edge's queue in the send store: the indices of its
+// first and last sends, both 0 while it is empty.
+type fifo struct{ head, tail int32 }
+
+// arrival is a send delivered in the current round, handed to the
+// schedule's deliver callback after the round's walk.
+type arrival struct {
+	id int32
+	w  Word
 }
 
 // edgeSet is an ordered set of directed edges: one bit per edge, and one
@@ -76,38 +88,32 @@ func (e *edgeSet) add(de int) {
 	e.n++
 }
 
-// treeSched is the shared store-and-forward scheduler for tree-structured
-// communication: per directed edge a FIFO of pending sends, at most one
-// crossing per round. The FIFOs live in the network's pooled scratch
-// (indexed by directed edge, so lookup is an array access, not a map
-// probe) and keep their capacity across schedules.
-//
-// Ordering invariant: the scratch's edgeSet holds exactly the directed
-// edges with nonempty FIFOs, and every round walks it in ascending order.
-// That processed order is what keeps charge order and delivery order — and
-// therefore every gated metric — byte-identical; a set walk yields it with
-// no sort.
-type treeSched struct {
-	nw     *Network
-	round  int
-	pushes int // total sends ever queued (sizes the faulty-run round cap)
+// sendStore is the tree scheduler's pooled, pointer-free queue memory:
+// one array of sends shared by every directed edge, each edge's FIFO a
+// list linked through it in push order, and a free list through which
+// the sends a round removes are reused by later pushes. It lives in the
+// network's scratch and keeps its arrays across schedules, so a schedule
+// allocates only when it holds more sends at once than any earlier one.
+type sendStore struct {
+	sends []send    // sends[0] is the nil send: index 0 ends every list
+	fifo  []fifo    // per directed edge
+	free  int32     // first reusable send, linked through next; 0 when none
+	set   edgeSet   // exactly the directed edges whose FIFOs are nonempty
+	out   []arrival // the current round's deliveries, in walk order
 }
 
-func newTreeSched(nw *Network) *treeSched {
-	nw.scr.readySched(2 * nw.g.M())
-	return &treeSched{nw: nw}
-}
-
-// readySched readies the pooled FIFOs for a schedule over m directed
-// edges. A schedule abandoned under faults may have left sends queued; the
-// ordered set still names exactly those FIFOs (push adds an edge, only an
-// emptied edge leaves), so walking it restores the all-empty invariant.
-// It is kept out of newTreeSched, whose inlining keeps the scheduler off
-// the heap.
-func (s *scratch) readySched(m int) {
-	set := &s.schedSet
-	if len(s.schedQueues) != m {
-		s.schedQueues = make([][]pendingSend, m)
+// ready readies the store for a schedule over m directed edges. Every
+// send is free again. A schedule abandoned under faults may have left
+// FIFOs nonempty; the ordered set still names exactly those (push adds an
+// edge, only an emptied edge leaves), so walking it restores the
+// all-empty invariant without touching the other edges. It is kept out of
+// newTreeSched, whose inlining keeps the scheduler off the heap.
+func (st *sendStore) ready(m int) {
+	st.sends = append(st.sends[:0], send{})
+	st.free = 0
+	set := &st.set
+	if len(st.fifo) != m {
+		st.fifo = make([]fifo, m)
 		set.reset(m)
 		return
 	}
@@ -115,8 +121,7 @@ func (s *scratch) readySched(m int) {
 		for ; sw != 0; sw &= sw - 1 {
 			wi := si<<6 | bits.TrailingZeros64(sw)
 			for w := set.words[wi]; w != 0; w &= w - 1 {
-				de := wi<<6 | bits.TrailingZeros64(w)
-				s.schedQueues[de] = s.schedQueues[de][:0]
+				st.fifo[wi<<6|bits.TrailingZeros64(w)] = fifo{}
 			}
 			set.words[wi] = 0
 		}
@@ -125,29 +130,95 @@ func (s *scratch) readySched(m int) {
 	set.n = 0
 }
 
-func (s *treeSched) push(de int, ps pendingSend) {
-	scr := &s.nw.scr
-	q := scr.schedQueues[de]
-	if len(q) == 0 {
-		scr.schedSet.add(de)
+// remove unlinks send i, which follows prev (0 at the head), from f and
+// frees it.
+func (st *sendStore) remove(f *fifo, prev, i int32) {
+	next := st.sends[i].next
+	if prev == 0 {
+		f.head = next
+	} else {
+		st.sends[prev].next = next
 	}
-	scr.schedQueues[de] = append(q, ps)
+	if f.tail == i {
+		f.tail = prev
+	}
+	st.sends[i].next = st.free
+	st.free = i
+}
+
+// drop frees every send of f, leaving it empty, and returns how many
+// there were.
+func (st *sendStore) drop(f *fifo) int {
+	n := 1
+	for i := f.head; i != f.tail; i = st.sends[i].next {
+		n++
+	}
+	st.sends[f.tail].next = st.free
+	st.free = f.head
+	*f = fifo{}
+	return n
+}
+
+// treeSched is the shared store-and-forward scheduler for tree-structured
+// communication: per directed edge a FIFO of pending sends, at most one
+// crossing per round. The FIFOs live in the network's pooled send store
+// (indexed by directed edge, so lookup is an array access, not a map
+// probe).
+//
+// Ordering invariant: the store's edgeSet holds exactly the directed edges
+// with nonempty FIFOs, every round walks it in ascending order, and on
+// each edge the round acts on the first eligible send in push order. That
+// processed order is what keeps charge order and delivery order — and
+// therefore every gated metric — byte-identical; a set walk yields it with
+// no sort, and where a send sits in the store's array does not enter it.
+type treeSched struct {
+	nw     *Network
+	round  int
+	pushes int // total sends ever queued (sizes the faulty-run round cap)
+}
+
+func newTreeSched(nw *Network) *treeSched {
+	nw.scr.sched.ready(2 * nw.g.M())
+	return &treeSched{nw: nw}
+}
+
+// push queues word w for id at the tail of directed edge de's FIFO, to
+// cross no earlier than round eligible.
+func (s *treeSched) push(de int, id int32, w Word, eligible int) {
+	st := &s.nw.scr.sched
+	i := st.free
+	if i != 0 {
+		st.free = st.sends[i].next
+		st.sends[i] = send{id: id, w: w, eligible: eligible}
+	} else {
+		i = int32(len(st.sends))
+		st.sends = append(st.sends, send{id: id, w: w, eligible: eligible})
+	}
+	f := &st.fifo[de]
+	if f.head == 0 {
+		f.head = i
+		st.set.add(de)
+	} else {
+		st.sends[f.tail].next = i
+	}
+	f.tail = i
 	s.pushes++
 }
 
 // step advances one round, acting on at most one eligible send per directed
 // edge (the link carries one word per round) and preserving FIFO order
-// otherwise; deliveries are returned so the caller can apply their effects
-// (which may enqueue new sends eligible from round+1). Returns false when
-// no queue holds any send.
+// otherwise; deliveries are handed to deliver after the walk, in walk
+// order, so the caller can apply their effects (which may enqueue new
+// sends eligible from round+1). Returns false when no FIFO holds any send.
 //
 // A reliable link delivers the send. Under a fault plan a crashed sender's
-// whole queue dies unsent, and otherwise the send's outcome is applied:
+// whole FIFO dies unsent, and otherwise the send's outcome is applied:
 // delivered once or twice, swallowed by a crashed receiver, retried next
 // round from its FIFO slot, or stalled uncharged until its delay passes.
-func (s *treeSched) step(deliver func(ps pendingSend)) bool {
+func (s *treeSched) step(deliver func(id int32, w Word)) bool {
 	nw := s.nw
-	set := &nw.scr.schedSet
+	st := &nw.scr.sched
+	set := &st.set
 	if set.n == 0 {
 		return false
 	}
@@ -161,8 +232,8 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 	nw.checkCancel()
 	s.round++
 	round := nw.metrics.Rounds + 1 // global round in progress: fault decisions key on it
-	delivered := nw.scr.schedDelivered[:0]
-	queues := nw.scr.schedQueues
+	out := st.out[:0]
+	sends := st.sends // no push happens during the walk
 	// Walk the nonempty FIFOs in ascending directed-edge order: summary
 	// bits name the nonzero words, word bits the edges. The round's pushes
 	// happen after the walk, in deliver.
@@ -171,35 +242,35 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 			wi := si<<6 | bits.TrailingZeros64(sw)
 			for w := set.words[wi]; w != 0; w &= w - 1 {
 				de := wi<<6 | bits.TrailingZeros64(w)
-				q := queues[de]
-				for i := range q {
-					if q[i].eligible > s.round {
+				f := &st.fifo[de]
+				for prev, i := int32(0), f.head; i != 0; prev, i = i, sends[i].next {
+					sd := &sends[i]
+					if sd.eligible > s.round {
 						continue
 					}
-					ps := q[i]
 					o := faultinject.Outcome{} // a reliable link delivers
 					if faults != nil {
-						if nw.link.SenderDown(ps.from, round) {
+						from, to := nw.ends(de)
+						if nw.link.SenderDown(from, round) {
 							// Every send queued on this edge is from the dead node
 							// (by the directed-edge encoding); all die unsent.
-							nw.link.CrashDrop(len(q))
-							q = q[:0]
+							nw.link.CrashDrop(st.drop(f))
 							break
 						}
-						o = nw.link.Edge(round, de, ps.to)
+						o = nw.link.Edge(round, de, to)
 					}
 					switch o.Action {
 					case faultinject.DeliverTwice:
 						nw.chargeEdge(de)
-						delivered = append(delivered, ps)
+						out = append(out, arrival{sd.id, sd.w})
 						fallthrough // then delivered like any other send
 					case faultinject.Deliver:
 						nw.chargeEdge(de)
-						q = append(q[:i], q[i+1:]...)
-						delivered = append(delivered, ps)
+						out = append(out, arrival{sd.id, sd.w})
+						st.remove(f, prev, i)
 					case faultinject.Lost:
 						nw.chargeEdge(de)
-						q = append(q[:i], q[i+1:]...)
+						st.remove(f, prev, i)
 					case faultinject.Retry:
 						// Charged and lost; the send keeps its FIFO slot and the link
 						// retries it next round. Only a plan that drops forever
@@ -209,15 +280,14 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 					case faultinject.Stall:
 						// Nothing crosses: the send keeps its FIFO slot and becomes
 						// eligible again after the delay.
-						q[i].eligible = s.round + o.Delay
+						sd.eligible = s.round + o.Delay
 					}
 					if o.Action != faultinject.Deliver {
 						nw.link.Record(o)
 					}
 					break
 				}
-				queues[de] = q
-				if len(q) == 0 {
+				if f.head == 0 {
 					set.words[wi] &^= w & -w
 					set.n--
 				}
@@ -228,10 +298,10 @@ func (s *treeSched) step(deliver func(ps pendingSend)) bool {
 		}
 	}
 	nw.chargeRound()
-	for _, ps := range delivered {
-		deliver(ps)
+	for _, a := range out {
+		deliver(a.id, a.w)
 	}
-	nw.scr.schedDelivered = delivered
+	st.out = out
 	return true
 }
 
@@ -295,23 +365,16 @@ func (nw *Network) sweepUp(s *TreeSet, val func(t int, v graph.NodeID) Word, agg
 	// Leaves are immediately ready to send to their parents.
 	for i, p := range s.parent {
 		if pending[i] == 0 && p != -1 {
-			sched.push(int(s.up[i]), pendingSend{
-				id: p, from: s.node[i], to: s.node[p], w: acc[i],
-				eligible: 1 + delays[s.tree[i]],
-			})
+			sched.push(int(s.up[i]), p, acc[i], 1+delays[s.tree[i]])
 		}
 	}
 	// A delivered word folds into the receiver's accumulator; a receiver
 	// whose subtree is complete forwards its total to its parent.
-	deliver := func(ps pendingSend) {
-		i := ps.id
-		acc[i] = agg(acc[i], ps.w)
+	deliver := func(i int32, w Word) {
+		acc[i] = agg(acc[i], w)
 		pending[i]--
 		if p := s.parent[i]; pending[i] == 0 && p != -1 {
-			sched.push(int(s.up[i]), pendingSend{
-				id: p, from: ps.to, to: s.node[p], w: acc[i],
-				eligible: sched.round + 1,
-			})
+			sched.push(int(s.up[i]), p, acc[i], sched.round+1)
 		}
 	}
 	for sched.step(deliver) {
@@ -360,9 +423,7 @@ func (nw *Network) sweepDown(
 				cw = next(int(s.tree[i]), s.node[i], s.node[c], w, acc[c])
 			}
 			// The parent→child directed edge is the child's up edge reversed.
-			sched.push(int(s.up[c]^1), pendingSend{
-				id: c, from: s.node[i], to: s.node[c], w: cw, eligible: eligible,
-			})
+			sched.push(int(s.up[c]^1), c, cw, eligible)
 		}
 	}
 	for t, i := range s.root {
@@ -372,16 +433,15 @@ func (nw *Network) sweepDown(
 		on(t, s.node[i], w)
 		fanOut(i, w, 1+delays[t])
 	}
-	deliver := func(ps pendingSend) {
-		i := ps.id
+	deliver := func(i int32, w Word) {
 		if seen[i] {
 			return
 		}
 		seen[i] = true
 		t := int(s.tree[i])
 		got[t]++
-		on(t, ps.to, ps.w)
-		fanOut(i, ps.w, sched.round+1)
+		on(t, s.node[i], w)
+		fanOut(i, w, sched.round+1)
 	}
 	for sched.step(deliver) {
 	}

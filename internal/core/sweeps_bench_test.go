@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"distlap/internal/congest"
@@ -13,7 +14,10 @@ import (
 // (grid-400 and expander-512, seed 1 as distbench's probe): TreeTotals is
 // one aggregation round trip (restrict and center), TreeUpDown the
 // preconditioner's tree solve (sweep), and NewTreeSet the compile a
-// prepared instance pays once for the same trees.
+// prepared instance pays once for the same trees. The cold case is a
+// fresh request comm's first TreeTotals, which every request pays: the
+// network and its pooled scheduler and sweep state are built from
+// nothing.
 func BenchmarkTreeSweeps(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -50,6 +54,18 @@ func BenchmarkTreeSweeps(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.TreeTotals(set, leaf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		in, err := core.PrepareInstance(context.Background(), tc.g, core.PrepareConfig{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := in.Comm(core.Request{Seed: 1}).TreeTotals(set, leaf); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,6 +20,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a node; nodes are dense integers in [0, N).
@@ -66,17 +67,52 @@ func New(n int) *Graph {
 	}
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	c.edges = make([]Edge, len(g.edges))
-	copy(c.edges, g.edges)
-	for i := range g.adj {
-		c.adj[i] = make([]Half, len(g.adj[i]))
-		copy(c.adj[i], g.adj[i])
+// FromEdges returns the graph with n nodes and the given edges, edge i
+// getting EdgeID i: the graph that New(n) and AddEdge over edges in order
+// would build, with the same Neighbors order (each node's incident edges
+// in ascending EdgeID order). It rejects what AddEdge rejects, with the
+// same sentinel errors, and takes ownership of edges.
+//
+// The adjacency is built eagerly in one block by a counting pass, each
+// node's slice capped at its degree, so a later AddEdge reallocates only
+// the nodes it touches and the graph is read-only shareable as soon as it
+// is returned.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	n = max(n, 0)
+	for id, e := range edges {
+		if err := checkEdge(n, e.U, e.V, e.Weight); err != nil {
+			return nil, fmt.Errorf("edge %d: %w", id, err)
+		}
 	}
-	return c
+	return build(n, edges), nil
 }
+
+// build lays out the adjacency of n nodes and valid edges: degrees, then
+// each node's offset into one half-edge block, then the half-edges in
+// EdgeID order.
+func build(n int, edges []Edge) *Graph {
+	off := make([]int, n+1)
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	halves := make([]Half, 2*len(edges))
+	adj := make([][]Half, n)
+	for v := range adj {
+		adj[v] = halves[off[v]:off[v]:off[v+1]]
+	}
+	for id, e := range edges {
+		adj[e.U] = append(adj[e.U], Half{To: e.V, Edge: id})
+		adj[e.V] = append(adj[e.V], Half{To: e.U, Edge: id})
+	}
+	return &Graph{n: n, edges: edges, adj: adj}
+}
+
+// Clone returns a deep copy of g.
+func (g *Graph) Clone() *Graph { return build(g.n, slices.Clone(g.edges)) }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
@@ -95,20 +131,29 @@ func (g *Graph) AddNode() NodeID {
 // EdgeID. Parallel edges are allowed; self-loops and non-positive weights
 // are rejected.
 func (g *Graph) AddEdge(u, v NodeID, w int64) (EdgeID, error) {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return 0, fmt.Errorf("%w: {%d,%d} with n=%d", ErrNodeRange, u, v, g.n)
-	}
-	if u == v {
-		return 0, fmt.Errorf("%w: node %d", ErrSelfLoop, u)
-	}
-	if w <= 0 {
-		return 0, fmt.Errorf("%w: %d", ErrBadWeight, w)
+	if err := checkEdge(g.n, u, v, w); err != nil {
+		return 0, err
 	}
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
 	g.adj[u] = append(g.adj[u], Half{To: v, Edge: id})
 	g.adj[v] = append(g.adj[v], Half{To: u, Edge: id})
 	return id, nil
+}
+
+// checkEdge rejects an edge {u, v} of weight w that a graph of n nodes
+// cannot hold.
+func checkEdge(n int, u, v NodeID, w int64) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("%w: {%d,%d} with n=%d", ErrNodeRange, u, v, n)
+	}
+	if u == v {
+		return fmt.Errorf("%w: node %d", ErrSelfLoop, u)
+	}
+	if w <= 0 {
+		return fmt.Errorf("%w: %d", ErrBadWeight, w)
+	}
+	return nil
 }
 
 // MustAddEdge is AddEdge for construction-time code where the arguments are

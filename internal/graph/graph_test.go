@@ -2,6 +2,8 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +36,10 @@ func TestAddEdgeErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := g.AddEdge(tt.u, tt.v, tt.w); !errors.Is(err, tt.wantErr) {
 				t.Fatalf("AddEdge(%d,%d,%d) err=%v, want %v", tt.u, tt.v, tt.w, err, tt.wantErr)
+			}
+			// FromEdges rejects the same edge, after a valid one, the same way.
+			if _, err := FromEdges(3, []Edge{{U: 0, V: 2, Weight: 1}, {U: tt.u, V: tt.v, Weight: tt.w}}); !errors.Is(err, tt.wantErr) {
+				t.Fatalf("FromEdges with {%d,%d,%d}: err=%v, want %v", tt.u, tt.v, tt.w, err, tt.wantErr)
 			}
 		})
 	}
@@ -82,6 +88,71 @@ func TestCloneIsDeep(t *testing.T) {
 	c.MustAddEdge(0, 3, 1)
 	if g.M() != 3 || c.M() != 4 {
 		t.Fatalf("clone not deep: g.M()=%d c.M()=%d", g.M(), c.M())
+	}
+}
+
+// Property: FromEdges builds exactly the graph sequential AddEdge calls
+// build, on random multigraphs with parallel edges, and an AddEdge after
+// FromEdges moves only the two nodes it touches.
+func TestFromEdgesMatchesAddEdgeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(30)
+		m := rng.Intn(4 * n)
+		var edges []Edge
+		for len(edges) < m {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			e := Edge{U: u, V: v, Weight: 1 + rng.Int63n(9)}
+			edges = append(edges, e)
+			if rng.Intn(4) == 0 {
+				edges = append(edges, e) // a parallel edge
+			}
+		}
+		seq := New(n)
+		for _, e := range edges {
+			seq.MustAddEdge(e.U, e.V, e.Weight)
+		}
+		g, err := FromEdges(n, slices.Clone(edges))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		same := func(a, b *Graph) bool {
+			if a.N() != b.N() || !slices.Equal(a.EdgeList(), b.EdgeList()) {
+				return false
+			}
+			for v := 0; v < a.N(); v++ {
+				if a.Degree(v) != b.Degree(v) || !slices.Equal(a.Neighbors(v), b.Neighbors(v)) {
+					return false
+				}
+			}
+			return a.Validate() == nil && b.Validate() == nil
+		}
+		if !same(g, seq) || !same(g.Clone(), seq) {
+			return false
+		}
+		before := make([][]Half, n)
+		for v := range before {
+			before[v] = slices.Clone(g.Neighbors(v))
+		}
+		u, v := rng.Intn(n), (rng.Intn(n-1)+1)%n
+		if u == v {
+			v = (u + 1) % n
+		}
+		g.MustAddEdge(u, v, 1)
+		seq.MustAddEdge(u, v, 1)
+		for x := range before {
+			if x != u && x != v && !slices.Equal(g.Neighbors(x), before[x]) {
+				return false
+			}
+		}
+		return same(g, seq)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

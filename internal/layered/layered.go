@@ -22,54 +22,47 @@ import (
 // Layered is the p-layered version Ĝ_p of a base graph: p disjoint copies
 // ("layers") of G, plus a p-clique on the copies of each base node.
 // Layer edges inherit the base edge's weight; clique edges have weight 1.
+//
+// Edge IDs are positional: layer l's copy of base edge e is l*m + e, and
+// the clique edge joining copies i < j of base node v follows all layer
+// edges at p*m + v*p(p-1)/2 + pairIndex(p, i, j).
 type Layered struct {
 	Base *graph.Graph
 	P    int
 	G    *graph.Graph // the layered graph Ĝ_p
-
-	layerEdge [][]graph.EdgeID // [layer][baseEdge] -> layered edge
-	clique    []graph.EdgeID   // flattened [v][i][j], j > i
 }
 
 // ErrBadLayers is returned when p < 1.
 var ErrBadLayers = errors.New("layered: p must be >= 1")
 
 // New constructs Ĝ_p. The copy of base node v in layer l has layered ID
-// l*n + v.
+// l*n + v. It knows all p*m + n*p(p-1)/2 edges up front, so it writes them
+// into one list and builds the graph from it in one block.
 func New(base *graph.Graph, p int) (*Layered, error) {
 	if p < 1 {
 		return nil, ErrBadLayers
 	}
 	n, m := base.N(), base.M()
-	lg := graph.New(n * p)
-	l := &Layered{Base: base, P: p, G: lg}
-
-	l.layerEdge = make([][]graph.EdgeID, p)
+	l := &Layered{Base: base, P: p}
+	edges := make([]graph.Edge, 0, p*m+n*(p*(p-1)/2))
 	for layer := 0; layer < p; layer++ {
-		l.layerEdge[layer] = make([]graph.EdgeID, m)
-		for e := 0; e < m; e++ {
-			be := base.Edge(e)
-			id, err := lg.AddEdge(l.Copy(be.U, layer), l.Copy(be.V, layer), be.Weight)
-			if err != nil {
-				return nil, fmt.Errorf("layered: layer edge: %w", err)
-			}
-			l.layerEdge[layer][e] = id
+		for _, be := range base.EdgeList() {
+			edges = append(edges, graph.Edge{U: l.Copy(be.U, layer), V: l.Copy(be.V, layer), Weight: be.Weight})
 		}
 	}
-	// Cliques on copies of each node.
-	pairs := p * (p - 1) / 2
-	l.clique = make([]graph.EdgeID, n*pairs)
+	// Cliques on copies of each node, pairs in pairIndex order.
 	for v := 0; v < n; v++ {
 		for i := 0; i < p; i++ {
 			for j := i + 1; j < p; j++ {
-				id, err := lg.AddEdge(l.Copy(v, i), l.Copy(v, j), 1)
-				if err != nil {
-					return nil, fmt.Errorf("layered: clique edge: %w", err)
-				}
-				l.clique[v*pairs+pairIndex(p, i, j)] = id
+				edges = append(edges, graph.Edge{U: l.Copy(v, i), V: l.Copy(v, j), Weight: 1})
 			}
 		}
 	}
+	lg, err := graph.FromEdges(n*p, edges)
+	if err != nil {
+		return nil, fmt.Errorf("layered: %w", err)
+	}
+	l.G = lg
 	return l, nil
 }
 
@@ -95,7 +88,7 @@ func (l *Layered) Project(x graph.NodeID) (v graph.NodeID, layer int) {
 // LayerEdge returns the layered edge that is the given layer's copy of the
 // base edge.
 func (l *Layered) LayerEdge(layer int, baseEdge graph.EdgeID) graph.EdgeID {
-	return l.layerEdge[layer][baseEdge]
+	return layer*l.Base.M() + baseEdge
 }
 
 // CliqueEdge returns the layered edge joining copies (v, i) and (v, j),
@@ -108,7 +101,7 @@ func (l *Layered) CliqueEdge(v graph.NodeID, i, j int) (graph.EdgeID, error) {
 		i, j = j, i
 	}
 	pairs := l.P * (l.P - 1) / 2
-	return l.clique[v*pairs+pairIndex(l.P, i, j)], nil
+	return l.P*l.Base.M() + v*pairs + pairIndex(l.P, i, j), nil
 }
 
 // SimulationOverhead returns the multiplicative round overhead of running a

@@ -1,6 +1,7 @@
 package layered
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -295,5 +296,22 @@ func TestEmbedPathsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkLayeredNew times building Ĝ_p of a 16×16 grid at p = 4 and
+// p = 8 (1,024 and 2,048 nodes), the layered graph every layered
+// part-wise aggregation builds.
+func BenchmarkLayeredNew(b *testing.B) {
+	base := graph.Grid(16, 16)
+	for _, p := range []int{4, 8} {
+		b.Run(fmt.Sprintf("grid-256/p=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(base, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

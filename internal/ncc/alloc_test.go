@@ -9,21 +9,8 @@ package ncc
 import (
 	"testing"
 
-	"distlap/internal/congest"
 	"distlap/internal/faultinject"
 )
-
-// fanMsgs is a fixed batch in which every node sends to its next k nodes,
-// enough traffic to hit the per-node caps for several rounds.
-func fanMsgs(n, k int) []Message {
-	var msgs []Message
-	for i := 0; i < n; i++ {
-		for j := 1; j <= k; j++ {
-			msgs = append(msgs, Message{From: i, To: (i + j) % n, Payload: congest.Word(i)})
-		}
-	}
-	return msgs
-}
 
 // deliverAllocs warms nw's pooled arena with a few Deliver calls and then
 // returns the steady-state allocations per call.

@@ -256,3 +256,33 @@ func TestUnscheduledAggregationLosesData(t *testing.T) {
 		t.Fatalf("scheduled sum=%d", sum)
 	}
 }
+
+// fanMsgs is a fixed batch in which every node sends to its next k nodes,
+// enough traffic to hit the per-node caps for several rounds.
+func fanMsgs(n, k int) []Message {
+	var msgs []Message
+	for i := 0; i < n; i++ {
+		for j := 1; j <= k; j++ {
+			msgs = append(msgs, Message{From: i, To: (i + j) % n, Payload: congest.Word(i)})
+		}
+	}
+	return msgs
+}
+
+// BenchmarkDeliver times one reliable Deliver of 256 nodes × 8 messages on
+// a warmed network, the steady state of every NCC aggregation round.
+func BenchmarkDeliver(b *testing.B) {
+	nw := NewNetwork(256)
+	msgs := fanMsgs(nw.N(), 8)
+	recv := func(Message) {}
+	if _, err := nw.Deliver(msgs, recv); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nw.Deliver(msgs, recv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
