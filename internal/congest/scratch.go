@@ -25,8 +25,9 @@ type scratch struct {
 
 	// The tree primitives' sweep state, grown to the swept set's slot
 	// count. Upward: each slot's running subtree aggregate and the
-	// children it has not heard from. Downward: each slot's receipt mark,
-	// and per tree the members reached.
+	// children it has not heard from. Both ways: each slot's receipt mark
+	// (its word reached its parent going up, its parent's word reached it
+	// going down). Downward: per tree the members reached.
 	acc     []Word
 	pending []int32
 	seen    []bool
