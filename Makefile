@@ -44,9 +44,10 @@ test:
 # fault plan), AggregateMany at 1 alloc/call, UpDownMany at 0,
 # ncc.Deliver at 0 allocs/call (reliable and drop-only), a PCG iteration
 # within its fixed budget, and an induced-subgraph kernel sweep or
-# no-larger rebuild at 0 allocs; and two cold-start budgets that hold
+# no-larger rebuild at 0 allocs; two cold-start budgets that hold
 # across graph sizes, a fresh network's first AggregateMany at 28 and
-# layered.New at 6. The
+# layered.New at 6; and a bytes budget of 32 KiB for compiling a
+# request's two-fold global tree set on expander-512. The
 # tests are `//go:build !race` because the race runtime changes allocation
 # counts, so this is a separate plain-runtime pass; `make test` covers the
 # same code for correctness.
@@ -57,10 +58,12 @@ alloc-check:
 # sweep asserts max(h, c) <= rounds <= delta + c*h against its compiled
 # set's congestion c and height h and its largest drawn delay delta
 # (internal/congest/boundcheck.go), panicking on a violation. It runs the
-# engine and solver tests and the quick suite. The default build compiles a
-# no-op, so no gated output or allocation budget depends on it.
+# engine and solver tests, the part-wise aggregation and shortcut tests
+# (whose aggregations sweep sets compiled from member-local part trees)
+# and the quick suite. The default build compiles a no-op, so no gated
+# output or allocation budget depends on it.
 bound-check:
-	$(GO) test -tags boundcheck ./internal/congest ./internal/core
+	$(GO) test -tags boundcheck ./internal/congest ./internal/core ./internal/partwise ./internal/shortcut
 	$(GO) run -tags boundcheck ./cmd/experiments -quick -parallel 1 >/dev/null
 	@echo bound-check: every reliable tree sweep stayed inside its round bracket
 

@@ -32,9 +32,9 @@ func BenchmarkAblationDelays(b *testing.B) {
 					Seed:                int64(i + 1),
 					DisableRandomDelays: disable,
 				})
-				trees := make([]*graph.Tree, 64)
+				trees := make([]*graph.PartTree, 64)
 				for t := range trees {
-					trees[t] = graph.BFSTree(g, 0)
+					trees[t] = graph.BFSTree(g, 0).Part()
 				}
 				set, err := congest.NewTreeSet(g, trees)
 				if err != nil {

@@ -30,6 +30,6 @@ func (nw *Network) checkSweep(what string, s *TreeSet, delays []int, rounds int)
 	}
 	if rounds < lo || rounds > hi {
 		panic(fmt.Sprintf("congest: boundcheck: %s over %d trees (c=%d, h=%d, δ=%d) took %d rounds, want [%d, %d]",
-			what, len(s.root), s.c, h, delta, rounds, lo, hi))
+			what, s.Len(), s.c, h, delta, rounds, lo, hi))
 	}
 }

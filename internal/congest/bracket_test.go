@@ -13,14 +13,14 @@ import (
 // one directed edge (child to parent), and h, the largest tree height.
 // It counts from the trees alone, independently of the engine's own
 // congestion count.
-func treeBracket(trees []*graph.Tree) (c, h int) {
+func treeBracket(trees []*graph.PartTree) (c, h int) {
 	use := map[[2]int]int{} // (parent edge, child) -> trees using it
 	for _, tr := range trees {
-		for _, v := range tr.Members {
-			if tr.Parent[v] == -1 {
+		for i, v := range tr.Members {
+			if tr.Parent[i] == -1 {
 				continue
 			}
-			k := [2]int{tr.ParentEdge[v], v}
+			k := [2]int{int(tr.ParentEdge[i]), v}
 			use[k]++
 			c = max(c, use[k])
 		}
@@ -33,16 +33,17 @@ func treeBracket(trees []*graph.Tree) (c, h int) {
 // around random roots (so the trees overlap), or, for the other half of
 // the seeds, one BFS tree repeated k times (the shape of a batched
 // GlobalSums).
-func bracketTrees(g *graph.Graph, rng *rand.Rand, balls bool) []*graph.Tree {
+func bracketTrees(g *graph.Graph, rng *rand.Rand, balls bool) []*graph.PartTree {
 	k := 1 + rng.Intn(8)
-	trees := make([]*graph.Tree, 0, k)
+	trees := make([]*graph.PartTree, 0, k)
 	if !balls {
-		tr := graph.BFSTree(g, rng.Intn(g.N()))
+		tr := graph.BFSTree(g, rng.Intn(g.N())).Part()
 		for i := 0; i < k; i++ {
 			trees = append(trees, tr)
 		}
 		return trees
 	}
+	var sub graph.Induced
 	for i := 0; i < k; i++ {
 		root := rng.Intn(g.N())
 		radius := 1 + rng.Intn(4)
@@ -53,7 +54,7 @@ func bracketTrees(g *graph.Graph, rng *rand.Rand, balls bool) []*graph.Tree {
 				members = append(members, v)
 			}
 		}
-		trees = append(trees, graph.BFSTreeOfSubgraph(g, members, root))
+		trees = append(trees, sub.Tree(g, members, root))
 	}
 	return trees
 }
@@ -97,8 +98,8 @@ func TestTreePrimitiveRoundBracket(t *testing.T) {
 			}
 			one := func(int, graph.NodeID) Word { return 1 }
 			total := func(_ int, w Word) Word { return w }
-			forward := func(_ int, _, _ graph.NodeID, w, _ Word) Word { return w }
-			nop := func(int, graph.NodeID, Word) {}
+			forward := func(_, _, _ int, w, _ Word) Word { return w }
+			nop := func(int, int, Word) {}
 
 			primitives := []struct {
 				name   string

@@ -24,10 +24,11 @@ func WordFloat(w Word) float64 { return math.Float64frombits(uint64(w)) }
 // concurrently over every tree of s: a convergecast of val under agg, then
 // a transforming sweep from each root toward the leaves. The root of tree t
 // starts the downward pass with rootVal(t, total), where total is its
-// subtree aggregate; a parent sends each child down(t, parent, child,
-// parentVal, childSub), a function of what both endpoints know after the
-// upward pass (childSub is the aggregate the child forwarded). on(t, v, w)
-// fires once at every member with the value it received, the root first.
+// subtree aggregate; a parent slot sends each child slot down(t, parent,
+// child, parentVal, childSub), a function of what both endpoints know
+// after the upward pass (childSub is the aggregate the child forwarded).
+// on(t, i, w) fires once at every slot i with the value it received, the
+// root first. Slots are the set's (TreeSet.First, Node, ParentEdge).
 //
 // Every member must finish the upward pass ("stuck at node" otherwise)
 // before the downward one starts. Each pass draws its random delays as a
@@ -37,8 +38,8 @@ func (nw *Network) UpDownMany(
 	val func(t int, v graph.NodeID) Word,
 	agg Agg,
 	rootVal func(t int, total Word) Word,
-	down func(t int, parent, child graph.NodeID, parentVal, childSub Word) Word,
-	on func(t int, v graph.NodeID, w Word),
+	down func(t, parent, child int, parentVal, childSub Word) Word,
+	on func(t, i int, w Word),
 ) error {
 	if err := nw.sweepFor(s); err != nil {
 		return err

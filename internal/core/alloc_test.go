@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"distlap/internal/graph"
@@ -68,5 +69,46 @@ func TestPCGIterationAllocs(t *testing.T) {
 	if perIter > iterAllocBudget {
 		t.Fatalf("steady-state PCG iteration allocates %.2f, budget %d — new per-iteration state belongs in a pool",
 			perIter, iterAllocBudget)
+	}
+}
+
+// TestInstanceSizeBytesTracksRetainedHeap holds prepared universal
+// instances of the four workload-sized graphs and requires the heap they
+// retain, graph included, to stay within [0.85, 1.25] × SizeBytes, the
+// estimate distlapd's cache budget charges. Four copies of each are held
+// at once, so the measured share per instance averages out allocator
+// rounding. It read 0.97–1.12 when member-local part trees landed.
+func TestInstanceSizeBytesTracksRetainedHeap(t *testing.T) {
+	const lo, hi, copies = 0.85, 1.25, 4
+	for _, tc := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"grid-400", func() *graph.Graph { return graph.Grid(20, 20) }},
+		{"expander-512", func() *graph.Graph { return graph.RandomRegular(512, 4, 7) }},
+		{"grid-1600", func() *graph.Graph { return graph.Grid(40, 40) }},
+		{"expander-2048", func() *graph.Graph { return graph.RandomRegular(2048, 4, 7) }},
+	} {
+		var held [copies]*Instance
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range held {
+			in, err := PrepareInstance(context.Background(), tc.g(), PrepareConfig{Mode: ModeUniversal, Tol: 1e-6, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[i] = in
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained := float64(after.HeapAlloc-before.HeapAlloc) / copies
+		size := float64(held[0].SizeBytes())
+		t.Logf("%s: SizeBytes %.0f, retained %.0f (%.3f×)", tc.name, size, retained, retained/size)
+		if r := retained / size; r < lo || r > hi {
+			t.Errorf("%s: retained heap is %.3f × SizeBytes (%.0f of %.0f bytes), want [%.2f, %.2f]",
+				tc.name, r, retained, size, lo, hi)
+		}
+		runtime.KeepAlive(held)
 	}
 }

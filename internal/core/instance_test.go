@@ -166,3 +166,21 @@ func TestToleranceRule(t *testing.T) {
 		}
 	}
 }
+
+// TestInstanceSizeBytesGrowsLinearly pins a prepared instance's size to
+// O(n + m + Σ members): quadrupling a grid from 1,600 to 6,400 nodes may
+// multiply SizeBytes by at most 4.5. Part trees that kept host-sized
+// arrays grew as k·n, about n^1.5, and read 7.46 here.
+func TestInstanceSizeBytesGrowsLinearly(t *testing.T) {
+	size := func(side int) int64 {
+		in, err := PrepareInstance(context.Background(), graph.Grid(side, side), PrepareConfig{Tol: 1e-6, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.SizeBytes()
+	}
+	small, large := size(40), size(80)
+	if r := float64(large) / float64(small); r > 4.5 {
+		t.Fatalf("SizeBytes grew %.2f× from grid-1600 (%d) to grid-6400 (%d), want at most 4.5×", r, small, large)
+	}
+}

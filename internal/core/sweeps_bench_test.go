@@ -14,7 +14,8 @@ import (
 // (grid-400 and expander-512, seed 1 as distbench's probe): TreeTotals is
 // one aggregation round trip (restrict and center), TreeUpDown the
 // preconditioner's tree solve (sweep), and NewTreeSet the compile a
-// prepared instance pays once for the same trees. The cold case is a
+// prepared instance pays once for the same (member-local) trees. The cold
+// case is a
 // fresh request comm's first TreeTotals, which every request pays: the
 // network and its pooled scheduler and sweep state are built from
 // nothing.
@@ -40,10 +41,6 @@ func BenchmarkTreeSweeps(b *testing.B) {
 		set, err := c.ClusterTrees(pre.Clusters())
 		if err != nil {
 			b.Fatal(err)
-		}
-		trees := make([]*graph.Tree, set.Len())
-		for t := range trees {
-			trees[t] = set.Tree(t)
 		}
 		x := make([]float64, tc.g.N())
 		for v := range x {
@@ -82,13 +79,44 @@ func BenchmarkTreeSweeps(b *testing.B) {
 				}
 			}
 		})
+		var sub graph.Induced
+		parts := make([]*graph.PartTree, len(pre.Clusters()))
+		for t, cl := range pre.Clusters() {
+			parts[t] = sub.Tree(tc.g, cl, cl[0])
+		}
 		b.Run(tc.name+"/compile", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := congest.NewTreeSet(tc.g, trees); err != nil {
+				if _, err := congest.NewTreeSet(tc.g, parts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkClusterTrees times what a prepared instance pays for its
+// cluster trees on grid-1600 (seed 1): the DefaultPrecond clusters' induced
+// BFS trees, member-local, compiled into one set. Its bytes per operation
+// are O(Σ members), about twice the cover's 3,200 members, with no array
+// the size of the graph per cluster.
+func BenchmarkClusterTrees(b *testing.B) {
+	g := graph.Grid(40, 40)
+	c, err := core.NewCongestComm(congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1}), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pre, ok := core.DefaultPrecond(g, 1).(*core.SchwarzPrecond)
+	if !ok {
+		b.Fatal("the default preconditioner is not Schwarz")
+	}
+	if err := pre.Setup(c); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ClusterTrees(pre.Clusters()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -13,9 +13,9 @@ import "slices"
 // edge-first-seen order: the edge joining local nodes i < j is first seen
 // while scanning member i, and edges are ranked by (i, position in i's
 // adjacency list). A sweep therefore visits nodes and resolves parent ties
-// exactly as a BFS over the induced edges appended in that order would —
-// the order BFSTreeOfSubgraph has always used — so every tree, depth and
-// visit order it yields is bit-identical to that construction.
+// exactly as a BFS over the induced edges appended in that order would, so
+// every tree, depth and visit order it yields is bit-identical to that
+// construction.
 //
 // The zero value is ready to use. The only host-indexed buffer is the
 // host-to-local index, allocated once per Induced (regrown for a larger
@@ -34,6 +34,7 @@ type Induced struct {
 	parent []int32  // last sweep: local parent, -1 for the root and unreached
 	pedge  []int32  // last sweep: host edge to the parent
 	order  []int32  // last sweep: reached nodes in visit order
+	index  []int32  // Tree: local node → member index
 }
 
 // fit returns b resized to n elements, reusing its storage when it can.
@@ -125,45 +126,41 @@ func (s *Induced) Sweep(root int) (reached, ecc, far int) {
 	return reached, ecc, far
 }
 
-// Tree returns the BFS tree from root of the subgraph of g induced by
-// members, in host node IDs; see BFSTreeOfSubgraph.
-func (s *Induced) Tree(g *Graph, members []NodeID, root NodeID) *Tree {
+// Tree returns the BFS tree, rooted at root, of the subgraph of g induced
+// by members, in member-local form: Members in visit order, each parent as
+// a member index. Proposition 6 aggregates over G[P_i] ∪ H_i; callers pass
+// P_i plus the endpoints of H_i, so the tree spans G[P_i ∪ V(H_i)], which
+// contains every edge of H_i. A repeated member is listed once; a root
+// outside members yields the tree {root}. The tree costs O(k) beyond the
+// search, and nothing the size of the host graph.
+func (s *Induced) Tree(g *Graph, members []NodeID, root NodeID) *PartTree {
 	s.Build(g, members)
-	n := g.N()
-	// The three host-sized arrays share one allocation, each capped at its
-	// own length so no append can run into its neighbour.
-	block := make([]int, 3*n)
-	for i := range block {
-		block[i] = -1
-	}
-	t := &Tree{
-		Root:       root,
-		Parent:     block[:n:n],
-		ParentEdge: block[n : 2*n : 2*n],
-		Depth:      block[2*n:],
-	}
 	r := slices.Index(s.nodes, root)
 	if r < 0 {
-		t.Depth[root] = 0
-		t.Members = []NodeID{root}
+		t := NewPartTree(1)
+		t.Members[0], t.Parent[0], t.ParentEdge[0] = root, -1, -1
 		return t
 	}
 	reached, _, _ := s.Sweep(r)
-	t.Members = make([]NodeID, reached)
+	t := NewPartTree(reached)
+	// index maps a local node to its member index; a parent is visited,
+	// and so indexed, before its children.
+	index := fit(s.index, len(s.nodes))
+	s.index = index
 	for i, l := range s.order[:reached] {
-		v := s.nodes[l]
-		t.Members[i] = v
-		t.Depth[v] = int(s.depth[l])
+		index[l] = int32(i)
+		t.Members[i] = s.nodes[l]
+		t.Depth[i] = s.depth[l]
+		t.Parent[i], t.ParentEdge[i] = -1, -1
 		if p := s.parent[l]; p >= 0 {
-			t.Parent[v] = s.nodes[p]
-			t.ParentEdge[v] = EdgeID(s.pedge[l])
+			t.Parent[i], t.ParentEdge[i] = index[p], s.pedge[l]
 		}
 	}
 	return t
 }
 
 // Connected reports whether the subgraph of g induced by nodes is
-// connected; see InducedConnected.
+// connected (vacuously true for |nodes| <= 1; false when a node repeats).
 func (s *Induced) Connected(g *Graph, nodes []NodeID) bool {
 	if len(nodes) <= 1 {
 		return true
@@ -174,7 +171,9 @@ func (s *Induced) Connected(g *Graph, nodes []NodeID) bool {
 }
 
 // Center returns a low-eccentricity node of the subgraph of g induced by
-// nodes; see ApproxCenterOf.
+// nodes: a double sweep from nodes[0], then from the first node found at
+// the largest depth, returning the midpoint of that sweep's deepest path.
+// It falls back to nodes[0] for degenerate inputs.
 func (s *Induced) Center(g *Graph, nodes []NodeID) NodeID {
 	if len(nodes) == 0 {
 		return 0

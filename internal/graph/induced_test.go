@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// refTree is an independent, map-based reference for BFSTreeOfSubgraph:
+// refTree is an independent, map-based reference for Induced.Tree, built
+// host-indexed and compared in member-local form (Tree.Part):
 // induced edges are appended to a per-node adjacency in edge-first-seen
 // order (member scan, then neighbour scan) and searched breadth-first.
 func refTree(g *Graph, members []NodeID, root NodeID) *Tree {
@@ -128,21 +129,21 @@ func randomMembers(rng *rand.Rand, g *Graph) []NodeID {
 // the reused kernel sub, against the map-based references.
 func checkKernel(t *testing.T, sub *Induced, g *Graph, members []NodeID, root NodeID) {
 	t.Helper()
-	want := refTree(g, members, root)
-	if got := BFSTreeOfSubgraph(g, members, root); !reflect.DeepEqual(got, want) {
-		t.Fatalf("BFSTreeOfSubgraph(n=%d, %v, %d) = %+v, want %+v", g.N(), members, root, got, want)
+	want := refTree(g, members, root).Part()
+	if got := new(Induced).Tree(g, members, root); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh Tree(n=%d, %v, %d) = %+v, want %+v", g.N(), members, root, got, want)
 	}
 	if got := sub.Tree(g, members, root); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reused Tree(n=%d, %v, %d) = %+v, want %+v", g.N(), members, root, got, want)
 	}
-	if got, want := InducedConnected(g, members), refConnected(g, members); got != want {
-		t.Fatalf("InducedConnected(n=%d, %v) = %v, want %v", g.N(), members, got, want)
+	if got, want := new(Induced).Connected(g, members), refConnected(g, members); got != want {
+		t.Fatalf("fresh Connected(n=%d, %v) = %v, want %v", g.N(), members, got, want)
 	}
 	if got, want := sub.Connected(g, members), refConnected(g, members); got != want {
 		t.Fatalf("reused Connected(n=%d, %v) = %v, want %v", g.N(), members, got, want)
 	}
-	if got, want := ApproxCenterOf(g, members), refCenter(g, members); got != want {
-		t.Fatalf("ApproxCenterOf(n=%d, %v) = %d, want %d", g.N(), members, got, want)
+	if got, want := new(Induced).Center(g, members), refCenter(g, members); got != want {
+		t.Fatalf("fresh Center(n=%d, %v) = %d, want %d", g.N(), members, got, want)
 	}
 	if got, want := sub.Center(g, members), refCenter(g, members); got != want {
 		t.Fatalf("reused Center(n=%d, %v) = %d, want %d", g.N(), members, got, want)
@@ -170,18 +171,19 @@ func TestInducedEdgeCases(t *testing.T) {
 	// A repeated member: the set is not connected as listed, and the tree
 	// lists the node once.
 	dup := []NodeID{1, 2, 1}
-	if InducedConnected(g, dup) || sub.Connected(g, dup) {
-		t.Fatal("a repeated member must make InducedConnected false")
+	if sub.Connected(g, dup) {
+		t.Fatal("a repeated member must make Connected false")
 	}
-	if tr := BFSTreeOfSubgraph(g, dup, 1); !reflect.DeepEqual(tr.Members, []NodeID{1, 2}) {
+	if tr := sub.Tree(g, dup, 1); !reflect.DeepEqual(tr.Members, []NodeID{1, 2}) {
 		t.Fatalf("tree over a repeated member lists %v, want [1 2]", tr.Members)
 	}
 	checkKernel(t, &sub, g, dup, 2)
 
 	// A root outside the members: the tree is just {root}.
-	tr := BFSTreeOfSubgraph(g, []NodeID{0, 1}, 3)
-	if !reflect.DeepEqual(tr.Members, []NodeID{3}) || tr.Depth[3] != 0 || tr.Depth[0] != -1 {
-		t.Fatalf("outside root: members %v depth %v", tr.Members, tr.Depth)
+	tr := sub.Tree(g, []NodeID{0, 1}, 3)
+	want := &PartTree{Members: []NodeID{3}, Parent: []int32{-1}, ParentEdge: []int32{-1}, Depth: []int32{0}}
+	if !reflect.DeepEqual(tr, want) {
+		t.Fatalf("outside root: %+v, want %+v", tr, want)
 	}
 	checkKernel(t, &sub, g, []NodeID{0, 1}, 3)
 
@@ -197,11 +199,11 @@ func TestInducedEdgeCases(t *testing.T) {
 	}
 }
 
-// BenchmarkBFSTreeOfSubgraph measures one part's BFS tree on a host graph
-// 64 times the part's size: a 16×16 block of a 128×128 grid, fresh (the
-// package function) and through one reused kernel. The host-indexed Tree
-// arrays are the remaining O(n) cost of either.
-func BenchmarkBFSTreeOfSubgraph(b *testing.B) {
+// BenchmarkInducedTree measures one part's BFS tree on a host graph 64
+// times the part's size: a 16×16 block of a 128×128 grid, through a fresh
+// kernel (whose host-to-local index is the one O(n) cost) and through one
+// reused kernel, which costs only the part.
+func BenchmarkInducedTree(b *testing.B) {
 	g := Grid(128, 128)
 	var part []NodeID
 	for r := 0; r < 16; r++ {
@@ -212,7 +214,7 @@ func BenchmarkBFSTreeOfSubgraph(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchTree = BFSTreeOfSubgraph(g, part, part[0])
+			benchTree = new(Induced).Tree(g, part, part[0])
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
@@ -224,4 +226,4 @@ func BenchmarkBFSTreeOfSubgraph(b *testing.B) {
 	})
 }
 
-var benchTree *Tree
+var benchTree *PartTree

@@ -176,11 +176,8 @@ func LowStretchTree(g *Graph, seed int64) *Tree {
 				continue
 			}
 			tr := sub.Tree(q, cl, cl[0])
-			for _, v := range tr.Members {
-				if tr.Parent[v] == -1 {
-					continue
-				}
-				a, b := v, tr.Parent[v]
+			for i, a := range tr.Members[1:] {
+				b := tr.Members[tr.Parent[i+1]]
 				key := [2]int{min(a, b), max(a, b)}
 				orig := bestEdge[key]
 				e := g.Edge(orig)

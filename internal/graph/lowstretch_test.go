@@ -10,11 +10,12 @@ func TestMPXDecompositionPartitions(t *testing.T) {
 	g := Grid(8, 8)
 	clusters := MPXDecomposition(g, MPXOptions{Beta: 0.5, Seed: 3})
 	seen := make(map[NodeID]int)
+	var sub Induced
 	for _, cl := range clusters {
 		if len(cl) == 0 {
 			t.Fatal("empty cluster")
 		}
-		if !InducedConnected(g, cl) {
+		if !sub.Connected(g, cl) {
 			t.Fatalf("cluster %v disconnected", cl)
 		}
 		for _, v := range cl {
@@ -113,8 +114,15 @@ func TestAverageStretchCycle(t *testing.T) {
 
 func TestAverageStretchDisconnectedTree(t *testing.T) {
 	g := Grid(3, 3)
-	// A tree covering only part of the graph: stretch is infinite.
-	tr := BFSTreeOfSubgraph(g, []NodeID{0, 1, 2}, 0)
+	// A tree covering only part of the graph (the top row): stretch is
+	// infinite.
+	var row []EdgeID
+	for _, h := range g.Neighbors(1) {
+		if h.To == 0 || h.To == 2 {
+			row = append(row, h.Edge)
+		}
+	}
+	tr := TreeFromEdges(g, row, 0)
 	if !math.IsInf(AverageStretch(g, tr), 1) {
 		t.Fatal("want +Inf for non-spanning tree")
 	}

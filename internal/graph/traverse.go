@@ -140,15 +140,6 @@ func IsConnected(g *Graph) bool {
 	return len(BFS(g, 0).Order) == g.N()
 }
 
-// InducedConnected reports whether the subgraph of g induced by nodes is
-// connected (vacuously true for |nodes| <= 1; false when a node repeats).
-// Loops over many node sets should reuse one Induced and call its
-// Connected method.
-func InducedConnected(g *Graph, nodes []NodeID) bool {
-	var s Induced
-	return s.Connected(g, nodes)
-}
-
 func intSort(a []int) {
 	// Insertion sort is fine for the small components produced in tests;
 	// fall back to a shell-ish pass for larger inputs.
@@ -212,13 +203,4 @@ func ApproxCenter(g *Graph) NodeID {
 		v = second.Parent[v]
 	}
 	return v
-}
-
-// ApproxCenterOf returns a low-eccentricity node of the subgraph induced
-// by nodes (double sweep within the induced subgraph: from nodes[0], then
-// from the first node found at the largest depth, returning the midpoint of
-// that sweep's deepest path). Falls back to nodes[0] for degenerate inputs.
-func ApproxCenterOf(g *Graph, nodes []NodeID) NodeID {
-	var s Induced
-	return s.Center(g, nodes)
 }

@@ -2,6 +2,7 @@ package partwise
 
 import (
 	"fmt"
+	"slices"
 
 	"distlap/internal/graph"
 )
@@ -23,61 +24,73 @@ type decomposedPath struct {
 }
 
 // decomposePart heavy-path-decomposes the BFS spanning tree of the part,
-// built with the caller's kernel.
+// built with the caller's kernel. Children, subtree sizes and heavy
+// children are kept by member index, so the decomposition costs O(|part|)
+// beyond the search.
 func decomposePart(sub *graph.Induced, g *graph.Graph, part []graph.NodeID, partIdx int) ([]decomposedPath, error) {
 	tr := sub.Tree(g, part, part[0])
-	if len(tr.Members) != len(part) {
+	k := len(tr.Members)
+	if k != len(part) {
 		return nil, fmt.Errorf("partwise: part %d not induced-connected", partIdx)
 	}
-	children := tr.Children()
-	// Subtree sizes via reverse BFS order.
-	size := make(map[graph.NodeID]int, len(part))
-	for i := len(tr.Members) - 1; i >= 0; i-- {
-		v := tr.Members[i]
-		s := 1
-		for _, c := range children[v] {
-			s += size[c]
+	// One block: subtree sizes, heavy children (-1 for none) and the
+	// children grouped by parent in member order (offsets kids, list kid).
+	block := make([]int32, 4*k+1)
+	size, heavy, kids, kid := block[:k], block[k:2*k], block[2*k:3*k+1], block[3*k+1:]
+	// Members list parents first, so a reverse scan completes each subtree
+	// before adding it to its parent.
+	for i := k - 1; i >= 0; i-- {
+		size[i]++
+		if p := tr.Parent[i]; p != -1 {
+			size[p] += size[i]
+			kids[p+1]++
 		}
-		size[v] = s
 	}
-	heavy := make(map[graph.NodeID]graph.NodeID, len(part))
-	for _, v := range tr.Members {
-		best, bestSize := graph.NodeID(-1), -1
-		for _, c := range children[v] {
-			if size[c] > bestSize {
-				best, bestSize = c, size[c]
-			}
+	for i := range heavy {
+		heavy[i] = -1
+	}
+	for i := 1; i < k; i++ {
+		kids[i+1] += kids[i]
+		// The first child of largest size, in member order.
+		if p := tr.Parent[i]; heavy[p] == -1 || size[i] > size[heavy[p]] {
+			heavy[p] = int32(i)
 		}
-		heavy[v] = best
+	}
+	fill := slices.Clone(kids[:k])
+	for i := 1; i < k; i++ {
+		p := tr.Parent[i]
+		kid[fill[p]] = int32(i)
+		fill[p]++
 	}
 
 	var paths []decomposedPath
 	type start struct {
-		node  graph.NodeID
-		level int
+		member int32
+		level  int
 	}
-	stack := []start{{node: tr.Root, level: 0}}
+	stack := []start{{member: 0, level: 0}}
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		dp := decomposedPath{
 			part:       partIdx,
 			level:      st.level,
-			attach:     tr.Parent[st.node],
-			attachEdge: tr.ParentEdge[st.node],
+			attach:     -1,
+			attachEdge: graph.EdgeID(tr.ParentEdge[st.member]),
 		}
-		v := st.node
-		for v != -1 {
-			dp.nodes = append(dp.nodes, v)
-			if h := heavy[v]; h != -1 {
-				dp.edges = append(dp.edges, tr.ParentEdge[h])
+		if p := tr.Parent[st.member]; p != -1 {
+			dp.attach = tr.Members[p]
+		}
+		for i := st.member; i != -1; i = heavy[i] {
+			dp.nodes = append(dp.nodes, tr.Members[i])
+			if h := heavy[i]; h != -1 {
+				dp.edges = append(dp.edges, graph.EdgeID(tr.ParentEdge[h]))
 			}
-			for _, c := range children[v] {
-				if c != heavy[v] {
-					stack = append(stack, start{node: c, level: st.level + 1})
+			for _, c := range kid[kids[i]:kids[i+1]] {
+				if c != heavy[i] {
+					stack = append(stack, start{member: c, level: st.level + 1})
 				}
 			}
-			v = heavy[v]
 		}
 		paths = append(paths, dp)
 	}

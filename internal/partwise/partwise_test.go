@@ -2,12 +2,15 @@ package partwise
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"distlap/internal/congest"
+	"distlap/internal/faultinject"
 	"distlap/internal/graph"
 	"distlap/internal/shortcut"
+	"distlap/internal/simtrace"
 )
 
 func newNet(g *graph.Graph, supported bool) *congest.Network {
@@ -320,6 +323,51 @@ func TestLayeredSolverHighCongestion(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatalf("part %d: got %d want %d", i, out[i], want[i])
 		}
+	}
+}
+
+// TestLayeredSubNetworkRunsFaultFree pins where a request's fault plan
+// reaches: the base network only. A delay-only plan stalls the base
+// network's attachment hops, but the Lemma 16 layered sub-network is
+// built without the plan, and its rounds reach the base network only as a
+// charged number. So the "layered" engine records exactly the rounds and
+// messages of a reliable run, every fault the trace counts is one of the
+// base network's, and the aggregates are the reliable ones.
+func TestLayeredSubNetworkRunsFaultFree(t *testing.T) {
+	g := graph.Grid(5, 5)
+	inst := RandomCongestedInstance(g, 4, 3, 11)
+	run := func(plan *faultinject.Plan) ([]congest.Word, *simtrace.InMemory, *congest.Network) {
+		tr := simtrace.NewInMemory()
+		nw := congest.NewNetwork(g, congest.Options{Seed: 1, Supported: true, Trace: tr, Faults: plan})
+		out, err := NewLayeredSolver(5).Solve(nw, inst, Min)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, tr, nw
+	}
+	layered := func(tr *simtrace.InMemory) simtrace.EngineTotal {
+		for _, e := range tr.Engines() {
+			if e.Engine == simtrace.EngineLayered {
+				return e
+			}
+		}
+		t.Fatal("the trace recorded no layered engine")
+		return simtrace.EngineTotal{}
+	}
+	want, reliable, _ := run(nil)
+	got, faulty, nw := run(faultinject.MustNew(faultinject.Spec{Seed: 3, DelayProb: 0.3, MaxDelay: 3}))
+	if !slices.Equal(got, want) {
+		t.Fatalf("aggregates %v under a delay plan, want the reliable %v", got, want)
+	}
+	stats := nw.FaultStats()
+	if stats.Delays == 0 {
+		t.Fatal("the plan delayed nothing on the base network; the test would not exercise it")
+	}
+	if f, r := layered(faulty), layered(reliable); f != r {
+		t.Fatalf("the layered sub-network ran %+v under the base plan, want the reliable %+v", f, r)
+	}
+	if c := faulty.CounterValue("fault.delays"); c != stats.Delays {
+		t.Fatalf("the trace counts %d delays, the base network %d: a fault came from elsewhere", c, stats.Delays)
 	}
 }
 

@@ -50,7 +50,7 @@ func SolveOneCongested(
 	chargeConstruction(nw, sc)
 	tr.End("shortcut-build")
 
-	trees := make([]*graph.Tree, len(parts))
+	trees := make([]*graph.PartTree, len(parts))
 	members := make([]map[graph.NodeID]bool, len(parts))
 	var sub graph.Induced
 	for i, p := range parts {
@@ -130,9 +130,12 @@ func (NaiveGlobalSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec
 		return nil, fmt.Errorf("partwise: graph disconnected")
 	}
 	lut := inst.valueLookup()
-	trees := make([]*graph.Tree, len(inst.Parts))
+	// One member-local tree repeated per part: the set takes c = k from
+	// the repeat.
+	global := tree.Part()
+	trees := make([]*graph.PartTree, len(inst.Parts))
 	for i := range trees {
-		trees[i] = tree
+		trees[i] = global
 	}
 	set, err := congest.NewTreeSet(g, trees)
 	if err != nil {

@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"fmt"
+	"slices"
 
 	"distlap/internal/graph"
 )
@@ -59,17 +60,20 @@ func (b SteinerBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut
 	if root < 0 || root >= g.N() {
 		root = centerHeuristic(g)
 	}
-	tree := graph.BFSTree(g, root)
-	if len(tree.Members) != g.N() {
+	bfs := graph.BFSTree(g, root)
+	if len(bfs.Members) != g.N() {
 		return nil, fmt.Errorf("shortcut: graph disconnected from root %d", root)
 	}
+	tree := bfs.Part()
+	pos := make([]int32, g.N())
+	tree.IndexInto(pos)
 	s := &Shortcut{
 		Parts:   parts,
 		Extra:   make([][]graph.EdgeID, len(parts)),
 		Builder: "steiner-tree",
 	}
 	for i, p := range parts {
-		s.Extra[i] = steinerSubtreeEdges(tree, p)
+		s.Extra[i] = steinerSubtreeEdges(tree, pos, p)
 	}
 	if err := Verify(g, s); err != nil {
 		return nil, err
@@ -81,49 +85,45 @@ func (b SteinerBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut
 // spanning terminals: every edge on a path from a terminal up to the
 // "meeting point" (the highest node at which all terminal-to-root paths have
 // merged). Implemented by walking each terminal upward, stopping when
-// reaching an already-marked node; the union of walked edges, pruned so the
-// subtree does not extend above the shallowest meeting node, is the Steiner
-// subtree.
-func steinerSubtreeEdges(tree *graph.Tree, terminals []graph.NodeID) []graph.EdgeID {
+// reaching an already-marked member; the union of walked edges, pruned so
+// the subtree does not extend above the shallowest meeting node, is the
+// Steiner subtree. pos maps each terminal to its member index in tree.
+func steinerSubtreeEdges(tree *graph.PartTree, pos []int32, terminals []graph.NodeID) []graph.EdgeID {
 	if len(terminals) <= 1 {
 		return nil
 	}
-	// Mark upward paths.
-	marked := make(map[graph.NodeID]bool, len(terminals)*2)
-	var edges []graph.EdgeID
-	parentEdgeOf := make(map[graph.NodeID]graph.EdgeID)
+	// Mark upward paths, by member index.
+	marked := make(map[int32]bool, len(terminals)*2)
+	var walked []int32 // members whose parent edge a walk crossed
 	for _, t := range terminals {
-		v := t
-		for !marked[v] {
-			marked[v] = true
-			p := tree.Parent[v]
+		i := pos[t]
+		for !marked[i] {
+			marked[i] = true
+			p := tree.Parent[i]
 			if p == -1 {
 				break
 			}
-			parentEdgeOf[v] = tree.ParentEdge[v]
-			v = p
+			walked = append(walked, i)
+			i = p
 		}
 	}
 	// The union of upward paths forms a subtree rooted at the highest
 	// marked node; prune marked nodes of degree 1 (within the subtree)
 	// that are not terminals, from the top down, to cut the surplus path
 	// above the meeting point.
-	isTerminal := make(map[graph.NodeID]bool, len(terminals))
+	isTerminal := make(map[int32]bool, len(terminals))
 	for _, t := range terminals {
-		isTerminal[t] = true
+		isTerminal[pos[t]] = true
 	}
-	// Walked nodes in sorted order: both the meeting-node scan and the
-	// emitted edge list must not depend on map iteration order (edge-list
-	// order feeds BFS tie-breaking downstream).
-	walked := make([]graph.NodeID, 0, len(parentEdgeOf))
-	for v := range parentEdgeOf {
-		walked = append(walked, v)
-	}
-	sortNodeIDs(walked)
-	childCount := make(map[graph.NodeID]int)
-	for _, v := range walked {
-		if marked[tree.Parent[v]] {
-			childCount[tree.Parent[v]]++
+	// Walked and marked members in host node order: both the meeting-node
+	// scan and the emitted edge list must not depend on map iteration order
+	// (edge-list order feeds BFS tie-breaking downstream).
+	byNode := func(a, b int32) int { return tree.Members[a] - tree.Members[b] }
+	slices.SortFunc(walked, byNode)
+	childCount := make(map[int32]int)
+	for _, i := range walked {
+		if marked[tree.Parent[i]] {
+			childCount[tree.Parent[i]]++
 		}
 	}
 	// The union of upward walks is a subtree containing the root; only a
@@ -131,19 +131,25 @@ func steinerSubtreeEdges(tree *graph.Tree, terminals []graph.NodeID) []graph.Edg
 	// node is the minimum-depth marked node that is a terminal or has at
 	// least two marked children; every marked edge strictly above it is
 	// surplus and dropped.
-	meet := graph.NodeID(-1)
-	for _, v := range keys(marked) {
-		if isTerminal[v] || childCount[v] >= 2 {
-			if meet == -1 || tree.Depth[v] < tree.Depth[meet] {
-				meet = v
+	all := make([]int32, 0, len(marked))
+	for i := range marked {
+		all = append(all, i)
+	}
+	slices.SortFunc(all, byNode)
+	meet := int32(-1)
+	for _, i := range all {
+		if isTerminal[i] || childCount[i] >= 2 {
+			if meet == -1 || tree.Depth[i] < tree.Depth[meet] {
+				meet = i
 			}
 		}
 	}
-	for _, v := range walked {
-		if meet != -1 && tree.Depth[v] <= tree.Depth[meet] {
-			continue // edge from v to its parent lies above the meeting node
+	var edges []graph.EdgeID
+	for _, i := range walked {
+		if meet != -1 && tree.Depth[i] <= tree.Depth[meet] {
+			continue // edge from i to its parent lies above the meeting node
 		}
-		edges = append(edges, parentEdgeOf[v])
+		edges = append(edges, graph.EdgeID(tree.ParentEdge[i]))
 	}
 	return edges
 }

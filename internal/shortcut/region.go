@@ -33,7 +33,6 @@ type region struct {
 	nodes  []graph.NodeID
 	parent int // index into the regions slice; -1 for the root
 	depth  int
-	tree   *graph.Tree // BFS tree of the region's induced subgraph (lazy)
 }
 
 // Build implements Builder.
@@ -82,16 +81,29 @@ func (b RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut,
 		Extra:   make([][]graph.EdgeID, len(parts)),
 		Builder: "region",
 	}
+	// Each part's shortcut depends only on its region's BFS tree, so the
+	// parts are grouped by region and each used region's tree is built
+	// once, member-local, with its host-to-member index in one reused
+	// array.
+	byRegion := make([][]int, len(regions))
 	for i, p := range parts {
 		ri := smallestCommon(p)
-		reg := &regions[ri]
-		if reg.tree == nil {
-			reg.tree = sub.Tree(g, reg.nodes, sub.Center(g, reg.nodes))
-			if len(reg.tree.Members) != len(reg.nodes) {
-				return nil, fmt.Errorf("shortcut: region %d disconnected", ri)
-			}
+		byRegion[ri] = append(byRegion[ri], i)
+	}
+	pos := make([]int32, g.N())
+	for ri, idx := range byRegion {
+		if len(idx) == 0 {
+			continue
 		}
-		s.Extra[i] = steinerSubtreeEdges(reg.tree, p)
+		nodes := regions[ri].nodes
+		tree := sub.Tree(g, nodes, sub.Center(g, nodes))
+		if len(tree.Members) != len(nodes) {
+			return nil, fmt.Errorf("shortcut: region %d disconnected", ri)
+		}
+		tree.IndexInto(pos)
+		for _, i := range idx {
+			s.Extra[i] = steinerSubtreeEdges(tree, pos, parts[i])
+		}
 	}
 	if err := Verify(g, s); err != nil {
 		return nil, err
@@ -158,8 +170,8 @@ func splitByMiddleLayer(sub *graph.Induced, g *graph.Graph, nodes []graph.NodeID
 	}
 	sep := make(map[graph.NodeID]bool)
 	var rest []graph.NodeID
-	for _, v := range tr.Members {
-		if tr.Depth[v] == sepDepth {
+	for i, v := range tr.Members {
+		if int(tr.Depth[i]) == sepDepth {
 			sep[v] = true
 		} else {
 			rest = append(rest, v)

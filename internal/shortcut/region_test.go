@@ -75,8 +75,9 @@ func TestRegionHierarchyLaminar(t *testing.T) {
 		}
 	}
 	// Regions are connected.
+	var sub graph.Induced
 	for i, reg := range regions {
-		if !graph.InducedConnected(g, reg.nodes) {
+		if !sub.Connected(g, reg.nodes) {
 			t.Fatalf("region %d disconnected", i)
 		}
 	}
@@ -97,7 +98,7 @@ func TestSplitByMiddleLayerPath(t *testing.T) {
 	total := 0
 	for _, ch := range children {
 		total += len(ch)
-		if !graph.InducedConnected(g, ch) {
+		if !new(graph.Induced).Connected(g, ch) {
 			t.Fatal("child disconnected")
 		}
 	}

@@ -188,16 +188,6 @@ func augmentedDiameter(sub *graph.Induced, g *graph.Graph, part []graph.NodeID, 
 	return upper, nil
 }
 
-func keys(m map[graph.NodeID]bool) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	// Deterministic order for reproducible BFS trees.
-	sortNodeIDs(out)
-	return out
-}
-
 func sortNodeIDs(a []graph.NodeID) { sort.Ints(a) }
 
 // Builder constructs a shortcut for a partition of g.

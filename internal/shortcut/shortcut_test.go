@@ -105,14 +105,22 @@ func TestSteinerBuilderConnectsSplitParts(t *testing.T) {
 	}
 }
 
+// bfsSteinerEdges returns the Steiner subtree edges of terminals in g's
+// BFS tree from node 0.
+func bfsSteinerEdges(g *graph.Graph, terminals []graph.NodeID) []graph.EdgeID {
+	tree := graph.BFSTree(g, 0).Part()
+	pos := make([]int32, g.N())
+	tree.IndexInto(pos)
+	return steinerSubtreeEdges(tree, pos, terminals)
+}
+
 func TestSteinerSubtreePrunesAboveMeet(t *testing.T) {
 	// Complete binary tree; terminals are two siblings deep in the tree.
 	// The Steiner subtree must stop at their common parent, not reach the
 	// root.
 	g := graph.CompleteTree(2, 4) // 15 nodes, root 0
-	tree := graph.BFSTree(g, 0)
 	// Nodes 7..14 are leaves; 7 and 8 share parent 3.
-	edges := steinerSubtreeEdges(tree, []graph.NodeID{7, 8})
+	edges := bfsSteinerEdges(g, []graph.NodeID{7, 8})
 	if len(edges) != 2 {
 		t.Fatalf("steiner edges=%d, want 2 (7-3 and 8-3)", len(edges))
 	}
@@ -126,8 +134,7 @@ func TestSteinerSubtreePrunesAboveMeet(t *testing.T) {
 
 func TestSteinerSingletonTerminal(t *testing.T) {
 	g := graph.Path(5)
-	tree := graph.BFSTree(g, 0)
-	if edges := steinerSubtreeEdges(tree, []graph.NodeID{3}); edges != nil {
+	if edges := bfsSteinerEdges(g, []graph.NodeID{3}); edges != nil {
 		t.Fatalf("singleton should need no edges, got %v", edges)
 	}
 }
