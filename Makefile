@@ -22,16 +22,18 @@ fmt-check:
 	@echo fmt-check: tracked Go files are gofmt-clean
 
 # distlint enforces the determinism, model-soundness, concurrency and
-# metrics-integrity invariants the simulator's measured round counts rest on
-# (see internal/lint; `go run ./cmd/distlint -list` names all eleven
-# analyzers).
+# metrics-integrity invariants the simulator's measured round counts rest on,
+# and keeps internal/ free of exports only tests use (see internal/lint;
+# `go run ./cmd/distlint -list` names all twelve analyzers). Every
+# unsuppressed finding fails the run.
 lint:
 	$(GO) run ./cmd/distlint ./...
 
 # Machine-readable lint report: the same run serialized as a versioned,
 # byte-stable JSON schema (suppressed findings included, with their
-# //distlint:allow justifications). CI archives distlint.json as an
-# artifact so suppression inventory can be diffed across commits.
+# //distlint:allow justifications, so every testonly keep lists its
+# reason). CI archives distlint.json as an artifact so the suppression
+# inventory can be diffed across commits.
 lint-json:
 	$(GO) run ./cmd/distlint -json ./... > distlint.json
 	@echo lint-json: wrote distlint.json

@@ -17,7 +17,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Run(id, true)
+		tbl, err := experiments.RunWith(id, experiments.Config{Quick: true})
 		if err != nil {
 			b.Fatal(err)
 		}

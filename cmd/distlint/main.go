@@ -12,21 +12,18 @@
 //	go run ./cmd/distlint -list
 //
 // All analyzers share one parse + type-check pass per package. -checks
-// enables only the named analyzers, -disable removes names from whatever is
-// enabled, -min-severity hides findings below a level, and
-// -maporder-sortfuncs whitelists helper functions the maporder analyzer
-// trusts to canonicalize order (see internal/lint.MapOrderSortFuncs).
+// enables only the named analyzers, and -disable removes names from
+// whatever is enabled.
 //
 // -json writes a machine-readable report to stdout instead of text lines:
 // a versioned schema listing the analyzers that ran and every finding —
 // suppressed ones included, with their suppression state and the
 // //distlint:allow justification — with module-relative slash paths and a
-// severity summary. The bytes are stable: identical inputs produce an
+// summary of the counts. The bytes are stable: identical inputs produce an
 // identical report, so CI can archive and diff it.
 //
-// Exit status is 0 when no unsuppressed error-severity finding remains,
-// 1 when one does (warnings alone never fail a run), 2 on usage or load
-// errors. Findings are suppressed line-by-line with
+// Exit status is 0 when no unsuppressed finding remains, 1 when one does,
+// 2 on usage or load errors. Findings are suppressed line-by-line with
 // //distlint:allow <check> <justification> (see internal/lint; the
 // justification is mandatory — allowjustify flags bare directives).
 package main
@@ -64,9 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checks := fs.String("checks", "", "comma-separated subset of analyzers to run (default all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	jsonOut := fs.Bool("json", false, "write a machine-readable report to stdout")
-	minSev := fs.String("min-severity", "warning", "report findings at or above this severity (warning|error)")
-	sortFuncs := fs.String("maporder-sortfuncs", "",
-		"comma-separated helper function names maporder trusts to canonicalize iteration order")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -74,11 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			sev := a.Severity
-			if sev == 0 {
-				sev = lint.SevError
-			}
-			fmt.Fprintf(stdout, "%-18s %-8s %s\n", a.Name, sev, a.Doc)
+			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -86,14 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "distlint: %v (try -list)\n", err)
 		return 2
-	}
-	threshold, err := lint.ParseSeverity(*minSev)
-	if err != nil {
-		fmt.Fprintf(stderr, "distlint: %v\n", err)
-		return 2
-	}
-	for _, name := range splitList(*sortFuncs) {
-		lint.MapOrderSortFuncs[name] = true
 	}
 
 	patterns := fs.Args()
@@ -121,17 +103,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// One pass over every package; findings below the severity threshold are
-	// dropped entirely, suppressed ones are kept for the JSON report (text
-	// mode hides them). The exit code reflects only unsuppressed errors.
-	var diags []lint.Diagnostic
+	// One pass over every package; suppressed findings are kept for the
+	// JSON report (text mode hides them). The exit code reflects only
+	// unsuppressed ones.
+	diags := lint.RunAll(pkgs, analyzers)
 	failing := 0
-	for _, d := range lint.RunAll(pkgs, analyzers) {
-		if d.Severity < threshold {
-			continue
-		}
-		diags = append(diags, d)
-		if !d.Suppressed && d.Severity >= lint.SevError {
+	for _, d := range diags {
+		if !d.Suppressed {
 			failing++
 		}
 	}
@@ -153,12 +131,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	shown := 0
 	for _, d := range diags {
 		if d.Suppressed {
 			continue
 		}
-		shown++
 		pos := d.Pos
 		if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			pos.Filename = rel
@@ -166,10 +142,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n",
 			pos.Filename, pos.Line, pos.Column, d.Check, d.Message)
 	}
-	if shown > 0 {
-		fmt.Fprintf(stderr, "distlint: %d finding(s) in %d package(s)\n", shown, len(pkgs))
-	}
 	if failing > 0 {
+		fmt.Fprintf(stderr, "distlint: %d finding(s) in %d package(s)\n", failing, len(pkgs))
 		return 1
 	}
 	return 0

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,9 +15,13 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errb.String())
 	}
+	if n := strings.Count(out.String(), "\n"); n != 12 {
+		t.Errorf("-list printed %d analyzers, want 12:\n%s", n, out.String())
+	}
 	for _, name := range []string{
 		"maporder", "seededrand", "seedderive", "metricsintegrity", "floateq",
 		"tracephase", "errcheck", "wordtrunc", "allowjustify", "goroutine", "walltime",
+		"testonly",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
@@ -31,9 +36,6 @@ func TestUnknownAnalyzer(t *testing.T) {
 	}
 	if code := run([]string{"-disable", "nosuch", "./..."}, &out, &errb); code != 2 {
 		t.Fatalf("unknown -disable analyzer exited %d, want 2", code)
-	}
-	if code := run([]string{"-min-severity", "fatal", "./..."}, &out, &errb); code != 2 {
-		t.Fatalf("bad -min-severity exited %d, want 2", code)
 	}
 }
 
@@ -60,25 +62,6 @@ func TestDisableSilencesFixture(t *testing.T) {
 	}
 }
 
-func TestMapOrderSortFuncsFlag(t *testing.T) {
-	defer delete(lint.MapOrderSortFuncs, "canonicalize")
-	var before, after, errb bytes.Buffer
-	if code := run([]string{"../../internal/lint/testdata/maporder"}, &before, &errb); code != 1 {
-		t.Fatalf("baseline run exited %d, want 1", code)
-	}
-	if !strings.Contains(before.String(), "a.go:100:2") {
-		t.Fatalf("baseline run missing the helper-sorted finding:\n%s", before.String())
-	}
-	code := run([]string{"-maporder-sortfuncs", "canonicalize",
-		"../../internal/lint/testdata/maporder"}, &after, &errb)
-	if code != 1 { // other violations in the fixture still fail the run
-		t.Fatalf("whitelisted run exited %d, want 1", code)
-	}
-	if strings.Contains(after.String(), "a.go:100:2") {
-		t.Errorf("-maporder-sortfuncs did not silence the whitelisted helper:\n%s", after.String())
-	}
-}
-
 func TestJSONReportByteStable(t *testing.T) {
 	// Two identical -json runs must produce identical bytes — CI archives
 	// the report, so nondeterministic output would break artifact diffing.
@@ -99,8 +82,7 @@ func TestJSONReportByteStable(t *testing.T) {
 	var report struct {
 		Version   int `json:"version"`
 		Analyzers []struct {
-			Name     string `json:"name"`
-			Severity string `json:"severity"`
+			Name string `json:"name"`
 		} `json:"analyzers"`
 		Findings []struct {
 			Analyzer      string `json:"analyzer"`
@@ -112,7 +94,6 @@ func TestJSONReportByteStable(t *testing.T) {
 		Summary struct {
 			Findings   int `json:"findings"`
 			Suppressed int `json:"suppressed"`
-			Errors     int `json:"errors"`
 		} `json:"summary"`
 	}
 	if err := json.Unmarshal([]byte(first), &report); err != nil {
@@ -121,10 +102,13 @@ func TestJSONReportByteStable(t *testing.T) {
 	if report.Version != lint.ReportVersion {
 		t.Errorf("report version %d, want %d", report.Version, lint.ReportVersion)
 	}
-	if len(report.Analyzers) != 11 {
-		t.Errorf("report lists %d analyzers, want 11", len(report.Analyzers))
+	if len(report.Analyzers) != 12 {
+		t.Errorf("report lists %d analyzers, want 12", len(report.Analyzers))
 	}
-	var suppressed, errcheckHits int
+	if strings.Contains(first, `"severity"`) {
+		t.Errorf("report still carries severities:\n%s", first)
+	}
+	var suppressed, unsuppressed, errcheckHits int
 	for _, f := range report.Findings {
 		if !strings.HasPrefix(f.File, "internal/lint/testdata/errcheck/") {
 			t.Errorf("finding file %q is not module-relative", f.File)
@@ -134,6 +118,8 @@ func TestJSONReportByteStable(t *testing.T) {
 			if f.Justification == "" {
 				t.Errorf("suppressed finding at %s:%d lacks its justification", f.File, f.Line)
 			}
+		} else {
+			unsuppressed++
 		}
 		if f.Analyzer == "errcheck" {
 			errcheckHits++
@@ -142,22 +128,9 @@ func TestJSONReportByteStable(t *testing.T) {
 	if suppressed == 0 || suppressed != report.Summary.Suppressed {
 		t.Errorf("suppressed findings: counted %d, summary says %d", suppressed, report.Summary.Suppressed)
 	}
-	if errcheckHits == 0 || report.Summary.Errors == 0 {
-		t.Errorf("expected errcheck findings and a nonzero error count, got %d / %d",
-			errcheckHits, report.Summary.Errors)
-	}
-}
-
-func TestMinSeverityErrorKeepsErrors(t *testing.T) {
-	// All suite analyzers are error-severity today, so -min-severity error
-	// must not change the verdict on a violating fixture.
-	var out, errb bytes.Buffer
-	code := run([]string{"-min-severity", "error", "../../internal/lint/testdata/maporder"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("-min-severity error exited %d, want 1", code)
-	}
-	if !strings.Contains(out.String(), "[maporder]") {
-		t.Errorf("error-severity findings missing from output:\n%s", out.String())
+	if errcheckHits == 0 || unsuppressed != report.Summary.Findings {
+		t.Errorf("expected errcheck findings and a summary counting the %d unsuppressed ones, got %d / %d",
+			unsuppressed, errcheckHits, report.Summary.Findings)
 	}
 }
 
@@ -166,5 +139,45 @@ func TestCleanExitCode(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"."}, &out, &errb); code != 0 {
 		t.Fatalf("clean run exited %d:\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+}
+
+// TestTestOnlyVerdictIgnoresPatterns checks that testonly judges a package
+// against the whole module whatever patterns the run names: linting
+// internal/graph alone reports exactly the internal/graph findings, with
+// their suppression state, that linting the whole module does.
+func TestTestOnlyVerdictIgnoresPatterns(t *testing.T) {
+	graphFindings := func(pattern string) []string {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := run([]string{"-json", "-checks", "testonly", pattern}, &out, &errb); code != 0 {
+			t.Fatalf("%s exited %d:\n%s%s", pattern, code, out.String(), errb.String())
+		}
+		var report struct {
+			Findings []struct {
+				File          string `json:"file"`
+				Line          int    `json:"line"`
+				Message       string `json:"message"`
+				Suppressed    bool   `json:"suppressed"`
+				Justification string `json:"justification"`
+			} `json:"findings"`
+		}
+		if err := json.Unmarshal(out.Bytes(), &report); err != nil {
+			t.Fatalf("%s: %v", pattern, err)
+		}
+		var got []string
+		for _, f := range report.Findings {
+			if strings.HasPrefix(f.File, "internal/graph/") {
+				got = append(got, fmt.Sprintf("%s:%d %s %v %s", f.File, f.Line, f.Message, f.Suppressed, f.Justification))
+			}
+		}
+		return got
+	}
+	one, all := graphFindings("../../internal/graph"), graphFindings("../../...")
+	if len(one) == 0 {
+		t.Fatal("internal/graph has no testonly findings, suppressed or not; the comparison proves nothing")
+	}
+	if strings.Join(one, "\n") != strings.Join(all, "\n") {
+		t.Errorf("./internal/graph alone:\n%s\nthe whole module:\n%s", strings.Join(one, "\n"), strings.Join(all, "\n"))
 	}
 }

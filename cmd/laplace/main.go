@@ -105,10 +105,3 @@ func makeGraph(family string, n int) (*graph.Graph, error) {
 	}
 	return nil, fmt.Errorf("unknown family %q", family)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

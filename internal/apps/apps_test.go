@@ -178,7 +178,12 @@ func TestElectricalFlowPath(t *testing.T) {
 			t.Fatalf("edge %d current %v, want ±1", id, c)
 		}
 	}
-	div := res.FlowDivergence(g)
+	// Net current out of each node must be χ_s − χ_t.
+	div := make([]float64, g.N())
+	for id, e := range g.Edges() {
+		div[e.U] += res.EdgeCurrent[id]
+		div[e.V] -= res.EdgeCurrent[id]
+	}
 	if math.Abs(div[0]-1) > 1e-5 || math.Abs(div[3]+1) > 1e-5 || math.Abs(div[1]) > 1e-5 {
 		t.Fatalf("divergence=%v", div)
 	}

@@ -94,14 +94,3 @@ func (el *Electrical) EffectiveResistance(s, t graph.NodeID) (float64, error) {
 	}
 	return res.Resistance, nil
 }
-
-// FlowDivergence returns, for each node, the net current out of it (test
-// harnesses check this equals χ_s − χ_t).
-func (f *FlowResult) FlowDivergence(g *graph.Graph) []float64 {
-	div := make([]float64, g.N())
-	for id, e := range g.Edges() {
-		div[e.U] += f.EdgeCurrent[id]
-		div[e.V] -= f.EdgeCurrent[id]
-	}
-	return div
-}

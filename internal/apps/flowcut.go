@@ -2,18 +2,15 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
-	"distlap/internal/core"
 	"distlap/internal/graph"
 )
 
 // This file provides the max-flow/min-cut side of the Laplacian paradigm
 // that the paper's conclusion points at (§5: the solver "directly
 // impl[ies]" faster max-flow): an exact Edmonds–Karp reference on the
-// weighted graph (capacities = edge weights), and the classic sweep-cut
-// rounding of electrical potentials, whose quality is measured against the
-// exact minimum cut in tests and experiments.
+// weighted graph (capacities = edge weights) that the approximate
+// max-flow is measured against.
 
 // MaxFlowResult reports an exact s-t max-flow computation.
 type MaxFlowResult struct {
@@ -120,82 +117,4 @@ func CutValue(g *graph.Graph, side []graph.NodeID) int64 {
 		}
 	}
 	return total
-}
-
-// SweepCutResult reports a potential-sweep cut.
-type SweepCutResult struct {
-	Side   []graph.NodeID // the s-side found
-	Value  int64
-	Exact  int64   // the true min-cut value (for the quality ratio)
-	Ratio  float64 // Value / Exact (>= 1)
-	Rounds int     // rounds paid by the underlying electrical solve
-}
-
-// SweepCutFromPotentials computes the s-t electrical potentials through
-// the distributed solver and sweeps a threshold over them, returning the
-// best (minimum-weight) cut that separates s from t. On many graphs the
-// sweep recovers a near-minimum cut — the classic rounding step of
-// electrical-flow max-flow algorithms.
-func SweepCutFromPotentials(g *graph.Graph, s, t graph.NodeID, mode core.Mode, seed int64) (*SweepCutResult, error) {
-	el := &Electrical{G: g, Mode: mode, Seed: seed}
-	flow, err := el.Flow(s, t)
-	if err != nil {
-		return nil, err
-	}
-	exact, err := MaxFlowExact(g, s, t)
-	if err != nil {
-		return nil, err
-	}
-	// Sweep: order nodes by decreasing potential (s-side first); evaluate
-	// every prefix cut that has s on one side and t on the other.
-	order := make([]graph.NodeID, g.N())
-	for i := range order {
-		order[i] = i
-	}
-	x := flow.Potentials
-	sort.Slice(order, func(a, b int) bool { return x[order[a]] > x[order[b]] })
-	pos := make([]int, g.N())
-	for i, v := range order {
-		pos[v] = i
-	}
-	// Incremental cut evaluation.
-	best := int64(1) << 62
-	bestPrefix := -1
-	var current int64
-	inSide := make([]bool, g.N())
-	adj := make([][]graph.Half, g.N())
-	for v := 0; v < g.N(); v++ {
-		adj[v] = g.Neighbors(v)
-	}
-	for i := 0; i < g.N()-1; i++ {
-		v := order[i]
-		inSide[v] = true
-		for _, h := range adj[v] {
-			w := g.Edge(h.Edge).Weight
-			if inSide[h.To] {
-				current -= w
-			} else {
-				current += w
-			}
-		}
-		if pos[s] <= i && pos[t] > i && current < best {
-			best = current
-			bestPrefix = i
-		}
-	}
-	if bestPrefix < 0 {
-		return nil, fmt.Errorf("apps: sweep found no separating cut")
-	}
-	out := &SweepCutResult{
-		Value:  best,
-		Exact:  exact.Value,
-		Rounds: flow.Rounds,
-	}
-	for i := 0; i <= bestPrefix; i++ {
-		out.Side = append(out.Side, order[i])
-	}
-	if exact.Value > 0 {
-		out.Ratio = float64(best) / float64(exact.Value)
-	}
-	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"distlap/internal/core"
 	"distlap/internal/graph"
 )
 
@@ -76,45 +75,7 @@ func TestMaxFlowExactErrors(t *testing.T) {
 	}
 }
 
-func TestSweepCutRecoversBottleneck(t *testing.T) {
-	// On the barbell the electrical potentials split cleanly at the
-	// bridge: the sweep cut must find the exact min cut.
-	g := graph.Barbell(5, 1)
-	res, err := SweepCutFromPotentials(g, 0, g.N()-1, core.ModeUniversal, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != res.Exact {
-		t.Fatalf("sweep cut %d vs exact %d", res.Value, res.Exact)
-	}
-	if res.Ratio != 1 {
-		t.Fatalf("ratio=%v", res.Ratio)
-	}
-	if res.Rounds <= 0 {
-		t.Fatal("no rounds charged")
-	}
-	if CutValue(g, res.Side) != res.Value {
-		t.Fatal("reported side inconsistent with value")
-	}
-}
-
-func TestSweepCutOnGrid(t *testing.T) {
-	g := graph.Grid(4, 8)
-	res, err := SweepCutFromPotentials(g, 0, g.N()-1, core.ModeUniversal, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sweep cuts are a rounding heuristic: demand a modest approximation.
-	if res.Ratio < 1 && res.Exact > 0 {
-		t.Fatalf("ratio below 1: %v (cut smaller than max flow is impossible)", res.Ratio)
-	}
-	if res.Ratio > 2.0 {
-		t.Fatalf("sweep cut ratio %v too large on a grid", res.Ratio)
-	}
-}
-
-// Property: exact max flow equals exact min cut (duality) and the sweep
-// cut never beats it.
+// Property: exact max flow equals exact min cut (duality).
 func TestFlowCutDualityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.RandomConnected(14, 10, 6, seed)
@@ -122,14 +83,7 @@ func TestFlowCutDualityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if CutValue(g, res.CutS) != res.Value {
-			return false
-		}
-		sweep, err := SweepCutFromPotentials(g, 0, 13, core.ModeUniversal, seed)
-		if err != nil {
-			return false
-		}
-		return sweep.Value >= res.Value
+		return CutValue(g, res.CutS) == res.Value
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@
 //
 // Determinism obligations: applications compose core/partwise primitives
 // and never touch the engines directly, so their measured cost decomposes
-// into primitive calls; all tie-breaking (Borůvka edge choice, sweep-cut
-// ordering) is by stable IDs, and any randomness draws from rand chains
+// into primitive calls; all tie-breaking (Borůvka edge choice) is by
+// stable IDs, and any randomness draws from rand chains
 // seeded via seedderive — a run is a pure function of (graph, seed).
 package apps
 

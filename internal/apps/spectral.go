@@ -94,6 +94,8 @@ func (sp *SpectralPartitioner) Partition(g *graph.Graph) (*SpectralResult, error
 // Lambda2Exact computes the algebraic connectivity by dense eigensolving
 // (Jacobi rotations on the projected Laplacian) — the tests' ground truth.
 // Suitable for small n only.
+//
+//distlint:allow testonly dense-eigensolver ground truth the distributed spectral partitioner's lambda2 is tested against
 func Lambda2Exact(g *graph.Graph) (float64, error) {
 	n := g.N()
 	if n < 2 {

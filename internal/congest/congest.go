@@ -27,7 +27,7 @@ package congest
 import (
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"distlap/internal/faultinject"
 	"distlap/internal/graph"
@@ -206,14 +206,6 @@ func (nw *Network) Rounds() int { return nw.metrics.Rounds }
 // use it to open phase spans around the primitives they invoke.
 func (nw *Network) Trace() simtrace.Collector { return nw.trace }
 
-// Reset zeroes the accumulated metrics (the topology is unchanged).
-func (nw *Network) Reset() {
-	nw.metrics = Metrics{}
-	for i := range nw.load {
-		nw.load[i] = 0
-	}
-}
-
 // ChargeRounds adds r idle rounds (used for purely local computation phases
 // that the model still charges, e.g. simulation overheads; see Lemma 16).
 func (nw *Network) ChargeRounds(r int) {
@@ -369,20 +361,6 @@ func (nw *Network) Exchange(
 	nw.scr.deliveries = deliveries
 }
 
-// ExchangeK runs k consecutive Exchange rounds with the same handlers.
-func (nw *Network) ExchangeK(k int,
-	send func(round int, v graph.NodeID, h graph.Half) (Word, bool),
-	recv func(round int, v graph.NodeID, h graph.Half, w Word),
-) {
-	for r := 0; r < k; r++ {
-		rr := r
-		nw.Exchange(
-			func(v graph.NodeID, h graph.Half) (Word, bool) { return send(rr, v, h) },
-			func(v graph.NodeID, h graph.Half, w Word) { recv(rr, v, h, w) },
-		)
-	}
-}
-
 // BFS computes hop distances from root with an actual distributed flooding
 // execution (each node learns its distance in the round it is reached);
 // it charges ecc(root)+1 rounds. The returned structure matches graph.BFS.
@@ -429,7 +407,7 @@ func (nw *Network) BFS(root graph.NodeID) *graph.BFSResult {
 		)
 		// Deterministic order: reached was appended in node-scan order of
 		// the sending side; sort by node ID for stability.
-		sortNodeIDs(reached)
+		slices.Sort(reached)
 		res.Order = append(res.Order, reached...)
 		for _, v := range wave {
 			frontier[v] = false
@@ -441,5 +419,3 @@ func (nw *Network) BFS(root graph.NodeID) *graph.BFSResult {
 	}
 	return res
 }
-
-func sortNodeIDs(a []graph.NodeID) { sort.Ints(a) }

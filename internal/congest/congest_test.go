@@ -87,24 +87,6 @@ func TestExchangeSelective(t *testing.T) {
 	}
 }
 
-func TestExchangeK(t *testing.T) {
-	g := graph.Path(3)
-	nw := newNet(g)
-	rounds := map[int]bool{}
-	nw.ExchangeK(3,
-		func(r int, v graph.NodeID, h graph.Half) (Word, bool) { return Word(r), true },
-		func(r int, v graph.NodeID, h graph.Half, w Word) {
-			rounds[r] = true
-			if w != Word(r) {
-				t.Errorf("round %d got word %d", r, w)
-			}
-		},
-	)
-	if nw.Rounds() != 3 || len(rounds) != 3 {
-		t.Fatalf("rounds=%d seen=%d", nw.Rounds(), len(rounds))
-	}
-}
-
 func TestDistributedBFSCostsEccentricity(t *testing.T) {
 	g := graph.Grid(4, 5)
 	nw := newNet(g)
@@ -122,16 +104,12 @@ func TestDistributedBFSCostsEccentricity(t *testing.T) {
 	}
 }
 
-func TestChargeRoundsAndReset(t *testing.T) {
+func TestChargeRounds(t *testing.T) {
 	nw := newNet(graph.Path(2))
 	nw.ChargeRounds(10)
 	nw.ChargeRounds(-5) // ignored
-	if nw.Rounds() != 10 {
-		t.Fatalf("rounds=%d", nw.Rounds())
-	}
-	nw.Reset()
-	if nw.Rounds() != 0 || nw.Metrics().Messages != 0 {
-		t.Fatal("reset did not clear metrics")
+	if nw.Rounds() != 10 || nw.Metrics().Messages != 0 {
+		t.Fatalf("rounds=%d messages=%d, want 10 and 0", nw.Rounds(), nw.Metrics().Messages)
 	}
 }
 
@@ -356,14 +334,6 @@ func TestRouteManyEmptyPathAndBadPath(t *testing.T) {
 	// Edge 1 joins nodes 1-2; starting at 0 it is not incident.
 	if _, err := nw.RouteMany([]Packet{{Start: 0, Edges: []graph.EdgeID{1}}}); err == nil {
 		t.Fatal("want error for non-incident path")
-	}
-}
-
-func TestPacketDest(t *testing.T) {
-	g := graph.Cycle(4)
-	p := Packet{Start: 0, Edges: []graph.EdgeID{0, 1}}
-	if d := p.Dest(g); d != 2 {
-		t.Fatalf("dest=%d, want 2", d)
 	}
 }
 

@@ -23,9 +23,6 @@ type FaultStats = faultinject.Stats
 // networks).
 func (nw *Network) FaultStats() FaultStats { return nw.link.Stats() }
 
-// FaultPlan returns the network's fault plan (nil when reliable).
-func (nw *Network) FaultPlan() *faultinject.Plan { return nw.link.Plan }
-
 // stashedDelivery is an Exchange message in delayed flight: it matures at
 // the first Exchange whose global round reaches due, arriving stale at
 // whatever handler that round runs (exactly the hazard delayed packets

@@ -13,6 +13,8 @@ const WordBits = 64
 // WordsFor returns the number of words a payload of the given bit width
 // occupies on an edge: ceil(bits/WordBits), the multi-word charge rule.
 // Algorithms sending richer payloads charge one round per word per edge.
+//
+//distlint:allow testonly the multi-word charge rule that wordtrunc's findings and DESIGN §5 tell payload authors to charge
 func WordsFor(bits int) int {
 	if bits <= 0 {
 		return 0

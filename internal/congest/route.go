@@ -15,15 +15,6 @@ type Packet struct {
 	Payload Word
 }
 
-// Dest returns the packet's final node.
-func (p Packet) Dest(g *graph.Graph) graph.NodeID {
-	v := p.Start
-	for _, id := range p.Edges {
-		v = g.Other(id, v)
-	}
-	return v
-}
-
 // RouteMany routes all packets simultaneously with store-and-forward
 // queueing (one packet per directed edge per round, FIFO with random initial
 // delays) and returns the per-packet arrival rounds, measured relative to

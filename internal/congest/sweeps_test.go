@@ -126,9 +126,9 @@ func crashPath2(t *testing.T, root0, child1 bool) *Network {
 	t.Helper()
 	g := graph.Path(2)
 	for seed := int64(1); seed <= 64; seed++ {
-		nw := faultyNet(g, seed, faultinject.Spec{CrashProb: 1, CrashWindow: 2})
-		if p := nw.FaultPlan(); p.Crashed(0, 1) == root0 && p.Crashed(1, 1) == child1 {
-			return nw
+		p := faultinject.MustNew(faultinject.Spec{Seed: seed, CrashProb: 1, CrashWindow: 2})
+		if p.Crashed(0, 1) == root0 && p.Crashed(1, 1) == child1 {
+			return NewNetwork(g, Options{Seed: seed, Faults: p})
 		}
 	}
 	t.Fatalf("no seed in 1..64 crashes node 0 in round 1 = %v and node 1 = %v", root0, child1)

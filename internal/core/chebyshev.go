@@ -59,43 +59,20 @@ func SolveChebyshev(c Comm, b []float64, opts ChebyshevOptions) (*Result, error)
 	tr.Begin("chebyshev")
 	defer tr.End("chebyshev")
 
-	// Center b and compute its norm (two global reductions).
-	tr.Begin("norms")
-	sums, err := c.GlobalSums(b)
-	if err != nil {
-		tr.End("norms")
-		return nil, err
+	rhs, done, err := centerRHS(c, b)
+	if err != nil || done != nil {
+		return done, err
 	}
-	bc := linalg.Copy(b)
-	mean := sums[0] / float64(n)
-	for i := range bc {
-		bc[i] -= mean
-	}
-	bsq := make([]float64, n)
-	for i := range bc {
-		bsq[i] = bc[i] * bc[i]
-	}
-	sums, err = c.GlobalSums(bsq)
-	tr.End("norms")
-	if err != nil {
-		return nil, err
-	}
-	bNorm := math.Sqrt(sums[0])
-	setupRounds := c.Rounds()
-	x := make([]float64, n)
-	if bNorm == 0 { //distlint:allow floateq exact-zero guard: b == 0 has the exact solution x == 0
-		return &Result{X: x, Rounds: c.Rounds(), SetupRounds: setupRounds,
-			Metrics: c.CollectMetrics()}, nil
-	}
+	bc, bNorm, x, setupRounds := rhs.b, rhs.norm, rhs.x, rhs.setupRounds
 
 	theta := (hi + lo) / 2
 	delta := (hi - lo) / 2
 	r := linalg.Copy(bc)
 	var p []float64
 	alpha := 0.0
-	// Residual-check scratch, allocated once and reused: bsq is dead after
-	// the norm setup above.
-	rsq := bsq
+	// Residual-check scratch, allocated once and reused: the norm's
+	// scratch is dead after centerRHS.
+	rsq := rhs.scratch
 	for it := 1; it <= maxIter; it++ {
 		if opts.Cancel != nil {
 			if err := opts.Cancel(); err != nil {

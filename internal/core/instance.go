@@ -255,12 +255,6 @@ type Request struct {
 // Graph returns the instance's graph (shared, read-only).
 func (in *Instance) Graph() *graph.Graph { return in.g }
 
-// Mode returns the instance's communication model.
-func (in *Instance) Mode() Mode { return in.mode }
-
-// Seed returns the base seed the instance was prepared with.
-func (in *Instance) Seed() int64 { return in.seed }
-
 // Tol returns the instance's default request tolerance.
 func (in *Instance) Tol() float64 { return in.tol }
 
@@ -318,13 +312,27 @@ func (in *Instance) Solve(b []float64, req Request) (res *Result, err error) {
 		// (recover.go): verified attempts, bounded retries, degradation.
 		return in.solveRecovering(b, req, tol)
 	}
-	c := in.Comm(req)
+	return in.iterate(in.Comm(req), b, req, tol, false, nil)
+}
+
+// iterate runs the instance's iteration on c: Chebyshev with the cached
+// spectral bounds, or PCG with the prepared preconditioner (the identity
+// when baseline is set) and the given verifier.
+func (in *Instance) iterate(c Comm, b []float64, req Request, tol float64,
+	baseline bool, verify func(x []float64) float64,
+) (*Result, error) {
 	if in.cheb {
 		return SolveChebyshev(c, b, ChebyshevOptions{
 			Tol: tol, Lo: in.lo, Hi: in.hi, MaxIter: req.MaxIter, Cancel: req.Cancel,
 		})
 	}
-	return Iterate(c, b, in.pre, Options{Tol: tol, MaxIter: req.MaxIter, Cancel: req.Cancel})
+	pre := in.pre
+	if baseline {
+		pre = &IdentityPrecond{}
+	}
+	return Iterate(c, b, pre, Options{
+		Tol: tol, MaxIter: req.MaxIter, Cancel: req.Cancel, Verify: verify,
+	})
 }
 
 // SizeBytes estimates the resident size of the cached instance state for

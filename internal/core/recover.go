@@ -187,19 +187,7 @@ func (in *Instance) attemptFaulty(
 			fs.Add(cc.global.FaultStats())
 		}
 	}()
-	if in.cheb {
-		res, err = SolveChebyshev(c, b, ChebyshevOptions{
-			Tol: tol, Lo: in.lo, Hi: in.hi, MaxIter: req.MaxIter, Cancel: req.Cancel,
-		})
-		return res, fs, err
-	}
-	pre := in.pre
-	if baseline {
-		pre = &IdentityPrecond{}
-	}
-	res, err = Iterate(c, b, pre, Options{
-		Tol: tol, MaxIter: req.MaxIter, Cancel: req.Cancel, Verify: verify,
-	})
+	res, err = in.iterate(c, b, req, tol, baseline, verify)
 	return res, fs, err
 }
 

@@ -77,6 +77,8 @@ func SolveSDD(g *graph.Graph, extra []int64, b []float64, cfg PrepareConfig) (*R
 
 // SDDResidual returns ‖(L + diag(extra)) x − b‖₂ / ‖b‖₂ (verification
 // helper for SolveSDD).
+//
+//distlint:allow testonly sequential residual oracle the SolveSDD reduction is verified against
 func SDDResidual(g *graph.Graph, extra []int64, x, b []float64) (float64, error) {
 	l := linalg.NewLaplacian(g)
 	lx, err := l.MatVec(x)

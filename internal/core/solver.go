@@ -79,35 +79,11 @@ func Iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, er
 	tr.Begin("solve")
 	defer tr.End("solve")
 
-	// Center b: one global sum, then a local subtraction (n is common
-	// knowledge).
-	tr.Begin("norms")
-	sums, err := c.GlobalSums(b)
-	if err != nil {
-		tr.End("norms")
-		return nil, err
+	rhs, done, err := centerRHS(c, b)
+	if err != nil || done != nil {
+		return done, err
 	}
-	bc := linalg.Copy(b)
-	mean := sums[0] / float64(n)
-	for i := range bc {
-		bc[i] -= mean
-	}
-	bsq := make([]float64, n)
-	for i := range bc {
-		bsq[i] = bc[i] * bc[i]
-	}
-	sums, err = c.GlobalSums(bsq)
-	tr.End("norms")
-	if err != nil {
-		return nil, err
-	}
-	bNorm := math.Sqrt(sums[0])
-	setupRounds := c.Rounds()
-	x := make([]float64, n)
-	if bNorm == 0 { //distlint:allow floateq exact-zero guard: b == 0 has the exact solution x == 0
-		return &Result{X: x, Rounds: c.Rounds(), SetupRounds: setupRounds,
-			Metrics: c.CollectMetrics()}, nil
-	}
+	bc, bNorm, x, setupRounds := rhs.b, rhs.norm, rhs.x, rhs.setupRounds
 
 	r := linalg.Copy(bc)
 	tr.Begin("precond")
@@ -119,8 +95,8 @@ func Iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, er
 	p := linalg.Copy(z)
 	// Iteration scratch, allocated once per solve and reused every
 	// iteration: the dot-product operand and the batched-reduction pair.
-	// bsq is dead after the norm setup above, so it doubles as prod.
-	prod := bsq
+	// The norm's scratch is dead after centerRHS, so it doubles as prod.
+	prod := rhs.scratch
 	rr := make([]float64, n)
 	rzv := make([]float64, n)
 	tr.Begin("reduce")
@@ -214,6 +190,52 @@ func Iterate(c Comm, b []float64, pre Preconditioner, opts Options) (*Result, er
 		}
 	}
 	return nil, fmt.Errorf("%w after %d iterations", linalg.ErrNoConverge, maxIter)
+}
+
+// centered is a right-hand side centered to mean zero, with the state
+// both iterations start from.
+type centered struct {
+	b           []float64 // b minus its mean
+	scratch     []float64 // n floats, free for the caller once the norm is taken
+	norm        float64   // ‖b‖₂ after centering
+	x           []float64 // the zero start
+	setupRounds int       // rounds charged before the first iteration
+}
+
+// centerRHS opens every solve inside a "norms" span: one global sum
+// centers b (n is common knowledge, so the subtraction is local), and a
+// second takes the centered norm. When b centers to zero, whose exact
+// solution is x == 0, it also returns the finished result.
+func centerRHS(c Comm, b []float64) (centered, *Result, error) {
+	n := len(b)
+	tr := c.Tracer()
+	tr.Begin("norms")
+	sums, err := c.GlobalSums(b)
+	if err != nil {
+		tr.End("norms")
+		return centered{}, nil, err
+	}
+	bc := linalg.Copy(b)
+	mean := sums[0] / float64(n)
+	for i := range bc {
+		bc[i] -= mean
+	}
+	bsq := make([]float64, n)
+	for i := range bc {
+		bsq[i] = bc[i] * bc[i]
+	}
+	sums, err = c.GlobalSums(bsq)
+	tr.End("norms")
+	if err != nil {
+		return centered{}, nil, err
+	}
+	rhs := centered{b: bc, scratch: bsq, norm: math.Sqrt(sums[0]),
+		x: make([]float64, n), setupRounds: c.Rounds()}
+	if rhs.norm == 0 { //distlint:allow floateq exact-zero guard: b == 0 has the exact solution x == 0
+		return rhs, &Result{X: rhs.x, Rounds: c.Rounds(), SetupRounds: rhs.setupRounds,
+			Metrics: c.CollectMetrics()}, nil
+	}
+	return rhs, nil, nil
 }
 
 // dotVia computes a global inner product through the comm, building the

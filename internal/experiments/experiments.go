@@ -144,11 +144,6 @@ func sortKey(id string) int {
 	return n
 }
 
-// Run executes the experiment with the given ID (no trace).
-func Run(id string, quick bool) (*Table, error) {
-	return RunWith(id, Config{Quick: quick})
-}
-
 // RunWith executes the experiment with the given ID under a config,
 // wrapping it in a trace span named after the ID. Both tiers resolve here:
 // the E-series paper tables and the chaos tier C1–C2 (chaos.go).

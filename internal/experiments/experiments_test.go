@@ -9,7 +9,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tbl, err := Run(id, true)
+			tbl, err := RunWith(id, Config{Quick: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -29,7 +29,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("E99", true); err == nil {
+	if _, err := RunWith("E99", Config{Quick: true}); err == nil {
 		t.Fatal("want unknown-experiment error")
 	}
 }
@@ -65,7 +65,7 @@ func TestTableFprint(t *testing.T) {
 // Shape assertions on key claims (quick mode): these encode the
 // "who wins / how it scales" expectations from EXPERIMENTS.md.
 func TestE3WithinBound(t *testing.T) {
-	tbl, err := Run("E3", true)
+	tbl, err := RunWith("E3", Config{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestE3WithinBound(t *testing.T) {
 }
 
 func TestE4DensityGrows(t *testing.T) {
-	tbl, err := Run("E4", true)
+	tbl, err := RunWith("E4", Config{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,9 +216,6 @@ func MustNew(spec Spec) *Plan {
 	return p
 }
 
-// Spec returns the plan's validated spec.
-func (p *Plan) Spec() Spec { return p.spec }
-
 // The decision kinds, each hashed once: a link decision derives from two
 // of them, and it runs once per message per round.
 var (

@@ -89,6 +89,8 @@ func CompleteTree(branching, levels int) *Graph {
 }
 
 // Star returns the n-node star with center 0 and unit weights.
+//
+//distlint:allow testonly hub-and-leaves edge-case topology the congest, linalg and partwise tests share
 func Star(n int) *Graph {
 	g := New(n)
 	for i := 1; i < n; i++ {
@@ -98,6 +100,8 @@ func Star(n int) *Graph {
 }
 
 // Complete returns the complete graph K_n with unit weights.
+//
+//distlint:allow testonly diameter-1 edge-case topology the apps, shortcut and treewidth tests share
 func Complete(n int) *Graph {
 	g := New(n)
 	for u := 0; u < n; u++ {

@@ -192,17 +192,6 @@ func (g *Graph) Neighbors(v NodeID) []Half { return g.adj[v] }
 // with multiplicity).
 func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
 
-// MaxDegree returns the maximum degree over all nodes (0 for empty graphs).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.n; v++ {
-		if d := len(g.adj[v]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Other returns the endpoint of edge id that is not v.
 func (g *Graph) Other(id EdgeID, v NodeID) NodeID {
 	e := g.edges[id]
@@ -210,24 +199,6 @@ func (g *Graph) Other(id EdgeID, v NodeID) NodeID {
 		return e.V
 	}
 	return e.U
-}
-
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() int64 {
-	var s int64
-	for _, e := range g.edges {
-		s += e.Weight
-	}
-	return s
-}
-
-// WeightedDegree returns the sum of weights of edges incident to v.
-func (g *Graph) WeightedDegree(v NodeID) int64 {
-	var s int64
-	for _, h := range g.adj[v] {
-		s += g.edges[h.Edge].Weight
-	}
-	return s
 }
 
 // HasEdgeBetween reports whether at least one edge joins u and v.
@@ -248,7 +219,10 @@ func (g *Graph) HasEdgeBetween(u, v NodeID) bool {
 }
 
 // Validate checks internal consistency (adjacency mirrors the edge list).
-// It is intended for tests and for graphs deserialized from external input.
+// Every constructor keeps it (Read and FromEdges range-check each edge
+// before laying it out), so it serves as a test oracle.
+//
+//distlint:allow testonly adjacency-mirrors-edge-list oracle the graph, io and layered tests check every constructed graph against
 func (g *Graph) Validate() error {
 	if len(g.adj) != g.n {
 		return fmt.Errorf("graph: adjacency size %d != n %d", len(g.adj), g.n)

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // BFSResult holds the outcome of a breadth-first search from a root:
 // hop distances, BFS-tree parents and the parent edge used, in visit order.
 type BFSResult struct {
@@ -125,7 +127,7 @@ func Components(g *Graph) [][]NodeID {
 				}
 			}
 		}
-		intSort(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -138,43 +140,6 @@ func IsConnected(g *Graph) bool {
 		return true
 	}
 	return len(BFS(g, 0).Order) == g.N()
-}
-
-func intSort(a []int) {
-	// Insertion sort is fine for the small components produced in tests;
-	// fall back to a shell-ish pass for larger inputs.
-	if len(a) > 64 {
-		quicksortInts(a)
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func quicksortInts(a []int) {
-	if len(a) < 2 {
-		return
-	}
-	pivot := a[len(a)/2]
-	lo, hi := 0, len(a)-1
-	for lo <= hi {
-		for a[lo] < pivot {
-			lo++
-		}
-		for a[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			a[lo], a[hi] = a[hi], a[lo]
-			lo++
-			hi--
-		}
-	}
-	quicksortInts(a[:hi+1])
-	quicksortInts(a[lo:])
 }
 
 // ApproxCenter returns a low-eccentricity node via a double sweep: BFS from

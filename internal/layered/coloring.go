@@ -107,6 +107,8 @@ func ColorEdges(m *Multigraph, seed int64) (*ColoringResult, error) {
 }
 
 // VerifyColoring checks that colors is a proper edge coloring of m.
+//
+//distlint:allow testonly proper-coloring oracle the distributed edge-coloring tests check against
 func VerifyColoring(m *Multigraph, colors []int) error {
 	if len(colors) != len(m.Edges) {
 		return fmt.Errorf("layered: %d colors for %d edges", len(colors), len(m.Edges))

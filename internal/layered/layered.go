@@ -24,8 +24,8 @@ import (
 // Layer edges inherit the base edge's weight; clique edges have weight 1.
 //
 // Edge IDs are positional: layer l's copy of base edge e is l*m + e, and
-// the clique edge joining copies i < j of base node v follows all layer
-// edges at p*m + v*p(p-1)/2 + pairIndex(p, i, j).
+// the clique edges follow all layer edges, node by node, each node's pairs
+// (i, j), i < j, in lexicographic order.
 type Layered struct {
 	Base *graph.Graph
 	P    int
@@ -50,7 +50,7 @@ func New(base *graph.Graph, p int) (*Layered, error) {
 			edges = append(edges, graph.Edge{U: l.Copy(be.U, layer), V: l.Copy(be.V, layer), Weight: be.Weight})
 		}
 	}
-	// Cliques on copies of each node, pairs in pairIndex order.
+	// Cliques on copies of each node, pairs in lexicographic order.
 	for v := 0; v < n; v++ {
 		for i := 0; i < p; i++ {
 			for j := i + 1; j < p; j++ {
@@ -66,53 +66,16 @@ func New(base *graph.Graph, p int) (*Layered, error) {
 	return l, nil
 }
 
-// pairIndex enumerates pairs (i, j), j > i, of [0, p) in lexicographic
-// order.
-func pairIndex(p, i, j int) int {
-	// Pairs with first element < i: i*(p-1) - i*(i-1)/2 ... derive directly:
-	return i*(2*p-i-1)/2 + (j - i - 1)
-}
-
 // Copy returns the layered ID of base node v's copy in the given layer.
 func (l *Layered) Copy(v graph.NodeID, layer int) graph.NodeID {
 	return layer*l.Base.N() + v
 }
 
-// Project maps a layered node back to its base node and layer (the
-// projection π of the paper).
-func (l *Layered) Project(x graph.NodeID) (v graph.NodeID, layer int) {
-	n := l.Base.N()
-	return x % n, x / n
-}
-
-// LayerEdge returns the layered edge that is the given layer's copy of the
-// base edge.
-func (l *Layered) LayerEdge(layer int, baseEdge graph.EdgeID) graph.EdgeID {
-	return layer*l.Base.M() + baseEdge
-}
-
-// CliqueEdge returns the layered edge joining copies (v, i) and (v, j),
-// i != j.
-func (l *Layered) CliqueEdge(v graph.NodeID, i, j int) (graph.EdgeID, error) {
-	if i == j || i < 0 || j < 0 || i >= l.P || j >= l.P {
-		return 0, fmt.Errorf("layered: bad clique pair (%d, %d) with p=%d", i, j, l.P)
-	}
-	if j < i {
-		i, j = j, i
-	}
-	pairs := l.P * (l.P - 1) / 2
-	return l.P*l.Base.M() + v*pairs + pairIndex(l.P, i, j), nil
-}
-
-// SimulationOverhead returns the multiplicative round overhead of running a
-// Ĝ_p algorithm on G (Lemma 16): each G-edge carries the traffic of its p
-// layer copies, and each node locally simulates its p copies and their
-// clique (clique messages are node-internal in the simulation and free).
-func (l *Layered) SimulationOverhead() int { return l.P }
-
 // SimulatedRounds converts a round count measured on Ĝ_p into the rounds
 // charged on the base network when the layered algorithm is simulated in G
-// (Lemma 16).
+// (Lemma 16): each G-edge carries the traffic of its p layer copies, and
+// each node locally simulates its p copies and their clique (clique
+// messages are node-internal in the simulation and free).
 func (l *Layered) SimulatedRounds(layeredRounds int) int {
 	return l.P * layeredRounds
 }

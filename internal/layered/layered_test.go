@@ -35,6 +35,19 @@ func TestNewLayeredBadP(t *testing.T) {
 	}
 }
 
+// project maps a layered node back to its base node and layer (the
+// projection π of the paper), inverting Copy.
+func project(l *Layered, x graph.NodeID) (v graph.NodeID, layer int) {
+	n := l.Base.N()
+	return x % n, x / n
+}
+
+// pairIndex enumerates pairs (i, j), j > i, of [0, p) in lexicographic
+// order: the position of a node's clique edge among its pairs.
+func pairIndex(p, i, j int) int {
+	return i*(2*p-i-1)/2 + (j - i - 1)
+}
+
 func TestCopyProjectRoundtrip(t *testing.T) {
 	base := graph.Path(7)
 	l, err := New(base, 4)
@@ -44,7 +57,7 @@ func TestCopyProjectRoundtrip(t *testing.T) {
 	for v := 0; v < 7; v++ {
 		for layer := 0; layer < 4; layer++ {
 			x := l.Copy(v, layer)
-			pv, pl := l.Project(x)
+			pv, pl := project(l, x)
 			if pv != v || pl != layer {
 				t.Fatalf("roundtrip (%d,%d) -> %d -> (%d,%d)", v, layer, x, pv, pl)
 			}
@@ -52,18 +65,22 @@ func TestCopyProjectRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLayerEdgeAndCliqueEdge pins the positional edge IDs the Layered doc
+// promises: layer l's copy of base edge e is l*m + e, and the clique edge
+// joining copies i < j of base node v is p*m + v*p(p-1)/2 + pairIndex(p, i, j).
 func TestLayerEdgeAndCliqueEdge(t *testing.T) {
 	base := graph.Path(3) // edges 0:(0-1) 1:(1-2)
-	l, err := New(base, 3)
+	const p = 3
+	l, err := New(base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for layer := 0; layer < 3; layer++ {
-		for be := 0; be < 2; be++ {
-			id := l.LayerEdge(layer, be)
-			e := l.G.Edge(id)
-			bu, blu := l.Project(e.U)
-			bv, blv := l.Project(e.V)
+	m := base.M()
+	for layer := 0; layer < p; layer++ {
+		for be := 0; be < m; be++ {
+			e := l.G.Edge(layer*m + be)
+			bu, blu := project(l, e.U)
+			bv, blv := project(l, e.V)
 			if blu != layer || blv != layer {
 				t.Fatalf("layer edge in wrong layer: %d/%d", blu, blv)
 			}
@@ -73,32 +90,22 @@ func TestLayerEdgeAndCliqueEdge(t *testing.T) {
 			}
 		}
 	}
-	for v := 0; v < 3; v++ {
-		id, err := l.CliqueEdge(v, 2, 0) // order-insensitive
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := l.G.Edge(id)
-		au, alu := l.Project(e.U)
-		av, alv := l.Project(e.V)
+	for v := 0; v < base.N(); v++ {
+		e := l.G.Edge(p*m + v*p*(p-1)/2 + pairIndex(p, 0, 2))
+		au, alu := project(l, e.U)
+		av, alv := project(l, e.V)
 		if au != v || av != v {
 			t.Fatalf("clique edge not on node %d", v)
 		}
-		if !(alu == 0 && alv == 2 || alu == 2 && alv == 0) {
-			t.Fatalf("clique layers (%d,%d)", alu, alv)
+		if alu != 0 || alv != 2 {
+			t.Fatalf("clique layers (%d,%d), want (0,2)", alu, alv)
 		}
-	}
-	if _, err := l.CliqueEdge(0, 1, 1); err == nil {
-		t.Fatal("want error for i==j")
-	}
-	if _, err := l.CliqueEdge(0, 0, 9); err == nil {
-		t.Fatal("want error for out-of-range layer")
 	}
 }
 
 func TestSimulatedRounds(t *testing.T) {
 	l, _ := New(graph.Path(4), 5)
-	if l.SimulationOverhead() != 5 || l.SimulatedRounds(7) != 35 {
+	if l.SimulatedRounds(7) != 35 {
 		t.Fatal("Lemma 16 accounting wrong")
 	}
 }
@@ -232,7 +239,7 @@ func TestEmbedPathsFigure1(t *testing.T) {
 	// Each canonical copy projects back to the path node.
 	for j, p := range paths {
 		for i, v := range p.Nodes {
-			pv, _ := emb.Layered.Project(emb.Canonical[j][i])
+			pv, _ := project(emb.Layered, emb.Canonical[j][i])
 			if pv != v {
 				t.Fatalf("path %d node %d: canonical projects to %d", j, i, pv)
 			}

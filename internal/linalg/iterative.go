@@ -31,6 +31,8 @@ type JacobiPreconditioner struct {
 var _ Preconditioner = (*JacobiPreconditioner)(nil)
 
 // NewJacobi builds the Jacobi preconditioner for l.
+//
+//distlint:allow testonly preconditioner of the sequential PCG reference
 func NewJacobi(l *Laplacian) *JacobiPreconditioner {
 	d := l.Degrees()
 	inv := make([]float64, len(d))
@@ -69,6 +71,8 @@ type PCGResult struct {
 // reference for the distributed solver in internal/core: the distributed
 // version performs exactly these operations through communication
 // primitives.
+//
+//distlint:allow testonly sequential reference the distributed PCG in internal/core is tested against
 func PCG(l *Laplacian, b []float64, m Preconditioner, tol float64, maxIter int) (*PCGResult, error) {
 	n := l.N()
 	if len(b) != n {
@@ -128,6 +132,8 @@ func PCG(l *Laplacian, b []float64, m Preconditioner, tol float64, maxIter int) 
 // Chebyshev solves L x = b by Chebyshev iteration given eigenvalue bounds
 // [lo, hi] on the nonzero spectrum; it is the iteration whose count scales
 // as sqrt(hi/lo)·log(1/ε), the log(1/ε) shape Theorem 28 charges per call.
+//
+//distlint:allow testonly sequential reference the distributed Chebyshev iteration in internal/core is tested against
 func Chebyshev(l *Laplacian, b []float64, lo, hi, tol float64, maxIter int) (*PCGResult, error) {
 	n := l.N()
 	if len(b) != n {

@@ -39,12 +39,6 @@ func TestVectorOps(t *testing.T) {
 	if math.Abs(Mean(c)) > 1e-15 {
 		t.Fatal("center")
 	}
-	if err := CheckSameLen(a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSameLen(a, []float64{1}); !errors.Is(err, ErrDimension) {
-		t.Fatal("want dimension error")
-	}
 }
 
 func TestMatVecPath(t *testing.T) {

@@ -13,7 +13,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -103,14 +102,4 @@ func CenterMean(x []float64) {
 	for i := range x {
 		x[i] -= m
 	}
-}
-
-// CheckSameLen verifies vectors share a length.
-func CheckSameLen(vs ...[]float64) error {
-	for i := 1; i < len(vs); i++ {
-		if len(vs[i]) != len(vs[0]) {
-			return fmt.Errorf("%w: %d vs %d", ErrDimension, len(vs[i]), len(vs[0]))
-		}
-	}
-	return nil
 }

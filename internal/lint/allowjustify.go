@@ -13,8 +13,7 @@ package lint
 // cannot be talked out of by the thing it polices.
 func AllowJustify() *Analyzer {
 	return &Analyzer{
-		Name:     "allowjustify",
-		Severity: SevError,
+		Name: "allowjustify",
 		Doc: "flags //distlint:allow directives without a trailing " +
 			"justification, and ones naming no or unknown analyzers",
 		Run: runAllowJustify,

@@ -24,8 +24,7 @@ var enginePkgs = []string{
 // is visible intent and stays allowed; dropping it implicitly is flagged.
 func ErrCheck() *Analyzer {
 	return &Analyzer{
-		Name:     "errcheck",
-		Severity: SevError,
+		Name: "errcheck",
 		Doc: "flags statement-level calls that drop an error returned by a " +
 			"congest/ncc/simtrace/partwise/core/layered primitive",
 		Run: runErrCheck,

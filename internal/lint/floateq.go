@@ -20,8 +20,7 @@ var floatEqScopes = []string{"/internal/linalg", "/internal/core", "/internal/ap
 // justification.
 func FloatEq() *Analyzer {
 	return &Analyzer{
-		Name:     "floateq",
-		Severity: SevError,
+		Name: "floateq",
 		Doc: "flags ==/!= between floating-point expressions in " +
 			"internal/linalg, internal/core and internal/apps",
 		Run: runFloatEq,

@@ -29,8 +29,7 @@ var concurrencyExempt = []string{"/internal/experiments", "/internal/simtrace", 
 // iterates in unspecified order even under a single goroutine.
 func Goroutine() *Analyzer {
 	return &Analyzer{
-		Name:     "goroutine",
-		Severity: SevError,
+		Name: "goroutine",
 		Doc: "flags go statements, channel makes, and sync.Map in internal " +
 			"packages outside the experiments worker pool and simtrace",
 		Run: runGoroutine,

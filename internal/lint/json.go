@@ -7,8 +7,10 @@ import (
 )
 
 // ReportVersion is the schema version of the machine-readable report. Bump
-// it whenever a field changes meaning; additions are backward-compatible.
-const ReportVersion = 1
+// it whenever a field changes meaning or goes away; additions are
+// backward-compatible. Version 2 dropped the severity fields and the
+// error/warning counts: every finding fails a run unless suppressed.
+const ReportVersion = 2
 
 // Report is the machine-readable result of a lint run: the diagnostic
 // stream with suppression state, plus enough metadata to interpret it
@@ -27,9 +29,8 @@ type Report struct {
 
 // ReportAnalyzer describes one analyzer that ran.
 type ReportAnalyzer struct {
-	Name     string `json:"name"`
-	Severity string `json:"severity"`
-	Doc      string `json:"doc"`
+	Name string `json:"name"`
+	Doc  string `json:"doc"`
 }
 
 // ReportFinding is one diagnostic, suppressed or not.
@@ -38,7 +39,6 @@ type ReportFinding struct {
 	File          string `json:"file"` // module-relative, slash-separated
 	Line          int    `json:"line"`
 	Col           int    `json:"col"`
-	Severity      string `json:"severity"`
 	Message       string `json:"message"`
 	Suppressed    bool   `json:"suppressed"`
 	Justification string `json:"justification,omitempty"`
@@ -49,8 +49,6 @@ type ReportSummary struct {
 	Packages   int `json:"packages"`
 	Findings   int `json:"findings"`   // unsuppressed
 	Suppressed int `json:"suppressed"` // suppressed by a directive
-	Errors     int `json:"errors"`     // unsuppressed with severity error
-	Warnings   int `json:"warnings"`   // unsuppressed with severity warning
 }
 
 // BuildReport assembles the report for a RunAll diagnostic stream. root is
@@ -65,11 +63,7 @@ func BuildReport(modulePath, root string, analyzers []*Analyzer, packages int, d
 	}
 	r.Analyzers = make([]ReportAnalyzer, 0, len(analyzers))
 	for _, a := range analyzers {
-		sev := a.Severity
-		if sev == 0 {
-			sev = SevError
-		}
-		r.Analyzers = append(r.Analyzers, ReportAnalyzer{Name: a.Name, Severity: sev.String(), Doc: a.Doc})
+		r.Analyzers = append(r.Analyzers, ReportAnalyzer{Name: a.Name, Doc: a.Doc})
 	}
 	r.Findings = make([]ReportFinding, 0, len(diags))
 	for _, d := range diags {
@@ -78,19 +72,13 @@ func BuildReport(modulePath, root string, analyzers []*Analyzer, packages int, d
 			File:          moduleRelative(root, d.Pos.Filename),
 			Line:          d.Pos.Line,
 			Col:           d.Pos.Column,
-			Severity:      d.Severity.String(),
 			Message:       d.Message,
 			Suppressed:    d.Suppressed,
 			Justification: d.Justification,
 		})
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			r.Summary.Suppressed++
-		case d.Severity == SevWarning:
-			r.Summary.Warnings++
-			r.Summary.Findings++
-		default:
-			r.Summary.Errors++
+		} else {
 			r.Summary.Findings++
 		}
 	}

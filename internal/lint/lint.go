@@ -21,9 +21,11 @@
 //  4. Trace integrity — every simtrace span opened in a function is also
 //     closed there, so phase attribution cannot silently skew (analyzer
 //     tracephase), and errors reported by engine primitives are never
-//     dropped on the floor (analyzer errcheck).
+//     dropped on the floor (analyzer errcheck);
+//  5. A used surface — no exported identifier in internal/... that only
+//     tests reference (analyzer testonly).
 //
-// Findings can be suppressed with a justification comment on the flagged
+// Every unsuppressed finding fails a run. Findings can be suppressed with a justification comment on the flagged
 // line or the line directly above it:
 //
 //	//distlint:allow <check>[,<check>...] <why this is safe>
@@ -44,49 +46,15 @@ import (
 	"strings"
 )
 
-// Severity classifies how a diagnostic gates a run: errors fail the build,
-// warnings are reported but do not (cmd/distlint exits nonzero only when an
-// unsuppressed error-severity finding survives its filters).
-type Severity uint8
-
-const (
-	// SevWarning marks advisory findings: reported, never build-failing.
-	SevWarning Severity = iota + 1
-	// SevError marks invariant violations: any unsuppressed one fails the run.
-	SevError
-)
-
-func (s Severity) String() string {
-	switch s {
-	case SevWarning:
-		return "warning"
-	case SevError:
-		return "error"
-	}
-	return fmt.Sprintf("severity(%d)", uint8(s))
-}
-
-// ParseSeverity parses "warning" or "error".
-func ParseSeverity(s string) (Severity, error) {
-	switch s {
-	case "warning":
-		return SevWarning, nil
-	case "error":
-		return SevError, nil
-	}
-	return 0, fmt.Errorf("lint: unknown severity %q (want warning or error)", s)
-}
-
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
-	Pos      token.Position
-	Check    string // analyzer name
-	Severity Severity
-	Message  string
+	Pos     token.Position
+	Check   string // analyzer name
+	Message string
 
 	// Suppressed marks findings covered by a //distlint:allow directive.
-	// RunAll returns them (the JSON report records suppression state);
-	// Run drops them.
+	// RunAll returns them: the JSON report records suppression state, and
+	// only unsuppressed findings fail a run.
 	Suppressed bool
 	// Justification is the directive's trailing free text for suppressed
 	// findings ("" when the directive carries none — which allowjustify
@@ -101,10 +69,9 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named check run over a loaded package.
 type Analyzer struct {
-	Name     string
-	Doc      string
-	Severity Severity // default severity for this analyzer's diagnostics
-	Run      func(p *Package) []Diagnostic
+	Name string
+	Doc  string
+	Run  func(p *Package) []Diagnostic
 }
 
 // Analyzers returns the full suite in a stable order.
@@ -121,6 +88,7 @@ func Analyzers() []*Analyzer {
 		AllowJustify(),
 		Goroutine(),
 		WallTime(),
+		TestOnly(),
 	}
 }
 
@@ -256,20 +224,13 @@ func collectAllows(p *Package) allowSet {
 
 // RunAll executes the analyzers over the packages and returns every finding,
 // suppressed ones included (marked, with their justification), sorted by
-// position. Analyzer severities fill in zero-valued diagnostic severities.
+// position.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, p := range pkgs {
 		allows := collectAllows(p)
 		for _, a := range analyzers {
-			sev := a.Severity
-			if sev == 0 {
-				sev = SevError
-			}
 			for _, d := range a.Run(p) {
-				if d.Severity == 0 {
-					d.Severity = sev
-				}
 				k := allowKey{file: d.Pos.Filename, line: d.Pos.Line}
 				if why, ok := allows[k][d.Check]; ok {
 					d.Suppressed = true
@@ -295,20 +256,7 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// Run executes the analyzers and returns only the unsuppressed findings,
-// sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range RunAll(pkgs, analyzers) {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// diag builds a Diagnostic for a node in p with the analyzer's default
-// severity (filled in by RunAll).
+// diag builds a Diagnostic for a node in p.
 func diag(p *Package, n ast.Node, check, format string, args ...any) Diagnostic {
 	return Diagnostic{
 		Pos:     p.Fset.Position(n.Pos()),

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
-	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,6 +33,29 @@ func fmtDiag(d Diagnostic) string {
 	return fmt.Sprintf("%s:%d:%d %s", filepath.Base(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check)
 }
 
+// unsuppressed runs the analyzers and keeps the findings that fail a run.
+func unsuppressed(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range RunAll(pkgs, analyzers) {
+		if !d.Suppressed {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// fixtureSuite is the suite for fixtures that exercise other analyzers:
+// testonly judges a package against the whole module, so every exported
+// helper of such a fixture would read as unused.
+func fixtureSuite(t *testing.T) []*Analyzer {
+	t.Helper()
+	suite, err := Select(Analyzers(), nil, []string{"testonly"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return suite
+}
+
 func TestAnalyzersOnFixtures(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -40,10 +63,11 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 
 	tests := []struct {
-		name string
-		dir  string
-		path string // import path assigned to the fixture (controls scoping)
-		want []string
+		name      string
+		dir       string
+		path      string // import path assigned to the fixture (controls scoping)
+		analyzers []*Analyzer
+		want      []string
 	}{
 		{
 			name: "maporder",
@@ -53,7 +77,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				"a.go:10:2 maporder",
 				"a.go:41:2 maporder",
 				"a.go:100:2 maporder",
-				"a.go:114:2 maporder",
 			},
 		},
 		{
@@ -174,11 +197,31 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				"a.go:29:2 allowjustify",
 			},
 		},
+		{
+			// The export only a_test.go calls, the self-recursive one, and
+			// a type named only by its method's receiver (with that method)
+			// are flagged. The export b.go calls, the heap.Interface and
+			// fmt.Stringer methods and the allowed export are not.
+			name:      "testonly",
+			dir:       "testonly",
+			path:      "distlap/internal/lintfixture/testonly",
+			analyzers: []*Analyzer{TestOnly()},
+			want: []string{
+				"a.go:9:6 testonly",
+				"a.go:39:6 testonly",
+				"a.go:48:6 testonly",
+				"a.go:51:15 testonly",
+			},
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			p := loadFixture(t, loader, tt.dir, tt.path)
-			got := Run([]*Package{p}, Analyzers())
+			analyzers := tt.analyzers
+			if analyzers == nil {
+				analyzers = fixtureSuite(t)
+			}
+			got := unsuppressed([]*Package{p}, analyzers)
 			if len(got) != len(tt.want) {
 				t.Fatalf("got %d diagnostics, want %d:\n%v", len(got), len(tt.want), got)
 			}
@@ -188,6 +231,19 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// The allowed testonly export is flagged, and its directive suppresses
+	// the finding with the directive's reason.
+	p := loadFixture(t, loader, "testonly", "distlap/internal/lintfixture/testonly")
+	var oracle []Diagnostic
+	for _, d := range RunAll([]*Package{p}, []*Analyzer{TestOnly()}) {
+		if d.Pos.Line == 36 {
+			oracle = append(oracle, d)
+		}
+	}
+	if len(oracle) != 1 || !oracle[0].Suppressed || !strings.HasPrefix(oracle[0].Justification, "fixture:") {
+		t.Errorf("allowed export at a.go:36: got %+v, want one suppressed finding with its reason", oracle)
 	}
 }
 
@@ -208,7 +264,7 @@ func TestAllowSuppression(t *testing.T) {
 	}
 
 	// The runner drops the two suppressed ones.
-	got := Run([]*Package{p}, Analyzers())
+	got := unsuppressed([]*Package{p}, fixtureSuite(t))
 	want := []string{
 		"a.go:15:9 seededrand", // no allow comment
 		"a.go:26:9 seededrand", // allow names the wrong check
@@ -249,9 +305,6 @@ func TestRunAllSuppressionState(t *testing.T) {
 		if d.Justification == "" || !strings.Contains(d.Justification, "fixture") {
 			t.Errorf("suppressed diagnostic %s: justification %q not captured", fmtDiag(d), d.Justification)
 		}
-		if d.Severity != SevError {
-			t.Errorf("suppressed diagnostic %s: severity %v, want error", fmtDiag(d), d.Severity)
-		}
 	}
 }
 
@@ -285,41 +338,11 @@ func TestScopingByImportPath(t *testing.T) {
 	}
 }
 
-// TestMapOrderWhitelist checks the explicit whitelist hook: the helper-based
-// collect-then-order case is flagged by default and accepted once the
-// helper name is whitelisted.
-func TestMapOrderWhitelist(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	p := loadFixture(t, loader, "maporder", "distlap/internal/lintfixture/maporder2")
-
-	countAt := func(line int) int {
-		n := 0
-		for _, d := range MapOrder().Run(p) {
-			if d.Pos.Line == line {
-				n++
-			}
-		}
-		return n
-	}
-	const canonicalLine = 100 // CollectCanonical's range loop
-	if got := countAt(canonicalLine); got != 1 {
-		t.Fatalf("without whitelist: got %d diagnostics at line %d, want 1", got, canonicalLine)
-	}
-	MapOrderSortFuncs["canonicalize"] = true
-	defer delete(MapOrderSortFuncs, "canonicalize")
-	if got := countAt(canonicalLine); got != 0 {
-		t.Errorf("with whitelist: got %d diagnostics at line %d, want 0", got, canonicalLine)
-	}
-}
-
 // TestSelect checks the enable/disable analyzer filters.
 func TestSelect(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 11 {
-		t.Fatalf("suite has %d analyzers, want 11", len(all))
+	if len(all) != 12 {
+		t.Fatalf("suite has %d analyzers, want 12", len(all))
 	}
 	got, err := Select(all, []string{"maporder", "wordtrunc"}, nil)
 	if err != nil || len(got) != 2 || got[0].Name != "maporder" || got[1].Name != "wordtrunc" {
@@ -342,49 +365,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestSeverity checks the severity plumbing: analyzer defaults fill in
-// zero-valued diagnostics, explicit per-diagnostic severities survive, and
-// the report summary buckets errors and warnings separately.
-func TestSeverity(t *testing.T) {
-	mkdiag := func(file string, line int, check string, sev Severity) Diagnostic {
-		return Diagnostic{
-			Pos:      token.Position{Filename: file, Line: line, Column: 1},
-			Check:    check,
-			Severity: sev,
-		}
-	}
-	warn := &Analyzer{
-		Name:     "fixturewarn",
-		Severity: SevWarning,
-		Doc:      "synthetic warning-severity analyzer",
-		Run: func(p *Package) []Diagnostic {
-			return []Diagnostic{
-				mkdiag("w.go", 1, "fixturewarn", 0),        // takes analyzer default
-				mkdiag("w.go", 2, "fixturewarn", SevError), // explicit override survives
-			}
-		},
-	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	p := loadFixture(t, loader, "allow", "distlap/internal/lintfixture/allow")
-	diags := RunAll([]*Package{p}, []*Analyzer{warn})
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2", len(diags))
-	}
-	if diags[0].Severity != SevWarning || diags[1].Severity != SevError {
-		t.Errorf("severities: got %v, %v; want warning, error", diags[0].Severity, diags[1].Severity)
-	}
-	r := BuildReport("distlap", "", []*Analyzer{warn}, 1, diags)
-	if r.Summary.Warnings != 1 || r.Summary.Errors != 1 || r.Summary.Findings != 2 {
-		t.Errorf("summary: %+v, want 1 warning + 1 error = 2 findings", r.Summary)
-	}
-	if s := r.Analyzers[0].Severity; s != "warning" {
-		t.Errorf("analyzer severity rendered %q, want warning", s)
-	}
-}
-
 // TestReportByteStable pins the machine-readable report: two fresh loads of
 // the same fixture must marshal to identical bytes, file paths are
 // module-relative slash paths, and suppressed findings carry their state
@@ -396,8 +376,8 @@ func TestReportByteStable(t *testing.T) {
 			t.Fatalf("NewLoader: %v", err)
 		}
 		p := loadFixture(t, loader, "allow", "distlap/internal/lintfixture/allow")
-		diags := RunAll([]*Package{p}, Analyzers())
-		r := BuildReport(loader.ModulePath, loader.Root, Analyzers(), 1, diags)
+		suite := fixtureSuite(t)
+		r := BuildReport(loader.ModulePath, loader.Root, suite, 1, RunAll([]*Package{p}, suite))
 		b, err := r.Marshal()
 		if err != nil {
 			t.Fatalf("Marshal: %v", err)
@@ -410,7 +390,7 @@ func TestReportByteStable(t *testing.T) {
 	}
 	s := string(first)
 	for _, want := range []string{
-		`"version": 1`,
+		`"version": 2`,
 		`"module": "distlap"`,
 		`"file": "internal/lint/testdata/allow/a.go"`,
 		`"suppressed": true`,
@@ -420,6 +400,9 @@ func TestReportByteStable(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("report missing %s:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, `"severity"`) {
+		t.Errorf("report still carries severities:\n%s", s)
 	}
 	if strings.Contains(s, `"file": "/`) || strings.Contains(s, `\\`) {
 		t.Errorf("report leaks absolute or backslashed paths:\n%s", s)
@@ -466,8 +449,9 @@ func TestAllowParsing(t *testing.T) {
 }
 
 // TestRepoIsClean is the self-test the CI gate relies on: the whole module
-// must lint clean under all eleven analyzers (true positives fixed,
-// justified findings suppressed).
+// must lint clean under all twelve analyzers (true positives fixed,
+// justified findings suppressed). The walk must reach benchmark/, a module
+// of its own: testonly counts its references as uses.
 func TestRepoIsClean(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -484,7 +468,10 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 15 {
 		t.Fatalf("expected to load the whole module, got only %d packages", len(pkgs))
 	}
-	for _, d := range Run(pkgs, Analyzers()) {
+	if !slices.Contains(paths, loader.ModulePath+"/benchmark") {
+		t.Fatalf("the module walk missed benchmark/: %v", paths)
+	}
+	for _, d := range unsuppressed(pkgs, Analyzers()) {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }

@@ -25,6 +25,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
+	loader     *Loader      // the loader that type-checked it (testonly reads the module through it)
 	allowSpecs *[]allowSpec // memoized //distlint:allow directives (see allows)
 }
 
@@ -40,6 +41,9 @@ type Loader struct {
 	std  types.Importer
 	pkgs map[string]*Package // keyed by import path
 	busy map[string]bool     // import-cycle guard
+
+	module    *refIndex // memoized by moduleRefs
+	moduleErr error
 }
 
 var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
@@ -99,9 +103,6 @@ func findModuleRoot(dir string) (string, error) {
 		}
 	}
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Import implements types.Importer: module-internal paths load from source,
 // everything else falls back to the standard-library source importer.
@@ -170,7 +171,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -282,4 +283,29 @@ func (l *Loader) Load(paths []string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
+}
+
+// moduleRefs loads every package of the module (Expand of "./..." from the
+// root, benchmark/ included) and indexes what their non-test files
+// reference. It runs once per loader, whatever packages a run names.
+func (l *Loader) moduleRefs() (*refIndex, error) {
+	if l.module != nil || l.moduleErr != nil {
+		return l.module, l.moduleErr
+	}
+	paths, err := l.Expand(l.Root, []string{"./..."})
+	if err != nil {
+		l.moduleErr = err
+		return nil, err
+	}
+	pkgs, err := l.Load(paths)
+	if err != nil {
+		l.moduleErr = err
+		return nil, err
+	}
+	x := newRefIndex()
+	for _, p := range pkgs {
+		x.add(p)
+	}
+	l.module = x
+	return x, nil
 }

@@ -6,14 +6,6 @@ import (
 	"strings"
 )
 
-// MapOrderSortFuncs is the explicit whitelist hook for the collect-then-sort
-// recognizer: additional function or method names (exact match) that
-// establish a deterministic order over a collected slice, beyond sort.*/
-// slices.* and names containing "sort". Populate it before Run — e.g.
-// cmd/distlint's -maporder-sortfuncs flag — for repo-local canonicalization
-// helpers whose names the heuristic cannot guess.
-var MapOrderSortFuncs = map[string]bool{}
-
 // MapOrder returns the maporder analyzer: in non-test internal/... code,
 // `range` over a map is flagged unless the loop only collects keys/values
 // into slices that are subsequently sorted later in the same function — the
@@ -25,12 +17,10 @@ var MapOrderSortFuncs = map[string]bool{}
 // enclosing statement list of the same function *after* the collecting
 // loop (not only the loop's own block), so collect-inside-a-condition /
 // sort-at-function-end no longer false-positives. Helpers recognized as
-// sorting are sort.*/slices.* calls, names containing "sort", and the
-// MapOrderSortFuncs whitelist.
+// sorting are sort.*/slices.* calls and names containing "sort".
 func MapOrder() *Analyzer {
 	return &Analyzer{
-		Name:     "maporder",
-		Severity: SevError,
+		Name: "maporder",
 		Doc: "flags range over a map in internal packages unless the keys are " +
 			"collected into a slice and sorted before use (function-level scan)",
 		Run: runMapOrder,
@@ -185,20 +175,17 @@ func collectOnly(stmts []ast.Stmt, targets map[string]bool) bool {
 	return true
 }
 
-// isSortCall recognizes sort.X(...), helper functions whose name contains
-// "sort" (sortNodeIDs, sortEdgeIDs, ...), and names explicitly whitelisted
-// through MapOrderSortFuncs.
+// isSortCall recognizes sort.X(...), slices.X(...) and helper functions
+// whose name contains "sort" (sortKeys, sortEdgeIDs, ...).
 func isSortCall(call *ast.CallExpr) bool {
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
-		return MapOrderSortFuncs[fn.Name] ||
-			strings.Contains(strings.ToLower(fn.Name), "sort")
+		return strings.Contains(strings.ToLower(fn.Name), "sort")
 	case *ast.SelectorExpr:
 		if pkg, ok := fn.X.(*ast.Ident); ok && (pkg.Name == "sort" || pkg.Name == "slices") {
 			return true
 		}
-		return MapOrderSortFuncs[fn.Sel.Name] ||
-			strings.Contains(strings.ToLower(fn.Sel.Name), "sort")
+		return strings.Contains(strings.ToLower(fn.Sel.Name), "sort")
 	}
 	return false
 }

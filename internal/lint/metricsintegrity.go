@@ -21,8 +21,7 @@ var metricsOwners = map[string][]string{
 // fabricate or corrupt measured round counts.
 func MetricsIntegrity() *Analyzer {
 	return &Analyzer{
-		Name:     "metricsintegrity",
-		Severity: SevError,
+		Name: "metricsintegrity",
 		Doc: "flags direct writes to congest/ncc metrics state outside the " +
 			"owning package; accounting must go through charging primitives",
 		Run: runMetricsIntegrity,

@@ -19,8 +19,7 @@ import (
 // operand) is allowed; only deriving new values from it by hand is not.
 func SeedDerive() *Analyzer {
 	return &Analyzer{
-		Name:     "seedderive",
-		Severity: SevError,
+		Name: "seedderive",
 		Doc: "requires child seeds to come from seedderive.Derive, banning " +
 			"ad-hoc arithmetic on seed-named identifiers in internal/ packages",
 		Run: runSeedDerive,

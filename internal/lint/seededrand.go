@@ -23,8 +23,7 @@ import (
 // point's position in the sweep, never of wall clock or execution order.
 func SeededRand() *Analyzer {
 	return &Analyzer{
-		Name:     "seededrand",
-		Severity: SevError,
+		Name: "seededrand",
 		Doc: "bans global math/rand functions and wall-clock-derived RNG " +
 			"seeds in all non-test packages",
 		Run: runSeededRand,

@@ -92,20 +92,6 @@ func CollectInLoopSortAfter(ms []map[int]bool) []int {
 	return keys
 }
 
-// CollectCanonical orders through a helper whose name the heuristic cannot
-// match: flagged by default, accepted when "canonicalize" is whitelisted
-// through MapOrderSortFuncs.
-func CollectCanonical(m map[int]bool) []int {
-	var keys []int
-	for k := range m { // violation unless canonicalize is whitelisted
-		keys = append(keys, k)
-	}
-	canonicalize(keys)
-	return keys
-}
-
-func canonicalize(a []int) { sort.Ints(a) }
-
 // SortBeforeNotAfter sorts before the loop only: still flagged (the scan
 // looks strictly after the collecting loop).
 func SortBeforeNotAfter(m map[int]bool) []int {

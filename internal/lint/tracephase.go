@@ -19,8 +19,7 @@ const simtracePath = "distlap/internal/simtrace"
 // frame.
 func TracePhase() *Analyzer {
 	return &Analyzer{
-		Name:     "tracephase",
-		Severity: SevError,
+		Name: "tracephase",
 		Doc: "flags simtrace.Begin calls without a lexically matching End " +
 			"in the same function scope (and stray Ends without a Begin)",
 		Run: runTracePhase,

@@ -30,8 +30,7 @@ var clockFuncs = map[string]bool{
 // the clock, which is banned everywhere including cmd/.
 func WallTime() *Analyzer {
 	return &Analyzer{
-		Name:     "walltime",
-		Severity: SevError,
+		Name: "walltime",
 		Doc: "flags time.Now/Since/Sleep/Tick/... in deterministic internal " +
 			"packages; wall-clock timing belongs in cmd/ or internal/experiments",
 		Run: runWallTime,

@@ -33,8 +33,7 @@ const congestPath = "/internal/congest"
 // value do not compile, and constant shifts build sentinels, not payloads.
 func WordTrunc() *Analyzer {
 	return &Analyzer{
-		Name:     "wordtrunc",
-		Severity: SevError,
+		Name: "wordtrunc",
 		Doc: "flags value-changing conversions into congest.Word (float " +
 			"truncation, unsigned wraparound, unchecked shift-packing)",
 		Run: runWordTrunc,

@@ -16,7 +16,7 @@ import (
 // returns the steady-state allocations per call.
 func deliverAllocs(t *testing.T, nw *Network) float64 {
 	t.Helper()
-	msgs := fanMsgs(nw.N(), 12)
+	msgs := fanMsgs(nw.n, 12)
 	deliver := func() {
 		if _, err := nw.Deliver(msgs, func(Message) {}); err != nil {
 			t.Fatal(err)

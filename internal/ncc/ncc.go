@@ -16,7 +16,6 @@ package ncc
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"distlap/internal/congest"
 	"distlap/internal/faultinject"
@@ -103,9 +102,6 @@ func NewNetworkWith(n int, tr simtrace.Collector) *Network {
 	return &Network{n: n, cap: log2ceil(n), trace: tr, link: faultinject.Link{Trace: tr}}
 }
 
-// Trace returns the network's trace collector (never nil).
-func (nw *Network) Trace() simtrace.Collector { return nw.trace }
-
 // SetFaults attaches a deterministic fault plan (nil = reliable). Set it
 // before the first Deliver; decisions are pure functions of (plan seed,
 // round, sender, receiver), so a faulty clique run replays byte-identically
@@ -116,9 +112,6 @@ func (nw *Network) SetFaults(p *faultinject.Plan) { nw.link.Plan = p }
 // networks).
 func (nw *Network) FaultStats() faultinject.Stats { return nw.link.Stats() }
 
-// N returns the node count.
-func (nw *Network) N() int { return nw.n }
-
 // Capacity returns the per-node, per-round message capacity.
 func (nw *Network) Capacity() int { return nw.cap }
 
@@ -127,9 +120,6 @@ func (nw *Network) Rounds() int { return nw.rounds }
 
 // Messages returns the total messages delivered.
 func (nw *Network) Messages() int64 { return nw.messages }
-
-// Reset zeroes the metrics.
-func (nw *Network) Reset() { nw.rounds, nw.messages = 0, 0 }
 
 // Deliver schedules all messages under the per-node send and receive caps
 // (FIFO per sender, senders scanned in ID order — deterministic) and
@@ -289,77 +279,10 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 	return used, nil
 }
 
-// ChargeRounds adds idle rounds (for composed accounting).
-func (nw *Network) ChargeRounds(r int) {
-	if r > 0 {
-		nw.rounds += r
-		nw.trace.Rounds(simtrace.EngineNCC, r)
-	}
-}
-
 func log2ceil(n int) int {
 	k := 1
 	for p := 2; p < n; p *= 2 {
 		k++
 	}
 	return k
-}
-
-// DeliverUnscheduled models the raw NCC semantics of §2: every message is
-// transmitted in a single round with no coordination, and each receiver
-// keeps only an adversarially-selected subset of at most Capacity messages
-// (here: the lowest sender IDs, a deterministic adversary) — the rest are
-// dropped. It exists for failure-injection tests that demonstrate why the
-// Lemma 26 aggregation must schedule under the caps; production algorithms
-// use Deliver.
-//
-// Returns the number of dropped messages. Always charges exactly one round.
-func (nw *Network) DeliverUnscheduled(msgs []Message, recv func(Message)) (dropped int, err error) {
-	for _, m := range msgs {
-		if m.From < 0 || m.From >= nw.n || m.To < 0 || m.To >= nw.n {
-			return 0, fmt.Errorf("ncc: %w: message %d->%d with n=%d",
-				graph.ErrNodeRange, m.From, m.To, nw.n)
-		}
-	}
-	nw.trace.Counter("ncc.sends", int64(len(msgs)))
-	// Senders may emit at most cap messages; excess sends are dropped at
-	// the source (in FIFO order).
-	sendLoad := make(map[graph.NodeID]int)
-	byReceiver := make(map[graph.NodeID][]Message)
-	for _, m := range msgs {
-		if sendLoad[m.From] >= nw.cap {
-			dropped++
-			continue
-		}
-		sendLoad[m.From]++
-		byReceiver[m.To] = append(byReceiver[m.To], m)
-	}
-	var receivers []graph.NodeID
-	for to := range byReceiver {
-		receivers = append(receivers, to)
-	}
-	sort.Ints(receivers)
-	deliveredCount := int64(0)
-	for _, to := range receivers {
-		inbox := byReceiver[to]
-		sort.Slice(inbox, func(a, b int) bool { return inbox[a].From < inbox[b].From })
-		for i, m := range inbox {
-			if i >= nw.cap {
-				dropped += len(inbox) - i
-				break
-			}
-			nw.messages++
-			deliveredCount++
-			nw.trace.NodeWords(simtrace.EngineNCC, m.From, m.To, 1)
-			recv(m)
-		}
-	}
-	nw.trace.Messages(simtrace.EngineNCC, simtrace.NoEdge, deliveredCount)
-	// As in Deliver, the single round is charged after its deliveries.
-	nw.rounds++
-	nw.trace.Rounds(simtrace.EngineNCC, 1)
-	if dropped > 0 {
-		nw.trace.Counter("ncc.drops", int64(dropped))
-	}
-	return dropped, nil
 }

@@ -90,13 +90,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // bucketIndex returns the index of the bucket v falls into: the first
 // bound with v <= bound, or len(bounds) for the +Inf overflow bucket.
 // Binary search keeps Observe O(log buckets).
@@ -217,12 +210,6 @@ func (r *Registry) Gauge(name, help string, det bool) *Gauge {
 	return r.register(name, help, KindGauge, det, "", nil).handle("").(*Gauge)
 }
 
-// Histogram registers a scalar histogram family with the given bucket
-// bounds and returns its sole handle.
-func (r *Registry) Histogram(name, help string, det bool, bounds []float64) *Histogram {
-	return r.register(name, help, KindHistogram, det, "", bounds).handle("").(*Histogram)
-}
-
 // CounterVec is a counter family keyed by one label.
 type CounterVec struct{ f *family }
 
@@ -233,19 +220,6 @@ func (r *Registry) CounterVec(name, help string, det bool, labelKey string) *Cou
 
 // With returns the counter for a label value, creating it on first use.
 func (v *CounterVec) With(labelValue string) *Counter { return v.f.handle(labelValue).(*Counter) }
-
-// Sum returns the summed count across all series — the right-hand side of
-// "per-label counters sum to the total" identities.
-func (v *CounterVec) Sum() int64 {
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	var total int64
-	//distlint:allow maporder summation is commutative; iteration order cannot reach any output
-	for _, h := range v.f.series {
-		total += h.(*Counter).Value()
-	}
-	return total
-}
 
 // HistogramVec is a histogram family keyed by one label.
 type HistogramVec struct{ f *family }

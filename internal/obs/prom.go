@@ -52,19 +52,6 @@ func WriteProm(w io.Writer, snap Snapshot) error {
 	return nil
 }
 
-// DeterministicSection renders only the deterministic half of the
-// exposition (everything WriteProm emits above the marker) — the
-// byte-comparable surface of a daemon.
-func DeterministicSection(snap Snapshot) string {
-	var b strings.Builder
-	for _, f := range snap.Families {
-		if f.Deterministic {
-			_ = writeFamily(&b, f) // strings.Builder writes cannot fail
-		}
-	}
-	return b.String()
-}
-
 func writeFamily(w io.Writer, f FamilySnapshot) error {
 	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Kind); err != nil {
 		return err

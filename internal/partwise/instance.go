@@ -121,6 +121,8 @@ type Solver interface {
 // row and every column is a part, so every node has congestion exactly 2
 // and every row part intersects every column part (the Observation 14
 // pattern). Values are the node IDs.
+//
+//distlint:allow testonly the Figure 1 congested instance the partwise and ncc tests share
 func GridCongestedInstance(s int) (*graph.Graph, *Instance) {
 	g := graph.Grid(s, s)
 	inst := &Instance{}

@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"fmt"
+	"slices"
 
 	"distlap/internal/graph"
 )
@@ -209,7 +210,7 @@ func splitByMiddleLayer(sub *graph.Induced, g *graph.Graph, nodes []graph.NodeID
 	for v := range sep {
 		pending = append(pending, v)
 	}
-	sortNodeIDs(pending)
+	slices.Sort(pending)
 	for len(pending) > 0 {
 		progress := false
 		next := pending[:0]

@@ -141,7 +141,7 @@ func augmentedDiameter(sub *graph.Induced, g *graph.Graph, part []graph.NodeID, 
 		nodes = append(nodes, e.U, e.V)
 	}
 	// Sorted once: deterministic BFS input and sweep order.
-	sortNodeIDs(nodes)
+	slices.Sort(nodes)
 	nodes = slices.Compact(nodes)
 	k := sub.Build(g, nodes)
 	// The dilation certificate must be an upper bound. For small augmented
@@ -187,8 +187,6 @@ func augmentedDiameter(sub *graph.Induced, g *graph.Graph, part []graph.NodeID, 
 	}
 	return upper, nil
 }
-
-func sortNodeIDs(a []graph.NodeID) { sort.Ints(a) }
 
 // Builder constructs a shortcut for a partition of g.
 type Builder interface {

@@ -35,14 +35,6 @@ type UnicastSolution struct {
 	Makespan   int              // measured scheduled completion time
 }
 
-// Quality returns max(congestion, dilation) (the τ of §3.1.3).
-func (s *UnicastSolution) Quality() int {
-	if s.Congestion > s.Dilation {
-		return s.Congestion
-	}
-	return s.Dilation
-}
-
 // ErrNoPath is returned when a demand pair is disconnected.
 var ErrNoPath = errors.New("shortcut: no path between demand endpoints")
 

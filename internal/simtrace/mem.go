@@ -290,6 +290,8 @@ func (m *InMemory) Phases() []PhaseStat {
 }
 
 // PhaseRounds returns the exclusive rounds attributed to the exact path.
+//
+//distlint:allow testonly the public distlap.NewInMemoryTrace returns this collector, so its read API is how callers query a trace
 func (m *InMemory) PhaseRounds(path string) int {
 	if st := m.stats[path]; st != nil {
 		return st.Rounds
@@ -312,6 +314,8 @@ func (m *InMemory) Counters() []CounterStat {
 }
 
 // CounterValue returns one counter's value (0 if never incremented).
+//
+//distlint:allow testonly the public distlap.NewInMemoryTrace returns this collector, so its read API is how callers query a trace
 func (m *InMemory) CounterValue(name string) int64 { return m.counters[name] }
 
 // Engines returns per-engine totals sorted by engine name.
@@ -329,6 +333,8 @@ func (m *InMemory) Engines() []EngineTotal {
 }
 
 // EngineRounds returns the total rounds recorded for one engine.
+//
+//distlint:allow testonly the public distlap.NewInMemoryTrace returns this collector, so its read API is how callers query a trace
 func (m *InMemory) EngineRounds(engine string) int {
 	if e := m.engines[engine]; e != nil {
 		return e.Rounds
@@ -337,6 +343,8 @@ func (m *InMemory) EngineRounds(engine string) int {
 }
 
 // TotalRounds returns the rounds recorded across all engines.
+//
+//distlint:allow testonly the public distlap.NewInMemoryTrace returns this collector, so its read API is how callers query a trace
 func (m *InMemory) TotalRounds() int {
 	total := 0
 	for _, e := range m.Engines() {
@@ -432,6 +440,8 @@ func (m *InMemory) NodeLoadHistogram(engine string) []NodeLoad {
 }
 
 // Gauges returns the names of all recorded telemetry series, sorted.
+//
+//distlint:allow testonly the public distlap.NewInMemoryTrace returns this collector, so its read API is how callers query a trace
 func (m *InMemory) Gauges() []string {
 	names := make([]string, 0, len(m.gauges))
 	for n := range m.gauges {
@@ -443,6 +453,8 @@ func (m *InMemory) Gauges() []string {
 
 // GaugeSeries returns one series' samples in emission order (nil if the
 // series was never sampled).
+//
+//distlint:allow testonly the public distlap.NewInMemoryTrace returns this collector, so its read API is how callers query a trace
 func (m *InMemory) GaugeSeries(name string) []GaugeSample { return m.gauges[name] }
 
 // loadBucket returns ceil(log2(words)): the power-of-two histogram bucket.
@@ -455,4 +467,6 @@ func loadBucket(words int64) int {
 }
 
 // OpenSpans returns the number of currently open spans (test helper).
+//
+//distlint:allow testonly the public distlap.NewInMemoryTrace returns this collector, so its read API is how callers query a trace
 func (m *InMemory) OpenSpans() int { return len(m.stack) }

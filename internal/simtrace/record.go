@@ -136,15 +136,6 @@ func (r *Recorder) Gauge(name string, step int, value float64, rounds int) {
 // recorded execution's sink is flushed by whoever owns it, after Replay.
 func (r *Recorder) Flush() error { return nil }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	n := len(r.cur)
-	for _, c := range r.chunks {
-		n += len(c)
-	}
-	return n
-}
-
 // Replay re-issues the recorded events, in order, against into. Calling
 // Replay on a nil or empty recorder is a no-op; Replay does not call
 // into.Flush.

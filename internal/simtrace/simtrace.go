@@ -35,11 +35,6 @@ const (
 // any other.
 const NoEdge = -1
 
-// NoNode is passed to NodeWords for an endpoint the engine cannot attribute
-// (e.g. a broadcast source outside the node range); that side of the
-// delivery is simply not charged.
-const NoNode = -1
-
 // Collector receives instrumentation events from the engines and phase
 // annotations from the algorithm layers. Implementations must be
 // deterministic (no wall clock, no unsorted map iteration) and must not
@@ -62,9 +57,9 @@ type Collector interface {
 	Messages(engine string, dirEdge int, n int64)
 	// NodeWords attributes n word-messages to their endpoint nodes on the
 	// named engine: the sender from and the receiver to each accumulate n
-	// words (NoNode skips that side). Engines call it alongside Messages;
-	// it mirrors the directed-edge accounting at node granularity and never
-	// contributes to the engine's message totals.
+	// words (a negative endpoint skips that side). Engines call it
+	// alongside Messages; it mirrors the directed-edge accounting at node
+	// granularity and never contributes to the engine's message totals.
 	NodeWords(engine string, from, to int, n int64)
 	// Counter adds n to the named free-form counter (e.g. "ncc.drops").
 	Counter(name string, n int64)
