@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet lint lint-json race test alloc-check bound-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
+.PHONY: check build fmt-check vet lint lint-json race test alloc-check bound-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check trace-check
 
-check: build fmt-check vet lint test alloc-check bound-check bench-module microbench trace-smoke daemon-smoke chaos-smoke metrics-smoke snapshot-check trace-check
+check: build fmt-check vet lint test alloc-check bound-check bench-module microbench trace-smoke daemon-smoke chaos-smoke snapshot-check trace-check
 
 build:
 	$(GO) build ./...
@@ -194,23 +194,17 @@ trace-check:
 	rm -f $(CURDIR)/.trace-full.jsonl $(CURDIR)/.trace-quick.jsonl $(CURDIR)/.trace-chaos-quick.jsonl
 	@echo trace-check: the full and quick series traces of both tiers match their committed hashes
 
-# Daemon smoke test: distlapd's -selftest drives the whole request cycle
-# (load → list → solve → multi-RHS batch → flow → mst → evict → 404)
-# in-process and exits nonzero on any mismatch, including a divergence
-# between a single solve and batch entry 0's derived-seed replay.
+# Daemon and serving-metrics smoke test, one run of distlapd's -selftest.
+# It drives the whole request cycle (load → list → solve → multi-RHS batch
+# → flow → mst → evict → 404) in-process and exits nonzero on any
+# mismatch, including a divergence between a single solve and batch entry
+# 0's derived-seed replay. It also verifies the serving-metric identities
+# (per-endpoint request counters sum to the served total and the
+# status-class counters, latency histogram counts equal per-endpoint
+# request counts, cache hits + misses equal instance lookups) and that the
+# deterministic /metrics section is byte-stable under re-scrape.
 daemon-smoke:
 	$(GO) run ./cmd/distlapd -selftest
-
-# Serving-metrics smoke test: the same -selftest run also verifies the
-# metric identities (per-endpoint request counters sum to the served
-# total and the status-class counters, latency histogram counts equal
-# per-endpoint request counts, cache hits + misses equal instance
-# lookups) and that the deterministic /metrics section is byte-stable
-# under re-scrape. Kept as its own target so a metrics regression is
-# named in CI output even though the binary run is shared.
-metrics-smoke:
-	$(GO) run ./cmd/distlapd -selftest >/dev/null
-	@echo metrics-smoke: serving-metric identities hold
 
 # Flamegraph folded stacks for the solver experiment: a round-resolved
 # trace of E9b rendered as `path weight` lines (feed into flamegraph.pl or

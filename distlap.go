@@ -13,21 +13,15 @@
 //   - deterministic observability (Collector trace sinks, Metrics), and
 //   - the shortcut-quality estimator (EstimateShortcutQuality).
 //
-// The preferred API is the Solver: construct once with functional options
-// (WithMode, WithEps, WithSeed, WithTrace, WithChebyshev) and call its
-// methods. Every solve runs one pipeline: Solver.Prepare builds the
-// per-graph setup into an Instance and each request runs only iteration
-// against it; a one-shot solve is Prepare plus one request pinned to its
-// seed. For repeated work on one graph — multiple right-hand sides, flow
+// The API is the Solver: construct once with functional options (WithMode,
+// WithEps, WithSeed, WithTrace, WithChebyshev) and call its methods. Every
+// solve runs one pipeline: Solver.Prepare builds the per-graph setup into
+// an Instance and each request runs only iteration against it; a one-shot
+// Solver method is Prepare plus one request pinned to the Solver's seed.
+// For repeated work on one graph — multiple right-hand sides, flow
 // queries, a serving daemon (cmd/distlapd) — call Solver.Prepare once and
 // issue requests against the returned Instance: per-graph setup is paid
 // exactly once.
-//
-// The package-level functions (Solve, Flow, MaxFlow, ...) are frozen
-// compatibility wrappers over a default-configured Solver: they remain
-// supported and behavior-stable (none will be removed), but they gain no
-// new capabilities — new code should construct a Solver, and latency- or
-// throughput-sensitive code should Prepare an Instance.
 //
 // Everything is implemented on a deterministic CONGEST / NCC / HYBRID
 // simulator that physically moves O(log n)-bit messages and measures
@@ -75,18 +69,6 @@ const (
 // count, achieved residual and the measured communication rounds.
 type Result = core.Result
 
-// Solve solves the Laplacian system L_g x = b to relative residual eps in
-// the given communication model and reports the measured round complexity.
-// b must sum to (approximately) zero; the solution is mean-centered.
-//
-// Solve is a frozen compatibility wrapper (see the package comment). Prefer
-// the Solver API — NewSolver(WithMode(mode), WithEps(eps),
-// WithSeed(seed)).Solve(g, b) — and Solver.Prepare when solving the same
-// graph more than once.
-func Solve(g *Graph, b []float64, mode Mode, eps float64, seed int64) (*Result, error) {
-	return NewSolver(WithMode(mode), WithEps(eps), WithSeed(seed)).Solve(g, b)
-}
-
 // ExactSolve solves L_g x = b directly (dense elimination; ground truth
 // for small systems).
 func ExactSolve(g *Graph, b []float64) ([]float64, error) {
@@ -115,21 +97,6 @@ var (
 	AggOr  = partwise.Or
 )
 
-// AggregateParts solves a p-congested part-wise aggregation instance on g
-// in Supported-CONGEST via the paper's layered-graph reduction and returns
-// the per-part aggregates together with the measured round count.
-//
-// Deprecated: the bare round count loses the message totals and per-phase
-// breakdown. Prefer NewSolver(WithSeed(seed)).AggregateParts(g, inst,
-// spec), whose AggregateResult carries full Metrics.
-func AggregateParts(g *Graph, inst *PartwiseInstance, spec AggSpec, seed int64) ([]int64, int, error) {
-	res, err := NewSolver(WithSeed(seed)).AggregateParts(g, inst, spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Values, res.Metrics.Congest.Rounds, nil
-}
-
 // ShortcutQuality is the empirical shortcut-quality bracket [Lower, Upper]
 // of a graph (Definition 7, bracketed as described in DESIGN.md).
 type ShortcutQuality = shortcut.QualityEstimate
@@ -143,75 +110,6 @@ func EstimateShortcutQuality(g *Graph, seed int64) (ShortcutQuality, error) {
 // MSTResult reports a distributed minimum-spanning-tree computation.
 type MSTResult = apps.MSTResult
 
-// MinimumSpanningTree computes an MST distributedly with Borůvka phases
-// over part-wise aggregation in Supported-CONGEST, returning the measured
-// round count in the result.
-//
-// Prefer the Solver API: NewSolver(WithSeed(seed)).MinimumSpanningTree(g).
-func MinimumSpanningTree(g *Graph, seed int64) (*MSTResult, error) {
-	return NewSolver(WithSeed(seed)).MinimumSpanningTree(g)
-}
-
 // ElectricalFlow reports an s-t unit electrical flow (potentials, currents,
 // effective resistance) computed through the distributed solver.
 type ElectricalFlow = apps.FlowResult
-
-// Flow computes the unit s-t electrical flow on g in the given model.
-//
-// Prefer the Solver API: NewSolver(WithMode(mode),
-// WithSeed(seed)).Flow(g, s, t).
-func Flow(g *Graph, s, t int, mode Mode, seed int64) (*ElectricalFlow, error) {
-	return NewSolver(WithMode(mode), WithSeed(seed)).Flow(g, s, t)
-}
-
-// EffectiveResistance returns the s-t effective resistance of g.
-//
-// Prefer the Solver API: NewSolver(WithMode(mode),
-// WithSeed(seed)).EffectiveResistance(g, s, t).
-func EffectiveResistance(g *Graph, s, t int, mode Mode, seed int64) (float64, error) {
-	return NewSolver(WithMode(mode), WithSeed(seed)).EffectiveResistance(g, s, t)
-}
-
-// SolveSDD solves the symmetric diagonally-dominant system
-// (L_g + diag(extra)) x = b via the grounded-Laplacian reduction — the
-// standard extension of the Laplacian paradigm to SDD matrices (heat
-// diffusion, regularized regression, PageRank-style systems). extra must
-// be nonnegative integers with at least one positive entry; b may have
-// any sum.
-// Prefer the Solver API: NewSolver(WithMode(mode), WithEps(eps),
-// WithSeed(seed)).SolveSDD(g, extra, b).
-func SolveSDD(g *Graph, extra []int64, b []float64, mode Mode, eps float64, seed int64) (*Result, error) {
-	return NewSolver(WithMode(mode), WithEps(eps), WithSeed(seed)).SolveSDD(g, extra, b)
-}
-
-// MaxFlow approximates the s-t maximum flow via electrical-flow
-// multiplicative weights (the §5 application: every MWU iteration is one
-// distributed Laplacian solve), returning the approximate value, the exact
-// Edmonds–Karp reference, and the total measured rounds.
-// Prefer the Solver API: NewSolver(WithMode(mode),
-// WithSeed(seed)).MaxFlow(g, s, t, eps).
-func MaxFlow(g *Graph, s, t int, eps float64, mode Mode, seed int64) (*apps.ApproxFlowResult, error) {
-	return NewSolver(WithMode(mode), WithSeed(seed)).MaxFlow(g, s, t, eps)
-}
-
-// SolveChebyshev solves L_g x = b by distributed Chebyshev iteration — the
-// alternative iteration with no per-iteration global reductions (one
-// residual check every few iterations), which wins on high-diameter
-// topologies. Pass lo = hi = 0 for safe automatic spectral bounds.
-//
-// Prefer the Solver API: NewSolver(WithMode(mode), WithEps(eps),
-// WithSeed(seed), WithChebyshev(lo, hi)).Solve(g, b).
-func SolveChebyshev(g *Graph, b []float64, mode Mode, eps, lo, hi float64, seed int64) (*Result, error) {
-	return NewSolver(WithMode(mode), WithEps(eps), WithSeed(seed),
-		WithChebyshev(lo, hi)).Solve(g, b)
-}
-
-// SpectralPartition approximates the Fiedler vector by inverse power
-// iteration (one distributed Laplacian solve per step) and returns the
-// sign-cut bipartition with its measured rounds — spectral clustering
-// through the solver.
-// Prefer the Solver API: NewSolver(WithMode(mode),
-// WithSeed(seed)).SpectralPartition(g).
-func SpectralPartition(g *Graph, mode Mode, seed int64) (*apps.SpectralResult, error) {
-	return NewSolver(WithMode(mode), WithSeed(seed)).SpectralPartition(g)
-}

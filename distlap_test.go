@@ -19,7 +19,7 @@ func TestFacadeSolveRoundtrip(t *testing.T) {
 	}
 	b := make([]float64, g.N())
 	b[0], b[g.N()-1] = 1, -1
-	res, err := distlap.Solve(g, b, distlap.ModeUniversal, 1e-8, 1)
+	res, err := distlap.NewSolver(distlap.WithEps(1e-8), distlap.WithSeed(1)).Solve(g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestFacadeModesAgree(t *testing.T) {
 	for _, mode := range []distlap.Mode{
 		distlap.ModeUniversal, distlap.ModeCongest, distlap.ModeBaseline, distlap.ModeHybrid,
 	} {
-		res, err := distlap.Solve(g, b, mode, 1e-10, 1)
+		res, err := distlap.NewSolver(distlap.WithMode(mode), distlap.WithEps(1e-10)).Solve(g, b)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -68,14 +68,14 @@ func TestFacadeAggregateParts(t *testing.T) {
 		Parts:  [][]int{{0, 1, 2}, {1, 2, 3}},
 		Values: [][]int64{{5, 2, 9}, {1, 7, 3}},
 	}
-	out, rounds, err := distlap.AggregateParts(g, inst, distlap.AggMin, 1)
+	res, err := distlap.NewSolver().AggregateParts(g, inst, distlap.AggMin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0] != 2 || out[1] != 1 {
-		t.Fatalf("out=%v", out)
+	if res.Values[0] != 2 || res.Values[1] != 1 {
+		t.Fatalf("out=%v", res.Values)
 	}
-	if rounds <= 0 {
+	if res.Metrics.Congest.Rounds <= 0 {
 		t.Fatal("no rounds charged for a congested instance")
 	}
 }
@@ -102,7 +102,7 @@ func TestFacadeMST(t *testing.T) {
 	g.MustAddEdge(1, 2, 2)
 	g.MustAddEdge(2, 3, 3)
 	g.MustAddEdge(0, 3, 10)
-	res, err := distlap.MinimumSpanningTree(g, 1)
+	res, err := distlap.NewSolver().MinimumSpanningTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +115,12 @@ func TestFacadeFlowAndResistance(t *testing.T) {
 	g := distlap.NewGraph(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	r, err := distlap.EffectiveResistance(g, 0, 2, distlap.ModeUniversal, 1)
+	flow, err := distlap.NewSolver().Flow(g, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r-2) > 1e-5 {
-		t.Fatalf("R_eff=%v, want 2", r)
-	}
-	flow, err := distlap.Flow(g, 0, 2, distlap.ModeUniversal, 1)
-	if err != nil {
-		t.Fatal(err)
+	if math.Abs(flow.Resistance-2) > 1e-5 {
+		t.Fatalf("R_eff=%v, want 2", flow.Resistance)
 	}
 	if len(flow.EdgeCurrent) != 2 {
 		t.Fatal("missing currents")
@@ -135,7 +131,7 @@ func TestFacadeSolveSDD(t *testing.T) {
 	g := distlap.NewGraph(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	res, err := distlap.SolveSDD(g, []int64{1, 0, 1}, []float64{1, 0, 1}, distlap.ModeUniversal, 1e-9, 1)
+	res, err := distlap.NewSolver(distlap.WithEps(1e-9)).SolveSDD(g, []int64{1, 0, 1}, []float64{1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +147,27 @@ func TestFacadeMaxFlow(t *testing.T) {
 	g.MustAddEdge(1, 3, 2)
 	g.MustAddEdge(0, 2, 3)
 	g.MustAddEdge(2, 3, 3)
-	res, err := distlap.MaxFlow(g, 0, 3, 0.1, distlap.ModeUniversal, 1)
+	res, err := distlap.NewSolver().MaxFlow(g, 0, 3, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Value != 5 || res.ExactValue != 5 {
 		t.Fatalf("flow=%d exact=%d", res.Value, res.ExactValue)
+	}
+}
+
+func TestFacadeSpectralPartition(t *testing.T) {
+	// Two triangles joined by one edge: the sign cut is that bridge.
+	g := distlap.NewGraph(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {
+		g.MustAddEdge(e[0], e[1], 1)
+	}
+	res, err := distlap.NewSolver().SpectralPartition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CutWeight != 1 || len(res.SideA) != 3 || res.Rounds <= 0 {
+		t.Fatalf("cut weight %d, side %v, rounds %d; want the bridge between the triangles",
+			res.CutWeight, res.SideA, res.Rounds)
 	}
 }

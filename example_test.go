@@ -32,26 +32,26 @@ func ExampleSolver_Prepare() {
 		fmt.Println("error:", err)
 		return
 	}
-	r, err := inst.EffectiveResistance(context.Background(), 0, 2)
+	fl, err := inst.Flow(context.Background(), 0, 2)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Printf("x0-x2 = %.3f, solves = %d, R(0,2) = %.2f\n",
-		batch[0].X[0]-batch[0].X[2], len(batch), r)
+		batch[0].X[0]-batch[0].X[2], len(batch), fl.Resistance)
 	// Output: x0-x2 = 2.000, solves = 2, R(0,2) = 2.00
 }
 
-// ExampleSolve solves a tiny Laplacian system through the one-shot
-// compatibility wrapper and prints the measured round count's positivity
-// and the potential gap. (For repeated solves on one graph, prefer
-// Solver.Prepare — see ExampleSolver_Prepare.)
-func ExampleSolve() {
+// ExampleSolver_Solve solves a tiny Laplacian system one-shot and prints
+// the measured round count's positivity and the potential gap. (For
+// repeated solves on one graph, prefer Solver.Prepare — see
+// ExampleSolver_Prepare.)
+func ExampleSolver_Solve() {
 	g := distlap.NewGraph(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	b := []float64{1, 0, -1}
-	res, err := distlap.Solve(g, b, distlap.ModeUniversal, 1e-10, 1)
+	res, err := distlap.NewSolver(distlap.WithEps(1e-10)).Solve(g, b)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -60,9 +60,9 @@ func ExampleSolve() {
 	// Output: x0-x2 = 2.000, rounds > 0: true
 }
 
-// ExampleAggregateParts runs the paper's congested part-wise aggregation
-// primitive on two overlapping parts.
-func ExampleAggregateParts() {
+// ExampleSolver_AggregateParts runs the paper's congested part-wise
+// aggregation primitive on two overlapping parts.
+func ExampleSolver_AggregateParts() {
 	g := distlap.NewGraph(4)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
@@ -71,37 +71,38 @@ func ExampleAggregateParts() {
 		Parts:  [][]int{{0, 1, 2}, {1, 2, 3}}, // node congestion p = 2
 		Values: [][]int64{{5, 2, 9}, {1, 7, 3}},
 	}
-	mins, _, err := distlap.AggregateParts(g, inst, distlap.AggMin, 1)
+	res, err := distlap.NewSolver().AggregateParts(g, inst, distlap.AggMin)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println(mins)
+	fmt.Println(res.Values)
 	// Output: [2 1]
 }
 
-// ExampleEffectiveResistance computes a series resistance.
-func ExampleEffectiveResistance() {
+// ExampleSolver_Flow computes a series resistance.
+func ExampleSolver_Flow() {
 	g := distlap.NewGraph(3)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
-	r, err := distlap.EffectiveResistance(g, 0, 2, distlap.ModeUniversal, 1)
+	fl, err := distlap.NewSolver().Flow(g, 0, 2)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("%.2f\n", r)
+	fmt.Printf("%.2f\n", fl.Resistance)
 	// Output: 2.00
 }
 
-// ExampleMaxFlow approximates (and here exactly recovers) an s-t max flow.
-func ExampleMaxFlow() {
+// ExampleSolver_MaxFlow approximates (and here exactly recovers) an s-t
+// max flow.
+func ExampleSolver_MaxFlow() {
 	g := distlap.NewGraph(4)
 	g.MustAddEdge(0, 1, 2)
 	g.MustAddEdge(1, 3, 2)
 	g.MustAddEdge(0, 2, 3)
 	g.MustAddEdge(2, 3, 3)
-	res, err := distlap.MaxFlow(g, 0, 3, 0.1, distlap.ModeUniversal, 1)
+	res, err := distlap.NewSolver().MaxFlow(g, 0, 3, 0.1)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

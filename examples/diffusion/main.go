@@ -28,12 +28,13 @@ func main() {
 	demand[side+1] = 1.0       // near the top-left
 	demand[g.N()-side-2] = 0.5 // near the bottom-right
 
+	solver := distlap.NewSolver(distlap.WithEps(1e-8), distlap.WithSeed(1))
 	for _, alpha := range []int64{1, 4, 16} {
 		extra := make([]int64, g.N())
 		for i := range extra {
 			extra[i] = alpha
 		}
-		res, err := distlap.SolveSDD(g, extra, demand, distlap.ModeUniversal, 1e-8, 1)
+		res, err := solver.SolveSDD(g, extra, demand)
 		if err != nil {
 			log.Fatal(err)
 		}

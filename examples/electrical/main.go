@@ -25,8 +25,9 @@ func main() {
 	}
 	names := []string{"west-end → east-end", "west-end → midtown", "midtown → east-end"}
 
+	solver := distlap.NewSolver(distlap.WithSeed(7))
 	for i, p := range pairs {
-		flow, err := distlap.Flow(g, p[0], p[1], distlap.ModeUniversal, 7)
+		flow, err := solver.Flow(g, p[0], p[1])
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("ring network: n=%d, diameter ~%d\n\n", n, n/2)
 	var rounds []int
 	for _, mode := range []distlap.Mode{distlap.ModeUniversal, distlap.ModeHybrid} {
-		res, err := distlap.Solve(g, b, mode, 1e-6, 3)
+		res, err := distlap.NewSolver(distlap.WithMode(mode), distlap.WithEps(1e-6), distlap.WithSeed(3)).Solve(g, b)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func main() {
 	g := buildWeightedGrid(12, 12, 42)
 	fmt.Printf("network: %d nodes, %d weighted edges\n", g.N(), g.M())
 
-	res, err := distlap.MinimumSpanningTree(g, 1)
+	res, err := distlap.NewSolver().MinimumSpanningTree(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,80 +4,32 @@ import (
 	"distlap/internal/faultinject"
 )
 
-// FaultSpec configures deterministic fault injection for a request: the
-// public mirror of internal/faultinject.Spec. All probabilities are per
-// message (or per node, for crashes) and must lie in [0, 1]; DropProb +
-// DupProb + DelayProb must not exceed 1. The zero FaultSpec means
-// "no faults" and NewFaultPlan maps it to a nil plan — the reliable fast
-// path.
+// FaultSpec configures deterministic fault injection for a request. All
+// probabilities are per message (or per node, for crashes) and must lie in
+// [0, 1]; DropProb + DupProb + DelayProb must not exceed 1. The zero
+// FaultSpec means "no faults" and NewFaultPlan maps it to a nil plan — the
+// reliable fast path.
 //
 // The injected execution is a pure function of (graph, request seed, plan):
 // byte-identical across repeats, processes and solver parallelism. Drops
 // model fair-lossy links under a reliable transport — a dropped word is
 // charged and retransmitted, costing rounds and bandwidth, not
-// correctness. Duplications, delays and crash-stop nodes are adversarial:
-// they can corrupt a solve, which the self-checking recovery loop detects
-// by local residual verification and answers with retries, tolerance
-// degradation (Metrics.Degraded) or a loud error — never a silently wrong
-// vector. See DESIGN.md §9.
-type FaultSpec struct {
-	// Seed drives every fault decision (independent of the engine seed).
-	Seed int64
-	// DropProb, DupProb, DelayProb are per-message fate probabilities.
-	DropProb  float64
-	DupProb   float64
-	DelayProb float64
-	// MaxDelay bounds a delayed message's extra rounds (0 selects 3).
-	MaxDelay int
-	// CrashProb is the per-node probability of crash-stopping (permanently)
-	// at a round drawn uniformly from [1, CrashWindow] (0 selects 32).
-	CrashProb   float64
-	CrashWindow int
-	// FlakyLinkProb marks whole links flaky; a flaky link additionally
-	// drops each message with FlakyDropProb (0 selects 0.5).
-	FlakyLinkProb float64
-	FlakyDropProb float64
-}
+// correctness; a duplicated word is charged twice and taken once. Delays
+// and crash-stop nodes are adversarial: they can corrupt a solve, which
+// the self-checking recovery loop detects by local residual verification
+// and answers with retries, tolerance degradation (Metrics.Degraded) or a
+// loud error — never a silently wrong vector. See DESIGN.md §9.
+type FaultSpec = faultinject.Spec
 
 // FaultPlan is a validated, immutable fault plan, safe for concurrent use
 // and reusable across requests (decisions depend only on round, edge and
 // node identities, never on shared state).
-type FaultPlan struct {
-	inner *faultinject.Plan
-}
+type FaultPlan = faultinject.Plan
 
 // NewFaultPlan validates a FaultSpec and compiles it into a reusable plan.
 // A spec with no fault sources enabled returns (nil, nil): attaching a nil
 // plan is exactly the reliable fast path.
-func NewFaultPlan(spec FaultSpec) (*FaultPlan, error) {
-	p, err := faultinject.New(faultinject.Spec{
-		Seed:          spec.Seed,
-		DropProb:      spec.DropProb,
-		DupProb:       spec.DupProb,
-		DelayProb:     spec.DelayProb,
-		MaxDelay:      spec.MaxDelay,
-		CrashProb:     spec.CrashProb,
-		CrashWindow:   spec.CrashWindow,
-		FlakyLinkProb: spec.FlakyLinkProb,
-		FlakyDropProb: spec.FlakyDropProb,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, nil
-	}
-	return &FaultPlan{inner: p}, nil
-}
-
-// plan unwraps to the engine-level plan, tolerating nil receivers so a
-// disabled NewFaultPlan result threads through transparently.
-func (p *FaultPlan) plan() *faultinject.Plan {
-	if p == nil {
-		return nil
-	}
-	return p.inner
-}
+func NewFaultPlan(spec FaultSpec) (*FaultPlan, error) { return faultinject.New(spec) }
 
 // WithRequestFaults attaches a fault plan to this request only. The
 // request runs the self-checking recovery loop: verified attempts, bounded
@@ -86,12 +38,5 @@ func (p *FaultPlan) plan() *faultinject.Plan {
 // FaultsObserved, Degraded). A nil plan leaves the request on the reliable
 // fast path.
 func WithRequestFaults(p *FaultPlan) ReqOption {
-	return func(rc *reqCfg) { rc.faults = p.plan() }
-}
-
-// WithRequestRetries bounds the recovery loop's full-tolerance re-attempts
-// for this request (0 selects the default of 2). Meaningful only together
-// with WithRequestFaults.
-func WithRequestRetries(n int) ReqOption {
-	return func(rc *reqCfg) { rc.retries = n }
+	return func(rc *reqCfg) { rc.Faults = p }
 }

@@ -7,10 +7,8 @@ import (
 	"distlap/internal/apps"
 	"distlap/internal/congest"
 	"distlap/internal/core"
-	"distlap/internal/faultinject"
 	"distlap/internal/partwise"
 	"distlap/internal/seedderive"
-	"distlap/internal/simtrace"
 )
 
 // Instance is a prepared per-graph solver instance: the expensive, per-graph
@@ -34,9 +32,7 @@ import (
 // and daemons. WithRequestSeed pins the engine seed exactly for callers
 // that manage derivation themselves.
 type Instance struct {
-	mode  Mode
-	eps   float64
-	seed  int64
+	seed  int64 // the Solver's seed, base of every derived request seed
 	inner *core.Instance
 }
 
@@ -53,37 +49,34 @@ func (sv *Solver) Prepare(ctx context.Context, g *Graph) (*Instance, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inner, err := core.PrepareInstance(ctx, g, sv.prepareConfig())
+	inner, err := core.PrepareInstance(ctx, g, sv.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{mode: sv.mode, eps: inner.Tol(), seed: sv.seed, inner: inner}, nil
+	return &Instance{seed: sv.cfg.Seed, inner: inner}, nil
 }
 
 // ReqOption configures one request against a prepared Instance.
 type ReqOption func(*reqCfg)
 
+// reqCfg is a request as core runs it, plus whether its seed was pinned.
 type reqCfg struct {
-	eps     float64
-	seed    int64
+	core.Request
 	hasSeed bool
-	trace   simtrace.Collector
-	faults  *faultinject.Plan
-	retries int
 }
 
 // WithRequestTrace attaches a trace collector to this request only.
 // Collectors are single-writer: use a distinct collector per in-flight
 // request (the Instance never shares one across requests).
 func WithRequestTrace(c Collector) ReqOption {
-	return func(rc *reqCfg) { rc.trace = c }
+	return func(rc *reqCfg) { rc.Trace = c }
 }
 
 // WithRequestEps overrides the solve tolerance for this request only. 0
 // keeps the instance's tolerance; any other value outside (0, 1) fails the
 // request with an error.
 func WithRequestEps(eps float64) ReqOption {
-	return func(rc *reqCfg) { rc.eps = eps }
+	return func(rc *reqCfg) { rc.Tol = eps }
 }
 
 // WithRequestSeed pins this request's engine seed exactly, replacing the
@@ -92,38 +85,22 @@ func WithRequestEps(eps float64) ReqOption {
 // streams for unrelated requests — reach for internal/seedderive's scheme,
 // not ad-hoc arithmetic.
 func WithRequestSeed(seed int64) ReqOption {
-	return func(rc *reqCfg) { rc.seed = seed; rc.hasSeed = true }
+	return func(rc *reqCfg) { rc.Seed = seed; rc.hasSeed = true }
 }
 
-// request resolves the per-request configuration: explicit options over the
-// derived defaults. phase/idx identify the request for seed derivation.
-func (in *Instance) request(phase string, idx int64, opts []ReqOption) reqCfg {
-	rc := reqCfg{eps: in.eps}
+// request resolves one request: explicit options over the derived seed,
+// cancelled by ctx. phase/idx identify the request for seed derivation.
+func (in *Instance) request(ctx context.Context, phase string, idx int64, opts []ReqOption) core.Request {
+	var rc reqCfg
 	for _, o := range opts {
 		o(&rc)
 	}
 	if !rc.hasSeed {
-		rc.seed = seedderive.Derive(in.seed, phase, idx)
+		rc.Seed = seedderive.Derive(in.seed, phase, idx)
 	}
-	return rc
+	rc.Cancel = ctx.Err
+	return rc.Request
 }
-
-func (in *Instance) coreRequest(ctx context.Context, rc reqCfg) core.Request {
-	return core.Request{
-		Tol: rc.eps, Seed: rc.seed, Trace: rc.trace, Cancel: ctx.Err,
-		Faults: rc.faults, Retries: rc.retries,
-	}
-}
-
-// Graph returns the instance's graph (shared, read-only — do not mutate a
-// graph that has live instances prepared over it).
-func (in *Instance) Graph() *Graph { return in.inner.Graph() }
-
-// Mode returns the communication model the instance was prepared in.
-func (in *Instance) Mode() Mode { return in.mode }
-
-// Seed returns the base seed the instance was prepared with.
-func (in *Instance) Seed() int64 { return in.seed }
 
 // SetupMetrics reports the communication cost Prepare paid (zero rounds in
 // the Supported modes, the charged BFS in ModeCongest) — the amortized
@@ -142,8 +119,7 @@ func (in *Instance) Solve(ctx context.Context, b []float64, opts ...ReqOption) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rc := in.request("instance/solve", 0, opts)
-	return in.inner.Solve(b, in.coreRequest(ctx, rc))
+	return in.inner.Solve(b, in.request(ctx, "instance/solve", 0, opts))
 }
 
 // SolveBatch solves L x_i = b_i for every right-hand side against the one
@@ -158,8 +134,7 @@ func (in *Instance) SolveBatch(ctx context.Context, bs [][]float64, opts ...ReqO
 	}
 	out := make([]*Result, len(bs))
 	for i, b := range bs {
-		rc := in.request("instance/solve", int64(i), opts)
-		res, err := in.inner.Solve(b, in.coreRequest(ctx, rc))
+		res, err := in.inner.Solve(b, in.request(ctx, "instance/solve", int64(i), opts))
 		if err != nil {
 			return nil, fmt.Errorf("distlap: batch rhs %d: %w", i, err)
 		}
@@ -175,25 +150,8 @@ func (in *Instance) Flow(ctx context.Context, s, t int, opts ...ReqOption) (*Ele
 		ctx = context.Background()
 	}
 	g := in.inner.Graph()
-	if err := apps.CheckSTPair(g, s, t); err != nil {
-		return nil, err
-	}
-	rc := in.request("instance/flow", int64(s)*int64(g.N())+int64(t), opts)
-	res, err := in.inner.Solve(apps.UnitDemand(g.N(), s, t), in.coreRequest(ctx, rc))
-	if err != nil {
-		return nil, err
-	}
-	return apps.FlowFromPotentials(g, s, t, res), nil
-}
-
-// EffectiveResistance returns the s-t effective resistance through one
-// per-request solve against the cached instance state.
-func (in *Instance) EffectiveResistance(ctx context.Context, s, t int, opts ...ReqOption) (float64, error) {
-	fl, err := in.Flow(ctx, s, t, opts...)
-	if err != nil {
-		return 0, err
-	}
-	return fl.Resistance, nil
+	req := in.request(ctx, "instance/flow", int64(s)*int64(g.N())+int64(t), opts)
+	return apps.Flow(g, s, t, func(b []float64) (*Result, error) { return in.inner.Solve(b, req) })
 }
 
 // MST computes an MST distributedly (Borůvka over part-wise aggregation in
@@ -206,8 +164,7 @@ func (in *Instance) MST(ctx context.Context, opts ...ReqOption) (res *MSTResult,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rc := in.request("instance/mst", 0, opts)
-	nw := in.inner.Network(core.Request{Seed: rc.seed, Trace: rc.trace, Cancel: ctx.Err, Faults: rc.faults})
+	nw := in.inner.Network(in.request(ctx, "instance/mst", 0, opts))
 	return apps.MST(nw, partwise.NewShortcutSolver())
 }
 
@@ -222,17 +179,6 @@ func (in *Instance) AggregateParts(ctx context.Context, inst *PartwiseInstance, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rc := in.request("instance/aggregate", 0, opts)
-	nw := in.inner.Network(core.Request{Seed: rc.seed, Trace: rc.trace, Cancel: ctx.Err, Faults: rc.faults})
-	out, err := partwise.NewLayeredSolver(rc.seed).Solve(nw, inst, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &AggregateResult{
-		Values: out,
-		Metrics: Metrics{
-			Congest: core.CongestEngineMetrics(nw),
-			Phases:  core.PhasesOf(nw.Trace()),
-		},
-	}, nil
+	req := in.request(ctx, "instance/aggregate", 0, opts)
+	return aggregateParts(in.inner.Network(req), req.Seed, inst, spec)
 }

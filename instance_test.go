@@ -122,6 +122,12 @@ func TestInstanceSolveParityWithOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: one-shot: %v", mode, err)
 		}
+		if want.Metrics.TotalRounds() != want.Rounds {
+			t.Errorf("%s: Metrics.TotalRounds %d != Rounds %d", mode, want.Metrics.TotalRounds(), want.Rounds)
+		}
+		if mode == distlap.ModeHybrid && want.Metrics.NCC == nil {
+			t.Errorf("hybrid: Metrics.NCC not populated")
+		}
 		inst, err := sv.Prepare(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s: prepare: %v", mode, err)
@@ -267,6 +273,9 @@ func TestInstanceFlowAndMSTParity(t *testing.T) {
 	if gotMST.Weight != wantMST.Weight || gotMST.Rounds != wantMST.Rounds {
 		t.Errorf("mst diverges: (%d,%d) vs (%d,%d)",
 			gotMST.Weight, gotMST.Rounds, wantMST.Weight, wantMST.Rounds)
+	}
+	if wantMST.Metrics.Congest.Rounds != wantMST.Rounds {
+		t.Errorf("mst Metrics.Congest.Rounds %d != Rounds %d", wantMST.Metrics.Congest.Rounds, wantMST.Rounds)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestScaleSolverGrid1600(t *testing.T) {
 	}
 	g := graph.Grid(40, 40)
 	b := linalg.RandomBVector(g.N(), 11)
-	res, err := distlap.Solve(g, b, distlap.ModeUniversal, 1e-6, 1)
+	res, err := distlap.NewSolver(distlap.WithEps(1e-6)).Solve(g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,8 @@ func TestScaleHybridRing(t *testing.T) {
 	// Chebyshev in HYBRID: the cheapest configuration for a huge-diameter
 	// ring; just verify it converges and HYBRID stays far below D per
 	// aggregation.
-	res, err := distlap.SolveChebyshev(g, b, distlap.ModeHybrid, 1e-4, 0, 0, 1)
+	res, err := distlap.NewSolver(distlap.WithMode(distlap.ModeHybrid), distlap.WithEps(1e-4),
+		distlap.WithChebyshev(0, 0)).Solve(g, b)
 	if err != nil {
 		t.Fatal(err)
 	}

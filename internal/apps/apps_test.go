@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -161,12 +162,26 @@ func TestSpanningViaLaplacianAgreesWithPWA(t *testing.T) {
 	}
 }
 
+// oneShotFlow is Flow through a one-shot solve under cfg, the way the
+// facade's Solver.Flow runs it.
+func oneShotFlow(g *graph.Graph, s, t graph.NodeID, cfg core.PrepareConfig) (*FlowResult, error) {
+	return Flow(g, s, t, func(b []float64) (*core.Result, error) { return core.SolveOnce(g, b, cfg) })
+}
+
+// resistance is the s-t effective resistance of oneShotFlow.
+func resistance(g *graph.Graph, s, t graph.NodeID, cfg core.PrepareConfig) (float64, error) {
+	res, err := oneShotFlow(g, s, t, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return res.Resistance, nil
+}
+
 func TestElectricalFlowPath(t *testing.T) {
 	// On a unit path of length 3, R_eff(0, 3) = 3 and the unit current
 	// crosses every edge.
 	g := graph.Path(4)
-	el := &Electrical{G: g, Mode: core.ModeUniversal, Seed: 1}
-	res, err := el.Flow(0, 3)
+	res, err := oneShotFlow(g, 0, 3, core.PrepareConfig{Mode: core.ModeUniversal, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +209,7 @@ func TestElectricalParallelEdgesResistance(t *testing.T) {
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(0, 1, 1)
-	el := &Electrical{G: g, Mode: core.ModeUniversal, Seed: 2}
-	r, err := el.EffectiveResistance(0, 1)
+	r, err := resistance(g, 0, 1, core.PrepareConfig{Mode: core.ModeUniversal, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +219,16 @@ func TestElectricalParallelEdgesResistance(t *testing.T) {
 }
 
 func TestElectricalBadArgs(t *testing.T) {
-	el := &Electrical{G: graph.Path(3), Mode: core.ModeUniversal}
-	if _, err := el.Flow(0, 0); err == nil {
+	g := graph.Path(3)
+	solve := func(b []float64) (*core.Result, error) {
+		t.Fatal("solved for a bad terminal pair")
+		return nil, nil
+	}
+	if _, err := Flow(g, 0, 0, solve); err == nil {
 		t.Fatal("want s==t error")
 	}
-	if _, err := el.Flow(0, 9); err == nil {
-		t.Fatal("want range error")
+	if _, err := Flow(g, 0, 9, solve); !errors.Is(err, graph.ErrNodeRange) {
+		t.Fatalf("got %v, want a range error", err)
 	}
 }
 
@@ -219,20 +237,20 @@ func TestElectricalBadArgs(t *testing.T) {
 func TestEffectiveResistanceMetricProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.RandomConnected(12, 8, 2, seed)
-		el := &Electrical{G: g, Mode: core.ModeUniversal, Seed: seed, Tol: 1e-10}
-		rst, err := el.EffectiveResistance(0, 5)
+		cfg := core.PrepareConfig{Mode: core.ModeUniversal, Seed: seed, Tol: 1e-10}
+		rst, err := resistance(g, 0, 5, cfg)
 		if err != nil {
 			return false
 		}
-		rts, err := el.EffectiveResistance(5, 0)
+		rts, err := resistance(g, 5, 0, cfg)
 		if err != nil {
 			return false
 		}
-		rsm, err := el.EffectiveResistance(0, 3)
+		rsm, err := resistance(g, 0, 3, cfg)
 		if err != nil {
 			return false
 		}
-		rmt, err := el.EffectiveResistance(3, 5)
+		rmt, err := resistance(g, 3, 5, cfg)
 		if err != nil {
 			return false
 		}

@@ -281,7 +281,8 @@ type delivery struct {
 // Under a fault plan (Options.Faults) crash-stopped nodes send nothing and
 // each send's fate is resolved in the same scan (see transmit): a dropped
 // word is retransmitted in extra rounds of this Exchange, up to
-// exchangeRetryCap of them, a duplicated word arrives twice, and a delayed
+// exchangeRetryCap of them, a duplicated word is charged twice and arrives
+// once, and a delayed
 // word arrives stale at a later Exchange. With a nil plan the scan charges
 // and delivers every send, bit-for-bit the pre-fault-injection engine.
 //

@@ -50,21 +50,23 @@ const exchangeRetryCap = 64
 
 // transmit resolves one Exchange send under the fault plan, modeling a
 // reliable transport over fair-lossy links. Every fate is charged once at
-// send (the bits crossed part of the link) and a duplicate twice. A
-// dropped send joins the retry buffer and is retransmitted in an extra
-// round, so drops cost rounds and bandwidth, not correctness. A delayed
-// send is stashed and arrives stale at a later Exchange's round barrier,
-// and a send to a crashed receiver is swallowed. Returns deliveries with
-// this round's arrivals appended.
+// send (the bits crossed part of the link) and a duplicate twice; the
+// receiver takes a duplicate once, since both copies carry the same word
+// over the same half-edge in the same round. A dropped send joins the
+// retry buffer and is retransmitted in an extra round, so drops cost
+// rounds and bandwidth, not correctness. A delayed send is stashed and
+// arrives stale at a later Exchange's round barrier, and a send to a
+// crashed receiver is swallowed. Returns deliveries with this round's
+// arrivals appended.
 func (nw *Network) transmit(round int, tx transmission, deliveries []delivery) []delivery {
 	o := nw.link.Edge(round, tx.de, tx.d.to)
 	nw.chargeEdge(tx.de)
 	switch o.Action {
-	case faultinject.Deliver:
-		deliveries = append(deliveries, tx.d)
 	case faultinject.DeliverTwice:
 		nw.chargeEdge(tx.de)
-		deliveries = append(deliveries, tx.d, tx.d)
+		fallthrough // then delivered once, like any other send
+	case faultinject.Deliver:
+		deliveries = append(deliveries, tx.d)
 	case faultinject.Retry:
 		nw.scr.retry = append(nw.scr.retry, tx)
 	case faultinject.Stall:

@@ -387,12 +387,12 @@ func (c *CongestComm) TreeTotals(
 }
 
 // HybridComm implements Comm for the HYBRID model (Theorem 3): local
-// operations (MatVec, cluster sweeps) run on the CONGEST engine; global
-// aggregation runs on the NCC engine in O(log n) rounds regardless of
-// topology. Rounds are charged as the sum of both engines (a conservative
-// upper bound on the interleaved execution).
+// operations (MatVec, cluster sweeps) run on the embedded CONGEST comm;
+// global aggregation runs on the NCC engine in O(log n) rounds regardless
+// of topology. Rounds are charged as the sum of both engines (a
+// conservative upper bound on the interleaved execution).
 type HybridComm struct {
-	local  *CongestComm
+	*CongestComm
 	global *ncc.Network
 
 	// Cached whole-graph identity aggregation instance for GlobalSums: the
@@ -404,30 +404,19 @@ type HybridComm struct {
 
 var _ Comm = (*HybridComm)(nil)
 
-// Graph implements Comm.
-func (h *HybridComm) Graph() *graph.Graph { return h.local.Graph() }
-
 // Rounds implements Comm.
-func (h *HybridComm) Rounds() int { return h.local.Rounds() + h.global.Rounds() }
-
-// Tracer implements Comm.
-func (h *HybridComm) Tracer() simtrace.Collector { return h.local.Tracer() }
+func (h *HybridComm) Rounds() int { return h.CongestComm.Rounds() + h.global.Rounds() }
 
 // CollectMetrics implements Comm.
 func (h *HybridComm) CollectMetrics() Metrics {
 	nccM := NCCEngineMetrics(h.global)
-	m := h.local.CollectMetrics()
+	m := h.CongestComm.CollectMetrics()
 	m.NCC = &nccM
 	return m
 }
 
 // NCC exposes the global engine (metrics).
 func (h *HybridComm) NCC() *ncc.Network { return h.global }
-
-// MatVecLaplacian implements Comm (local edges).
-func (h *HybridComm) MatVecLaplacian(x []float64) ([]float64, error) {
-	return h.local.MatVecLaplacian(x)
-}
 
 // GlobalSums implements Comm via one NCC aggregation with one whole-graph
 // part per vector (Lemma 26 with p = len(vecs)). The identity parts and
@@ -467,27 +456,4 @@ func (h *HybridComm) GlobalSums(vecs ...[]float64) ([]float64, error) {
 		sums[i] = congest.WordFloat(w)
 	}
 	return sums, nil
-}
-
-// ClusterTrees implements Comm (local, universal shape).
-func (h *HybridComm) ClusterTrees(clusters [][]graph.NodeID) (*congest.TreeSet, error) {
-	return h.local.ClusterTrees(clusters)
-}
-
-// TreeUpDown implements Comm (local edges).
-func (h *HybridComm) TreeUpDown(
-	set *congest.TreeSet,
-	leaf func(t int, v graph.NodeID) float64,
-	rootVal func(t int, total float64) float64,
-	down func(t int, parent, child graph.NodeID, parentVal, childSubtree float64) float64,
-) ([][]float64, error) {
-	return h.local.TreeUpDown(set, leaf, rootVal, down)
-}
-
-// TreeTotals implements Comm (local edges).
-func (h *HybridComm) TreeTotals(
-	set *congest.TreeSet,
-	leaf func(t int, v graph.NodeID) float64,
-) ([]float64, error) {
-	return h.local.TreeTotals(set, leaf)
 }

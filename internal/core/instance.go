@@ -192,7 +192,7 @@ func (in *Instance) withNCC(local *CongestComm, faults *faultinject.Plan) Comm {
 	}
 	global := ncc.NewNetworkWith(in.g.N(), local.nw.Trace())
 	global.SetFaults(faults)
-	return &HybridComm{local: local, global: global}
+	return &HybridComm{CongestComm: local, global: global}
 }
 
 // SolveOnce is a one-shot solve: PrepareInstance followed by one request
@@ -247,16 +247,10 @@ type Request struct {
 	// FaultsObserved / Degraded. Setup (PrepareInstance) is always
 	// fault-free: the fault model covers serving, not construction.
 	Faults *faultinject.Plan
-	// Retries bounds full-tolerance recovery re-attempts (0 selects 2).
-	// Meaningful only with Faults set.
-	Retries int
 }
 
 // Graph returns the instance's graph (shared, read-only).
 func (in *Instance) Graph() *graph.Graph { return in.g }
-
-// Tol returns the instance's default request tolerance.
-func (in *Instance) Tol() float64 { return in.tol }
 
 // SetupMetrics returns the communication cost PrepareInstance paid (the
 // charged BFS in ModeCongest; zero rounds in the Supported modes).

@@ -55,7 +55,7 @@ func TestInstanceSolveCancelsMidIteration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("solve after aborted request: %v", err)
 	}
-	if res.Residual > in.Tol() {
+	if res.Residual > defaultTol {
 		t.Fatalf("residual %g above tolerance after aborted request", res.Residual)
 	}
 }

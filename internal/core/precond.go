@@ -38,6 +38,8 @@ func (*IdentityPrecond) Apply(_ Comm, r []float64) ([]float64, error) {
 
 // JacobiPrecond scales by inverse weighted degrees — knowledge every node
 // has locally, so Apply is communication-free.
+//
+//distlint:allow testonly baseline of BenchmarkAblationPrecond, whose sweep EXPERIMENTS.md quotes
 type JacobiPrecond struct {
 	invDeg []float64
 }
@@ -106,7 +108,7 @@ func (p *TreePrecond) Setup(c Comm) error {
 		case *CongestComm:
 			tree = cc.GlobalTree()
 		case *HybridComm:
-			tree = cc.local.GlobalTree()
+			tree = cc.GlobalTree()
 		default:
 			return errors.New("core: comm exposes no global tree")
 		}

@@ -27,7 +27,7 @@ import (
 // below, attempt caps here), so a faulty solve never hangs.
 //
 // The degradation ladder:
-//  1. up to 1 + Retries attempts at the requested tolerance, each under a
+//  1. up to 1 + retries attempts at the requested tolerance, each under a
 //     freshly derived engine seed (seedderive phase "retry", attempt
 //     index) — new scheduling re-aligns which messages meet which faults;
 //  2. up to 2 attempts at a coarser tolerance (×degradeFactor);
@@ -35,9 +35,8 @@ import (
 //     the existential-baseline shape — at the coarse tolerance;
 //  4. error, wrapping the last attempt's failure.
 
-// defaultRetries is the full-tolerance retry budget when Request.Retries
-// is zero.
-const defaultRetries = 2
+// retries is the full-tolerance retry budget of stage 1.
+const retries = 2
 
 // degradeFactor coarsens the tolerance when full-tolerance retries
 // exhaust (capped below 0.5).
@@ -75,10 +74,6 @@ func (in *Instance) solveRecovering(b []float64, req Request, tol float64) (*Res
 		return linalg.Norm2(lx) / bNorm
 	}
 
-	retries := req.Retries
-	if retries <= 0 {
-		retries = defaultRetries
-	}
 	coarse := tol * degradeFactor
 	if coarse > 0.5 {
 		coarse = 0.5
@@ -183,7 +178,7 @@ func (in *Instance) attemptFaulty(
 		case *CongestComm:
 			fs = cc.nw.FaultStats()
 		case *HybridComm:
-			fs = cc.local.nw.FaultStats()
+			fs = cc.nw.FaultStats()
 			fs.Add(cc.global.FaultStats())
 		}
 	}()

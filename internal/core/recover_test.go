@@ -128,7 +128,7 @@ func TestRecoveryNeverHangsUnderHeavyFaults(t *testing.T) {
 
 // TestRecoveryDegradesNotLies forces every full-tolerance attempt to fail
 // (an unreachable tolerance floor is simulated by heavy faults and a tiny
-// retry budget) and checks the Degraded path reports itself.
+// iteration cap) and checks the Degraded path reports itself.
 func TestRecoveryDegradesNotLies(t *testing.T) {
 	g := graph.Grid(6, 6)
 	in, err := PrepareInstance(context.Background(), g, PrepareConfig{Mode: ModeUniversal, Seed: 5})
@@ -138,7 +138,7 @@ func TestRecoveryDegradesNotLies(t *testing.T) {
 	b := linalg.RandomBVector(g.N(), 3)
 	spec := faultinject.Spec{Seed: 31, DropProb: 0.25, DelayProb: 0.2}
 	res, err := in.Solve(b, Request{
-		Seed: 2, Tol: 1e-10, Retries: 1, MaxIter: 60,
+		Seed: 2, Tol: 1e-10, MaxIter: 60,
 		Faults: faultinject.MustNew(spec),
 	})
 	if err != nil {

@@ -12,17 +12,6 @@ type Preconditioner interface {
 	Name() string
 }
 
-// IdentityPreconditioner is plain CG.
-type IdentityPreconditioner struct{}
-
-var _ Preconditioner = IdentityPreconditioner{}
-
-// Apply implements Preconditioner.
-func (IdentityPreconditioner) Apply(r []float64) ([]float64, error) { return Copy(r), nil }
-
-// Name implements Preconditioner.
-func (IdentityPreconditioner) Name() string { return "identity" }
-
 // JacobiPreconditioner scales by the inverse weighted degrees.
 type JacobiPreconditioner struct {
 	InvDiag []float64

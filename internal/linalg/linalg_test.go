@@ -9,6 +9,15 @@ import (
 	"distlap/internal/graph"
 )
 
+// IdentityPreconditioner is plain CG.
+type IdentityPreconditioner struct{}
+
+// Apply implements Preconditioner.
+func (IdentityPreconditioner) Apply(r []float64) ([]float64, error) { return Copy(r), nil }
+
+// Name implements Preconditioner.
+func (IdentityPreconditioner) Name() string { return "identity" }
+
 func TestVectorOps(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}

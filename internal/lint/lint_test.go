@@ -198,9 +198,10 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			},
 		},
 		{
-			// The export only a_test.go calls, the self-recursive one, and
-			// a type named only by its method's receiver (with that method)
-			// are flagged. The export b.go calls, the heap.Interface and
+			// The export only a_test.go calls, the self-recursive one, a
+			// type named only by its method's receiver (with that method)
+			// and a type named only by a blank interface assertion are
+			// flagged. The export b.go calls, the heap.Interface and
 			// fmt.Stringer methods and the allowed export are not.
 			name:      "testonly",
 			dir:       "testonly",
@@ -211,6 +212,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				"a.go:39:6 testonly",
 				"a.go:48:6 testonly",
 				"a.go:51:15 testonly",
+				"a.go:56:6 testonly",
 			},
 		},
 	}

@@ -49,3 +49,12 @@ type Orphan struct{}
 
 // Describe is flagged.
 func (Orphan) Describe() string { return "orphan" }
+
+// Asserted is named only by the interface assertion below, which compiles
+// into nothing: flagged. Its String method satisfies fmt.Stringer: not
+// flagged.
+type Asserted struct{}
+
+func (Asserted) String() string { return "asserted" }
+
+var _ fmt.Stringer = Asserted{}

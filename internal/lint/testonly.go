@@ -19,11 +19,12 @@ import (
 // walk (cmd/, examples/, the root package and benchmark/ included), not
 // only from the packages a run names, so a package gets the same verdict
 // whatever patterns distlint is given. A reference from inside the
-// declaration itself (recursion, a method's receiver) does not count. A
-// method counts as used when its type implements an interface declaring a
-// method of that name (heap.Interface's Len, fmt.Stringer's String):
-// calls through the interface name the interface's method, not the
-// concrete one. Packages in testdata directories are not part of the
+// declaration itself (recursion, a method's receiver) does not count, nor
+// does a blank interface assertion (var _ I = (*T)(nil)), which compiles
+// into nothing. A method counts as used when its type implements an
+// interface declaring a method of that name (heap.Interface's Len,
+// fmt.Stringer's String): calls through the interface name the
+// interface's method, not the concrete one. Packages in testdata directories are not part of the
 // build, so the analyzer skips them.
 func TestOnly() *Analyzer {
 	return &Analyzer{
@@ -151,6 +152,11 @@ func (x *refIndex) add(p *Package) {
 					case *ast.TypeSpec:
 						self[p.Info.Defs[s.Name]] = true
 					case *ast.ValueSpec:
+						if s.Type != nil && blank(s.Names) {
+							// var _ I = (*T)(nil) checks at compile time that
+							// T implements I; it uses neither.
+							continue
+						}
 						for _, id := range s.Names {
 							self[p.Info.Defs[id]] = true
 						}
@@ -161,6 +167,16 @@ func (x *refIndex) add(p *Package) {
 		}
 	}
 	x.addInterfaces(p.Types)
+}
+
+// blank reports whether every name is the blank identifier.
+func blank(names []*ast.Ident) bool {
+	for _, id := range names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 func (x *refIndex) addInterfaces(tp *types.Package) {

@@ -1,13 +1,16 @@
 package distlap_test
 
-// Parity tests for the Solver facade: the package-level convenience
-// functions are documented as thin wrappers over a default-configured
-// Solver, so the two paths must produce bit-identical results — solutions,
-// iteration counts, residuals and measured rounds — in every communication
-// mode. A divergence would mean the facade quietly runs a different
-// algorithm than the documented one.
+// Parity tests for the Solver facade: an operation with both a one-shot
+// Solver method and a prepared Instance method must produce bit-identical
+// results through the two when the request seed is pinned to the Solver's
+// seed — solutions, iteration counts, residuals and measured rounds. A
+// divergence would mean one entry point quietly runs a different algorithm
+// than the other. instance_test.go pins Solve, Flow and MST in the default
+// configuration.
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"distlap"
@@ -54,171 +57,59 @@ func sameResult(t *testing.T, label string, a, b *distlap.Result) {
 	}
 }
 
-// TestSolverParitySolve pins flat Solve == Solver.Solve bit-for-bit across
-// all four modes.
-func TestSolverParitySolve(t *testing.T) {
-	g, b := parityGraph()
-	for _, mode := range modes() {
-		flat, err := distlap.Solve(g, b, mode, 1e-8, 7)
-		if err != nil {
-			t.Fatalf("mode %v: flat Solve: %v", mode, err)
-		}
-		s := distlap.NewSolver(
-			distlap.WithMode(mode), distlap.WithEps(1e-8), distlap.WithSeed(7),
-		)
-		viaSolver, err := s.Solve(g, b)
-		if err != nil {
-			t.Fatalf("mode %v: Solver.Solve: %v", mode, err)
-		}
-		sameResult(t, string(mode), flat, viaSolver)
-		if viaSolver.Metrics.TotalRounds() != viaSolver.Rounds {
-			t.Errorf("mode %v: Metrics.TotalRounds %d != Rounds %d",
-				mode, viaSolver.Metrics.TotalRounds(), viaSolver.Rounds)
-		}
-		if mode == distlap.ModeHybrid && viaSolver.Metrics.NCC == nil {
-			t.Errorf("hybrid: Metrics.NCC not populated")
-		}
-	}
-}
-
-// TestSolverParityChebyshev pins flat SolveChebyshev == Solver with
-// WithChebyshev.
-func TestSolverParityChebyshev(t *testing.T) {
-	g, b := parityGraph()
-	flat, err := distlap.SolveChebyshev(g, b, distlap.ModeUniversal, 1e-6, 0, 0, 3)
-	if err != nil {
-		t.Fatalf("flat SolveChebyshev: %v", err)
-	}
-	s := distlap.NewSolver(
-		distlap.WithEps(1e-6), distlap.WithSeed(3), distlap.WithChebyshev(0, 0),
-	)
-	viaSolver, err := s.Solve(g, b)
-	if err != nil {
-		t.Fatalf("Solver chebyshev: %v", err)
-	}
-	sameResult(t, "chebyshev", flat, viaSolver)
-}
-
-// TestSolverParityAggregateParts pins the deprecated flat AggregateParts
-// against Solver.AggregateParts (values and rounds), exercising the
-// copy-removal bugfix.
+// TestSolverParityAggregateParts pins Solver.AggregateParts against
+// Instance.AggregateParts with the request seed pinned (values and rounds).
 func TestSolverParityAggregateParts(t *testing.T) {
 	g, _ := parityGraph()
 	inst := partwise.RandomCongestedInstance(g, 3, 4, 11)
-	flatVals, flatRounds, err := distlap.AggregateParts(g, inst, distlap.AggMax, 5)
-	if err != nil {
-		t.Fatalf("flat AggregateParts: %v", err)
-	}
-	res, err := distlap.NewSolver(distlap.WithSeed(5)).AggregateParts(g, inst, distlap.AggMax)
+	sv := distlap.NewSolver(distlap.WithSeed(5))
+	want, err := sv.AggregateParts(g, inst, distlap.AggMax)
 	if err != nil {
 		t.Fatalf("Solver.AggregateParts: %v", err)
 	}
-	if len(flatVals) != len(res.Values) {
-		t.Fatalf("value lengths diverge: %d vs %d", len(flatVals), len(res.Values))
+	prep, err := sv.Prepare(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range flatVals {
-		if flatVals[i] != res.Values[i] {
-			t.Errorf("value %d diverges: %d vs %d", i, flatVals[i], res.Values[i])
-		}
+	got, err := prep.AggregateParts(context.Background(), inst, distlap.AggMax, distlap.WithRequestSeed(5))
+	if err != nil {
+		t.Fatalf("Instance.AggregateParts: %v", err)
 	}
-	if flatRounds != res.Metrics.Congest.Rounds {
-		t.Errorf("rounds diverge: %d vs %d", flatRounds, res.Metrics.Congest.Rounds)
+	if !slices.Equal(got.Values, want.Values) {
+		t.Errorf("values diverge: %v vs %v", got.Values, want.Values)
 	}
-	if res.Metrics.Congest.Rounds <= 0 {
+	if got.Metrics.Congest != want.Metrics.Congest {
+		t.Errorf("engine metrics diverge: %+v vs %+v", got.Metrics.Congest, want.Metrics.Congest)
+	}
+	if want.Metrics.Congest.Rounds <= 0 {
 		t.Errorf("aggregation charged no rounds")
 	}
 }
 
-// TestSolverParityApplications pins the app wrappers (flow, effective
-// resistance, spectral partition, max-flow, MST) against their flat
-// counterparts.
-func TestSolverParityApplications(t *testing.T) {
+// TestSolverFlowMatchesInstanceFlow pins Solver.Flow under WithChebyshev
+// against Instance.Flow pinned to the Solver's seed: both run the Solver's
+// configuration, Chebyshev iteration included, so iterations, rounds and
+// potentials agree bit for bit.
+func TestSolverFlowMatchesInstanceFlow(t *testing.T) {
 	g, _ := parityGraph()
-	s := distlap.NewSolver(distlap.WithSeed(2))
-
-	flatFlow, err := distlap.Flow(g, 0, g.N()-1, distlap.ModeUniversal, 2)
-	if err != nil {
-		t.Fatalf("flat Flow: %v", err)
-	}
-	svFlow, err := s.Flow(g, 0, g.N()-1)
+	sv := distlap.NewSolver(distlap.WithEps(1e-6), distlap.WithSeed(4), distlap.WithChebyshev(0, 0))
+	want, err := sv.Flow(g, 0, g.N()-1)
 	if err != nil {
 		t.Fatalf("Solver.Flow: %v", err)
 	}
-	if flatFlow.Resistance != svFlow.Resistance || flatFlow.Rounds != svFlow.Rounds {
-		t.Errorf("flow diverges: (%v,%d) vs (%v,%d)",
-			flatFlow.Resistance, flatFlow.Rounds, svFlow.Resistance, svFlow.Rounds)
-	}
-
-	flatR, err := distlap.EffectiveResistance(g, 0, 5, distlap.ModeUniversal, 2)
+	inst, err := sv.Prepare(context.Background(), g)
 	if err != nil {
-		t.Fatalf("flat EffectiveResistance: %v", err)
+		t.Fatal(err)
 	}
-	svR, err := s.EffectiveResistance(g, 0, 5)
+	got, err := inst.Flow(context.Background(), 0, g.N()-1, distlap.WithRequestSeed(4))
 	if err != nil {
-		t.Fatalf("Solver.EffectiveResistance: %v", err)
+		t.Fatalf("Instance.Flow: %v", err)
 	}
-	if flatR != svR {
-		t.Errorf("effective resistance diverges: %v vs %v", flatR, svR)
+	if got.Iterations != want.Iterations || got.Rounds != want.Rounds {
+		t.Errorf("iterations/rounds diverge: (%d,%d) vs (%d,%d)",
+			got.Iterations, got.Rounds, want.Iterations, want.Rounds)
 	}
-
-	flatMST, err := distlap.MinimumSpanningTree(g, 2)
-	if err != nil {
-		t.Fatalf("flat MST: %v", err)
+	if !slices.Equal(got.Potentials, want.Potentials) {
+		t.Errorf("potentials diverge")
 	}
-	svMST, err := s.MinimumSpanningTree(g)
-	if err != nil {
-		t.Fatalf("Solver.MinimumSpanningTree: %v", err)
-	}
-	if flatMST.Weight != svMST.Weight || flatMST.Rounds != svMST.Rounds {
-		t.Errorf("mst diverges: (%d,%d) vs (%d,%d)",
-			flatMST.Weight, flatMST.Rounds, svMST.Weight, svMST.Rounds)
-	}
-	if svMST.Metrics.Congest.Rounds != svMST.Rounds {
-		t.Errorf("mst Metrics.Congest.Rounds %d != Rounds %d",
-			svMST.Metrics.Congest.Rounds, svMST.Rounds)
-	}
-
-	flatSP, err := distlap.SpectralPartition(g, distlap.ModeUniversal, 2)
-	if err != nil {
-		t.Fatalf("flat SpectralPartition: %v", err)
-	}
-	svSP, err := s.SpectralPartition(g)
-	if err != nil {
-		t.Fatalf("Solver.SpectralPartition: %v", err)
-	}
-	if flatSP.Lambda2 != svSP.Lambda2 || flatSP.Rounds != svSP.Rounds ||
-		flatSP.CutWeight != svSP.CutWeight {
-		t.Errorf("spectral diverges: (%v,%d,%d) vs (%v,%d,%d)",
-			flatSP.Lambda2, flatSP.Rounds, flatSP.CutWeight,
-			svSP.Lambda2, svSP.Rounds, svSP.CutWeight)
-	}
-
-	flatMF, err := distlap.MaxFlow(g, 0, g.N()-1, 0.1, distlap.ModeUniversal, 2)
-	if err != nil {
-		t.Fatalf("flat MaxFlow: %v", err)
-	}
-	svMF, err := s.MaxFlow(g, 0, g.N()-1, 0.1)
-	if err != nil {
-		t.Fatalf("Solver.MaxFlow: %v", err)
-	}
-	if flatMF.Value != svMF.Value || flatMF.Rounds != svMF.Rounds {
-		t.Errorf("maxflow diverges: (%d,%d) vs (%d,%d)",
-			flatMF.Value, flatMF.Rounds, svMF.Value, svMF.Rounds)
-	}
-}
-
-// TestSolverParitySDD pins flat SolveSDD against Solver.SolveSDD.
-func TestSolverParitySDD(t *testing.T) {
-	g, b := parityGraph()
-	extra := make([]int64, g.N())
-	extra[0], extra[g.N()/2] = 2, 1
-	flat, err := distlap.SolveSDD(g, extra, b, distlap.ModeUniversal, 1e-8, 4)
-	if err != nil {
-		t.Fatalf("flat SolveSDD: %v", err)
-	}
-	viaSolver, err := distlap.NewSolver(distlap.WithSeed(4)).SolveSDD(g, extra, b)
-	if err != nil {
-		t.Fatalf("Solver.SolveSDD: %v", err)
-	}
-	sameResult(t, "sdd", flat, viaSolver)
 }
