@@ -34,7 +34,7 @@ func BenchmarkAblationDelays(b *testing.B) {
 				})
 				trees := make([]*graph.PartTree, 64)
 				for t := range trees {
-					trees[t] = graph.BFSTree(g, 0).Part()
+					trees[t] = graph.BFSTree(g, 0)
 				}
 				set, err := congest.NewTreeSet(g, trees)
 				if err != nil {

@@ -66,10 +66,10 @@ func run(args []string) error {
 	}
 	congestSolvers := []partwise.Solver{
 		partwise.NaiveGlobalSolver{},
-		partwise.NewLayeredSolver(*seed),
+		partwise.LayeredSolver{Seed: *seed},
 	}
 	if inst.Congestion() <= 1 {
-		congestSolvers = append(congestSolvers, partwise.NewShortcutSolver())
+		congestSolvers = append(congestSolvers, partwise.ShortcutSolver{})
 	}
 	for _, solver := range congestSolvers {
 		nw := congest.NewNetwork(g, congest.Options{Supported: *supported, Seed: *seed})

@@ -125,7 +125,7 @@ func TestDeterministicPhasesAcrossSeeds(t *testing.T) {
 	if err := shortcut.ValidateParts(g, parts); err != nil {
 		parts = [][]graph.NodeID{all}
 	}
-	b := shortcut.NewRegionBuilder()
+	b := shortcut.RegionBuilder{}
 	s1, err := b.Build(g, parts)
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -61,7 +61,7 @@ func sequentialMST(g *distlap.Graph) (edges int, weight int64) {
 		w    int64
 	}
 	var es []edge
-	for _, e := range g.Edges() {
+	for _, e := range g.EdgeList() {
 		es = append(es, edge{u: e.U, v: e.V, w: e.Weight})
 	}
 	for i := 1; i < len(es); i++ {

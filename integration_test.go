@@ -41,7 +41,7 @@ func TestScaleCongestedPWA(t *testing.T) {
 	g := graph.Grid(20, 20)
 	inst := partwise.RandomCongestedInstance(g, 4, 8, 3)
 	nw := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1})
-	out, err := partwise.NewLayeredSolver(3).Solve(nw, inst, partwise.Min)
+	out, err := partwise.LayeredSolver{Seed: 3}.Solve(nw, inst, partwise.Min)
 	if err != nil {
 		t.Fatal(err)
 	}

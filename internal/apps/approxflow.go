@@ -24,7 +24,6 @@ import (
 type ApproxMaxFlow struct {
 	Mode    core.Mode
 	Epsilon float64
-	MaxIter int // per feasibility probe (0 = default)
 	Seed    int64
 	// Trace receives every probe solve's instrumentation (nil = Nop).
 	Trace simtrace.Collector
@@ -84,22 +83,16 @@ func (a *ApproxMaxFlow) Run(g *graph.Graph, s, t graph.NodeID) (*ApproxFlowResul
 func (a *ApproxMaxFlow) probe(g *graph.Graph, s, t graph.NodeID, f int64) ([]float64, int, int, bool, error) {
 	m := g.M()
 	eps := a.Epsilon
-	maxIter := a.MaxIter
-	if maxIter <= 0 {
-		maxIter = int(8*math.Log(float64(m)+2)/(eps*eps)) + 8
-		// The theory budget is pessimistic for infeasible probes (they
-		// run to exhaustion); cap it — the averaged-congestion fallback
-		// decides feasibility reliably long before the theory bound.
-		if maxIter > 160 {
-			maxIter = 160
-		}
-	}
+	// The theory budget is pessimistic for infeasible probes (they run to
+	// exhaustion); cap it — the averaged-congestion fallback decides
+	// feasibility reliably long before the theory bound.
+	maxIter := min(int(8*math.Log(float64(m)+2)/(eps*eps))+8, 160)
 	w := make([]float64, m)
 	for i := range w {
 		w[i] = 1
 	}
 	caps := make([]float64, m)
-	for id, e := range g.Edges() {
+	for id, e := range g.EdgeList() {
 		caps[id] = float64(e.Weight)
 	}
 	avg := make([]float64, m)
@@ -110,7 +103,7 @@ func (a *ApproxMaxFlow) probe(g *graph.Graph, s, t graph.NodeID, f int64) ([]flo
 		// preserving the paper's integer-weight convention.
 		rg := graph.New(g.N())
 		const scale = 1 << 16
-		for id, e := range g.Edges() {
+		for id, e := range g.EdgeList() {
 			c := caps[id] * caps[id] / w[id]
 			ic := int64(c*scale/float64(m)) + 1
 			rg.MustAddEdge(e.U, e.V, ic)
@@ -129,7 +122,7 @@ func (a *ApproxMaxFlow) probe(g *graph.Graph, s, t graph.NodeID, f int64) ([]flo
 		// Edge flows and congestion.
 		rho := 0.0
 		flows := make([]float64, m)
-		for id, e := range g.Edges() {
+		for id, e := range g.EdgeList() {
 			cond := float64(rg.Edge(id).Weight)
 			flows[id] = cond * (sol.X[e.U] - sol.X[e.V])
 			if cg := math.Abs(flows[id]) / caps[id]; cg > rho {

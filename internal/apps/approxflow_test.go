@@ -40,14 +40,14 @@ func TestApproxMaxFlowMatchesExactSmall(t *testing.T) {
 			// The returned flow routes ~Value units with bounded
 			// congestion.
 			div := make([]float64, c.g.N())
-			for id, e := range c.g.Edges() {
+			for id, e := range c.g.EdgeList() {
 				div[e.U] += res.EdgeFlow[id]
 				div[e.V] -= res.EdgeFlow[id]
 			}
 			if div[c.s] < 0.9*float64(res.Value) {
 				t.Fatalf("source divergence %v for value %d", div[c.s], res.Value)
 			}
-			for id, e := range c.g.Edges() {
+			for id, e := range c.g.EdgeList() {
 				if abs64(res.EdgeFlow[id]) > 1.35*float64(e.Weight) {
 					t.Fatalf("edge %d congestion %v", id, abs64(res.EdgeFlow[id])/float64(e.Weight))
 				}

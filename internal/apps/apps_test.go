@@ -27,7 +27,7 @@ func TestMSTMatchesKruskal(t *testing.T) {
 		_, wantW := graph.MST(g)
 		for _, solver := range []partwise.Solver{
 			partwise.NaiveGlobalSolver{},
-			partwise.NewShortcutSolver(),
+			partwise.ShortcutSolver{},
 		} {
 			nw := newNet(g)
 			res, err := MST(nw, solver)
@@ -89,7 +89,7 @@ func TestSpanningViaPWA(t *testing.T) {
 	g := graph.Grid(4, 4)
 	full, _ := graph.MST(g)
 	nw := newNet(g)
-	res, err := SpanningConnectedViaPWA(nw, full, partwise.NewShortcutSolver())
+	res, err := SpanningConnectedViaPWA(nw, full, partwise.ShortcutSolver{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSpanningViaPWA(t *testing.T) {
 	}
 	// Drop one tree edge: disconnected.
 	nw2 := newNet(g)
-	res2, err := SpanningConnectedViaPWA(nw2, full[1:], partwise.NewShortcutSolver())
+	res2, err := SpanningConnectedViaPWA(nw2, full[1:], partwise.ShortcutSolver{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSpanningViaLaplacianAgreesWithPWA(t *testing.T) {
 			edges = append(append([]graph.EdgeID{}, mst[:d]...), mst[d+1:]...)
 		}
 		nw := newNet(g)
-		a, err := SpanningConnectedViaPWA(nw, edges, partwise.NewShortcutSolver())
+		a, err := SpanningConnectedViaPWA(nw, edges, partwise.ShortcutSolver{})
 		if err != nil {
 			return false
 		}
@@ -195,7 +195,7 @@ func TestElectricalFlowPath(t *testing.T) {
 	}
 	// Net current out of each node must be χ_s − χ_t.
 	div := make([]float64, g.N())
-	for id, e := range g.Edges() {
+	for id, e := range g.EdgeList() {
 		div[e.U] += res.EdgeCurrent[id]
 		div[e.V] -= res.EdgeCurrent[id]
 	}

@@ -48,7 +48,7 @@ func Flow(g *graph.Graph, s, t graph.NodeID, solve func(b []float64) (*core.Resu
 		Iterations:  res.Iterations,
 		Metrics:     res.Metrics,
 	}
-	for id, e := range g.Edges() {
+	for id, e := range g.EdgeList() {
 		out.EdgeCurrent[id] = float64(e.Weight) * (res.X[e.U] - res.X[e.V])
 	}
 	return out, nil

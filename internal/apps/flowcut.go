@@ -32,7 +32,7 @@ func MaxFlowExact(g *graph.Graph, s, t graph.NodeID) (*MaxFlowResult, error) {
 	}
 	// Residual capacities per directed edge: 2*id (U->V) and 2*id+1 (V->U).
 	resid := make([]int64, 2*g.M())
-	for id, e := range g.Edges() {
+	for id, e := range g.EdgeList() {
 		resid[2*id] = e.Weight
 		resid[2*id+1] = e.Weight
 	}
@@ -111,7 +111,7 @@ func CutValue(g *graph.Graph, side []graph.NodeID) int64 {
 		in[v] = true
 	}
 	var total int64
-	for _, e := range g.Edges() {
+	for _, e := range g.EdgeList() {
 		if in[e.U] != in[e.V] {
 			total += e.Weight
 		}

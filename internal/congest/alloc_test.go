@@ -65,7 +65,7 @@ func TestFaultyExchangeSteadyStateAllocs(t *testing.T) {
 func TestAggregateManySteadyStateAllocs(t *testing.T) {
 	g := graph.Grid(12, 12)
 	nw := NewNetwork(g, Options{Supported: true, Seed: 3})
-	tr := graph.BFSTree(g, 0).Part()
+	tr := graph.BFSTree(g, 0)
 	trees := mustSet(t, g, tr, tr, tr)
 	val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
 	agg := func() {
@@ -88,7 +88,7 @@ func TestAggregateManySteadyStateAllocs(t *testing.T) {
 func TestUpDownManySteadyStateAllocs(t *testing.T) {
 	g := graph.Grid(12, 12)
 	nw := NewNetwork(g, Options{Supported: true, Seed: 3})
-	tr := graph.BFSTree(g, 0).Part()
+	tr := graph.BFSTree(g, 0)
 	trees := mustSet(t, g, tr, tr, tr)
 	pot := make([]Word, trees.First(trees.Len()))
 	val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
@@ -117,7 +117,7 @@ func TestColdAggregateManyAllocs(t *testing.T) {
 	const budget = 28
 	for _, side := range []int{8, 24} {
 		g := graph.Grid(side, side)
-		tr := graph.BFSTree(g, 0).Part()
+		tr := graph.BFSTree(g, 0)
 		trees := mustSet(t, g, tr, tr, tr)
 		val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
 		cold := func() {
@@ -143,7 +143,7 @@ func TestColdAggregateManyAllocs(t *testing.T) {
 func TestGlobalSetCompileAllocs(t *testing.T) {
 	const budget = 32 << 10
 	g := graph.RandomRegular(512, 4, 7)
-	tr := graph.BFSTree(g, graph.ApproxCenter(g)).Part()
+	tr := graph.BFSTree(g, graph.ApproxCenter(g))
 	trees := []*graph.PartTree{tr, tr}
 	const runs = 20
 	var before, after runtime.MemStats

@@ -37,7 +37,7 @@ func bracketTrees(g *graph.Graph, rng *rand.Rand, balls bool) []*graph.PartTree 
 	k := 1 + rng.Intn(8)
 	trees := make([]*graph.PartTree, 0, k)
 	if !balls {
-		tr := graph.BFSTree(g, rng.Intn(g.N())).Part()
+		tr := graph.BFSTree(g, rng.Intn(g.N()))
 		for i := 0; i < k; i++ {
 			trees = append(trees, tr)
 		}

@@ -117,7 +117,7 @@ func TestConvergecastSingleTreeSum(t *testing.T) {
 	g := graph.Path(8)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
-	out, err := convergecast(nw, []*graph.PartTree{tr.Part()},
+	out, err := convergecast(nw, []*graph.PartTree{tr},
 		func(_ int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestConvergecastSharedEdgesQueue(t *testing.T) {
 	const k = 5
 	trees := make([]*graph.PartTree, k)
 	for i := range trees {
-		trees[i] = graph.BFSTree(g, 0).Part()
+		trees[i] = graph.BFSTree(g, 0)
 	}
 	out, err := convergecast(nw, trees,
 		func(t int, v graph.NodeID) Word { return Word(t + int(v)) }, AggSum)
@@ -178,7 +178,7 @@ func TestBroadcastReachesEveryMember(t *testing.T) {
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 4)
 	seen := make(map[graph.NodeID]Word)
-	err := broadcast(nw, []*graph.PartTree{tr.Part()}, []Word{99},
+	err := broadcast(nw, []*graph.PartTree{tr}, []Word{99},
 		func(_ int, v graph.NodeID, w Word) { seen[v] = w })
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestBroadcastReachesEveryMember(t *testing.T) {
 			t.Fatalf("node %d got %d", v, w)
 		}
 	}
-	if h := tr.Part().Height(); nw.Rounds() != h {
+	if h := tr.Height(); nw.Rounds() != h {
 		t.Fatalf("rounds=%d, want height %d", nw.Rounds(), h)
 	}
 }
@@ -233,11 +233,11 @@ func TestTreeSweepsRejectNoTrees(t *testing.T) {
 // its tree (the root, member 0, alone has none).
 func TestTreePrimitivesRejectMalformedTrees(t *testing.T) {
 	g := graph.Path(4)
-	orphan := graph.BFSTree(g, 0).Part()
+	orphan := graph.BFSTree(g, 0)
 	orphan.Parent[2] = 3 // a parent listed after its child
-	twoRoots := graph.BFSTree(g, 0).Part()
+	twoRoots := graph.BFSTree(g, 0)
 	twoRoots.Parent[1] = -1
-	rooted := graph.BFSTree(g, 0).Part()
+	rooted := graph.BFSTree(g, 0)
 	rooted.Parent[0] = 1
 	if _, err := NewTreeSet(g, nil); !errors.Is(err, ErrNoTrees) {
 		t.Fatalf("no trees: err=%v, want ErrNoTrees", err)
@@ -250,7 +250,7 @@ func TestTreePrimitivesRejectMalformedTrees(t *testing.T) {
 		{[]*graph.PartTree{orphan}, "congest: member 2 of tree 0 has parent 3 outside the tree"},
 		{[]*graph.PartTree{twoRoots}, "congest: member 1 of tree 0 has parent -1 outside the tree"},
 		{[]*graph.PartTree{rooted}, "congest: member 0 of tree 0 has parent 1 outside the tree"},
-		{[]*graph.PartTree{graph.BFSTree(g, 3).Part(), orphan}, "congest: member 2 of tree 1 has parent 3 outside the tree"},
+		{[]*graph.PartTree{graph.BFSTree(g, 3), orphan}, "congest: member 2 of tree 1 has parent 3 outside the tree"},
 	} {
 		s, err := NewTreeSet(g, tc.trees)
 		if err == nil || err.Error() != tc.want {
@@ -267,7 +267,7 @@ func TestTreePrimitivesRejectMalformedTrees(t *testing.T) {
 // links of its own graph.
 func TestTreeSetForeignGraph(t *testing.T) {
 	g, other := graph.Grid(3, 3), graph.Grid(3, 3)
-	s := mustSet(t, g, graph.BFSTree(g, 0).Part(), graph.BFSTree(g, 8).Part())
+	s := mustSet(t, g, graph.BFSTree(g, 0), graph.BFSTree(g, 8))
 	nw := newNet(other)
 	if _, err := nw.AggregateMany(s, func(int, graph.NodeID) Word { return 1 }, AggSum); !errors.Is(err, errForeignSet) {
 		t.Fatalf("AggregateMany: err=%v, want %v", err, errForeignSet)
@@ -345,7 +345,7 @@ func TestRandomDelaysAblation(t *testing.T) {
 		nw := NewNetwork(g, Options{Seed: 7, DisableRandomDelays: disable})
 		var trees []*graph.PartTree
 		for i := 0; i < 8; i++ {
-			trees = append(trees, graph.BFSTree(g, 0).Part())
+			trees = append(trees, graph.BFSTree(g, 0))
 		}
 		out, err := convergecast(nw, trees,
 			func(_ int, v graph.NodeID) Word { return 1 }, AggSum)
@@ -365,9 +365,9 @@ func TestDeterministicRounds(t *testing.T) {
 		g := graph.Grid(5, 5)
 		nw := NewNetwork(g, Options{Seed: 11})
 		trees := []*graph.PartTree{
-			graph.BFSTree(g, 0).Part(),
-			graph.BFSTree(g, 24).Part(),
-			graph.BFSTree(g, 12).Part(),
+			graph.BFSTree(g, 0),
+			graph.BFSTree(g, 24),
+			graph.BFSTree(g, 12),
 		}
 		out, err := nw.AggregateMany(mustSet(t, g, trees...),
 			func(t int, v graph.NodeID) Word { return Word(v * (t + 1)) }, AggMax)
@@ -396,13 +396,13 @@ func TestConvergecastSumProperty(t *testing.T) {
 		g := graph.RandomConnected(n, n/2, 1, seed)
 		nw := NewNetwork(g, Options{Seed: seed})
 		tr := graph.BFSTree(g, 0)
-		out, err := convergecast(nw, []*graph.PartTree{tr.Part()},
+		out, err := convergecast(nw, []*graph.PartTree{tr},
 			func(_ int, v graph.NodeID) Word { return Word(v) + 1 }, AggSum)
 		if err != nil {
 			return false
 		}
 		want := Word(n*(n+1)) / 2
-		return out[0] == want && nw.Rounds() >= tr.Part().Height()
+		return out[0] == want && nw.Rounds() >= tr.Height()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

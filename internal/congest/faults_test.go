@@ -165,7 +165,7 @@ func TestConvergecastDetectsFaults(t *testing.T) {
 	g := graph.Grid(4, 4)
 	nw := faultyNet(g, 21, faultinject.Spec{FlakyLinkProb: 1, FlakyDropProb: 1})
 	tree := graph.BFSTree(g, 0)
-	_, err := convergecast(nw, []*graph.PartTree{tree.Part()},
+	_, err := convergecast(nw, []*graph.PartTree{tree},
 		func(t int, v graph.NodeID) Word { return 1 }, AggSum)
 	if err == nil {
 		t.Fatalf("convergecast over an all-dropping network reported success")
@@ -181,13 +181,13 @@ func TestConvergecastSurvivesDelays(t *testing.T) {
 	g := graph.Grid(5, 5)
 	tree := graph.BFSTree(g, 0)
 	reliable := NewNetwork(g, Options{Seed: 2})
-	want, err := convergecast(reliable, []*graph.PartTree{tree.Part()},
+	want, err := convergecast(reliable, []*graph.PartTree{tree},
 		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatalf("reliable convergecast: %v", err)
 	}
 	nw := faultyNet(g, 2, faultinject.Spec{DelayProb: 0.4, MaxDelay: 3})
-	got, err := convergecast(nw, []*graph.PartTree{tree.Part()},
+	got, err := convergecast(nw, []*graph.PartTree{tree},
 		func(t int, v graph.NodeID) Word { return Word(v) }, AggSum)
 	if err != nil {
 		t.Fatalf("delayed convergecast: %v", err)
@@ -208,13 +208,13 @@ func TestBroadcastSurvivesDrops(t *testing.T) {
 	g := graph.Grid(5, 5)
 	tree := graph.BFSTree(g, 0)
 	reliable := NewNetwork(g, Options{Seed: 4})
-	if err := broadcast(reliable, []*graph.PartTree{tree.Part()}, []Word{7},
+	if err := broadcast(reliable, []*graph.PartTree{tree}, []Word{7},
 		func(t int, v graph.NodeID, w Word) {}); err != nil {
 		t.Fatalf("reliable broadcast: %v", err)
 	}
 	nw := faultyNet(g, 4, faultinject.Spec{DropProb: 0.3})
 	seen := make([]Word, g.N())
-	if err := broadcast(nw, []*graph.PartTree{tree.Part()}, []Word{7},
+	if err := broadcast(nw, []*graph.PartTree{tree}, []Word{7},
 		func(t int, v graph.NodeID, w Word) { seen[v] = w }); err != nil {
 		t.Fatalf("broadcast under 30%% drop: %v", err)
 	}
@@ -233,7 +233,7 @@ func TestBroadcastDropsDuplicates(t *testing.T) {
 	// hand it to on once, so every member of every tree hears its root's
 	// value exactly once.
 	g := graph.Grid(6, 6)
-	trees := []*graph.PartTree{graph.BFSTree(g, 0).Part(), graph.BFSTree(g, 17).Part(), graph.BFSTree(g, 35).Part()}
+	trees := []*graph.PartTree{graph.BFSTree(g, 0), graph.BFSTree(g, 17), graph.BFSTree(g, 35)}
 	rootVal := []Word{11, 22, 33}
 	nw := faultyNet(g, 6, faultinject.Spec{DupProb: 0.5})
 	heard := make([][]int, len(trees))
@@ -301,7 +301,7 @@ func TestFaultyTreeSchedTerminates(t *testing.T) {
 	g := graph.Path(8)
 	nw := faultyNet(g, 17, faultinject.Spec{DropProb: 0.9, DelayProb: 0.1, MaxDelay: 5})
 	tree := graph.BFSTree(g, 0)
-	err := broadcast(nw, []*graph.PartTree{tree.Part()}, []Word{42},
+	err := broadcast(nw, []*graph.PartTree{tree}, []Word{42},
 		func(t int, v graph.NodeID, w Word) {})
 	if err == nil {
 		t.Fatalf("broadcast under 90%% drop reported success")

@@ -75,7 +75,7 @@ func TestSchedWalksEdgesInOrder(t *testing.T) {
 func TestSchedResetAfterAbandon(t *testing.T) {
 	g := graph.Grid(8, 8)
 	nw := faultyNet(g, 5, faultinject.Spec{FlakyLinkProb: 1, FlakyDropProb: 1})
-	trees := []*graph.PartTree{graph.BFSTree(g, 0).Part(), graph.BFSTree(g, 63).Part(), graph.BFSTree(g, 27).Part()}
+	trees := []*graph.PartTree{graph.BFSTree(g, 0), graph.BFSTree(g, 63), graph.BFSTree(g, 27)}
 	if _, err := convergecast(nw, trees, func(int, graph.NodeID) Word { return 1 }, AggSum); err == nil {
 		t.Fatal("a convergecast over links that drop everything completed")
 	}

@@ -47,7 +47,7 @@ func TestUpDownManySubtreeSums(t *testing.T) {
 	g := graph.Path(6)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
-	sums, err := subtreeSums(nw, []*graph.PartTree{tr.Part()},
+	sums, err := subtreeSums(nw, []*graph.PartTree{tr},
 		func(_ int, v graph.NodeID) Word { return 1 })
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestUpDownManySubtreeSums(t *testing.T) {
 func TestUpDownManyMultipleOverlappingTrees(t *testing.T) {
 	g := graph.Grid(3, 3)
 	nw := newNet(g)
-	trees := []*graph.PartTree{graph.BFSTree(g, 0).Part(), graph.BFSTree(g, 8).Part()}
+	trees := []*graph.PartTree{graph.BFSTree(g, 0), graph.BFSTree(g, 8)}
 	sums, err := subtreeSums(nw, trees,
 		func(t int, v graph.NodeID) Word { return Word(v) })
 	if err != nil {
@@ -81,7 +81,7 @@ func TestUpDownManyPrefixTransform(t *testing.T) {
 	g := graph.Grid(3, 4)
 	nw := newNet(g)
 	tr := graph.BFSTree(g, 0)
-	s := mustSet(t, g, tr.Part())
+	s := mustSet(t, g, tr)
 	depths := make(map[graph.NodeID]Word)
 	err := nw.UpDownMany(s,
 		func(int, graph.NodeID) Word { return 0 }, AggSum,
@@ -91,13 +91,13 @@ func TestUpDownManyPrefixTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range tr.Members {
-		if depths[v] != Word(tr.Depth[v]) {
-			t.Fatalf("depth[%d]=%d, want %d", v, depths[v], tr.Depth[v])
+	for i, v := range tr.Members {
+		if depths[v] != Word(tr.Depth[i]) {
+			t.Fatalf("depth[%d]=%d, want %d", v, depths[v], tr.Depth[i])
 		}
 	}
 	// One pass up and one down, each as long as the tree is tall.
-	if h := tr.Part().Height(); nw.Rounds() != 2*h {
+	if h := tr.Height(); nw.Rounds() != 2*h {
 		t.Fatalf("rounds=%d, want twice the height %d", nw.Rounds(), h)
 	}
 }
@@ -139,7 +139,7 @@ func crashPath2(t *testing.T, root0, child1 bool) *Network {
 // the down half never reaches fails the call even when the upward pass
 // finished, and the shared body reports "broadcast" or "down-sweep".
 func TestDownSweepManyErrors(t *testing.T) {
-	tr := graph.BFSTree(graph.Path(2), 0).Part()
+	tr := graph.BFSTree(graph.Path(2), 0)
 	var heard []graph.NodeID
 	on := func(_ int, v graph.NodeID, _ Word) { heard = append(heard, v) }
 
@@ -197,7 +197,7 @@ func TestTreeSolveIdentityProperty(t *testing.T) {
 		}
 		fsum := func(a, b Word) Word { return FloatWord(WordFloat(a) + WordFloat(b)) }
 		y := make([]float64, n)
-		s, err := NewTreeSet(g, []*graph.PartTree{tr.Part()})
+		s, err := NewTreeSet(g, []*graph.PartTree{tr})
 		if err != nil {
 			return false
 		}
@@ -214,7 +214,7 @@ func TestTreeSolveIdentityProperty(t *testing.T) {
 		}
 		// Check L_T y == r.
 		ly := make([]float64, n)
-		for _, e := range g.Edges() {
+		for _, e := range g.EdgeList() {
 			w := float64(e.Weight)
 			d := y[e.U] - y[e.V]
 			ly[e.U] += w * d

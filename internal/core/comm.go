@@ -127,28 +127,24 @@ var _ Comm = (*CongestComm)(nil)
 
 // NewCongestComm builds a CONGEST comm. naive selects the baseline mode in
 // which all aggregation structures are (Steiner subtrees of) one global BFS
-// tree. The global BFS tree is paid for once here when the network is not
-// in Supported mode, and kept in member-local form.
+// tree. The global BFS tree is paid for once here, by the charged
+// distributed BFS, when the network is not in Supported mode.
 func NewCongestComm(nw *congest.Network, naive bool) (*CongestComm, error) {
 	g := nw.Graph()
 	if g.N() == 0 {
 		return nil, errors.New("core: empty graph")
 	}
 	center := graph.ApproxCenter(g)
-	var tree *graph.Tree
+	var tree *graph.PartTree
 	if nw.Supported() {
 		tree = graph.BFSTree(g, center)
 	} else {
-		res := nw.BFS(center)
-		tree = &graph.Tree{
-			Root: center, Parent: res.Parent, ParentEdge: res.ParentEdge,
-			Depth: res.Dist, Members: res.Order,
-		}
+		tree = nw.BFS(center).Tree()
 	}
 	if len(tree.Members) != g.N() {
 		return nil, errors.New("core: graph disconnected")
 	}
-	return newCongestCommWithTree(nw, naive, tree.Part()), nil
+	return newCongestCommWithTree(nw, naive, tree), nil
 }
 
 // newCongestCommWithTree wraps a network with an already-built global tree —

@@ -322,37 +322,3 @@ func TestLowStretchTreePrecond(t *testing.T) {
 		t.Fatalf("L-error %g", e)
 	}
 }
-
-func TestSchwarzMPXClusters(t *testing.T) {
-	g := graph.Grid(6, 6)
-	b := linalg.RandomBVector(36, 2)
-	c := universalComm(t, g)
-	pre := &SchwarzPrecond{TargetSize: 8, Overlap: 2, Seed: 4, Method: "mpx"}
-	res, err := solveWith(t, c, b, pre, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Residual > 1e-8 {
-		t.Fatalf("residual %g", res.Residual)
-	}
-	counts := map[graph.NodeID]int{}
-	for _, cl := range pre.Clusters() {
-		for _, v := range cl {
-			counts[v]++
-		}
-	}
-	for v, cnt := range counts {
-		if cnt != 2 {
-			t.Fatalf("node %d in %d clusters", v, cnt)
-		}
-	}
-}
-
-func TestSchwarzUnknownMethod(t *testing.T) {
-	g := graph.Path(6)
-	c := universalComm(t, g)
-	pre := &SchwarzPrecond{TargetSize: 3, Overlap: 1, Method: "voronoi?"}
-	if err := pre.Setup(c); err == nil {
-		t.Fatal("want unknown-method error")
-	}
-}

@@ -162,10 +162,9 @@ func PrepareInstance(ctx context.Context, g *graph.Graph, cfg PrepareConfig) (in
 }
 
 // setupComm builds Prepare's own comm over the instance graph and caches its
-// global tree, converted once to member-local form so that a request's
-// global-set compile reads no host-indexed array. The tree's cost — the
-// charged BFS in ModeCongest, nothing in the Supported modes — is paid
-// under "comm-setup".
+// global tree for every request. The tree's cost — the charged BFS in
+// ModeCongest, nothing in the Supported modes — is paid under
+// "comm-setup".
 func (in *Instance) setupComm(tr simtrace.Collector, seed int64, cancel func() error) (Comm, error) {
 	tr.Begin("comm-setup")
 	defer tr.End("comm-setup")

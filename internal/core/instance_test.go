@@ -184,3 +184,30 @@ func TestInstanceSizeBytesGrowsLinearly(t *testing.T) {
 		t.Fatalf("SizeBytes grew %.2f× from grid-1600 (%d) to grid-6400 (%d), want at most 4.5×", r, small, large)
 	}
 }
+
+// TestModeCongestGlobalTree pins the global tree a ModeCongest instance
+// keeps, which no experiment, workload or trace reaches: the charged BFS's
+// tree, its members the root and then each wave sorted by node ID. A
+// sequential BFS from the same root lists them in queue order and picks
+// other parents, so a swap of the two would change this fingerprint
+// without moving any solve's iterations, rounds or messages.
+func TestModeCongestGlobalTree(t *testing.T) {
+	in, err := PrepareInstance(context.Background(), graph.RandomRegular(64, 4, 5), PrepareConfig{Mode: ModeCongest, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := in.tree
+	members, edges := 0, 0
+	for i, v := range tr.Members {
+		members += (i + 1) * v
+		edges += (i + 1) * int(tr.ParentEdge[i])
+		if i > 1 && tr.Depth[i] == tr.Depth[i-1] && v < tr.Members[i-1] {
+			t.Fatalf("member %d (node %d) follows node %d in its wave", i, v, tr.Members[i-1])
+		}
+	}
+	got := [...]int{len(tr.Members), tr.Members[0], tr.Height(), in.SetupMetrics().TotalRounds(), members, edges}
+	want := [...]int{64, 42, 5, 6, 77544, 125649}
+	if got != want {
+		t.Fatalf("members, root, height, setup rounds, Σ(i+1)·Members[i], Σ(i+1)·ParentEdge[i] = %v, want %v", got, want)
+	}
+}

@@ -98,20 +98,16 @@ func (*TreePrecond) Name() string { return "tree" }
 func (p *TreePrecond) Setup(c Comm) error {
 	var tree *graph.PartTree
 	if p.LowStretch {
-		lst := graph.LowStretchTree(c.Graph(), p.Seed)
-		if len(lst.Members) != c.Graph().N() {
+		tree = graph.LowStretchTree(c.Graph(), p.Seed)
+		if len(tree.Members) != c.Graph().N() {
 			return errors.New("core: low-stretch tree does not span")
 		}
-		tree = lst.Part()
 	} else {
-		switch cc := c.(type) {
-		case *CongestComm:
-			tree = cc.GlobalTree()
-		case *HybridComm:
-			tree = cc.GlobalTree()
-		default:
+		gc, ok := c.(interface{ GlobalTree() *graph.PartTree })
+		if !ok {
 			return errors.New("core: comm exposes no global tree")
 		}
+		tree = gc.GlobalTree()
 	}
 	set, err := congest.NewTreeSet(c.Graph(), []*graph.PartTree{tree})
 	if err != nil {
@@ -160,10 +156,9 @@ func (p *TreePrecond) Apply(c Comm, r []float64) ([]float64, error) {
 // Definition 13), and each Apply runs concurrent tree solves over all
 // cluster trees at measured congested cost.
 type SchwarzPrecond struct {
-	TargetSize int    // approximate cluster size (nodes)
-	Overlap    int    // p: number of overlapping cluster covers
-	Seed       int64  // cover-generation seed
-	Method     string // cover generator: "" / "random" | "mpx"
+	TargetSize int   // approximate cluster size (nodes)
+	Overlap    int   // p: number of overlapping cluster covers
+	Seed       int64 // cover-generation seed
 
 	clusters [][]graph.NodeID
 	trees    *congest.TreeSet // the clusters' trees, compiled once
@@ -233,19 +228,7 @@ func (p *SchwarzPrecond) Setup(c Comm) error {
 	}
 	p.clusters, p.span = nil, nil
 	for l := 0; l < p.Overlap; l++ {
-		var parts [][]graph.NodeID
-		switch p.Method {
-		case "", "random":
-			parts = shortcut.RandomConnectedPartition(g, k, seedderive.Derive(p.Seed, "cluster-cover", int64(l)))
-		case "mpx":
-			// Beta tuned so the expected cluster size matches TargetSize.
-			beta := 2.0 / float64(p.TargetSize)
-			parts = graph.MPXDecomposition(g, graph.MPXOptions{
-				Beta: beta, Seed: seedderive.Derive(p.Seed, "cluster-cover-mpx", int64(l)),
-			})
-		default:
-			return fmt.Errorf("core: unknown cluster method %q", p.Method)
-		}
+		parts := shortcut.RandomConnectedPartition(g, k, seedderive.Derive(p.Seed, "cluster-cover", int64(l)))
 		if parts == nil {
 			return fmt.Errorf("core: cluster cover %d failed", l)
 		}

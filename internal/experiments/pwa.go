@@ -15,7 +15,7 @@ import (
 // returns the measured rounds (validating the aggregates).
 func congestedRounds(g *graph.Graph, inst *partwise.Instance, seed int64, tr simtrace.Collector) (int, error) {
 	nw := congest.NewNetwork(g, congest.Options{Supported: true, Seed: seed, Trace: tr})
-	out, err := partwise.NewLayeredSolver(seed).Solve(nw, inst, partwise.Min)
+	out, err := partwise.LayeredSolver{Seed: seed}.Solve(nw, inst, partwise.Min)
 	if err != nil {
 		return 0, err
 	}

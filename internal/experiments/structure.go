@@ -37,7 +37,7 @@ func E1(cfg Config) (*Table, error) {
 			classes := partwise.MinOneCongestedCover(inst.Parts)
 
 			nw := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1, Trace: tr})
-			out, err := partwise.NewLayeredSolver(7).Solve(nw, inst, partwise.Min)
+			out, err := partwise.LayeredSolver{Seed: 7}.Solve(nw, inst, partwise.Min)
 			if err != nil {
 				return nil, err
 			}
@@ -55,7 +55,7 @@ func E1(cfg Config) (*Table, error) {
 					Parts:  inst.Parts[i : i+1],
 					Values: inst.Values[i : i+1],
 				}
-				if _, err := partwise.NewShortcutSolver().Solve(seq, sub, partwise.Min); err != nil {
+				if _, err := (partwise.ShortcutSolver{}).Solve(seq, sub, partwise.Min); err != nil {
 					return nil, err
 				}
 			}
@@ -111,7 +111,7 @@ func E2(cfg Config) (*Table, error) {
 				inst.Parts = append(inst.Parts, part)
 				inst.Values = append(inst.Values, vals)
 			}
-			if _, err := partwise.NewShortcutSolver().Solve(nw, inst, partwise.Max); err != nil {
+			if _, err := (partwise.ShortcutSolver{}).Solve(nw, inst, partwise.Max); err != nil {
 				return nil, err
 			}
 			layRounds := nw.Rounds()

@@ -54,7 +54,7 @@ func runExchange(t *testing.T, plan *faultinject.Plan) fateRun {
 func runTree(t *testing.T, plan *faultinject.Plan) fateRun {
 	g := graph.Path(2)
 	nw := congest.NewNetwork(g, congest.Options{Seed: 1, Faults: plan})
-	set, err := congest.NewTreeSet(g, []*graph.PartTree{graph.BFSTree(g, 1).Part()})
+	set, err := congest.NewTreeSet(g, []*graph.PartTree{graph.BFSTree(g, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestTraceCountersMatchStats(t *testing.T) {
 		{"all-drop", faultinject.Spec{Seed: 7, DropProb: 1}},
 	}
 	g := graph.Grid(6, 6)
-	trees, err := congest.NewTreeSet(g, []*graph.PartTree{graph.BFSTree(g, 0).Part(), graph.BFSTree(g, 35).Part(), graph.BFSTree(g, 14).Part()})
+	trees, err := congest.NewTreeSet(g, []*graph.PartTree{graph.BFSTree(g, 0), graph.BFSTree(g, 35), graph.BFSTree(g, 14)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func RandomConnected(n, extra int, maxWeight int64, seed int64) *Graph {
 		g.MustAddEdge(perm[i], parent, w())
 	}
 	used := make(map[[2]NodeID]bool, extra)
-	for _, e := range g.Edges() {
+	for _, e := range g.edges {
 		used[[2]NodeID{min(e.U, e.V), max(e.U, e.V)}] = true
 	}
 	for tries, added := 0, 0; added < extra && tries < 20*extra+100; tries++ {

@@ -169,19 +169,8 @@ func (g *Graph) MustAddEdge(u, v NodeID, w int64) EdgeID {
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 
-// Edges returns a copy of the edge list. Callers that only iterate should
-// prefer EdgeList, which is allocation-free.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
-	return out
-}
-
-// EdgeList returns the graph's internal edge list in EdgeID order. The
-// returned slice is the graph's own storage and must not be modified by
-// the caller; it is the O(1) counterpart of Edges for hot loops
-// (Laplacian kernels, spectral scans) where the per-call copy would
-// dominate the allocation profile.
+// EdgeList returns the graph's edge list in EdgeID order. The returned
+// slice is the graph's own storage and must not be modified by the caller.
 func (g *Graph) EdgeList() []Edge { return g.edges }
 
 // Neighbors returns the half-edges incident to v. The returned slice is the

@@ -236,7 +236,7 @@ func TestRandomGeneratorsDeterministic(t *testing.T) {
 	if a.M() != b.M() {
 		t.Fatalf("nondeterministic edge count: %d vs %d", a.M(), b.M())
 	}
-	ae, be := a.Edges(), b.Edges()
+	ae, be := a.EdgeList(), b.EdgeList()
 	for i := range ae {
 		if ae[i] != be[i] {
 			t.Fatalf("edge %d differs: %+v vs %+v", i, ae[i], be[i])
@@ -325,23 +325,34 @@ func TestInducedConnected(t *testing.T) {
 func TestBFSTree(t *testing.T) {
 	g := Grid(4, 4)
 	tr := BFSTree(g, 0)
-	if h := tr.Part().Height(); h != 6 {
+	if h := tr.Height(); h != 6 {
 		t.Fatalf("height=%d, want 6", h)
 	}
-	if len(tr.Members) != 16 {
-		t.Fatalf("members=%d", len(tr.Members))
+	if len(tr.Members) != 16 || tr.Members[0] != 0 || tr.Parent[0] != -1 {
+		t.Fatalf("members=%v, root parent %d", tr.Members, tr.Parent[0])
 	}
-	ch := tr.Children()
-	total := 0
-	for _, c := range ch {
-		total += len(c)
+	checkParents(t, g, tr)
+	// Only the root's component becomes the tree.
+	g = New(5)
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(3, 4, 1)
+	if tr := BFSTree(g, 4); len(tr.Members) != 2 || tr.Members[1] != 3 {
+		t.Fatalf("tree of a two-node component: members %v", tr.Members)
 	}
-	if total != 15 {
-		t.Fatalf("child-edges=%d, want 15", total)
-	}
-	for _, v := range tr.Members {
-		if v != tr.Root && tr.Depth[v] != tr.Depth[tr.Parent[v]]+1 {
-			t.Fatalf("depth invariant broken at %d", v)
+}
+
+// checkParents fails unless every non-root member of tr has a parent
+// listed before it, one hop shallower, joined to it by its parent edge.
+func checkParents(t *testing.T, g *Graph, tr *PartTree) {
+	t.Helper()
+	for i := 1; i < len(tr.Members); i++ {
+		p := tr.Parent[i]
+		if p < 0 || p >= int32(i) || tr.Depth[i] != tr.Depth[p]+1 {
+			t.Fatalf("member %d: parent %d, depth %d", i, p, tr.Depth[i])
+		}
+		e, u, v := g.Edge(int(tr.ParentEdge[i])), tr.Members[i], tr.Members[p]
+		if !(e.U == u && e.V == v || e.U == v && e.V == u) {
+			t.Fatalf("member %d: parent edge %d does not join nodes %d and %d", i, tr.ParentEdge[i], u, v)
 		}
 	}
 }
@@ -408,11 +419,14 @@ func TestTreeFromEdgesAndPathInTree(t *testing.T) {
 	g := Grid(3, 3)
 	ids, _ := MST(g)
 	tr := TreeFromEdges(g, ids, 4)
-	if len(tr.Members) != 9 {
-		t.Fatalf("members=%d", len(tr.Members))
+	if len(tr.Members) != 9 || tr.Members[0] != 4 {
+		t.Fatalf("members=%v", tr.Members)
 	}
-	p := PathInTree(tr, 0, 8)
-	if len(p) < 2 || p[0] != 0 || p[len(p)-1] != 8 {
+	checkParents(t, g, tr)
+	pos := make([]int32, g.N())
+	tr.IndexInto(pos)
+	p := PathInTree(tr, pos[0], pos[8])
+	if len(p) < 2 || tr.Members[p[0]] != 0 || tr.Members[p[len(p)-1]] != 8 {
 		t.Fatalf("path = %v", p)
 	}
 	for i := 0; i+1 < len(p); i++ {
@@ -420,7 +434,7 @@ func TestTreeFromEdgesAndPathInTree(t *testing.T) {
 			t.Fatalf("path step %d-%d not a tree edge", p[i], p[i+1])
 		}
 	}
-	if PathInTree(tr, 0, 0) == nil || len(PathInTree(tr, 3, 3)) != 1 {
+	if len(PathInTree(tr, pos[0], pos[0])) != 1 || len(PathInTree(tr, pos[3], pos[3])) != 1 {
 		t.Fatal("trivial path wrong")
 	}
 }
@@ -460,7 +474,7 @@ func TestBFSEdgeInvariantProperty(t *testing.T) {
 		n := int(nn%50) + 2
 		g := RandomConnected(n, n/2, 1, seed)
 		res := BFS(g, 0)
-		for _, e := range g.Edges() {
+		for _, e := range g.EdgeList() {
 			du, dv := res.Dist[e.U], res.Dist[e.V]
 			if du-dv > 1 || dv-du > 1 {
 				return false
@@ -481,7 +495,7 @@ func TestMSTWeightPermutationProperty(t *testing.T) {
 		_, w1 := MST(g)
 		// Rebuild with reversed edge order.
 		h := New(g.N())
-		es := g.Edges()
+		es := g.EdgeList()
 		for i := len(es) - 1; i >= 0; i-- {
 			h.MustAddEdge(es[i].U, es[i].V, es[i].Weight)
 		}
@@ -493,8 +507,9 @@ func TestMSTWeightPermutationProperty(t *testing.T) {
 	}
 }
 
-// Property: every spanning tree reported by BFSTree has exactly n-1
-// parent edges and depths consistent with parents.
+// Property: every spanning tree reported by BFSTree has all n nodes, each
+// non-root one below a parent listed before it and joined to it by its
+// parent edge.
 func TestBFSTreeProperty(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%40) + 2
@@ -503,16 +518,8 @@ func TestBFSTreeProperty(t *testing.T) {
 		if len(tr.Members) != n {
 			return false
 		}
-		cnt := 0
-		for v := 0; v < n; v++ {
-			if tr.Parent[v] != -1 {
-				cnt++
-				if tr.Depth[v] != tr.Depth[tr.Parent[v]]+1 {
-					return false
-				}
-			}
-		}
-		return cnt == n-1
+		checkParents(t, g, tr)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -7,10 +7,10 @@ import (
 )
 
 // refTree is an independent, map-based reference for Induced.Tree, built
-// host-indexed and compared in member-local form (Tree.Part):
+// host-indexed and compared in member-local form (BFSResult.Tree):
 // induced edges are appended to a per-node adjacency in edge-first-seen
 // order (member scan, then neighbour scan) and searched breadth-first.
-func refTree(g *Graph, members []NodeID, root NodeID) *Tree {
+func refTree(g *Graph, members []NodeID, root NodeID) *PartTree {
 	in := make(map[NodeID]bool, len(members))
 	for _, v := range members {
 		in[v] = true
@@ -28,26 +28,26 @@ func refTree(g *Graph, members []NodeID, root NodeID) *Tree {
 		}
 	}
 	n := g.N()
-	t := &Tree{Root: root, Parent: make([]NodeID, n), ParentEdge: make([]EdgeID, n), Depth: make([]int, n)}
+	res := &BFSResult{Root: root, Parent: make([]NodeID, n), ParentEdge: make([]EdgeID, n), Dist: make([]int, n)}
 	for i := 0; i < n; i++ {
-		t.Parent[i], t.ParentEdge[i], t.Depth[i] = -1, -1, -1
+		res.Parent[i], res.ParentEdge[i], res.Dist[i] = -1, -1, -1
 	}
-	t.Depth[root] = 0
+	res.Dist[root] = 0
 	queue := []NodeID{root}
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		t.Members = append(t.Members, v)
+		res.Order = append(res.Order, v)
 		for _, h := range adj[v] {
-			if t.Depth[h.To] == -1 {
-				t.Depth[h.To] = t.Depth[v] + 1
-				t.Parent[h.To] = v
-				t.ParentEdge[h.To] = h.Edge
+			if res.Dist[h.To] == -1 {
+				res.Dist[h.To] = res.Dist[v] + 1
+				res.Parent[h.To] = v
+				res.ParentEdge[h.To] = h.Edge
 				queue = append(queue, h.To)
 			}
 		}
 	}
-	return t
+	return res.Tree()
 }
 
 // refConnected is the map-based depth-first connectivity check: every
@@ -81,21 +81,22 @@ func refCenter(g *Graph, nodes []NodeID) NodeID {
 	if len(nodes) == 0 {
 		return 0
 	}
-	deepest := func(t *Tree) NodeID {
-		u := t.Root
-		for _, v := range t.Members {
-			if t.Depth[v] > t.Depth[u] {
-				u = v
+	deepest := func(t *PartTree) int32 {
+		u := int32(0)
+		for i := range t.Members {
+			if t.Depth[i] > t.Depth[u] {
+				u = int32(i)
 			}
 		}
 		return u
 	}
-	second := refTree(g, nodes, deepest(refTree(g, nodes, nodes[0])))
+	first := refTree(g, nodes, nodes[0])
+	second := refTree(g, nodes, first.Members[deepest(first)])
 	v := deepest(second)
 	for i := second.Depth[v] / 2; i > 0; i-- {
 		v = second.Parent[v]
 	}
-	return v
+	return second.Members[v]
 }
 
 // randomMultigraph returns a graph on 1..maxN nodes with up to 3n random
@@ -129,7 +130,7 @@ func randomMembers(rng *rand.Rand, g *Graph) []NodeID {
 // the reused kernel sub, against the map-based references.
 func checkKernel(t *testing.T, sub *Induced, g *Graph, members []NodeID, root NodeID) {
 	t.Helper()
-	want := refTree(g, members, root).Part()
+	want := refTree(g, members, root)
 	if got := new(Induced).Tree(g, members, root); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fresh Tree(n=%d, %v, %d) = %+v, want %+v", g.N(), members, root, got, want)
 	}

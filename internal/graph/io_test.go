@@ -26,7 +26,7 @@ func TestGraphIORoundtrip(t *testing.T) {
 		if got.N() != g.N() || got.M() != g.M() {
 			t.Fatalf("roundtrip n=%d m=%d vs %d %d", got.N(), got.M(), g.N(), g.M())
 		}
-		ge, he := g.Edges(), got.Edges()
+		ge, he := g.EdgeList(), got.EdgeList()
 		for i := range ge {
 			if ge[i] != he[i] {
 				t.Fatalf("edge %d: %+v vs %+v", i, ge[i], he[i])

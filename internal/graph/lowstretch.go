@@ -112,10 +112,10 @@ func (p *floatPQ) Pop() interface{} {
 // chosen inter-cluster edges back. The result is a spanning tree whose
 // average stretch is far below a BFS tree's on path-rich topologies; it is
 // measured (never assumed) by AverageStretch.
-func LowStretchTree(g *Graph, seed int64) *Tree {
+func LowStretchTree(g *Graph, seed int64) *PartTree {
 	n := g.N()
 	if n == 0 {
-		return &Tree{Parent: []NodeID{}, ParentEdge: []EdgeID{}, Depth: []int{}}
+		return NewPartTree(0)
 	}
 	chosen := make(map[EdgeID]bool)
 	// current maps quotient-node -> original representative; membership via
@@ -137,7 +137,7 @@ func LowStretchTree(g *Graph, seed int64) *Tree {
 		q := New(len(roots))
 		// Keep one lightest original edge per quotient pair.
 		bestEdge := make(map[[2]int]EdgeID)
-		for id, e := range g.Edges() {
+		for id, e := range g.edges {
 			ru, rv := repOf[uf.Find(e.U)], repOf[uf.Find(e.V)]
 			if ru == rv {
 				continue
@@ -212,23 +212,27 @@ func LowStretchTree(g *Graph, seed int64) *Tree {
 //
 // (resistance of the tree detour over the edge's own resistance — the
 // quantity that controls tree-preconditioned iteration counts).
-func AverageStretch(g *Graph, t *Tree) float64 {
+func AverageStretch(g *Graph, t *PartTree) float64 {
 	if g.M() == 0 {
 		return 0
 	}
+	// pos[v] is v's member index; v is a member when it points back at v.
+	pos := make([]int32, g.n)
+	t.IndexInto(pos)
+	member := func(v NodeID) bool { return int(pos[v]) < len(t.Members) && t.Members[pos[v]] == v }
 	total := 0.0
-	for _, e := range g.Edges() {
-		path := PathInTree(t, e.U, e.V)
-		if path == nil {
+	for _, e := range g.edges {
+		if !member(e.U) || !member(e.V) {
 			return math.Inf(1)
 		}
+		path := PathInTree(t, pos[e.U], pos[e.V])
 		r := 0.0
 		for i := 0; i+1 < len(path); i++ {
 			child := path[i]
 			if t.Parent[child] != path[i+1] {
 				child = path[i+1]
 			}
-			r += 1 / float64(g.Edge(t.ParentEdge[child]).Weight)
+			r += 1 / float64(g.edges[t.ParentEdge[child]].Weight)
 		}
 		total += float64(e.Weight) * r
 	}

@@ -2,8 +2,10 @@ package graph
 
 import "slices"
 
-// BFSResult holds the outcome of a breadth-first search from a root:
-// hop distances, BFS-tree parents and the parent edge used, in visit order.
+// BFSResult holds the outcome of a breadth-first search from a root,
+// indexed by node for distance queries: hop distances, BFS-tree parents
+// and the parent edge used, and the visit order. Tree converts it to the
+// search's tree.
 type BFSResult struct {
 	Root       NodeID
 	Dist       []int    // hop distance from Root; -1 if unreachable
@@ -14,8 +16,11 @@ type BFSResult struct {
 
 // BFS runs a breadth-first search over hop distances (ignoring weights, as
 // the paper's hop-diameter does).
-func BFS(g *Graph, root NodeID) *BFSResult {
-	n := g.N()
+func BFS(g *Graph, root NodeID) *BFSResult { return bfs(g.adj, root) }
+
+// bfs searches the adjacency adj, whose length is the node count.
+func bfs(adj [][]Half, root NodeID) *BFSResult {
+	n := len(adj)
 	res := &BFSResult{
 		Root:       root,
 		Dist:       make([]int, n),
@@ -34,7 +39,7 @@ func BFS(g *Graph, root NodeID) *BFSResult {
 		v := queue[0]
 		queue = queue[1:]
 		res.Order = append(res.Order, v)
-		for _, h := range g.Neighbors(v) {
+		for _, h := range adj[v] {
 			if res.Dist[h.To] == -1 {
 				res.Dist[h.To] = res.Dist[v] + 1
 				res.Parent[h.To] = v
@@ -44,6 +49,26 @@ func BFS(g *Graph, root NodeID) *BFSResult {
 		}
 	}
 	return res
+}
+
+// Tree returns the search's tree over the nodes it reached in member-local
+// form: Members in visit order, each parent as a member index, and the
+// same parent edges and depths. r.Order must list every parent before its
+// children, as both graph.BFS and the distributed BFS of the CONGEST
+// engine do.
+func (r *BFSResult) Tree() *PartTree {
+	t := NewPartTree(len(r.Order))
+	index := make([]int32, len(r.Parent))
+	for i, v := range r.Order {
+		index[v] = int32(i)
+		t.Members[i] = v
+		t.Depth[i] = int32(r.Dist[v])
+		t.Parent[i], t.ParentEdge[i] = -1, -1
+		if p := r.Parent[v]; p != -1 {
+			t.Parent[i], t.ParentEdge[i] = index[p], int32(r.ParentEdge[v])
+		}
+	}
+	return t
 }
 
 // Eccentricity returns the maximum finite BFS distance from root, or -1 if

@@ -90,7 +90,7 @@ func (l *Laplacian) Dense() [][]float64 {
 	for i := range m {
 		m[i] = make([]float64, n)
 	}
-	for _, e := range l.G.Edges() {
+	for _, e := range l.G.EdgeList() {
 		w := float64(e.Weight)
 		m[e.U][e.U] += w
 		m[e.V][e.V] += w

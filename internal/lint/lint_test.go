@@ -202,7 +202,8 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			// type named only by its method's receiver (with that method)
 			// and a type named only by a blank interface assertion are
 			// flagged. The export b.go calls, the heap.Interface and
-			// fmt.Stringer methods and the allowed export are not.
+			// fmt.Stringer methods, the method b.go calls through an
+			// anonymous interface and the allowed export are not.
 			name:      "testonly",
 			dir:       "testonly",
 			path:      "distlap/internal/lintfixture/testonly",

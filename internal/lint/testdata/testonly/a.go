@@ -58,3 +58,9 @@ type Asserted struct{}
 func (Asserted) String() string { return "asserted" }
 
 var _ fmt.Stringer = Asserted{}
+
+// Kicker's Kick is called only through the anonymous interface b.go
+// asserts to: neither is flagged.
+type Kicker struct{}
+
+func (Kicker) Kick() int { return 4 }

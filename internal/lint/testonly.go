@@ -22,10 +22,12 @@ import (
 // declaration itself (recursion, a method's receiver) does not count, nor
 // does a blank interface assertion (var _ I = (*T)(nil)), which compiles
 // into nothing. A method counts as used when its type implements an
-// interface declaring a method of that name (heap.Interface's Len,
-// fmt.Stringer's String): calls through the interface name the
-// interface's method, not the concrete one. Packages in testdata directories are not part of the
-// build, so the analyzer skips them.
+// interface declaring a method of that name: a named one (heap.Interface's
+// Len, fmt.Stringer's String) or an anonymous one a non-test file writes
+// (c.(interface{ GlobalTree() *graph.PartTree })). Calls through the
+// interface name the interface's method, not the concrete one. Packages in
+// testdata directories are not part of the build, so the analyzer skips
+// them.
 func TestOnly() *Analyzer {
 	return &Analyzer{
 		Name: "testonly",
@@ -97,7 +99,8 @@ func runTestOnly(p *Package) []Diagnostic {
 }
 
 // refIndex records what a set of packages' non-test files reference, and
-// the named interfaces those packages can see, by method name.
+// by method name the named interfaces those packages can see and the
+// anonymous ones their non-test files write.
 type refIndex struct {
 	pkgs   map[*Package]bool
 	used   map[types.Object]bool
@@ -118,19 +121,25 @@ func newRefIndex() *refIndex {
 }
 
 // add indexes p's references, skipping those from inside the referenced
-// declaration itself and method receivers, and the interfaces of p and of
-// every package it imports, transitively.
+// declaration itself and method receivers, the anonymous interfaces p's
+// files write, and the named interfaces of p and of every package it
+// imports, transitively.
 func (x *refIndex) add(p *Package) {
 	x.pkgs[p] = true
 	record := func(n ast.Node, self map[types.Object]bool) {
 		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				obj := p.Info.Uses[id]
+			switch n := n.(type) {
+			case *ast.Ident:
+				obj := p.Info.Uses[n]
 				if fn, ok := obj.(*types.Func); ok {
 					obj = fn.Origin()
 				}
 				if obj != nil && !self[obj] {
 					x.used[obj] = true
+				}
+			case *ast.InterfaceType:
+				if iface, ok := p.Info.TypeOf(n).(*types.Interface); ok {
+					x.addMethods(iface)
 				}
 			}
 			return true
@@ -190,17 +199,20 @@ func (x *refIndex) addInterfaces(tp *types.Package) {
 		if !ok {
 			continue
 		}
-		iface, ok := tn.Type().Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		for i := 0; i < iface.NumMethods(); i++ {
-			m := iface.Method(i).Name()
-			x.ifaces[m] = append(x.ifaces[m], iface)
+		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+			x.addMethods(iface)
 		}
 	}
 	for _, imp := range tp.Imports() {
 		x.addInterfaces(imp)
+	}
+}
+
+// addMethods indexes iface under each of its method names.
+func (x *refIndex) addMethods(iface *types.Interface) {
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i).Name()
+		x.ifaces[m] = append(x.ifaces[m], iface)
 	}
 }
 

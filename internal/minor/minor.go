@@ -70,7 +70,7 @@ func (c *Certificate) Density(g *graph.Graph) float64 {
 		}
 	}
 	pairs := make(map[[2]int]bool)
-	for _, e := range g.Edges() {
+	for _, e := range g.EdgeList() {
 		a, okA := owner[e.U]
 		b, okB := owner[e.V]
 		if !okA || !okB || a == b {
@@ -127,7 +127,7 @@ func GreedyDenseMinor(g *graph.Graph, rounds int) *Certificate {
 		// Contract a maximal matching of representative pairs to thicken
 		// branch sets uniformly.
 		matched := make(map[int]bool)
-		for _, e := range g.Edges() {
+		for _, e := range g.EdgeList() {
 			ru, rv := uf.Find(e.U), uf.Find(e.V)
 			if ru == rv || matched[ru] || matched[rv] {
 				continue

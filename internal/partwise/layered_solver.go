@@ -7,7 +7,6 @@ import (
 	"distlap/internal/graph"
 	"distlap/internal/layered"
 	"distlap/internal/seedderive"
-	"distlap/internal/shortcut"
 	"distlap/internal/simtrace"
 )
 
@@ -28,16 +27,10 @@ import (
 //     levels, and part aggregates flow back down symmetrically, so every
 //     member of every part ends up knowing its part's aggregate.
 type LayeredSolver struct {
-	Builder shortcut.Builder
-	Seed    int64
+	Seed int64
 }
 
 var _ Solver = LayeredSolver{}
-
-// NewLayeredSolver returns a LayeredSolver with the default portfolio.
-func NewLayeredSolver(seed int64) LayeredSolver {
-	return LayeredSolver{Builder: shortcut.DefaultPortfolio(), Seed: seed}
-}
 
 // Name implements Solver.
 func (s LayeredSolver) Name() string { return "layered" }
@@ -89,7 +82,7 @@ func (s LayeredSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) 
 	tr.Begin("levels-up")
 	for lvl := maxLevel; lvl >= 0; lvl-- {
 		batch := byLevel[lvl]
-		aggs, err := s.solvePathBatch(nw, batch, valueAt, spec,
+		aggs, err := solvePathBatch(nw, batch, valueAt, spec,
 			seedderive.Derive(s.Seed, "level-up", int64(lvl)))
 		if err != nil {
 			tr.End("levels-up")
@@ -155,7 +148,7 @@ func (s LayeredSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) 
 		for _, dp := range batch {
 			tops[key{dp.part, dp.nodes[0]}] = partAgg[dp.part]
 		}
-		if _, err := s.solvePathBatch(nw, batch,
+		if _, err := solvePathBatch(nw, batch,
 			func(part int, v graph.NodeID) congest.Word {
 				if w, ok := tops[key{part, v}]; ok {
 					return w
@@ -174,7 +167,7 @@ func (s LayeredSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) 
 // embedding onto Ĝ_{O(p)}, are solved there as a 1-congested instance via
 // Proposition 6, and the layered cost is charged on the base network with
 // the Lemma 16 overhead. Returns per-path aggregates aligned with batch.
-func (s LayeredSolver) solvePathBatch(
+func solvePathBatch(
 	nw *congest.Network,
 	batch []decomposedPath,
 	valueAt func(part int, v graph.NodeID) congest.Word,
@@ -224,7 +217,7 @@ func (s LayeredSolver) solvePathBatch(
 				return w
 			}
 			return spec.Identity
-		}, spec, s.Builder)
+		}, spec)
 	if err != nil {
 		return nil, err
 	}

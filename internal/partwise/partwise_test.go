@@ -155,11 +155,39 @@ func TestNaiveGlobalSolver(t *testing.T) {
 	}
 }
 
+// TestNaiveGlobalSolverCosts pins the baseline on the six row parts of
+// the Figure 1 instance, where no experiment runs it on an unsupported
+// network: there it aggregates over the charged BFS's tree and pays that
+// BFS, on a supported network over graph.BFSTree's for free.
+func TestNaiveGlobalSolverCosts(t *testing.T) {
+	g, full := GridCongestedInstance(6)
+	inst := &Instance{Parts: full.Parts[:6], Values: full.Values[:6]}
+	for _, tc := range []struct {
+		supported bool
+		want      congest.Metrics
+	}{
+		{false, congest.Metrics{Rounds: 43, Messages: 540, MaxEdgeLoad: 7}},
+		{true, congest.Metrics{Rounds: 32, Messages: 420, MaxEdgeLoad: 6}},
+	} {
+		nw := newNet(g, tc.supported)
+		out, err := NaiveGlobalSolver{}.Solve(nw, inst, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []congest.Word{15, 51, 87, 123, 159, 195}; !slices.Equal(out, want) {
+			t.Fatalf("supported=%v: sums %v, want %v", tc.supported, out, want)
+		}
+		if got := nw.Metrics(); got != tc.want {
+			t.Fatalf("supported=%v: rounds, messages, max edge load %+v, want %+v", tc.supported, got, tc.want)
+		}
+	}
+}
+
 func TestShortcutSolverMatchesExpected(t *testing.T) {
 	g, inst := rowInstance(5, 5)
 	for _, spec := range []AggSpec{Sum, Min, Max} {
 		nw := newNet(g, true)
-		out, err := NewShortcutSolver().Solve(nw, inst, spec)
+		out, err := ShortcutSolver{}.Solve(nw, inst, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +203,7 @@ func TestShortcutSolverMatchesExpected(t *testing.T) {
 func TestShortcutSolverRejectsCongested(t *testing.T) {
 	g, inst := GridCongestedInstance(3)
 	nw := newNet(g, true)
-	if _, err := NewShortcutSolver().Solve(nw, inst, Sum); !errors.Is(err, ErrCongested) {
+	if _, err := (ShortcutSolver{}).Solve(nw, inst, Sum); !errors.Is(err, ErrCongested) {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -184,10 +212,10 @@ func TestShortcutSolverChargesConstructionInCongest(t *testing.T) {
 	g, inst := rowInstance(4, 4)
 	supp := newNet(g, true)
 	cong := newNet(g, false)
-	if _, err := NewShortcutSolver().Solve(supp, inst, Sum); err != nil {
+	if _, err := (ShortcutSolver{}).Solve(supp, inst, Sum); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShortcutSolver().Solve(cong, inst, Sum); err != nil {
+	if _, err := (ShortcutSolver{}).Solve(cong, inst, Sum); err != nil {
 		t.Fatal(err)
 	}
 	if cong.Rounds() <= supp.Rounds() {
@@ -273,7 +301,7 @@ func TestLayeredSolverOnFig1(t *testing.T) {
 	g, inst := GridCongestedInstance(5)
 	for _, spec := range []AggSpec{Sum, Min, Max} {
 		nw := newNet(g, true)
-		out, err := NewLayeredSolver(7).Solve(nw, inst, spec)
+		out, err := LayeredSolver{Seed: 7}.Solve(nw, inst, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +320,7 @@ func TestLayeredSolverOnFig1(t *testing.T) {
 func TestLayeredSolverOnOneCongested(t *testing.T) {
 	g, inst := rowInstance(4, 6)
 	nw := newNet(g, true)
-	out, err := NewLayeredSolver(3).Solve(nw, inst, Sum)
+	out, err := LayeredSolver{Seed: 3}.Solve(nw, inst, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +342,7 @@ func TestLayeredSolverHighCongestion(t *testing.T) {
 		t.Fatalf("congestion=%d, want 4", inst.Congestion())
 	}
 	nw := newNet(g, true)
-	out, err := NewLayeredSolver(5).Solve(nw, inst, Min)
+	out, err := LayeredSolver{Seed: 5}.Solve(nw, inst, Min)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +367,7 @@ func TestLayeredSubNetworkRunsFaultFree(t *testing.T) {
 	run := func(plan *faultinject.Plan) ([]congest.Word, *simtrace.InMemory, *congest.Network) {
 		tr := simtrace.NewInMemory()
 		nw := congest.NewNetwork(g, congest.Options{Seed: 1, Supported: true, Trace: tr, Faults: plan})
-		out, err := NewLayeredSolver(5).Solve(nw, inst, Min)
+		out, err := LayeredSolver{Seed: 5}.Solve(nw, inst, Min)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,8 +407,7 @@ func TestSolveOneCongestedWholeGraph(t *testing.T) {
 		all[i] = i
 	}
 	out, sc, err := SolveOneCongested(nw, [][]graph.NodeID{all},
-		func(_ int, v graph.NodeID) congest.Word { return 1 }, Sum,
-		shortcut.DefaultPortfolio())
+		func(_ int, v graph.NodeID) congest.Word { return 1 }, Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +445,7 @@ func TestSolversAgreeProperty(t *testing.T) {
 			inst.Values = append(inst.Values, vals)
 		}
 		want := inst.Expected(Sum)
-		for _, solver := range []Solver{NaiveGlobalSolver{}, NewShortcutSolver(), NewLayeredSolver(seed)} {
+		for _, solver := range []Solver{NaiveGlobalSolver{}, ShortcutSolver{}, LayeredSolver{Seed: seed}} {
 			nw := newNet(g, true)
 			out, err := solver.Solve(nw, inst, Sum)
 			if err != nil {
@@ -445,7 +472,7 @@ func TestLayeredCongestedProperty(t *testing.T) {
 		g := graph.Grid(4, 4)
 		inst := RandomCongestedInstance(g, p, 3, seed)
 		nw := newNet(g, true)
-		out, err := NewLayeredSolver(seed).Solve(nw, inst, Min)
+		out, err := LayeredSolver{Seed: seed}.Solve(nw, inst, Min)
 		if err != nil {
 			return false
 		}

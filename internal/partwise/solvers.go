@@ -24,8 +24,11 @@ func chargeConstruction(nw *congest.Network, s *shortcut.Shortcut) {
 	nw.ChargeRounds(d + s.Quality())
 }
 
+// portfolio builds every shortcut the part-wise solvers use.
+var portfolio = shortcut.DefaultPortfolio()
+
 // SolveOneCongested is the Proposition 6 engine shared by every solver:
-// build a shortcut for the parts, take a BFS tree of each augmented part
+// build a shortcut for the parts with the default portfolio, take a BFS tree of each augmented part
 // G[P_i ∪ V(H_i)] (the subgraph induced on the part plus the endpoints of
 // its extra edges, which contains G[P_i] ∪ H_i), and run a concurrent
 // convergecast+broadcast over all trees.
@@ -37,12 +40,11 @@ func SolveOneCongested(
 	parts [][]graph.NodeID,
 	val func(i int, v graph.NodeID) congest.Word,
 	spec AggSpec,
-	builder shortcut.Builder,
 ) ([]congest.Word, *shortcut.Shortcut, error) {
 	g := nw.Graph()
 	tr := nw.Trace()
 	tr.Begin("shortcut-build")
-	sc, err := builder.Build(g, parts)
+	sc, err := portfolio.Build(g, parts)
 	if err != nil {
 		tr.End("shortcut-build")
 		return nil, nil, fmt.Errorf("partwise: build shortcut: %w", err)
@@ -116,23 +118,17 @@ func (NaiveGlobalSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec
 	}
 	nw.Trace().Begin("pwa-naive")
 	defer nw.Trace().End("pwa-naive")
-	var tree *graph.Tree
+	var global *graph.PartTree
 	if nw.Supported() {
-		tree = graph.BFSTree(g, 0)
+		global = graph.BFSTree(g, 0)
 	} else {
-		res := nw.BFS(0) // pays O(D) rounds
-		tree = &graph.Tree{
-			Root: 0, Parent: res.Parent, ParentEdge: res.ParentEdge,
-			Depth: res.Dist, Members: res.Order,
-		}
+		global = nw.BFS(0).Tree() // pays O(D) rounds
 	}
-	if len(tree.Members) != g.N() {
+	if len(global.Members) != g.N() {
 		return nil, fmt.Errorf("partwise: graph disconnected")
 	}
 	lut := inst.valueLookup()
-	// One member-local tree repeated per part: the set takes c = k from
-	// the repeat.
-	global := tree.Part()
+	// One tree repeated per part: the set takes c = k from the repeat.
 	trees := make([]*graph.PartTree, len(inst.Parts))
 	for i := range trees {
 		trees[i] = global
@@ -152,22 +148,15 @@ func (NaiveGlobalSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec
 // ShortcutSolver solves 1-congested instances via low-congestion shortcuts
 // (Proposition 6). It rejects congested instances; those belong to
 // LayeredSolver.
-type ShortcutSolver struct {
-	Builder shortcut.Builder
-}
+type ShortcutSolver struct{}
 
 var _ Solver = ShortcutSolver{}
 
-// NewShortcutSolver returns a ShortcutSolver with the default portfolio.
-func NewShortcutSolver() ShortcutSolver {
-	return ShortcutSolver{Builder: shortcut.DefaultPortfolio()}
-}
-
 // Name implements Solver.
-func (s ShortcutSolver) Name() string { return "shortcut" }
+func (ShortcutSolver) Name() string { return "shortcut" }
 
 // Solve implements Solver.
-func (s ShortcutSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) ([]congest.Word, error) {
+func (ShortcutSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) ([]congest.Word, error) {
 	if err := inst.Validate(nw.Graph()); err != nil {
 		return nil, err
 	}
@@ -177,6 +166,6 @@ func (s ShortcutSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec)
 	lut := inst.valueLookup()
 	out, _, err := SolveOneCongested(nw, inst.Parts,
 		func(i int, v graph.NodeID) congest.Word { return lut[i][v] },
-		spec, s.Builder)
+		spec)
 	return out, err
 }

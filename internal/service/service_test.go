@@ -280,3 +280,16 @@ func TestCacheLRUOrder(t *testing.T) {
 		t.Fatal("a was evicted despite being recently used")
 	}
 }
+
+// TestSelfTest runs the daemon smoke test on a fresh server, then again on
+// the same server, whose counters no longer start from zero, so the metric
+// identities must fail.
+func TestSelfTest(t *testing.T) {
+	srv := New(Config{})
+	if err := srv.SelfTest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SelfTest(); err == nil {
+		t.Fatal("a second self-test on the same server passed; its identities count from zero")
+	}
+}

@@ -37,34 +37,23 @@ func (TrivialBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, 
 // between members). Dilation is then at most 2·height(T) ≤ 2D̃, and the
 // congestion on each tree edge is the number of parts whose Steiner subtree
 // crosses it, which the certificate measures exactly.
-type SteinerBuilder struct {
-	// Root overrides the tree root; -1 (or zero value via NewSteinerBuilder)
-	// selects a double-sweep center heuristic.
-	Root graph.NodeID
-}
+type SteinerBuilder struct{}
 
 var _ Builder = SteinerBuilder{}
-
-// NewSteinerBuilder returns a SteinerBuilder with automatic root selection.
-func NewSteinerBuilder() SteinerBuilder { return SteinerBuilder{Root: -1} }
 
 // Name implements Builder.
 func (SteinerBuilder) Name() string { return "steiner-tree" }
 
 // Build implements Builder.
-func (b SteinerBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
+func (SteinerBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
 	if err := ValidateParts(g, parts); err != nil {
 		return nil, err
 	}
-	root := b.Root
-	if root < 0 || root >= g.N() {
-		root = centerHeuristic(g)
-	}
-	bfs := graph.BFSTree(g, root)
-	if len(bfs.Members) != g.N() {
+	root := graph.ApproxCenter(g)
+	tree := graph.BFSTree(g, root)
+	if len(tree.Members) != g.N() {
 		return nil, fmt.Errorf("shortcut: graph disconnected from root %d", root)
 	}
-	tree := bfs.Part()
 	pos := make([]int32, g.N())
 	tree.IndexInto(pos)
 	s := &Shortcut{
@@ -154,9 +143,6 @@ func steinerSubtreeEdges(tree *graph.PartTree, pos []int32, terminals []graph.No
 	return edges
 }
 
-// centerHeuristic returns a low-eccentricity node (see graph.ApproxCenter).
-func centerHeuristic(g *graph.Graph) graph.NodeID { return graph.ApproxCenter(g) }
-
 // PortfolioBuilder runs every inner builder and keeps the best (smallest
 // quality) verified shortcut. Its achieved quality is the repository's
 // empirical upper bound on the instance's shortcut quality.
@@ -169,7 +155,7 @@ var _ Builder = PortfolioBuilder{}
 // DefaultPortfolio returns the fast portfolio (trivial + Steiner-tree),
 // used on the hot path of the part-wise aggregation solvers.
 func DefaultPortfolio() PortfolioBuilder {
-	return PortfolioBuilder{Builders: []Builder{TrivialBuilder{}, NewSteinerBuilder()}}
+	return PortfolioBuilder{Builders: []Builder{TrivialBuilder{}, SteinerBuilder{}}}
 }
 
 // WidePortfolio additionally runs the multi-scale region construction —
@@ -177,7 +163,7 @@ func DefaultPortfolio() PortfolioBuilder {
 // shortcut-quality estimator.
 func WidePortfolio() PortfolioBuilder {
 	return PortfolioBuilder{Builders: []Builder{
-		TrivialBuilder{}, NewSteinerBuilder(), NewRegionBuilder(),
+		TrivialBuilder{}, SteinerBuilder{}, RegionBuilder{},
 	}}
 }
 

@@ -65,7 +65,7 @@ func CandidatePartitions(g *graph.Graph, seed int64) []PartitionGen {
 			gens = append(gens, PartitionGen{Name: "tree-" + strconv.Itoa(k), Parts: parts})
 		}
 	}
-	if parts := LayerPartition(g, centerHeuristic(g)); len(parts) > 1 {
+	if parts := LayerPartition(g, graph.ApproxCenter(g)); len(parts) > 1 {
 		gens = append(gens, PartitionGen{Name: "layers", Parts: parts})
 	}
 	if parts := RandomConnectedPartition(g, rt, seed); len(parts) > 1 {
@@ -114,23 +114,19 @@ func TreePartition(g *graph.Graph, k int) [][]graph.NodeID {
 	if len(tr.Members) != n {
 		return nil // disconnected
 	}
-	children := tr.Children()
 	var parts [][]graph.NodeID
-	// bucket[v] collects v's residual subtree nodes not yet emitted.
+	// bucket[i] collects member i's residual subtree nodes not yet emitted.
 	bucket := make([][]graph.NodeID, n)
-	// Iterate members in reverse BFS order = children before parents.
-	for i := len(tr.Members) - 1; i >= 0; i-- {
-		v := tr.Members[i]
-		acc := []graph.NodeID{v}
-		for _, c := range children[v] {
-			acc = append(acc, bucket[c]...)
-			bucket[c] = nil
-		}
-		if len(acc) >= target || v == tr.Root {
+	// Iterate members in reverse BFS order = children before parents, and
+	// fold each unemitted bucket into its parent's.
+	for i := n - 1; i >= 0; i-- {
+		acc := append(bucket[i], tr.Members[i])
+		if len(acc) >= target || i == 0 {
 			sort.Ints(acc)
 			parts = append(parts, acc)
 		} else {
-			bucket[v] = acc
+			p := tr.Parent[i]
+			bucket[p] = append(bucket[p], acc...)
 		}
 	}
 	return parts

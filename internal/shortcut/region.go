@@ -16,15 +16,12 @@ import (
 // get small-region trees (dilation ~ region diameter instead of graph
 // diameter), and parts in disjoint regions never share shortcut edges —
 // the measured congestion/dilation certificates quantify the gain.
-type RegionBuilder struct {
-	// MinRegion stops the recursion below this many nodes (default 8).
-	MinRegion int
-}
+type RegionBuilder struct{}
 
 var _ Builder = RegionBuilder{}
 
-// NewRegionBuilder returns a RegionBuilder with defaults.
-func NewRegionBuilder() RegionBuilder { return RegionBuilder{MinRegion: 8} }
+// minRegionSize stops Build's region recursion below this many nodes.
+const minRegionSize = 8
 
 // Name implements Builder.
 func (RegionBuilder) Name() string { return "region" }
@@ -37,16 +34,12 @@ type region struct {
 }
 
 // Build implements Builder.
-func (b RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
+func (RegionBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
 	var sub graph.Induced // one kernel for every part and region
 	if err := validateParts(&sub, g, parts); err != nil {
 		return nil, err
 	}
-	minRegion := b.MinRegion
-	if minRegion < 2 {
-		minRegion = 8
-	}
-	regions, leafOf, err := buildRegionHierarchy(&sub, g, minRegion)
+	regions, leafOf, err := buildRegionHierarchy(&sub, g, minRegionSize)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestRegionBuilderGridRows(t *testing.T) {
 	g := graph.Grid(8, 8)
-	s, err := NewRegionBuilder().Build(g, gridRows(8, 8))
+	s, err := RegionBuilder{}.Build(g, gridRows(8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRegionBuilderMixedScales(t *testing.T) {
 		snake = append(snake, graph.GridID(10, 9, c))
 	}
 	parts = append(parts, snake)
-	s, err := NewRegionBuilder().Build(g, parts)
+	s, err := RegionBuilder{}.Build(g, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRegionBuilderProperty(t *testing.T) {
 		n := int(nn%40) + 8
 		g := graph.RandomConnected(n, n/2, 1, seed)
 		parts := TreePartition(g, 4)
-		s, err := NewRegionBuilder().Build(g, parts)
+		s, err := RegionBuilder{}.Build(g, parts)
 		if err != nil {
 			return false
 		}

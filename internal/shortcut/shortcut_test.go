@@ -96,7 +96,7 @@ func TestSteinerBuilderConnectsSplitParts(t *testing.T) {
 	g := graph.Caterpillar(8, 1) // spine 0..7, leaf of spine i is 8+i
 	// Part: the full spine (connected, diameter 7).
 	spine := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
-	s, err := NewSteinerBuilder().Build(g, [][]graph.NodeID{spine})
+	s, err := SteinerBuilder{}.Build(g, [][]graph.NodeID{spine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSteinerBuilderConnectsSplitParts(t *testing.T) {
 // bfsSteinerEdges returns the Steiner subtree edges of terminals in g's
 // BFS tree from node 0.
 func bfsSteinerEdges(g *graph.Graph, terminals []graph.NodeID) []graph.EdgeID {
-	tree := graph.BFSTree(g, 0).Part()
+	tree := graph.BFSTree(g, 0)
 	pos := make([]int32, g.N())
 	tree.IndexInto(pos)
 	return steinerSubtreeEdges(tree, pos, terminals)
@@ -147,7 +147,7 @@ func TestPortfolioPicksBest(t *testing.T) {
 		t.Fatal(err)
 	}
 	triv, _ := TrivialBuilder{}.Build(g, parts)
-	st, _ := NewSteinerBuilder().Build(g, parts)
+	st, _ := SteinerBuilder{}.Build(g, parts)
 	want := triv.Quality()
 	if st.Quality() < want {
 		want = st.Quality()
@@ -157,9 +157,11 @@ func TestPortfolioPicksBest(t *testing.T) {
 	}
 }
 
+// TestCenterHeuristic checks the root SteinerBuilder and CandidatePartitions
+// take, graph.ApproxCenter: on a path, the middle node.
 func TestCenterHeuristic(t *testing.T) {
 	g := graph.Path(9)
-	c := centerHeuristic(g)
+	c := graph.ApproxCenter(g)
 	if c != 4 {
 		t.Fatalf("center of path = %d, want 4", c)
 	}
@@ -250,7 +252,7 @@ func TestCandidatePartitionsValid(t *testing.T) {
 // shortcut whose quality is at least the max part diameter... at least 0,
 // and Verify agrees with the builder's own certificate.
 func TestBuilderCertificatesProperty(t *testing.T) {
-	builders := []Builder{TrivialBuilder{}, NewSteinerBuilder(), DefaultPortfolio()}
+	builders := []Builder{TrivialBuilder{}, SteinerBuilder{}, DefaultPortfolio()}
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%40) + 4
 		g := graph.RandomConnected(n, n/2, 1, seed)

@@ -119,7 +119,7 @@ func BenchmarkVerify(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := RandomConnectedPartition(lay.G, 24, 5)
-	s, err := NewSteinerBuilder().Build(lay.G, parts)
+	s, err := SteinerBuilder{}.Build(lay.G, parts)
 	if err != nil {
 		b.Fatal(err)
 	}

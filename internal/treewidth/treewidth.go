@@ -152,7 +152,7 @@ func Heuristic(g *graph.Graph) *Decomposition {
 	for v := 0; v < n; v++ {
 		adj[v] = make(map[graph.NodeID]bool)
 	}
-	for _, e := range g.Edges() {
+	for _, e := range g.EdgeList() {
 		adj[e.U][e.V] = true
 		adj[e.V][e.U] = true
 	}

@@ -180,7 +180,7 @@ func (sv *Solver) MinimumSpanningTree(g *Graph) (*MSTResult, error) {
 	nw := congest.NewNetwork(g, congest.Options{
 		Supported: true, Seed: sv.cfg.Seed, Trace: sv.cfg.Trace,
 	})
-	return apps.MST(nw, partwise.NewShortcutSolver())
+	return apps.MST(nw, partwise.ShortcutSolver{})
 }
 
 // AggregateResult reports a part-wise aggregation: the per-part aggregates
@@ -201,7 +201,7 @@ func (sv *Solver) AggregateParts(g *Graph, inst *PartwiseInstance, spec AggSpec)
 // Instance.AggregateParts: the layered-graph reduction on nw, seeded by
 // seed.
 func aggregateParts(nw *congest.Network, seed int64, inst *PartwiseInstance, spec AggSpec) (*AggregateResult, error) {
-	out, err := partwise.NewLayeredSolver(seed).Solve(nw, inst, spec)
+	out, err := partwise.LayeredSolver{Seed: seed}.Solve(nw, inst, spec)
 	if err != nil {
 		return nil, err
 	}
