@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet lint lint-json race test alloc-check bound-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check trace-check
+.PHONY: check build fmt-check vet lint lint-json race test alloc-check fuzz-smoke bound-check bench-module bench bench-smoke bench-compare bench-wall microbench trace-smoke folded-artifact daemon-smoke chaos-smoke snapshot-check trace-check
 
-check: build fmt-check vet lint test alloc-check bound-check bench-module microbench trace-smoke daemon-smoke chaos-smoke snapshot-check trace-check
+check: build fmt-check vet lint test alloc-check fuzz-smoke bound-check bench-module microbench trace-smoke daemon-smoke chaos-smoke snapshot-check trace-check
 
 build:
 	$(GO) build ./...
@@ -44,8 +44,9 @@ test:
 # Allocation-regression budgets for the pooled hot paths (PERFORMANCE.md):
 # steady-state Exchange at 0 allocs/round (reliable and under a drop-only
 # fault plan), AggregateMany at 1 alloc/call, UpDownMany at 0,
-# ncc.Deliver at 0 allocs/call (reliable and drop-only), a PCG iteration
-# within its fixed budget, and an induced-subgraph kernel sweep or
+# ncc.Deliver at 0 allocs/call (reliable and drop-only, on a dense and a
+# sparse batch), a PCG iteration within its fixed budget, graph.BFS at 5
+# on grid-400, and an induced-subgraph kernel sweep or
 # no-larger rebuild at 0 allocs; two cold-start budgets that hold
 # across graph sizes, a fresh network's first AggregateMany at 28 and
 # layered.New at 6; and a bytes budget of 32 KiB for compiling a
@@ -55,6 +56,15 @@ test:
 # same code for correctness.
 alloc-check:
 	$(GO) test -run 'Allocs' ./internal/graph ./internal/congest ./internal/layered ./internal/ncc ./internal/core
+
+# Fuzz smoke: a few seconds of coverage-guided fuzzing per native fuzz
+# target, on top of the committed seed corpus that `make test` replays.
+# FuzzLinkMatchesPlan holds the fault Link compiled per network to the
+# plan's own decisions (internal/faultinject). New inputs the fuzzer finds
+# stay in the Go build cache; a failing one is written under the
+# package's testdata/fuzz for the repro.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkMatchesPlan$$' -fuzztime 5s -parallel 2 ./internal/faultinject
 
 # Checked scheduling mode: built with -tags boundcheck, every reliable tree
 # sweep asserts max(h, c) <= rounds <= delta + c*h against its compiled

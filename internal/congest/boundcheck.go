@@ -16,7 +16,7 @@ import "fmt"
 // skipped: drops and stalls legitimately stretch them. Built only with
 // -tags boundcheck (make bound-check); a violation panics.
 func (nw *Network) checkSweep(what string, s *TreeSet, delays []int, rounds int) {
-	if nw.link.Plan != nil {
+	if nw.faulty() {
 		return
 	}
 	delta := 0

@@ -115,8 +115,9 @@ type Network struct {
 	quiet   bool   // collector is simtrace.Nop: skip per-event trace emission
 	engine  string // simtrace engine label for this network's charges
 
-	// Fault injection: the plan's bookkeeping (a zero Link with a nil plan
-	// on reliable networks) and the Exchange messages in delayed flight.
+	// Fault injection: the plan compiled against the graph (a zero Link
+	// until the first primitive under a plan, see faulty) and the Exchange
+	// messages in delayed flight.
 	link  faultinject.Link
 	stash []stashedDelivery
 
@@ -186,7 +187,6 @@ func NewNetwork(g *graph.Graph, opts Options) *Network {
 		trace:  tr,
 		quiet:  quiet,
 		engine: engine,
-		link:   faultinject.Link{Plan: opts.Faults, Trace: tr},
 	}
 }
 
@@ -296,9 +296,9 @@ func (nw *Network) Exchange(
 	recv func(v graph.NodeID, h graph.Half, w Word),
 ) {
 	nw.checkCancel()
-	faults := nw.link.Plan
+	faulty := nw.faulty()
 	round := nw.metrics.Rounds + 1
-	if faults != nil {
+	if faulty {
 		// Note the round's crashed senders before resolving any fate, so
 		// crash records precede the fault records of the sends around them.
 		for v := 0; v < nw.g.N(); v++ {
@@ -311,7 +311,7 @@ func (nw *Network) Exchange(
 	deliveries := nw.scr.deliveries[:0]
 	nw.scr.deliveries = nil
 	for v := 0; v < nw.g.N(); v++ {
-		if faults != nil && faults.Crashed(v, round) {
+		if faulty && nw.link.Crashed(v, round) {
 			continue // crash-stop: the node computes and sends nothing
 		}
 		for _, h := range nw.g.Neighbors(v) {
@@ -323,7 +323,7 @@ func (nw *Network) Exchange(
 				de: dirEdge(nw.g, h.Edge, v),
 				d:  delivery{to: h.To, half: graph.Half{To: v, Edge: h.Edge}, w: w},
 			}
-			if faults != nil {
+			if faulty {
 				deliveries = nw.transmit(round, tx, deliveries)
 				continue
 			}

@@ -23,6 +23,17 @@ type FaultStats = faultinject.Stats
 // networks).
 func (nw *Network) FaultStats() FaultStats { return nw.link.Stats() }
 
+// faulty reports whether the network runs under a fault plan. Every
+// primitive asks it before its first decision; the first call that finds a
+// plan compiles it against the graph, so building a network does no fault
+// work and a reliable one never builds a table.
+func (nw *Network) faulty() bool {
+	if nw.opts.Faults != nil && !nw.link.Faulty() {
+		nw.link = faultinject.NewLink(nw.opts.Faults, nw.trace, nw.g.N(), nw.g.M())
+	}
+	return nw.opts.Faults != nil
+}
+
 // stashedDelivery is an Exchange message in delayed flight: it matures at
 // the first Exchange whose global round reaches due, arriving stale at
 // whatever handler that round runs (exactly the hazard delayed packets
@@ -86,7 +97,7 @@ func (nw *Network) deliverMatured(round int, recv func(v graph.NodeID, h graph.H
 			kept = append(kept, sd)
 			continue
 		}
-		if nw.link.Plan.Crashed(sd.d.to, round) {
+		if nw.link.Crashed(sd.d.to, round) {
 			nw.link.CrashDrop(1)
 			continue
 		}

@@ -223,8 +223,8 @@ func (s *treeSched) step(deliver func(id int32, w Word)) bool {
 	if set.n == 0 {
 		return false
 	}
-	faults := nw.link.Plan
-	if faults != nil && s.round >= s.faultRoundCap() {
+	faulty := nw.faulty()
+	if faulty && s.round >= s.faultRoundCap() {
 		// A fault plan can starve completeness (every remaining send
 		// perpetually delayed); abandon the schedule so the primitives'
 		// completeness checks report the failure instead of spinning.
@@ -250,7 +250,7 @@ func (s *treeSched) step(deliver func(id int32, w Word)) bool {
 						continue
 					}
 					o := faultinject.Outcome{} // a reliable link delivers
-					if faults != nil {
+					if faulty {
 						from, to := nw.ends(de)
 						if nw.link.SenderDown(from, round) {
 							// Every send queued on this edge is from the dead node

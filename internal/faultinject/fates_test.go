@@ -162,11 +162,11 @@ func TestFateByEngine(t *testing.T) {
 		{"drop", exchange, fateRun{charged: 2, delivered: 1, rounds: 3, stats: drop}},
 		{"drop", tree, fateRun{charged: 3, delivered: 1, rounds: 3, stats: drop}},
 		{"drop", clq, fateRun{charged: 1, delivered: 1, rounds: 2, stats: drop}},
-		// A duplicate is charged twice. Exchange and the tree scheduler's
-		// consumers take it once; the clique hands both copies over.
+		// A duplicate is charged twice, and every engine's receiver takes
+		// it once.
 		{"dup", exchange, fateRun{charged: 2, delivered: 1, rounds: 2, stats: dup}},
 		{"dup", tree, fateRun{charged: 3, delivered: 1, rounds: 2, stats: dup}},
-		{"dup", clq, fateRun{charged: 2, delivered: 2, rounds: 1, stats: dup}},
+		{"dup", clq, fateRun{charged: 2, delivered: 1, rounds: 1, stats: dup}},
 		// Exchange charges a delayed word and stashes it until a later
 		// exchange, where it arrives stale; the tree scheduler and the
 		// clique charge nothing and offer the send again after the delay.

@@ -149,12 +149,15 @@ func (s *Stats) Add(other Stats) {
 
 // Plan is a compiled fault spec. It is stateless and safe for concurrent
 // use; engines may share one plan across requests (decisions depend only on
-// round and identity arguments).
+// round and identity arguments). An engine consults it through a Link
+// compiled against its network (link.go); Crashed, Link and Clique are the
+// reference definitions of the decisions the Link tabulates.
 type Plan struct {
 	spec          Spec
 	maxDelay      int
 	crashWindow   int
 	flakyDropProb float64
+	lossy         bool // DropProb, DupProb or DelayProb is set
 }
 
 // New validates a spec and returns its plan. A spec with no enabled fault
@@ -193,6 +196,7 @@ func New(spec Spec) (*Plan, error) {
 		maxDelay:      spec.MaxDelay,
 		crashWindow:   spec.CrashWindow,
 		flakyDropProb: spec.FlakyDropProb,
+		lossy:         spec.DropProb > 0 || spec.DupProb > 0 || spec.DelayProb > 0,
 	}
 	if p.maxDelay == 0 {
 		p.maxDelay = 3
@@ -236,22 +240,38 @@ var (
 // second argument through an independent avalanche, so decision families
 // never share variates.
 func (p *Plan) u(kind seedderive.Phase, a, b int64) float64 {
-	h := phaseSecond.Derive(kind.Derive(p.spec.Seed, a), b)
-	return float64(uint64(h)>>11) / (1 << 53)
+	return unit(p.key(kind, a).At(b))
 }
+
+// key is the half of u(kind, a, ·) that does not depend on b. A Link keys
+// each round once and finishes one variate per send.
+func (p *Plan) key(kind seedderive.Phase, a int64) seedderive.Key {
+	return phaseSecond.Key(kind.Derive(p.spec.Seed, a))
+}
+
+// unit maps a derived hash onto [0, 1) with 53 bits of precision.
+func unit(h int64) float64 { return float64(uint64(h)>>11) / (1 << 53) }
 
 // Crashed reports whether node v has crash-stopped by the given round
 // (1-based engine rounds). Crash-stop is permanent: once true for a round,
 // it is true for every later round.
+//
+//distlint:allow testonly reference definition of the crash decision that FuzzLinkMatchesPlan holds the compiled Link to
 func (p *Plan) Crashed(v int, round int) bool {
 	if p == nil || p.spec.CrashProb == 0 {
 		return false
 	}
+	c := p.crashRound(v)
+	return c != 0 && round >= c
+}
+
+// crashRound returns the round from which node v is crash-stopped, or 0 if
+// it never crashes. The plan must enable crashes.
+func (p *Plan) crashRound(v int) int {
 	if p.u(kindCrash, int64(v), 0) >= p.spec.CrashProb {
-		return false
+		return 0
 	}
-	crashRound := 1 + int(p.u(kindCrashRound, int64(v), 0)*float64(p.crashWindow))
-	return round >= crashRound
+	return 1 + int(p.u(kindCrashRound, int64(v), 0)*float64(p.crashWindow))
 }
 
 // FlakyLink reports whether undirected edge id is flaky under the plan.
@@ -264,6 +284,8 @@ func (p *Plan) FlakyLink(edge int) bool {
 
 // Link decides the fate of one message crossing directed edge de (encoded
 // as 2*edge+direction, the congest engine's convention) at the given round.
+//
+//distlint:allow testonly reference definition of the link decision that FuzzLinkMatchesPlan holds the compiled Link to
 func (p *Plan) Link(round, de int) Verdict {
 	if p == nil {
 		return deliver
@@ -276,36 +298,50 @@ func (p *Plan) Link(round, de int) Verdict {
 
 // Clique decides the fate of one clique message from → to at the given
 // round (the NCC engine has no edge identity; flaky links do not apply).
+//
+//distlint:allow testonly reference definition of the clique decision that FuzzLinkMatchesPlan holds the compiled Link to
 func (p *Plan) Clique(round, from, to int) Verdict {
 	if p == nil {
 		return deliver
 	}
-	key := int64(from)<<32 | int64(uint32(to))
-	return p.fate(kindClique, kindCliqueDelay, int64(round), key)
+	return p.fate(kindClique, kindCliqueDelay, int64(round), cliqueKey(from, to))
 }
+
+// cliqueKey packs a clique message's endpoints into its decision index.
+func cliqueKey(from, to int) int64 { return int64(from)<<32 | int64(uint32(to)) }
 
 // fate partitions one uniform variate into the drop/dup/delay/deliver
 // bands and draws the delay magnitude from an independent variate.
 func (p *Plan) fate(kind, delayKind seedderive.Phase, a, b int64) Verdict {
-	s := &p.spec
-	if s.DropProb == 0 && s.DupProb == 0 && s.DelayProb == 0 {
+	if !p.lossy {
 		return deliver
 	}
-	x := p.u(kind, a, b)
+	v := Verdict{Fate: p.band(p.u(kind, a, b))}
+	if v.Fate == FateDelay {
+		v.Delay = p.delay(p.u(delayKind, a, b))
+	}
+	return v
+}
+
+// band maps a fate variate onto the drop, dup, delay and deliver bands,
+// in that order.
+func (p *Plan) band(x float64) Fate {
+	s := &p.spec
 	if x < s.DropProb {
-		return Verdict{Fate: FateDrop}
+		return FateDrop
 	}
 	x -= s.DropProb
 	if x < s.DupProb {
-		return Verdict{Fate: FateDup}
+		return FateDup
 	}
 	x -= s.DupProb
 	if x < s.DelayProb {
-		d := 1 + int(p.u(delayKind, a, b)*float64(p.maxDelay))
-		if d > p.maxDelay {
-			d = p.maxDelay
-		}
-		return Verdict{Fate: FateDelay, Delay: d}
+		return FateDelay
 	}
-	return deliver
+	return FateDeliver
+}
+
+// delay maps a delay variate onto [1, maxDelay] rounds.
+func (p *Plan) delay(y float64) int {
+	return min(1+int(y*float64(p.maxDelay)), p.maxDelay)
 }

@@ -60,3 +60,13 @@ func TestInducedRebuildAllocs(t *testing.T) {
 		t.Fatalf("rebuild allocates %.1f per call, want 0", a)
 	}
 }
+
+// TestBFSAllocs pins a search at five allocations: the result and its four
+// node-sized arrays. The visit order doubles as the FIFO queue, so no
+// queue grows beside it.
+func TestBFSAllocs(t *testing.T) {
+	g := Grid(20, 20)
+	if a := testing.AllocsPerRun(20, func() { BFS(g, 0) }); a > 5 {
+		t.Fatalf("BFS on grid-400 allocates %.1f per call, want at most 5", a)
+	}
+}

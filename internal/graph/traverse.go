@@ -34,17 +34,17 @@ func bfs(adj [][]Half, root NodeID) *BFSResult {
 		res.ParentEdge[i] = -1
 	}
 	res.Dist[root] = 0
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		res.Order = append(res.Order, v)
+	// Order is the FIFO queue: a node joins it when discovered, and the
+	// scan pops by index, so no queue is kept beside it.
+	res.Order = append(res.Order, root)
+	for i := 0; i < len(res.Order); i++ {
+		v := res.Order[i]
 		for _, h := range adj[v] {
 			if res.Dist[h.To] == -1 {
 				res.Dist[h.To] = res.Dist[v] + 1
 				res.Parent[h.To] = v
 				res.ParentEdge[h.To] = h.Edge
-				queue = append(queue, h.To)
+				res.Order = append(res.Order, h.To)
 			}
 		}
 	}

@@ -2,11 +2,13 @@ package ncc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"distlap/internal/congest"
 	"distlap/internal/faultinject"
 	"distlap/internal/graph"
+	"distlap/internal/simtrace"
 )
 
 func cliqueMsgs(n int) []Message {
@@ -110,20 +112,43 @@ func TestFaultyDeliverNeverHangs(t *testing.T) {
 	}
 }
 
-func TestFaultyDeliverDupDeliversTwice(t *testing.T) {
-	nw := NewNetwork(6)
+// wordLog records the clique's node-word charges in emission order.
+type wordLog struct {
+	simtrace.Nop
+	pairs [][2]int
+}
+
+func (l *wordLog) NodeWords(_ string, from, to int, n int64) {
+	for ; n > 0; n-- {
+		l.pairs = append(l.pairs, [2]int{from, to})
+	}
+}
+
+// TestFaultyDeliverDupChargesTwiceDeliversOnce pins the clique's duplicate:
+// both copies are charged, in Messages and as two adjacent node-word
+// records, and the receive callback takes the message once, as Exchange's
+// handler and the tree scheduler's consumers do.
+func TestFaultyDeliverDupChargesTwiceDeliversOnce(t *testing.T) {
+	log := &wordLog{}
+	nw := NewNetworkWith(6, log)
 	nw.SetFaults(faultinject.MustNew(faultinject.Spec{Seed: 4, DupProb: 1}))
-	count := map[graph.NodeID]int{}
-	if _, err := nw.Deliver(cliqueMsgs(6), func(m Message) { count[m.To]++ }); err != nil {
+	var got []Message
+	if _, err := nw.Deliver(cliqueMsgs(6), func(m Message) { got = append(got, m) }); err != nil {
 		t.Fatalf("dup deliver: %v", err)
 	}
-	for to, c := range count {
-		if c != 2 {
-			t.Fatalf("node %d received %d copies, want 2", to, c)
-		}
+	want := cliqueMsgs(6)
+	if !slices.Equal(got, want) {
+		t.Fatalf("received %v, want each message once: %v", got, want)
 	}
 	if nw.Messages() != 12 {
 		t.Fatalf("messages=%d, want 12 (both copies charged)", nw.Messages())
+	}
+	var pairs [][2]int
+	for _, m := range want {
+		pairs = append(pairs, [2]int{m.From, m.To}, [2]int{m.From, m.To})
+	}
+	if !slices.Equal(log.pairs, pairs) {
+		t.Fatalf("node-word records %v, want each message's two copies in turn: %v", log.pairs, pairs)
 	}
 }
 

@@ -16,6 +16,7 @@ package ncc
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"distlap/internal/congest"
 	"distlap/internal/faultinject"
@@ -39,6 +40,7 @@ type Network struct {
 	rounds   int
 	messages int64
 	trace    simtrace.Collector
+	quiet    bool // collector is simtrace.Nop: skip per-message trace emission
 	scr      nccScratch
 	link     faultinject.Link // fault bookkeeping; nil plan on reliable networks
 }
@@ -48,13 +50,17 @@ type Network struct {
 // use disjoint field families (Aggregate calls Deliver while holding its
 // own buffers), and each stamped array has its own epoch counter.
 type nccScratch struct {
-	// Deliver: sender-major message arena (qStart/qLen index per-sender
-	// FIFO regions), the per-round delivered batch, and epoch-stamped
-	// per-receiver load counts.
+	// Deliver: the batch's distinct senders in ascending order, a
+	// sender-major message arena (qStart/qLen index per-sender FIFO
+	// regions; qLen is all-zero between calls), the per-round delivered
+	// batch with the positions of its duplicates' spare copies, and
+	// epoch-stamped per-receiver load counts.
+	senders   []int32
 	qStart    []int32
 	qLen      []int32
 	arena     []Message
 	delivered []Message
+	spare     []int32
 	recvLoad  []int32
 	recvStamp []uint32
 	recvEpoch uint32
@@ -99,14 +105,17 @@ func NewNetwork(n int) *Network {
 // scheduling or the metrics.
 func NewNetworkWith(n int, tr simtrace.Collector) *Network {
 	tr = simtrace.OrNop(tr)
-	return &Network{n: n, cap: log2ceil(n), trace: tr, link: faultinject.Link{Trace: tr}}
+	_, quiet := tr.(simtrace.Nop)
+	return &Network{n: n, cap: log2ceil(n), trace: tr, quiet: quiet}
 }
 
 // SetFaults attaches a deterministic fault plan (nil = reliable). Set it
 // before the first Deliver; decisions are pure functions of (plan seed,
 // round, sender, receiver), so a faulty clique run replays byte-identically
 // (DESIGN.md §9).
-func (nw *Network) SetFaults(p *faultinject.Plan) { nw.link.Plan = p }
+func (nw *Network) SetFaults(p *faultinject.Plan) {
+	nw.link = faultinject.NewLink(p, nw.trace, nw.n, 0)
+}
 
 // FaultStats returns the faults injected so far (zero on reliable
 // networks).
@@ -126,16 +135,18 @@ func (nw *Network) Messages() int64 { return nw.messages }
 // invokes recv for each delivery in delivery order. Because the scheduler
 // never oversubscribes a receiver, no messages are dropped; the measured
 // rounds are what an actual NCC execution with this schedule would take.
-// Returns the number of rounds consumed.
+// Returns the number of rounds consumed. The work is linear in the batch
+// and its rounds: only the senders the batch names are bucketed and
+// scanned, never all n nodes.
 //
 // Under a fault plan (SetFaults) the same schedule applies each offered
 // message's fate. A drop uses a send slot, is not counted in Messages and
 // is retried from its FIFO slot next round; a duplicate uses one receive
-// slot and is delivered twice; a delay uses no slot and is offered again
-// next round with a fresh draw; a message to a crashed receiver uses a
-// send slot and is lost; a crashed sender's whole backlog dies. A faulty
-// schedule can starve, so after 64 + 16·len(msgs) rounds it fails with
-// ErrFaultBudget: it degrades loudly, it never hangs.
+// slot, is counted twice and is handed to recv once; a delay uses no slot
+// and is offered again next round with a fresh draw; a message to a
+// crashed receiver uses a send slot and is lost; a crashed sender's whole
+// backlog dies. A faulty schedule can starve, so after 64 + 16·len(msgs)
+// rounds it fails with ErrFaultBudget: it degrades loudly, it never hangs.
 func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 	for _, m := range msgs {
 		if m.From < 0 || m.From >= nw.n || m.To < 0 || m.To >= nw.n {
@@ -143,43 +154,51 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 				graph.ErrNodeRange, m.From, m.To, nw.n)
 		}
 	}
-	// Bucket messages sender-major into the pooled arena: count, prefix-sum,
-	// fill in input order. Scanning senders 0..n−1 with FIFO region order is
-	// exactly the sorted-sender, FIFO-per-sender schedule of the historical
-	// map-based implementation, so delivery order — and with it every charge
-	// — is unchanged. The borrowed buffers are parked (nil) while recv
-	// callbacks run so a reentrant Deliver cannot corrupt them.
+	// Bucket messages sender-major into the pooled arena: count while
+	// listing each sender once, sort the senders, prefix-sum their regions,
+	// fill in input order. Scanning the sorted senders with FIFO region
+	// order is exactly the sorted-sender, FIFO-per-sender schedule of the
+	// historical map-based implementation, so delivery order — and with it
+	// every charge — is unchanged. The borrowed buffers are parked (nil)
+	// while recv callbacks run so a reentrant Deliver cannot corrupt them,
+	// and every backlog a failed schedule leaves is cleared on the way out.
 	s := &nw.scr
-	qStart := grown(s.qStart, nw.n+1)
+	senders := grown(s.senders, nw.n)[:0]
+	qStart := grown(s.qStart, nw.n)
 	qLen := grown(s.qLen, nw.n)
 	arena := grown(s.arena, len(msgs))
-	delivered := s.delivered[:0]
-	s.qStart, s.qLen, s.arena, s.delivered = nil, nil, nil, nil
+	delivered, spare := s.delivered[:0], s.spare[:0]
+	s.senders, s.qStart, s.qLen, s.arena, s.delivered, s.spare = nil, nil, nil, nil, nil, nil
 	defer func() {
-		s.qStart, s.qLen, s.arena, s.delivered = qStart, qLen, arena, delivered
+		for _, v := range senders {
+			qLen[v] = 0
+		}
+		s.senders, s.qStart, s.qLen, s.arena, s.delivered, s.spare = senders[:0], qStart, qLen, arena, delivered, spare
 	}()
-	for i := range qLen {
-		qLen[i] = 0
-	}
 	for _, m := range msgs {
+		if qLen[m.From] == 0 {
+			senders = append(senders, int32(m.From))
+		}
 		qLen[m.From]++
 	}
-	qStart[0] = 0
-	for v := 0; v < nw.n; v++ {
-		qStart[v+1] = qStart[v] + qLen[v]
+	slices.Sort(senders)
+	off := int32(0)
+	for _, v := range senders {
+		qStart[v] = off
+		off += qLen[v]
 	}
-	{
-		fill := qLen // reuse as fill cursors; restored to lengths below
-		for i := range fill {
-			fill[i] = 0
-		}
-		for _, m := range msgs {
-			arena[qStart[m.From]+fill[m.From]] = m
-			fill[m.From]++
-		}
+	for _, m := range msgs { // qStart advances as a fill cursor, then rewinds
+		arena[qStart[m.From]] = m
+		qStart[m.From]++
 	}
+	for _, v := range senders {
+		qStart[v] -= qLen[v]
+	}
+	recvLoad := grown(s.recvLoad, nw.n)
+	recvStamp := grown(s.recvStamp, nw.n)
+	s.recvLoad, s.recvStamp = recvLoad, recvStamp
 	nw.trace.Counter("ncc.sends", int64(len(msgs)))
-	faults := nw.link.Plan
+	faulty := nw.link.Faulty()
 	budget := 64 + 16*len(msgs)
 	remaining := len(msgs)
 	used := 0
@@ -187,28 +206,24 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 	// busy sender (the caps are ≥ 1), so a reliable schedule always
 	// progresses and a faulty one ends by its budget.
 	for remaining > 0 {
-		if faults != nil && used >= budget {
+		if faulty && used >= budget {
 			return used, ErrFaultBudget
 		}
 		used++
 		round := nw.rounds + 1 // absolute NCC round in progress
-		s.recvLoad = grown(s.recvLoad, nw.n)
-		s.recvStamp = grown(s.recvStamp, nw.n)
 		s.recvEpoch++
 		if s.recvEpoch == 0 {
-			for i := range s.recvStamp {
-				s.recvStamp[i] = 0
+			for i := range recvStamp {
+				recvStamp[i] = 0
 			}
 			s.recvEpoch = 1
 		}
 		epoch := s.recvEpoch
-		delivered = delivered[:0]
-		for v := 0; v < nw.n; v++ {
+		delivered, spare = delivered[:0], spare[:0]
+		busy := senders[:0] // the senders still queued after this round, in order
+		for _, v := range senders {
 			l := qLen[v]
-			if l == 0 {
-				continue
-			}
-			if faults != nil && nw.link.SenderDown(v, round) {
+			if faulty && nw.link.SenderDown(int(v), round) {
 				// Sender crash-stopped: its whole backlog dies unsent.
 				nw.link.CrashDrop(int(l))
 				remaining -= int(l)
@@ -219,23 +234,26 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 			sent := int32(0)
 			kept := int32(0)
 			for _, m := range q {
-				if s.recvStamp[m.To] != epoch {
-					s.recvStamp[m.To] = epoch
-					s.recvLoad[m.To] = 0
+				if recvStamp[m.To] != epoch {
+					recvStamp[m.To] = epoch
+					recvLoad[m.To] = 0
 				}
-				if int(sent) >= nw.cap || int(s.recvLoad[m.To]) >= nw.cap {
+				if int(sent) >= nw.cap || int(recvLoad[m.To]) >= nw.cap {
 					q[kept] = m
 					kept++
 					continue
 				}
-				if faults != nil {
+				if faulty {
 					// A fault diverts the message; a plain or duplicated
 					// delivery takes the one deliver step below.
 					o := nw.link.Clique(round, m.From, m.To)
 					nw.link.Record(o)
 					switch o.Action {
 					case faultinject.DeliverTwice:
-						delivered = append(delivered, m) // the copy shares the receive slot below
+						// The spare copy is charged and shares the receive
+						// slot below; recv takes the message once.
+						spare = append(spare, int32(len(delivered)))
+						delivered = append(delivered, m)
 					case faultinject.Lost:
 						sent++
 						remaining--
@@ -249,15 +267,19 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 						continue
 					}
 				}
-				s.recvLoad[m.To]++
+				recvLoad[m.To]++
 				sent++
 				remaining--
 				delivered = append(delivered, m)
 			}
 			qLen[v] = kept
+			if kept > 0 {
+				busy = append(busy, v)
+			}
 		}
+		senders = busy
 		nw.messages += int64(len(delivered))
-		if len(delivered) > 0 {
+		if len(delivered) > 0 && !nw.quiet {
 			nw.trace.Messages(simtrace.EngineNCC, simtrace.NoEdge, int64(len(delivered)))
 			for _, m := range delivered {
 				nw.trace.NodeWords(simtrace.EngineNCC, m.From, m.To, 1)
@@ -272,7 +294,12 @@ func (nw *Network) Deliver(msgs []Message, recv func(Message)) (int, error) {
 			// receive cap, or by a fault: the scheduler's congestion signal.
 			nw.trace.Counter("ncc.overloads", int64(remaining))
 		}
-		for _, m := range delivered {
+		next := 0 // index into spare of the next copy to skip
+		for i, m := range delivered {
+			if next < len(spare) && int(spare[next]) == i {
+				next++
+				continue
+			}
 			recv(m)
 		}
 	}

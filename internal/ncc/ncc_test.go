@@ -201,11 +201,42 @@ func fanMsgs(n, k int) []Message {
 	return msgs
 }
 
+// levelMsgs is one level of Aggregate's upward tournament over members
+// 0..n−1: every member j ≡ stride (mod 2·stride) sends to j − stride, so
+// only n/(2·stride) of the n nodes send.
+func levelMsgs(n, stride int) []Message {
+	var msgs []Message
+	for j := stride; j < n; j += 2 * stride {
+		msgs = append(msgs, Message{From: j, To: j - stride, Payload: congest.Word(j)})
+	}
+	return msgs
+}
+
 // BenchmarkDeliver times one reliable Deliver of 256 nodes × 8 messages on
 // a warmed network, the steady state of every NCC aggregation round.
 func BenchmarkDeliver(b *testing.B) {
 	nw := NewNetwork(256)
 	msgs := fanMsgs(nw.n, 8)
+	recv := func(Message) {}
+	if _, err := nw.Deliver(msgs, recv); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nw.Deliver(msgs, recv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeliverSparse times one reliable Deliver of a sparse batch on
+// a warmed 256-node network: the stride-8 level of the tournament, in
+// which 16 of the 256 nodes send one message each, the shape of an
+// aggregation's upper levels.
+func BenchmarkDeliverSparse(b *testing.B) {
+	nw := NewNetwork(256)
+	msgs := levelMsgs(nw.n, 8)
 	recv := func(Message) {}
 	if _, err := nw.Deliver(msgs, recv); err != nil {
 		b.Fatal(err)

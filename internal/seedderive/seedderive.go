@@ -35,9 +35,24 @@ func (p Phase) Derive(base int64, idx int64) int64 {
 	x := uint64(base)
 	x ^= uint64(p)
 	x = mix64(x)
-	x += uint64(idx) * 0x9E3779B97F4A7C15 // golden-ratio increment keeps consecutive idx far apart
+	x += uint64(idx) * golden // golden-ratio increment keeps consecutive idx far apart
 	return int64(mix64(x))
 }
+
+// Key is a phase keyed to a base seed: Derive split after its first
+// avalanche, for callers that draw many indices under one (phase, base)
+// pair. p.Key(base).At(idx) equals p.Derive(base, idx).
+type Key uint64
+
+// Key returns p keyed to base.
+func (p Phase) Key(base int64) Key { return Key(mix64(uint64(base) ^ uint64(p))) }
+
+// At returns the child seed for draw idx under the key: one SplitMix64
+// finish.
+func (k Key) At(idx int64) int64 { return int64(mix64(uint64(k) + uint64(idx)*golden)) }
+
+// golden is the 64-bit golden-ratio constant of SplitMix64's increment.
+const golden = 0x9E3779B97F4A7C15
 
 // fnv1a hashes the phase name (64-bit FNV-1a).
 func fnv1a(s string) uint64 {

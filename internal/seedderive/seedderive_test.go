@@ -69,3 +69,17 @@ func TestPhaseMatchesDerive(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyAtMatchesDerive pins that a keyed phase derives exactly what
+// Derive does, over random phases, bases and indices (fault links key
+// each round once and finish one variate per send).
+func TestKeyAtMatchesDerive(t *testing.T) {
+	rng := rand.New(rand.NewSource(Derive(0x5EED, "key-test", 0)))
+	for i := 0; i < 2000; i++ {
+		p := Phase(rng.Uint64())
+		base, idx := rng.Int63()-rng.Int63(), rng.Int63()-rng.Int63()
+		if got, want := p.Key(base).At(idx), p.Derive(base, idx); got != want {
+			t.Fatalf("Phase(%#x).Key(%d).At(%d) = %d, Derive = %d", uint64(p), base, idx, got, want)
+		}
+	}
+}
