@@ -7,6 +7,7 @@ package distlap_test
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"distlap"
@@ -112,4 +113,43 @@ func BenchmarkInstanceResolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkInstanceMST times one prepared-instance MST request (Borůvka
+// over part-wise aggregation, two shortcut solves per phase) on the grid
+// and expander graphs the distbench solve workloads prepare, grid-400 and
+// expander-512. Set-up stays outside the timed loop, so each operation
+// pays what a served MST request pays beyond its HTTP handling.
+func BenchmarkInstanceMST(b *testing.B) {
+	for _, spec := range []struct {
+		family string
+		size   int
+	}{{"grid", 400}, {"expander", 512}} {
+		b.Run(spec.family+"-"+strconv.Itoa(spec.size), func(b *testing.B) {
+			inst := preparedFamily(b, spec.family, spec.size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := inst.MST(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// preparedFamily prepares the named standard family at size n.
+func preparedFamily(tb testing.TB, family string, n int) *distlap.Instance {
+	tb.Helper()
+	for _, f := range distlap.Families() {
+		if f.Name == family {
+			inst, err := distlap.NewSolver(distlap.WithSeed(1)).Prepare(context.Background(), f.Make(n))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return inst
+		}
+	}
+	tb.Fatalf("no %s family", family)
+	return nil
 }

@@ -11,8 +11,7 @@
 //	bench -quick -label ci      # reduced sweeps, BENCH_ci.json
 //	bench -parallel 8           # worker-pool width (default GOMAXPROCS)
 //	bench -verify               # also run at -parallel 1 and assert parity
-//	bench -compare BENCH_seed.json            # exit nonzero on regression
-//	bench -compare BENCH_seed.json -threshold 0.05
+//	bench -compare BENCH_seed.json            # exit nonzero on any model-cost change
 //	bench -wall BENCH_seed.json               # advisory wall deltas, never fails
 //
 // Schema stability (documented in README "Benchmarking"): `schema` is
@@ -20,8 +19,8 @@
 // and `rows` are deterministic for a given code version and mode (they are
 // simulator measurements, independent of -parallel and of the host);
 // `*_wall_ms` and `speedup` are wall-clock observations and vary by
-// machine and load. -compare gates only the deterministic metrics — wall
-// time is reported but never gated. Experiments appear in canonical suite
+// machine and load. -compare gates only the deterministic metrics, exactly:
+// any change, up or down, fails — wall time is reported but never gated. Experiments appear in canonical suite
 // order.
 package main
 
@@ -53,8 +52,7 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "sweep-point worker-pool width (0 = GOMAXPROCS)")
 	out := fs.String("out", "", "output path (default BENCH_<label>.json)")
 	verify := fs.Bool("verify", false, "re-run every experiment at -parallel 1 and require byte-identical tables and traces")
-	compare := fs.String("compare", "", "baseline BENCH_<label>.json to gate against; regressions exit nonzero")
-	threshold := fs.Float64("threshold", 0.10, "regression threshold for -compare (fraction; 0.10 = 10%)")
+	compare := fs.String("compare", "", "baseline BENCH_<label>.json to gate against; any model-cost change exits nonzero")
 	wallBase := fs.String("wall", "", "baseline BENCH_<label>.json to print wall-time deltas against; advisory, never fails")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -130,7 +128,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "bench: parity verified against the sequential oracle; speedup %.2fx\n", doc.Speedup)
 	}
 	if *compare != "" {
-		if err := compareAgainst(*compare, &doc, *threshold); err != nil {
+		if err := compareAgainst(*compare, &doc); err != nil {
 			return err
 		}
 	}
@@ -170,24 +168,24 @@ func reportWall(baselinePath string, doc *simprof.BenchFile) {
 }
 
 // compareAgainst gates doc's deterministic metrics against the baseline
-// file; any regression beyond threshold is an error (nonzero exit).
-func compareAgainst(baselinePath string, doc *simprof.BenchFile, threshold float64) error {
+// file; any difference is an error (nonzero exit).
+func compareAgainst(baselinePath string, doc *simprof.BenchFile) error {
 	baseline, err := simprof.LoadBench(baselinePath)
 	if err != nil {
 		return fmt.Errorf("compare: %w", err)
 	}
-	regs, err := simprof.CompareBench(baseline, doc, threshold)
+	regs, err := simprof.CompareBench(baseline, doc)
 	if err != nil {
 		return fmt.Errorf("compare: %w", err)
 	}
 	if len(regs) > 0 {
 		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "bench: REGRESSION", r)
+			fmt.Fprintln(os.Stderr, "bench: CHANGED", r)
 		}
-		return fmt.Errorf("compare: %d metric(s) regressed beyond %.0f%% of %s", len(regs), 100*threshold, baselinePath)
+		return fmt.Errorf("compare: %d metric(s) differ from %s", len(regs), baselinePath)
 	}
-	fmt.Fprintf(os.Stderr, "bench: compare ok — no deterministic metric regressed beyond %.0f%% of %s (wall time is reported, never gated)\n",
-		100*threshold, baselinePath)
+	fmt.Fprintf(os.Stderr, "bench: compare ok — every deterministic metric equals %s (wall time is reported, never gated)\n",
+		baselinePath)
 	return nil
 }
 

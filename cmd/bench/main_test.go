@@ -53,7 +53,7 @@ func TestQuickBenchWithVerify(t *testing.T) {
 	// Regression gating on the just-measured data: the run must pass
 	// against its own BENCH file and fail against a synthetically inflated
 	// baseline (wall time stays exempt).
-	if err := compareAgainst(out, &doc, 0.10); err != nil {
+	if err := compareAgainst(out, &doc); err != nil {
 		t.Errorf("self-compare must pass: %v", err)
 	}
 	inflated := doc
@@ -61,15 +61,15 @@ func TestQuickBenchWithVerify(t *testing.T) {
 	for i := range inflated.Experiments {
 		inflated.Experiments[i].WallMS *= 100 // never gated
 	}
-	if err := compareAgainst(out, &inflated, 0.10); err != nil {
+	if err := compareAgainst(out, &inflated); err != nil {
 		t.Errorf("wall-time inflation must pass the gate: %v", err)
 	}
 	deflatedBaseline := filepath.Join(t.TempDir(), "BENCH_old.json")
 	old := doc
 	old.Experiments = append([]simprof.BenchExp(nil), doc.Experiments...)
 	for i := range old.Experiments {
-		// Shrink the recorded baseline so the current run reads as a >10%
-		// rounds regression on every experiment with nonzero rounds.
+		// Shrink the recorded baseline so the current run reads as a
+		// rounds change on every experiment with nonzero rounds.
 		old.Experiments[i].Rounds = old.Experiments[i].Rounds * 2 / 3
 	}
 	data, err = json.Marshal(&old)
@@ -79,7 +79,7 @@ func TestQuickBenchWithVerify(t *testing.T) {
 	if err := os.WriteFile(deflatedBaseline, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := compareAgainst(deflatedBaseline, &doc, 0.10); err == nil {
+	if err := compareAgainst(deflatedBaseline, &doc); err == nil {
 		t.Error("compare against a deflated baseline must fail")
 	}
 }

@@ -69,7 +69,7 @@ func run(args []string) error {
 		partwise.LayeredSolver{Seed: *seed},
 	}
 	if inst.Congestion() <= 1 {
-		congestSolvers = append(congestSolvers, partwise.ShortcutSolver{})
+		congestSolvers = append(congestSolvers, new(partwise.ShortcutSolver))
 	}
 	for _, solver := range congestSolvers {
 		nw := congest.NewNetwork(g, congest.Options{Supported: *supported, Seed: *seed})

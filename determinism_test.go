@@ -125,12 +125,11 @@ func TestDeterministicPhasesAcrossSeeds(t *testing.T) {
 	if err := shortcut.ValidateParts(g, parts); err != nil {
 		parts = [][]graph.NodeID{all}
 	}
-	b := shortcut.RegionBuilder{}
-	s1, err := b.Build(g, parts)
+	s1, err := shortcut.Build(shortcut.NewSkeleton(g), parts)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	s2, err := b.Build(g, parts)
+	s2, err := shortcut.Build(shortcut.NewSkeleton(g), parts)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

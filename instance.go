@@ -165,7 +165,7 @@ func (in *Instance) MST(ctx context.Context, opts ...ReqOption) (res *MSTResult,
 		return nil, err
 	}
 	nw := in.inner.Network(in.request(ctx, "instance/mst", 0, opts))
-	return apps.MST(nw, partwise.ShortcutSolver{})
+	return apps.MST(nw, new(partwise.ShortcutSolver))
 }
 
 // AggregateParts solves a p-congested part-wise aggregation instance on a

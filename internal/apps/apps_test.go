@@ -27,7 +27,7 @@ func TestMSTMatchesKruskal(t *testing.T) {
 		_, wantW := graph.MST(g)
 		for _, solver := range []partwise.Solver{
 			partwise.NaiveGlobalSolver{},
-			partwise.ShortcutSolver{},
+			new(partwise.ShortcutSolver),
 		} {
 			nw := newNet(g)
 			res, err := MST(nw, solver)
@@ -89,7 +89,7 @@ func TestSpanningViaPWA(t *testing.T) {
 	g := graph.Grid(4, 4)
 	full, _ := graph.MST(g)
 	nw := newNet(g)
-	res, err := SpanningConnectedViaPWA(nw, full, partwise.ShortcutSolver{})
+	res, err := SpanningConnectedViaPWA(nw, full, new(partwise.ShortcutSolver))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSpanningViaPWA(t *testing.T) {
 	}
 	// Drop one tree edge: disconnected.
 	nw2 := newNet(g)
-	res2, err := SpanningConnectedViaPWA(nw2, full[1:], partwise.ShortcutSolver{})
+	res2, err := SpanningConnectedViaPWA(nw2, full[1:], new(partwise.ShortcutSolver))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSpanningViaLaplacianAgreesWithPWA(t *testing.T) {
 			edges = append(append([]graph.EdgeID{}, mst[:d]...), mst[d+1:]...)
 		}
 		nw := newNet(g)
-		a, err := SpanningConnectedViaPWA(nw, edges, partwise.ShortcutSolver{})
+		a, err := SpanningConnectedViaPWA(nw, edges, new(partwise.ShortcutSolver))
 		if err != nil {
 			return false
 		}

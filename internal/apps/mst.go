@@ -15,7 +15,6 @@ package apps
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"distlap/internal/congest"
 	"distlap/internal/core"
@@ -79,8 +78,27 @@ func MST(nw *congest.Network, solver partwise.Solver) (*MSTResult, error) {
 		fragOf[v] = v
 	}
 	uf := graph.NewUnionFind(n)
-	chosen := make(map[graph.EdgeID]bool)
+	chosen := make([]bool, g.M())
 	res := &MSTResult{}
+	// nbrFrag[2e+s] is the fragment a node heard across edge e in the last
+	// exchange, s = 0 at its U end and 1 at its V end (0 if nothing came).
+	nbrFrag := make([]int, 2*g.M())
+	side := func(v graph.NodeID, e graph.EdgeID) int {
+		if g.Edge(e).U == v {
+			return 2 * e
+		}
+		return 2*e + 1
+	}
+	// frags[id] lists fragment id's members in node order.
+	frags := make([][]graph.NodeID, n)
+	collect := func() {
+		for id := range frags {
+			frags[id] = nil
+		}
+		for v := 0; v < n; v++ {
+			frags[fragOf[v]] = append(frags[fragOf[v]], v)
+		}
+	}
 
 	tr := nw.Trace()
 	tr.Begin("mst")
@@ -91,42 +109,37 @@ func MST(nw *congest.Network, solver partwise.Solver) (*MSTResult, error) {
 		}
 		res.Phases++
 		// Every node learns each neighbor's fragment (one exchange round).
-		nbrFrag := make([]map[graph.EdgeID]int, n)
-		for v := range nbrFrag {
-			nbrFrag[v] = make(map[graph.EdgeID]int, g.Degree(v))
-		}
+		clear(nbrFrag)
 		nw.Exchange(
 			func(v graph.NodeID, h graph.Half) (congest.Word, bool) {
 				return congest.Word(fragOf[v]), true
 			},
 			func(v graph.NodeID, h graph.Half, w congest.Word) {
-				nbrFrag[v][h.Edge] = int(w)
+				nbrFrag[side(v, h.Edge)] = int(w)
 			},
 		)
 		// Fragments as parts; each node contributes its min outgoing edge.
-		frags := make(map[int][]graph.NodeID)
-		for v := 0; v < n; v++ {
-			frags[fragOf[v]] = append(frags[fragOf[v]], v)
-		}
+		collect()
 		inst := &partwise.Instance{}
-		for id := 0; id < n; id++ {
-			if part, ok := frags[id]; ok {
-				vals := make([]congest.Word, len(part))
-				for i, v := range part {
-					best := noEdge
-					for _, h := range g.Neighbors(v) {
-						if nbrFrag[v][h.Edge] == fragOf[v] {
-							continue
-						}
-						if enc := encodeEdge(g.Edge(h.Edge).Weight, h.Edge); enc < best {
-							best = enc
-						}
-					}
-					vals[i] = best
-				}
-				inst.Parts = append(inst.Parts, part)
-				inst.Values = append(inst.Values, vals)
+		for _, part := range frags {
+			if len(part) == 0 {
+				continue
 			}
+			vals := make([]congest.Word, len(part))
+			for i, v := range part {
+				best := noEdge
+				for _, h := range g.Neighbors(v) {
+					if nbrFrag[side(v, h.Edge)] == fragOf[v] {
+						continue
+					}
+					if enc := encodeEdge(g.Edge(h.Edge).Weight, h.Edge); enc < best {
+						best = enc
+					}
+				}
+				vals[i] = best
+			}
+			inst.Parts = append(inst.Parts, part)
+			inst.Values = append(inst.Values, vals)
 		}
 		spec := partwise.AggSpec{Name: "minedge", Fn: congest.AggMin, Identity: noEdge}
 		mins, err := solver.Solve(nw, inst, spec)
@@ -155,28 +168,24 @@ func MST(nw *congest.Network, solver partwise.Solver) (*MSTResult, error) {
 		// merged fragments (every member learns the fragment's min node
 		// ID); run it so the cost is charged, and use its output as the
 		// label to keep the execution honest.
-		newFrags := make(map[int][]graph.NodeID)
-		for v := 0; v < n; v++ {
-			newFrags[fragOf[v]] = append(newFrags[fragOf[v]], v)
-		}
+		collect()
 		relabel := &partwise.Instance{}
-		var order [][]graph.NodeID
-		for id := 0; id < n; id++ {
-			if part, ok := newFrags[id]; ok {
-				vals := make([]congest.Word, len(part))
-				for i, v := range part {
-					vals[i] = congest.Word(v)
-				}
-				relabel.Parts = append(relabel.Parts, part)
-				relabel.Values = append(relabel.Values, vals)
-				order = append(order, part)
+		for _, part := range frags {
+			if len(part) == 0 {
+				continue
 			}
+			vals := make([]congest.Word, len(part))
+			for i, v := range part {
+				vals[i] = congest.Word(v)
+			}
+			relabel.Parts = append(relabel.Parts, part)
+			relabel.Values = append(relabel.Values, vals)
 		}
 		labels, err := solver.Solve(nw, relabel, partwise.Min)
 		if err != nil {
 			return nil, fmt.Errorf("apps: mst relabel phase %d: %w", phase, err)
 		}
-		for i, part := range order {
+		for i, part := range relabel.Parts {
 			for _, v := range part {
 				fragOf[v] = int(labels[i])
 			}
@@ -185,17 +194,13 @@ func MST(nw *congest.Network, solver partwise.Solver) (*MSTResult, error) {
 	if uf.Count() > 1 {
 		return nil, ErrDisconnected
 	}
-	// Report edges in sorted ID order: map iteration order would leak into
-	// the result (and into the float Weight sum, whose rounding depends on
-	// addition order).
-	ids := make([]graph.EdgeID, 0, len(chosen))
-	for id := range chosen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		res.Edges = append(res.Edges, id)
-		res.Weight += g.Edge(id).Weight
+	// Report edges in ID order, so the result and the Weight sum do not
+	// depend on the order the phases chose them in.
+	for id, ok := range chosen {
+		if ok {
+			res.Edges = append(res.Edges, id)
+			res.Weight += g.Edge(id).Weight
+		}
 	}
 	res.Rounds = nw.Rounds()
 	res.Metrics = core.Metrics{

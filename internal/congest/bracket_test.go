@@ -2,6 +2,7 @@ package congest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distlap/internal/graph"
@@ -24,7 +25,7 @@ func treeBracket(trees []*graph.PartTree) (c, h int) {
 			use[k]++
 			c = max(c, use[k])
 		}
-		h = max(h, tr.Height())
+		h = max(h, int(slices.Max(tr.Depth)))
 	}
 	return c, h
 }

@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,7 +98,7 @@ func TestUpDownManyPrefixTransform(t *testing.T) {
 		}
 	}
 	// One pass up and one down, each as long as the tree is tall.
-	if h := tr.Height(); nw.Rounds() != 2*h {
+	if h := int(slices.Max(tr.Depth)); nw.Rounds() != 2*h {
 		t.Fatalf("rounds=%d, want twice the height %d", nw.Rounds(), h)
 	}
 }

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"distlap/internal/graph"
@@ -205,7 +206,7 @@ func TestModeCongestGlobalTree(t *testing.T) {
 			t.Fatalf("member %d (node %d) follows node %d in its wave", i, v, tr.Members[i-1])
 		}
 	}
-	got := [...]int{len(tr.Members), tr.Members[0], tr.Height(), in.SetupMetrics().TotalRounds(), members, edges}
+	got := [...]int{len(tr.Members), tr.Members[0], int(slices.Max(tr.Depth)), in.SetupMetrics().TotalRounds(), members, edges}
 	want := [...]int{64, 42, 5, 6, 77544, 125649}
 	if got != want {
 		t.Fatalf("members, root, height, setup rounds, Σ(i+1)·Members[i], Σ(i+1)·ParentEdge[i] = %v, want %v", got, want)

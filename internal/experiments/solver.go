@@ -216,7 +216,7 @@ func E11(cfg Config) (*Table, error) {
 					return nil, err
 				}
 				nw := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1, Trace: tr})
-				pwa, err := apps.SpanningConnectedViaPWA(nw, cse.edges, partwise.ShortcutSolver{})
+				pwa, err := apps.SpanningConnectedViaPWA(nw, cse.edges, new(partwise.ShortcutSolver))
 				if err != nil {
 					return nil, err
 				}

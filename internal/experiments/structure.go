@@ -50,12 +50,13 @@ func E1(cfg Config) (*Table, error) {
 			// Sequential per-class solves: each class is a 1-congested
 			// sub-instance; measure the total of solving them one by one.
 			seq := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 1, Trace: tr})
+			var classSolver partwise.ShortcutSolver
 			for i := range inst.Parts {
 				sub := &partwise.Instance{
 					Parts:  inst.Parts[i : i+1],
 					Values: inst.Values[i : i+1],
 				}
-				if _, err := (partwise.ShortcutSolver{}).Solve(seq, sub, partwise.Min); err != nil {
+				if _, err := classSolver.Solve(seq, sub, partwise.Min); err != nil {
 					return nil, err
 				}
 			}
@@ -111,7 +112,7 @@ func E2(cfg Config) (*Table, error) {
 				inst.Parts = append(inst.Parts, part)
 				inst.Values = append(inst.Values, vals)
 			}
-			if _, err := (partwise.ShortcutSolver{}).Solve(nw, inst, partwise.Max); err != nil {
+			if _, err := new(partwise.ShortcutSolver).Solve(nw, inst, partwise.Max); err != nil {
 				return nil, err
 			}
 			layRounds := nw.Rounds()

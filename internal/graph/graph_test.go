@@ -325,7 +325,7 @@ func TestInducedConnected(t *testing.T) {
 func TestBFSTree(t *testing.T) {
 	g := Grid(4, 4)
 	tr := BFSTree(g, 0)
-	if h := tr.Height(); h != 6 {
+	if h := int(slices.Max(tr.Depth)); h != 6 {
 		t.Fatalf("height=%d, want 6", h)
 	}
 	if len(tr.Members) != 16 || tr.Members[0] != 0 || tr.Parent[0] != -1 {

@@ -126,6 +126,10 @@ func (s *Induced) Sweep(root int) (reached, ecc, far int) {
 	return reached, ecc, far
 }
 
+// Depth returns local node i's hop depth in the last sweep, -1 when that
+// sweep did not reach it.
+func (s *Induced) Depth(i int) int { return int(s.depth[i]) }
+
 // Tree returns the BFS tree, rooted at root, of the subgraph of g induced
 // by members, in member-local form: Members in visit order, each parent as
 // a member index. Proposition 6 aggregates over G[P_i] ∪ H_i; callers pass
@@ -168,21 +172,4 @@ func (s *Induced) Connected(g *Graph, nodes []NodeID) bool {
 	s.Build(g, nodes)
 	reached, _, _ := s.Sweep(0)
 	return reached == len(nodes)
-}
-
-// Center returns a low-eccentricity node of the subgraph of g induced by
-// nodes: a double sweep from nodes[0], then from the first node found at
-// the largest depth, returning the midpoint of that sweep's deepest path.
-// It falls back to nodes[0] for degenerate inputs.
-func (s *Induced) Center(g *Graph, nodes []NodeID) NodeID {
-	if len(nodes) == 0 {
-		return 0
-	}
-	s.Build(g, nodes)
-	_, _, u := s.Sweep(0)
-	_, ecc, w := s.Sweep(u)
-	for i := 0; i < ecc/2; i++ {
-		w = int(s.parent[w])
-	}
-	return s.nodes[w]
 }

@@ -75,30 +75,6 @@ func refConnected(g *Graph, nodes []NodeID) bool {
 	return len(seen) == len(nodes)
 }
 
-// refCenter is the double sweep over refTree: from nodes[0] to the first
-// deepest node u, from u to the first deepest node w, then halfway back.
-func refCenter(g *Graph, nodes []NodeID) NodeID {
-	if len(nodes) == 0 {
-		return 0
-	}
-	deepest := func(t *PartTree) int32 {
-		u := int32(0)
-		for i := range t.Members {
-			if t.Depth[i] > t.Depth[u] {
-				u = int32(i)
-			}
-		}
-		return u
-	}
-	first := refTree(g, nodes, nodes[0])
-	second := refTree(g, nodes, first.Members[deepest(first)])
-	v := deepest(second)
-	for i := second.Depth[v] / 2; i > 0; i-- {
-		v = second.Parent[v]
-	}
-	return second.Members[v]
-}
-
 // randomMultigraph returns a graph on 1..maxN nodes with up to 3n random
 // edges, parallel edges included.
 func randomMultigraph(rng *rand.Rand, maxN int) *Graph {
@@ -143,17 +119,11 @@ func checkKernel(t *testing.T, sub *Induced, g *Graph, members []NodeID, root No
 	if got, want := sub.Connected(g, members), refConnected(g, members); got != want {
 		t.Fatalf("reused Connected(n=%d, %v) = %v, want %v", g.N(), members, got, want)
 	}
-	if got, want := new(Induced).Center(g, members), refCenter(g, members); got != want {
-		t.Fatalf("fresh Center(n=%d, %v) = %d, want %d", g.N(), members, got, want)
-	}
-	if got, want := sub.Center(g, members), refCenter(g, members); got != want {
-		t.Fatalf("reused Center(n=%d, %v) = %d, want %d", g.N(), members, got, want)
-	}
 }
 
 // Property: on random multigraphs and random member orders the kernel
 // reproduces the edge-first-seen reference exactly — trees (visit order,
-// parents, parent edges, depths), connectivity and double-sweep centers —
+// parents, parent edges, depths) and connectivity —
 // whether the kernel is fresh or reused across graphs of varying n.
 func TestInducedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))

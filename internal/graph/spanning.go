@@ -31,15 +31,6 @@ func NewPartTree(k int) *PartTree {
 	}
 }
 
-// Height returns the largest member depth.
-func (t *PartTree) Height() int {
-	h := int32(0)
-	for _, d := range t.Depth {
-		h = max(h, d)
-	}
-	return int(h)
-}
-
 // IndexInto records each member's index at its node: pos[Members[i]] = i.
 // pos is host-sized; entries of non-members are left as they were.
 func (t *PartTree) IndexInto(pos []int32) {

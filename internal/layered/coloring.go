@@ -60,15 +60,17 @@ func ColorEdges(m *Multigraph, seed int64) (*ColoringResult, error) {
 	for i := range colors {
 		colors[i] = -1
 	}
-	// fixed[node][color] = true if an incident edge holds that color.
-	fixed := make([]map[int]bool, m.N)
-	for i := range fixed {
-		fixed[i] = make(map[int]bool)
-	}
+	// fixed[node*palette+color] is true once an incident edge holds that
+	// color; count[node*palette+color] counts a round's proposals there and
+	// is zero again after the round.
+	fixed := make([]bool, m.N*palette)
+	count := make([]int32, m.N*palette)
+	proposal := make([]int, len(m.Edges)) // a round's proposed color per edge
 	uncolored := make([]int, len(m.Edges))
 	for i := range uncolored {
 		uncolored[i] = i
 	}
+	next := make([]int, 0, len(m.Edges))
 	rounds := 0
 	maxRounds := 64 * (log2(len(m.Edges)+m.N) + 4)
 	for len(uncolored) > 0 {
@@ -78,30 +80,31 @@ func ColorEdges(m *Multigraph, seed int64) (*ColoringResult, error) {
 		}
 		rounds++
 		// Propose.
-		proposal := make(map[int]int, len(uncolored)) // edge -> color
-		propCount := make(map[[2]int]int)             // (node, color) -> #proposals
 		for _, e := range uncolored {
 			c := rng.Intn(palette)
 			proposal[e] = c
-			propCount[[2]int{m.Edges[e][0], c}]++
-			propCount[[2]int{m.Edges[e][1], c}]++
+			count[m.Edges[e][0]*palette+c]++
+			count[m.Edges[e][1]*palette+c]++
 		}
 		// Keep conflict-free proposals.
-		kept := uncolored[:0]
+		kept := next[:0]
 		for _, e := range uncolored {
 			c := proposal[e]
-			u, v := m.Edges[e][0], m.Edges[e][1]
-			ok := !fixed[u][c] && !fixed[v][c] &&
-				propCount[[2]int{u, c}] == 1 && propCount[[2]int{v, c}] == 1
-			if ok {
+			u, v := m.Edges[e][0]*palette+c, m.Edges[e][1]*palette+c
+			if !fixed[u] && !fixed[v] && count[u] == 1 && count[v] == 1 {
 				colors[e] = c
-				fixed[u][c] = true
-				fixed[v][c] = true
+				fixed[u] = true
+				fixed[v] = true
 			} else {
 				kept = append(kept, e)
 			}
 		}
-		uncolored = kept
+		for _, e := range uncolored {
+			c := proposal[e]
+			count[m.Edges[e][0]*palette+c] = 0
+			count[m.Edges[e][1]*palette+c] = 0
+		}
+		uncolored, next = kept, uncolored
 	}
 	return &ColoringResult{Colors: colors, Palette: palette, Rounds: rounds}, nil
 }

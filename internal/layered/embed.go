@@ -82,14 +82,17 @@ func (emb *Embedding) Report(tr simtrace.Collector) {
 	tr.Counter("layered.copies", int64(copies))
 }
 
-// EmbedPaths performs the Lemma 18 reduction: it edge-colors the multigraph
-// formed by all path edges with O(Δ) = O(p) colors (Lemma 17), then embeds
-// each path edge into the layer given by its color, joining consecutive
-// path edges through clique edges at their shared node. The resulting parts
-// are node-disjoint (1-congested) in Ĝ_L.
+// EmbedPaths performs the Lemma 18 reduction on paths of base: it
+// edge-colors the multigraph formed by all path edges with O(Δ) = O(p)
+// colors (Lemma 17), then embeds each path edge into the layer given by
+// its color, joining consecutive path edges through clique edges at their
+// shared node. The resulting parts are node-disjoint (1-congested) in
+// Ĝ_L, which layers returns for the L the coloring uses: New(base, L), or
+// one it built earlier, so a caller embedding several batches can hand one
+// Ĝ_L to every batch that needs L layers.
 //
 // Paths of a single node are rejected; callers aggregate those locally.
-func EmbedPaths(base *graph.Graph, paths []Path, seed int64) (*Embedding, error) {
+func EmbedPaths(base *graph.Graph, paths []Path, seed int64, layers func(L int) (*Layered, error)) (*Embedding, error) {
 	if len(paths) == 0 {
 		return nil, errors.New("layered: no paths")
 	}
@@ -109,16 +112,17 @@ func EmbedPaths(base *graph.Graph, paths []Path, seed int64) (*Embedding, error)
 	if err != nil {
 		return nil, err
 	}
-	// Remap used colors to a dense range so the layered graph has exactly
-	// as many layers as distinct colors in use.
-	remap := make(map[int]int)
+	// Remap used colors to a dense range, in first-use order, so the
+	// layered graph has exactly as many layers as distinct colors in use.
+	remap := make([]int, col.Palette)
+	numLayers := 0
 	for _, c := range col.Colors {
-		if _, ok := remap[c]; !ok {
-			remap[c] = len(remap)
+		if remap[c] == 0 {
+			numLayers++
+			remap[c] = numLayers
 		}
 	}
-	numLayers := len(remap)
-	lay, err := New(base, numLayers)
+	lay, err := layers(numLayers)
 	if err != nil {
 		return nil, err
 	}
@@ -133,17 +137,12 @@ func EmbedPaths(base *graph.Graph, paths []Path, seed int64) (*Embedding, error)
 	for j, p := range paths {
 		colors := make([]int, len(p.Edges))
 		for i := range p.Edges {
-			colors[i] = remap[col.Colors[idx]]
+			colors[i] = remap[col.Colors[idx]] - 1
 			idx++
 		}
+		// The path's nodes are distinct, and a junction's second copy is
+		// in another layer than its canonical one, so no copy repeats.
 		part := make([]graph.NodeID, 0, 2*len(p.Nodes))
-		inPart := make(map[graph.NodeID]bool)
-		add := func(x graph.NodeID) {
-			if !inPart[x] {
-				inPart[x] = true
-				part = append(part, x)
-			}
-		}
 		canon := make([]graph.NodeID, len(p.Nodes))
 		for i := range p.Nodes {
 			switch {
@@ -152,12 +151,12 @@ func EmbedPaths(base *graph.Graph, paths []Path, seed int64) (*Embedding, error)
 			default:
 				canon[i] = lay.Copy(p.Nodes[i], colors[i-1])
 			}
-			add(canon[i])
+			part = append(part, canon[i])
 			// Junction: node i sits between edge i-1 (color[i-1]) and edge
 			// i (color[i]); if they differ, the part also contains the copy
 			// in edge i's layer, reached through a clique edge.
 			if i > 0 && i < len(p.Nodes)-1 && colors[i] != colors[i-1] {
-				add(lay.Copy(p.Nodes[i], colors[i]))
+				part = append(part, lay.Copy(p.Nodes[i], colors[i]))
 			}
 		}
 		emb.Parts[j] = part
@@ -172,15 +171,15 @@ func EmbedPaths(base *graph.Graph, paths []Path, seed int64) (*Embedding, error)
 // verify checks the Lemma 18 guarantees: parts are pairwise node-disjoint
 // and each part is induced-connected in the layered graph.
 func (e *Embedding) verify() error {
-	owner := make(map[graph.NodeID]int)
+	owner := make([]int32, e.Layered.G.N()) // 1 + the part holding each copy
 	var sub graph.Induced
 	for j, part := range e.Parts {
 		for _, x := range part {
-			if prev, ok := owner[x]; ok {
+			if prev := owner[x]; prev != 0 {
 				return fmt.Errorf("layered: parts %d and %d share copy %d (not 1-congested)",
-					prev, j, x)
+					prev-1, j, x)
 			}
-			owner[x] = j
+			owner[x] = int32(j + 1)
 		}
 		if !sub.Connected(e.Layered.G, part) {
 			return fmt.Errorf("layered: embedded part %d disconnected", j)

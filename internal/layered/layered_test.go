@@ -223,9 +223,14 @@ func gridPaths(s int) (*graph.Graph, []Path) {
 	return g, paths
 }
 
+// fresh hands EmbedPaths a newly built Ĝ_L of g.
+func fresh(g *graph.Graph) func(L int) (*Layered, error) {
+	return func(L int) (*Layered, error) { return New(g, L) }
+}
+
 func TestEmbedPathsFigure1(t *testing.T) {
 	g, paths := gridPaths(5)
-	emb, err := EmbedPaths(g, paths, 11)
+	emb, err := EmbedPaths(g, paths, 11, fresh(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +254,16 @@ func TestEmbedPathsFigure1(t *testing.T) {
 
 func TestEmbedPathsRejectsBadInput(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := EmbedPaths(g, nil, 1); err == nil {
+	if _, err := EmbedPaths(g, nil, 1, fresh(g)); err == nil {
 		t.Fatal("want error for empty batch")
 	}
-	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{2}}}, 1); err == nil {
+	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{2}}}, 1, fresh(g)); err == nil {
 		t.Fatal("want error for singleton path")
 	}
-	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 2}, Edges: []graph.EdgeID{0}}}, 1); err == nil {
+	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 2}, Edges: []graph.EdgeID{0}}}, 1, fresh(g)); err == nil {
 		t.Fatal("want error for non-path edge sequence")
 	}
-	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 1, 0}, Edges: []graph.EdgeID{0, 0}}}, 1); err == nil {
+	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 1, 0}, Edges: []graph.EdgeID{0, 0}}}, 1, fresh(g)); err == nil {
 		t.Fatal("want error for repeated node")
 	}
 }
@@ -281,7 +286,7 @@ func TestPathValidate(t *testing.T) {
 func TestEmbedPathsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g, paths := gridPaths(4)
-		emb, err := EmbedPaths(g, paths, seed)
+		emb, err := EmbedPaths(g, paths, seed, fresh(g))
 		if err != nil {
 			return false
 		}

@@ -9,8 +9,8 @@ import (
 // MapOrder returns the maporder analyzer: in non-test internal/... code,
 // `range` over a map is flagged unless the loop only collects keys/values
 // into slices that are subsequently sorted later in the same function — the
-// collect-then-sort idiom (see internal/shortcut/region.go, separator
-// folding). Go randomizes map iteration order per execution, so any other
+// collect-then-sort idiom (see internal/lint/testdata/maporder/a.go,
+// Collect). Go randomizes map iteration order per execution, so any other
 // map range can leak schedule nondeterminism into measured round counts.
 //
 // The recognizer is intraprocedural: the sort call may appear in any
@@ -49,7 +49,7 @@ func runMapOrder(p *Package) []Diagnostic {
 				return true
 			}
 			out = append(out, diag(p, rs, "maporder",
-				"range over map %s is iteration-order nondeterministic; collect keys, sort, then sweep (internal/shortcut/region.go pattern), or //%s maporder <why order cannot matter>",
+				"range over map %s is iteration-order nondeterministic; collect keys, sort, then sweep (the internal/lint/testdata/maporder/a.go pattern), or //%s maporder <why order cannot matter>",
 				types.TypeString(t, types.RelativeTo(p.Types)), AllowDirective))
 			return true
 		})

@@ -187,7 +187,7 @@ func TestShortcutSolverMatchesExpected(t *testing.T) {
 	g, inst := rowInstance(5, 5)
 	for _, spec := range []AggSpec{Sum, Min, Max} {
 		nw := newNet(g, true)
-		out, err := ShortcutSolver{}.Solve(nw, inst, spec)
+		out, err := new(ShortcutSolver).Solve(nw, inst, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestShortcutSolverMatchesExpected(t *testing.T) {
 func TestShortcutSolverRejectsCongested(t *testing.T) {
 	g, inst := GridCongestedInstance(3)
 	nw := newNet(g, true)
-	if _, err := (ShortcutSolver{}).Solve(nw, inst, Sum); !errors.Is(err, ErrCongested) {
+	if _, err := new(ShortcutSolver).Solve(nw, inst, Sum); !errors.Is(err, ErrCongested) {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -212,10 +212,10 @@ func TestShortcutSolverChargesConstructionInCongest(t *testing.T) {
 	g, inst := rowInstance(4, 4)
 	supp := newNet(g, true)
 	cong := newNet(g, false)
-	if _, err := (ShortcutSolver{}).Solve(supp, inst, Sum); err != nil {
+	if _, err := new(ShortcutSolver).Solve(supp, inst, Sum); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (ShortcutSolver{}).Solve(cong, inst, Sum); err != nil {
+	if _, err := new(ShortcutSolver).Solve(cong, inst, Sum); err != nil {
 		t.Fatal(err)
 	}
 	if cong.Rounds() <= supp.Rounds() {
@@ -406,7 +406,7 @@ func TestSolveOneCongestedWholeGraph(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	out, sc, err := SolveOneCongested(nw, [][]graph.NodeID{all},
+	out, sc, err := SolveOneCongested(nw, shortcut.NewSkeleton(g), [][]graph.NodeID{all},
 		func(_ int, v graph.NodeID) congest.Word { return 1 }, Sum)
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +445,7 @@ func TestSolversAgreeProperty(t *testing.T) {
 			inst.Values = append(inst.Values, vals)
 		}
 		want := inst.Expected(Sum)
-		for _, solver := range []Solver{NaiveGlobalSolver{}, ShortcutSolver{}, LayeredSolver{Seed: seed}} {
+		for _, solver := range []Solver{NaiveGlobalSolver{}, new(ShortcutSolver), LayeredSolver{Seed: seed}} {
 			nw := newNet(g, true)
 			out, err := solver.Solve(nw, inst, Sum)
 			if err != nil {
@@ -486,5 +486,24 @@ func TestLayeredCongestedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// SolveOneCongested takes node-disjoint parts: an overlap is ErrCongested,
+// and a node out of range is the shortcut validation's error, not a panic.
+func TestSolveOneCongestedRejectsBadParts(t *testing.T) {
+	g := graph.Grid(3, 3)
+	one := func(int, graph.NodeID) congest.Word { return 1 }
+	for _, c := range []struct {
+		parts [][]graph.NodeID
+		want  error
+	}{
+		{[][]graph.NodeID{{0, 1, 2}, {2, 5}}, ErrCongested},
+		{[][]graph.NodeID{{0, 1}, {9}}, graph.ErrNodeRange},
+		{[][]graph.NodeID{{0, 1}, {}}, shortcut.ErrEmptyPart},
+	} {
+		if _, _, err := SolveOneCongested(newNet(g, true), shortcut.NewSkeleton(g), c.parts, one, Sum); !errors.Is(err, c.want) {
+			t.Fatalf("parts %v: err=%v, want %v", c.parts, err, c.want)
+		}
 	}
 }

@@ -24,27 +24,44 @@ func chargeConstruction(nw *congest.Network, s *shortcut.Shortcut) {
 	nw.ChargeRounds(d + s.Quality())
 }
 
-// portfolio builds every shortcut the part-wise solvers use.
-var portfolio = shortcut.DefaultPortfolio()
-
 // SolveOneCongested is the Proposition 6 engine shared by every solver:
-// build a shortcut for the parts with the default portfolio, take a BFS tree of each augmented part
+// build a shortcut for the parts with the portfolio (shortcut.Build) on
+// sk, the skeleton of nw's graph, take a BFS tree of each augmented part
 // G[P_i ∪ V(H_i)] (the subgraph induced on the part plus the endpoints of
 // its extra edges, which contains G[P_i] ∪ H_i), and run a concurrent
 // convergecast+broadcast over all trees.
 // val(i, v) supplies the input of part i at node v (only part members are
 // queried with their own values; relay nodes contribute the identity).
+// The parts must be node-disjoint (1-congested); an overlap is an
+// ErrCongested error.
 // Returns the per-part aggregates and the shortcut used.
 func SolveOneCongested(
 	nw *congest.Network,
+	sk *shortcut.Skeleton,
 	parts [][]graph.NodeID,
 	val func(i int, v graph.NodeID) congest.Word,
 	spec AggSpec,
 ) ([]congest.Word, *shortcut.Shortcut, error) {
 	g := nw.Graph()
+	// owner[v] is 1 + the index of v's part, 0 for no part; relay[v] is
+	// 1 + the last part that listed v as a relay. A node out of range is
+	// left to the portfolio's validation to report.
+	block := make([]int32, 2*g.N())
+	owner, relay := block[:g.N()], block[g.N():]
+	for i, p := range parts {
+		for _, v := range p {
+			if v < 0 || v >= g.N() {
+				continue
+			}
+			if owner[v] != 0 {
+				return nil, nil, fmt.Errorf("%w: node %d is in parts %d and %d", ErrCongested, v, owner[v]-1, i)
+			}
+			owner[v] = int32(i + 1)
+		}
+	}
 	tr := nw.Trace()
 	tr.Begin("shortcut-build")
-	sc, err := portfolio.Build(g, parts)
+	sc, err := shortcut.Build(sk, parts)
 	if err != nil {
 		tr.End("shortcut-build")
 		return nil, nil, fmt.Errorf("partwise: build shortcut: %w", err)
@@ -53,25 +70,16 @@ func SolveOneCongested(
 	tr.End("shortcut-build")
 
 	trees := make([]*graph.PartTree, len(parts))
-	members := make([]map[graph.NodeID]bool, len(parts))
 	var sub graph.Induced
+	var memberList []graph.NodeID
 	for i, p := range parts {
-		members[i] = make(map[graph.NodeID]bool, len(p))
-		memberList := make([]graph.NodeID, 0, len(p))
-		for _, v := range p {
-			members[i][v] = true
-			memberList = append(memberList, v)
-		}
 		// Extra-edge endpoints join the tree as relays.
-		seen := make(map[graph.NodeID]bool, len(p))
-		for _, v := range p {
-			seen[v] = true
-		}
+		memberList = append(memberList[:0], p...)
 		for _, id := range sc.Extra[i] {
 			e := g.Edge(id)
-			for _, x := range []graph.NodeID{e.U, e.V} {
-				if !seen[x] {
-					seen[x] = true
+			for _, x := range [2]graph.NodeID{e.U, e.V} {
+				if owner[x] != int32(i+1) && relay[x] != int32(i+1) {
+					relay[x] = int32(i + 1)
 					memberList = append(memberList, x)
 				}
 			}
@@ -86,7 +94,7 @@ func SolveOneCongested(
 	var out []congest.Word
 	if err == nil {
 		out, err = nw.AggregateMany(set, func(t int, v graph.NodeID) congest.Word {
-			if members[t][v] {
+			if owner[v] == int32(t+1) {
 				return val(t, v)
 			}
 			return spec.Identity
@@ -147,25 +155,37 @@ func (NaiveGlobalSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec
 
 // ShortcutSolver solves 1-congested instances via low-congestion shortcuts
 // (Proposition 6). It rejects congested instances; those belong to
-// LayeredSolver.
-type ShortcutSolver struct{}
+// LayeredSolver. It remembers the shortcut skeleton of the graph it last
+// solved on, so the Borůvka phases of one MST share one; use one solver per
+// request, not one per package or held instance, and never one across
+// goroutines.
+type ShortcutSolver struct {
+	sk *shortcut.Skeleton
+}
 
-var _ Solver = ShortcutSolver{}
+var _ Solver = (*ShortcutSolver)(nil)
 
 // Name implements Solver.
-func (ShortcutSolver) Name() string { return "shortcut" }
+func (*ShortcutSolver) Name() string { return "shortcut" }
 
-// Solve implements Solver.
-func (ShortcutSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) ([]congest.Word, error) {
-	if err := inst.Validate(nw.Graph()); err != nil {
+// Solve implements Solver. SolveOneCongested rejects a congested instance.
+func (s *ShortcutSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) ([]congest.Word, error) {
+	g := nw.Graph()
+	if err := inst.Validate(g); err != nil {
 		return nil, err
 	}
-	if c := inst.Congestion(); c > 1 {
-		return nil, fmt.Errorf("%w: p=%d", ErrCongested, c)
+	if s.sk == nil || s.sk.Graph() != g {
+		s.sk = shortcut.NewSkeleton(g)
 	}
-	lut := inst.valueLookup()
-	out, _, err := SolveOneCongested(nw, inst.Parts,
-		func(i int, v graph.NodeID) congest.Word { return lut[i][v] },
+	// The parts are disjoint, so one value per node suffices.
+	vals := make([]congest.Word, g.N())
+	for i, p := range inst.Parts {
+		for j, v := range p {
+			vals[v] = inst.Values[i][j]
+		}
+	}
+	out, _, err := SolveOneCongested(nw, s.sk, inst.Parts,
+		func(_ int, v graph.NodeID) congest.Word { return vals[v] },
 		spec)
 	return out, err
 }

@@ -2,92 +2,175 @@ package shortcut
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"distlap/internal/graph"
 )
 
-// TrivialBuilder produces the empty shortcut H_i = ∅: dilation is the
-// maximum part diameter, congestion 0. Optimal whenever parts are already
-// low-diameter (e.g. grid rows), and the baseline every other builder must
-// beat.
-type TrivialBuilder struct{}
+// Skeleton is the per-graph half of the Steiner-tree construction: a
+// low-eccentricity root (graph.ApproxCenter), the BFS tree T from it, and
+// each node's member index in T. None of it depends on the partition, so
+// one skeleton serves every partition of its graph that a call builds
+// shortcuts for — the tree-restricted shortcuts on one fixed skeleton of
+// Haeupler–Izumi–Zuzic (arXiv:1607.07553). The root and tree are computed
+// on first use. A skeleton also carries the per-member and per-edge
+// scratch its builders and certificates reuse from part to part, so it is
+// not safe for concurrent use. Its scope is one call: EstimateSQ builds one
+// for all its candidate partitions, a part-wise solve one per graph it
+// aggregates on. Nothing keeps one in a package variable or a held
+// instance.
+type Skeleton struct {
+	g       *graph.Graph
+	root    graph.NodeID
+	tree    *graph.PartTree // nil until first use
+	pos     []int32         // host node → member index in tree
+	treeErr error           // non-nil when tree does not span g
+	cert    certifier
+	steiner steinerScratch
+}
 
-var _ Builder = TrivialBuilder{}
+// NewSkeleton returns the skeleton of g. It costs nothing until a builder
+// needs the tree.
+func NewSkeleton(g *graph.Graph) *Skeleton { return &Skeleton{g: g} }
 
-// Name implements Builder.
-func (TrivialBuilder) Name() string { return "trivial" }
+// Graph returns the graph the skeleton belongs to.
+func (sk *Skeleton) Graph() *graph.Graph { return sk.g }
 
-// Build implements Builder.
-func (TrivialBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
+// center returns the Steiner tree's root, graph.ApproxCenter of the graph.
+func (sk *Skeleton) center() graph.NodeID {
+	_, _, _ = sk.steinerTree() // the center is set even when the tree does not span the graph
+	return sk.root
+}
+
+// steinerTree returns the BFS tree from the center and the host-to-member
+// index, building both on first use, or an error when the tree does not
+// span the graph.
+func (sk *Skeleton) steinerTree() (*graph.PartTree, []int32, error) {
+	if sk.tree == nil {
+		sk.root = graph.ApproxCenter(sk.g)
+		sk.tree = graph.BFSTree(sk.g, sk.root)
+		if len(sk.tree.Members) != sk.g.N() {
+			sk.treeErr = fmt.Errorf("shortcut: graph disconnected from root %d", sk.root)
+		}
+		sk.pos = make([]int32, sk.g.N())
+		sk.tree.IndexInto(sk.pos)
+	}
+	return sk.tree, sk.pos, sk.treeErr
+}
+
+// Build returns the better of the trivial and the Steiner-tree shortcut
+// for parts on sk's graph (the smaller quality, the trivial one on a tie),
+// verified. This portfolio's achieved quality is the repository's
+// empirical upper bound on the instance's shortcut quality; the part-wise
+// aggregation solvers and the shortcut-quality estimator build with it.
+// It validates the parts once, then builds both on sk's tree and scratch.
+func Build(sk *Skeleton, parts [][]graph.NodeID) (*Shortcut, error) {
+	if err := validateParts(&sk.cert.sub, sk.g, parts); err != nil {
+		return nil, err
+	}
+	trivial, err := buildTrivial(sk, parts)
+	if err != nil {
+		return nil, fmt.Errorf("trivial: %w", err)
+	}
+	steiner, err := buildSteiner(sk, parts)
+	if err != nil || steiner.Quality() >= trivial.Quality() {
+		return trivial, nil
+	}
+	return steiner, nil
+}
+
+// buildTrivial produces the empty shortcut H_i = ∅ for validated parts:
+// dilation is the maximum part diameter, congestion 0. Optimal whenever
+// parts are already low-diameter (e.g. grid rows), and the baseline the
+// Steiner-tree shortcut must beat.
+func buildTrivial(sk *Skeleton, parts [][]graph.NodeID) (*Shortcut, error) {
 	s := &Shortcut{
 		Parts:   parts,
 		Extra:   make([][]graph.EdgeID, len(parts)),
 		Builder: "trivial",
 	}
-	if err := Verify(g, s); err != nil {
+	if err := sk.cert.certify(sk.g, s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// SteinerBuilder is the tree-restricted construction in the spirit of
-// Ghaffari–Haeupler: fix a BFS tree T of G rooted at a low-eccentricity
-// node; H_i is the Steiner subtree of P_i in T (the union of T-paths
-// between members). Dilation is then at most 2·height(T) ≤ 2D̃, and the
-// congestion on each tree edge is the number of parts whose Steiner subtree
-// crosses it, which the certificate measures exactly.
-type SteinerBuilder struct{}
-
-var _ Builder = SteinerBuilder{}
-
-// Name implements Builder.
-func (SteinerBuilder) Name() string { return "steiner-tree" }
-
-// Build implements Builder.
-func (SteinerBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
-	if err := ValidateParts(g, parts); err != nil {
+// buildSteiner is the tree-restricted construction in the spirit of
+// Ghaffari–Haeupler, for validated parts: fix a BFS tree T of G rooted at
+// a low-eccentricity node (the skeleton); H_i is the Steiner subtree of
+// P_i in T (the union of T-paths between members). Dilation is then at
+// most 2·height(T) ≤ 2D̃, and the congestion on each tree edge is the
+// number of parts whose Steiner subtree crosses it, which the certificate
+// measures exactly. It errors when T does not span the graph.
+func buildSteiner(sk *Skeleton, parts [][]graph.NodeID) (*Shortcut, error) {
+	if _, _, err := sk.steinerTree(); err != nil {
 		return nil, err
 	}
-	root := graph.ApproxCenter(g)
-	tree := graph.BFSTree(g, root)
-	if len(tree.Members) != g.N() {
-		return nil, fmt.Errorf("shortcut: graph disconnected from root %d", root)
-	}
-	pos := make([]int32, g.N())
-	tree.IndexInto(pos)
 	s := &Shortcut{
 		Parts:   parts,
 		Extra:   make([][]graph.EdgeID, len(parts)),
 		Builder: "steiner-tree",
 	}
 	for i, p := range parts {
-		s.Extra[i] = steinerSubtreeEdges(tree, pos, p)
+		s.Extra[i] = sk.steinerSubtreeEdges(p)
 	}
-	if err := Verify(g, s); err != nil {
+	if err := sk.cert.certify(sk.g, s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// steinerSubtreeEdges returns the tree edges of the minimal subtree of tree
-// spanning terminals: every edge on a path from a terminal up to the
-// "meeting point" (the highest node at which all terminal-to-root paths have
-// merged). Implemented by walking each terminal upward, stopping when
-// reaching an already-marked member; the union of walked edges, pruned so
-// the subtree does not extend above the shallowest meeting node, is the
-// Steiner subtree. pos maps each terminal to its member index in tree.
-func steinerSubtreeEdges(tree *graph.PartTree, pos []int32, terminals []graph.NodeID) []graph.EdgeID {
+// steinerScratch is the Steiner builder's per-member state, indexed by
+// member of the skeleton tree and valid where mark equals the current
+// part's stamp, so no array is cleared between parts.
+type steinerScratch struct {
+	stamp  int32
+	mark   []int32 // stamp of the last part whose walk reached the member
+	term   []int32 // stamp of the last part the member was a terminal of
+	kids   []int32 // the member's children in the current part's union of walks
+	marked []int32 // members the current part's walks reached
+	walked []int32 // members whose parent edge a walk crossed
+	below  []graph.NodeID
+}
+
+// next starts a new part and returns its stamp, sizing the arrays for k
+// members on first use.
+func (st *steinerScratch) next(k int) int32 {
+	if st.mark == nil || st.stamp == math.MaxInt32 {
+		block := make([]int32, 3*k)
+		st.mark, st.term, st.kids = block[:k:k], block[k:2*k:2*k], block[2*k:]
+		st.stamp = 0
+	}
+	st.stamp++
+	return st.stamp
+}
+
+// steinerSubtreeEdges returns the skeleton-tree edges of the minimal
+// subtree spanning terminals: every edge on a path from a terminal up to
+// the "meeting point" (the highest node at which all terminal-to-root
+// paths have merged). Each terminal walks upward until it reaches a member
+// an earlier walk marked; the union of walks is a subtree containing the
+// root, and only a single chain of it can extend above the meeting node,
+// the minimum-depth member that is a terminal or has at least two children
+// in the union. Two such members at one depth would have a lower common
+// ancestor with two children, so the meeting node is unique. Every walked
+// edge strictly above it is dropped. The edges are emitted in host node
+// order of their lower endpoint, which feeds BFS tie-breaking downstream.
+// A part costs O(its walks) plus the sort of its edges.
+func (sk *Skeleton) steinerSubtreeEdges(terminals []graph.NodeID) []graph.EdgeID {
 	if len(terminals) <= 1 {
 		return nil
 	}
-	// Mark upward paths, by member index.
-	marked := make(map[int32]bool, len(terminals)*2)
-	var walked []int32 // members whose parent edge a walk crossed
+	tree, pos, st := sk.tree, sk.pos, &sk.steiner
+	stamp := st.next(len(tree.Members))
+	marked, walked := st.marked[:0], st.walked[:0]
 	for _, t := range terminals {
 		i := pos[t]
-		for !marked[i] {
-			marked[i] = true
+		st.term[i] = stamp
+		for st.mark[i] != stamp {
+			st.mark[i] = stamp
+			marked = append(marked, i)
 			p := tree.Parent[i]
 			if p == -1 {
 				break
@@ -96,98 +179,30 @@ func steinerSubtreeEdges(tree *graph.PartTree, pos []int32, terminals []graph.No
 			i = p
 		}
 	}
-	// The union of upward paths forms a subtree rooted at the highest
-	// marked node; prune marked nodes of degree 1 (within the subtree)
-	// that are not terminals, from the top down, to cut the surplus path
-	// above the meeting point.
-	isTerminal := make(map[int32]bool, len(terminals))
-	for _, t := range terminals {
-		isTerminal[pos[t]] = true
+	for _, i := range marked {
+		st.kids[i] = 0
 	}
-	// Walked and marked members in host node order: both the meeting-node
-	// scan and the emitted edge list must not depend on map iteration order
-	// (edge-list order feeds BFS tie-breaking downstream).
-	byNode := func(a, b int32) int { return tree.Members[a] - tree.Members[b] }
-	slices.SortFunc(walked, byNode)
-	childCount := make(map[int32]int)
 	for _, i := range walked {
-		if marked[tree.Parent[i]] {
-			childCount[tree.Parent[i]]++
-		}
+		st.kids[tree.Parent[i]]++
 	}
-	// The union of upward walks is a subtree containing the root; only a
-	// single chain can extend above the true meeting point. The meeting
-	// node is the minimum-depth marked node that is a terminal or has at
-	// least two marked children; every marked edge strictly above it is
-	// surplus and dropped.
-	all := make([]int32, 0, len(marked))
-	for i := range marked {
-		all = append(all, i)
-	}
-	slices.SortFunc(all, byNode)
 	meet := int32(-1)
-	for _, i := range all {
-		if isTerminal[i] || childCount[i] >= 2 {
-			if meet == -1 || tree.Depth[i] < tree.Depth[meet] {
-				meet = i
-			}
+	for _, i := range marked {
+		if (st.term[i] == stamp || st.kids[i] >= 2) && (meet == -1 || tree.Depth[i] < tree.Depth[meet]) {
+			meet = i
 		}
 	}
-	var edges []graph.EdgeID
+	// The lower endpoints of the kept edges, sorted as host nodes.
+	below := st.below[:0]
 	for _, i := range walked {
-		if meet != -1 && tree.Depth[i] <= tree.Depth[meet] {
-			continue // edge from i to its parent lies above the meeting node
+		if tree.Depth[i] > tree.Depth[meet] {
+			below = append(below, tree.Members[i])
 		}
-		edges = append(edges, graph.EdgeID(tree.ParentEdge[i]))
 	}
+	slices.Sort(below)
+	edges := make([]graph.EdgeID, len(below))
+	for k, v := range below {
+		edges[k] = graph.EdgeID(tree.ParentEdge[pos[v]])
+	}
+	st.marked, st.walked, st.below = marked, walked, below
 	return edges
-}
-
-// PortfolioBuilder runs every inner builder and keeps the best (smallest
-// quality) verified shortcut. Its achieved quality is the repository's
-// empirical upper bound on the instance's shortcut quality.
-type PortfolioBuilder struct {
-	Builders []Builder
-}
-
-var _ Builder = PortfolioBuilder{}
-
-// DefaultPortfolio returns the fast portfolio (trivial + Steiner-tree),
-// used on the hot path of the part-wise aggregation solvers.
-func DefaultPortfolio() PortfolioBuilder {
-	return PortfolioBuilder{Builders: []Builder{TrivialBuilder{}, SteinerBuilder{}}}
-}
-
-// WidePortfolio additionally runs the multi-scale region construction —
-// more construction work for a tighter quality upper bound; used by the
-// shortcut-quality estimator.
-func WidePortfolio() PortfolioBuilder {
-	return PortfolioBuilder{Builders: []Builder{
-		TrivialBuilder{}, SteinerBuilder{}, RegionBuilder{},
-	}}
-}
-
-// Name implements Builder.
-func (PortfolioBuilder) Name() string { return "portfolio" }
-
-// Build implements Builder.
-func (b PortfolioBuilder) Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error) {
-	var best *Shortcut
-	var firstErr error
-	for _, inner := range b.Builders {
-		s, err := inner.Build(g, parts)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", inner.Name(), err)
-			}
-			continue
-		}
-		if best == nil || s.Quality() < best.Quality() {
-			best = s
-		}
-	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best, nil
 }

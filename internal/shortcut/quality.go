@@ -44,7 +44,9 @@ type PartitionGen struct {
 //   - "layers": BFS layers from a center, split into connected components
 //     (ring/band parts, the planar stress case);
 //   - "random-k": random connected parts grown greedily (seeded).
-func CandidatePartitions(g *graph.Graph, seed int64) []PartitionGen {
+//
+// center roots the BFS layers; EstimateSQ passes its skeleton's root.
+func CandidatePartitions(g *graph.Graph, center graph.NodeID, seed int64) []PartitionGen {
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -65,7 +67,7 @@ func CandidatePartitions(g *graph.Graph, seed int64) []PartitionGen {
 			gens = append(gens, PartitionGen{Name: "tree-" + strconv.Itoa(k), Parts: parts})
 		}
 	}
-	if parts := LayerPartition(g, graph.ApproxCenter(g)); len(parts) > 1 {
+	if parts := LayerPartition(g, center); len(parts) > 1 {
 		gens = append(gens, PartitionGen{Name: "layers", Parts: parts})
 	}
 	if parts := RandomConnectedPartition(g, rt, seed); len(parts) > 1 {
@@ -74,13 +76,14 @@ func CandidatePartitions(g *graph.Graph, seed int64) []PartitionGen {
 	return gens
 }
 
-// EstimateSQ computes the quality bracket for g using the default builder
-// portfolio over the candidate partitions.
+// EstimateSQ computes the quality bracket for g using the builder
+// portfolio (Build) over the candidate partitions, all built on one skeleton of g
+// whose root also roots the "layers" partition.
 func EstimateSQ(g *graph.Graph, seed int64) (QualityEstimate, error) {
 	est := QualityEstimate{Lower: graph.DiameterApprox(g)}
-	b := WidePortfolio()
-	for _, gen := range CandidatePartitions(g, seed) {
-		s, err := b.Build(g, gen.Parts)
+	sk := NewSkeleton(g)
+	for _, gen := range CandidatePartitions(g, sk.center(), seed) {
+		s, err := Build(sk, gen.Parts)
 		if err != nil {
 			return est, err
 		}

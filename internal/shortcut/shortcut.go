@@ -13,8 +13,8 @@
 // DESIGN.md §1).
 //
 // Determinism obligations: builders are deterministic given (graph,
-// partition) — map-keyed folds sort their keys first (the region.go
-// pattern the maporder analyzer points to) — and every returned shortcut
+// partition) — per-part state lives in arrays indexed by tree member, and
+// edges are emitted in host node order — and every returned shortcut
 // carries a congestion/dilation certificate this package has verified, so
 // reported qualities are measurements, never estimates.
 package shortcut
@@ -22,6 +22,7 @@ package shortcut
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -94,104 +95,171 @@ func Congestion(parts [][]graph.NodeID) int {
 
 // Verify recomputes the shortcut's congestion and dilation certificates from
 // scratch and stores them; it errors if the parts are invalid or any
-// augmented part subgraph is disconnected.
+// augmented part subgraph is disconnected. The builders certify what they
+// build through the same routine on their skeleton's scratch, after
+// validating the parts once.
+//
+//distlint:allow testonly the from-scratch certificate check the builder tests and BenchmarkVerify hold every builder to
 func Verify(g *graph.Graph, s *Shortcut) error {
 	if len(s.Extra) != len(s.Parts) {
 		return ErrPartsMismatch
 	}
-	var sub graph.Induced
-	if err := validateParts(&sub, g, s.Parts); err != nil {
+	var c certifier
+	if err := validateParts(&c.sub, g, s.Parts); err != nil {
 		return err
 	}
-	use := make(map[graph.EdgeID]int)
-	cong := 0
-	dil := 0
+	return c.certify(g, s)
+}
+
+// certifier is the scratch that certifying shortcuts reuses across parts
+// and calls: the induced-subgraph kernel, the augmented node list, a lower
+// and an upper eccentricity bound per augmented node, the nodes still in
+// play, and a use count per host edge (all zero between calls). It is not
+// safe for concurrent use.
+type certifier struct {
+	sub    graph.Induced
+	nodes  []graph.NodeID
+	lo, hi []int32
+	live   []int32
+	use    []int32
+}
+
+// certify computes s's congestion and dilation certificates and stores
+// them. The parts must already have passed validateParts.
+func (c *certifier) certify(g *graph.Graph, s *Shortcut) error {
+	if len(c.use) < g.M() {
+		c.use = make([]int32, g.M())
+	}
+	defer func() {
+		for _, extra := range s.Extra {
+			for _, id := range extra {
+				if id >= 0 && id < g.M() {
+					c.use[id] = 0
+				}
+			}
+		}
+	}()
+	cong, dil := 0, 0
 	for i, p := range s.Parts {
 		for _, id := range s.Extra[i] {
 			if id < 0 || id >= g.M() {
 				return fmt.Errorf("part %d: extra edge %d out of range", i, id)
 			}
-			use[id]++
-			if use[id] > cong {
-				cong = use[id]
-			}
+			c.use[id]++
+			cong = max(cong, int(c.use[id]))
 		}
-		d, err := augmentedDiameter(&sub, g, p, s.Extra[i])
+		d, err := c.augmentedDiameter(g, p, s.Extra[i], dil)
 		if err != nil {
 			return fmt.Errorf("part %d: %w", i, err)
 		}
-		if d > dil {
-			dil = d
-		}
+		dil = d
 	}
 	s.Congestion = cong
 	s.Dilation = dil
 	return nil
 }
 
-// augmentedDiameter returns the dilation certificate of one part: the
-// hop-diameter of G[P ∪ V(H)], the subgraph induced on the part plus the
-// endpoints of its extra edges (it contains every edge of G[P] ∪ H). The
-// subgraph is laid out once in sub and every sweep runs on that layout.
-func augmentedDiameter(sub *graph.Induced, g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID) (int, error) {
-	nodes := make([]graph.NodeID, 0, len(part)+2*len(extra))
-	nodes = append(nodes, part...)
+// exactCutoff is the largest augmented part whose dilation certificate is
+// its exact diameter; above it the certificate is a double-sweep bound.
+const exactCutoff = 192
+
+// augmentedDiameter returns the larger of floor and the dilation
+// certificate of one part: the hop-diameter of G[P ∪ V(H)], the subgraph
+// induced on the part plus the endpoints of its extra edges (it contains
+// every edge of G[P] ∪ H). Verify passes the largest certificate of the
+// parts before as floor, since only the maximum is reported. The subgraph
+// is laid out once in c.sub and every sweep runs on that layout.
+//
+// Up to exactCutoff nodes the certificate is the exact diameter, found by
+// eccentricity bounding (Takes and Kosters, CIKM 2011) instead of a sweep
+// from every node. A sweep from v with eccentricity e bounds every node w
+// by max(d(v,w), e − d(v,w)) ≤ ecc(w) ≤ e + d(v,w). A node whose upper
+// bound is at most the best lower bound — the largest eccentricity swept
+// so far, or floor — cannot raise the maximum and drops out; the swept
+// node itself always does. The sweeps alternate between the live node with
+// the largest upper bound and the one with the smallest lower bound
+// (lowest local index on ties) and stop when no node is left, so the
+// result is exact whatever the order. A cycle, where every eccentricity is
+// equal, sweeps every node once.
+//
+// Above exactCutoff it is the 2-approximation upper bound 2·ecc(x),
+// refined by a double sweep so the reported value is max(ecc(far), min
+// over the two sweeps of 2·ecc) — still a valid upper bound, at most 2×
+// the truth.
+func (c *certifier) augmentedDiameter(g *graph.Graph, part []graph.NodeID, extra []graph.EdgeID, floor int) (int, error) {
+	nodes := append(c.nodes[:0], part...)
 	for _, id := range extra {
 		e := g.Edge(id)
 		nodes = append(nodes, e.U, e.V)
 	}
-	// Sorted once: deterministic BFS input and sweep order.
-	slices.Sort(nodes)
-	nodes = slices.Compact(nodes)
-	k := sub.Build(g, nodes)
-	// The dilation certificate must be an upper bound. For small augmented
-	// parts compute the exact diameter (all-pairs BFS); for large ones use
-	// the 2-approximation upper bound 2·ecc(x), refined by a double sweep
-	// so the reported value is max(ecc(far), min over the two sweeps of
-	// 2·ecc) — still a valid upper bound, at most 2× the truth.
+	if len(nodes) > exactCutoff {
+		// The double sweep's start and tie-breaking follow the layout, so
+		// a part that may take it is laid out in node order. The exact
+		// diameter does not depend on the layout; Build drops repeats.
+		slices.Sort(nodes)
+		nodes = slices.Compact(nodes)
+	}
+	c.nodes = nodes
+	k := c.sub.Build(g, nodes)
 	sweep := func(root int) (int, int, error) {
-		reached, ecc, far := sub.Sweep(root)
+		reached, ecc, far := c.sub.Sweep(root)
 		if reached != k {
 			return 0, 0, fmt.Errorf("augmented part disconnected: %w", ErrPartDisconnected)
 		}
 		return ecc, far, nil
 	}
-	const exactCutoff = 192
-	if k <= exactCutoff {
-		diam := 0
-		for v := 0; v < k; v++ {
-			ecc, _, err := sweep(v)
-			if err != nil {
-				return 0, err
-			}
-			if ecc > diam {
-				diam = ecc
+	if k > exactCutoff {
+		ecc1, far, err := sweep(sort.SearchInts(nodes, part[0]))
+		if err != nil {
+			return 0, err
+		}
+		if 2*ecc1 <= floor {
+			return floor, nil // the bound cannot exceed 2·ecc1
+		}
+		ecc2, _, err := sweep(far)
+		if err != nil {
+			return 0, err
+		}
+		upper := 2 * ecc1
+		if 2*ecc2 < upper {
+			upper = 2 * ecc2
+		}
+		if ecc2 > upper {
+			upper = ecc2
+		}
+		return max(floor, upper), nil
+	}
+	lo, hi, live := fit(c.lo, k), fit(c.hi, k), fit(c.live, k)
+	c.lo, c.hi, c.live = lo, hi, live
+	for i := range live {
+		lo[i], hi[i], live[i] = 0, math.MaxInt32, int32(i)
+	}
+	best := floor
+	for high := true; len(live) > 0; high = !high {
+		v := live[0]
+		for _, w := range live[1:] {
+			if high && hi[w] > hi[v] || !high && lo[w] < lo[v] {
+				v = w
 			}
 		}
-		return diam, nil
+		ecc, _, err := sweep(int(v))
+		if err != nil {
+			return 0, err
+		}
+		best = max(best, ecc)
+		kept := live[:0]
+		for _, w := range live {
+			d, e := int32(c.sub.Depth(int(w))), int32(ecc)
+			lo[w] = max(lo[w], d, e-d)
+			hi[w] = min(hi[w], e+d)
+			if int(hi[w]) > best {
+				kept = append(kept, w)
+			}
+		}
+		live = kept
 	}
-	ecc1, far, err := sweep(sort.SearchInts(nodes, part[0]))
-	if err != nil {
-		return 0, err
-	}
-	ecc2, _, err := sweep(far)
-	if err != nil {
-		return 0, err
-	}
-	upper := 2 * ecc1
-	if 2*ecc2 < upper {
-		upper = 2 * ecc2
-	}
-	if ecc2 > upper {
-		upper = ecc2
-	}
-	return upper, nil
+	return best, nil
 }
 
-// Builder constructs a shortcut for a partition of g.
-type Builder interface {
-	// Build returns a verified shortcut for the given parts.
-	Build(g *graph.Graph, parts [][]graph.NodeID) (*Shortcut, error)
-	// Name identifies the builder in experiment tables.
-	Name() string
-}
+// fit returns b resized to n elements, reusing its storage when it can.
+func fit(b []int32, n int) []int32 { return slices.Grow(b[:0], n)[:n] }

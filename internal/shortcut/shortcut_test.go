@@ -2,10 +2,12 @@ package shortcut
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"distlap/internal/graph"
+	"distlap/internal/layered"
 )
 
 func gridRows(rows, cols int) [][]graph.NodeID {
@@ -46,7 +48,7 @@ func TestCongestion(t *testing.T) {
 
 func TestTrivialBuilderOnGridRows(t *testing.T) {
 	g := graph.Grid(4, 6)
-	s, err := TrivialBuilder{}.Build(g, gridRows(4, 6))
+	s, err := buildTrivial(NewSkeleton(g), gridRows(4, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestSteinerBuilderConnectsSplitParts(t *testing.T) {
 	g := graph.Caterpillar(8, 1) // spine 0..7, leaf of spine i is 8+i
 	// Part: the full spine (connected, diameter 7).
 	spine := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
-	s, err := SteinerBuilder{}.Build(g, [][]graph.NodeID{spine})
+	s, err := buildSteiner(NewSkeleton(g), [][]graph.NodeID{spine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +110,11 @@ func TestSteinerBuilderConnectsSplitParts(t *testing.T) {
 // bfsSteinerEdges returns the Steiner subtree edges of terminals in g's
 // BFS tree from node 0.
 func bfsSteinerEdges(g *graph.Graph, terminals []graph.NodeID) []graph.EdgeID {
-	tree := graph.BFSTree(g, 0)
-	pos := make([]int32, g.N())
-	tree.IndexInto(pos)
-	return steinerSubtreeEdges(tree, pos, terminals)
+	sk := NewSkeleton(g)
+	sk.tree = graph.BFSTree(g, 0)
+	sk.pos = make([]int32, g.N())
+	sk.tree.IndexInto(sk.pos)
+	return sk.steinerSubtreeEdges(terminals)
 }
 
 func TestSteinerSubtreePrunesAboveMeet(t *testing.T) {
@@ -142,12 +145,12 @@ func TestSteinerSingletonTerminal(t *testing.T) {
 func TestPortfolioPicksBest(t *testing.T) {
 	g := graph.Grid(4, 4)
 	parts := gridRows(4, 4)
-	s, err := DefaultPortfolio().Build(g, parts)
+	s, err := Build(NewSkeleton(g), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	triv, _ := TrivialBuilder{}.Build(g, parts)
-	st, _ := SteinerBuilder{}.Build(g, parts)
+	triv, _ := buildTrivial(NewSkeleton(g), parts)
+	st, _ := buildSteiner(NewSkeleton(g), parts)
 	want := triv.Quality()
 	if st.Quality() < want {
 		want = st.Quality()
@@ -157,8 +160,8 @@ func TestPortfolioPicksBest(t *testing.T) {
 	}
 }
 
-// TestCenterHeuristic checks the root SteinerBuilder and CandidatePartitions
-// take, graph.ApproxCenter: on a path, the middle node.
+// TestCenterHeuristic checks the root that the Steiner-tree builder and
+// CandidatePartitions take, graph.ApproxCenter: on a path, the middle node.
 func TestCenterHeuristic(t *testing.T) {
 	g := graph.Path(9)
 	c := graph.ApproxCenter(g)
@@ -237,7 +240,7 @@ func TestEstimateSQBracketOrdered(t *testing.T) {
 
 func TestCandidatePartitionsValid(t *testing.T) {
 	g := graph.Grid(6, 6)
-	gens := CandidatePartitions(g, 5)
+	gens := CandidatePartitions(g, graph.ApproxCenter(g), 5)
 	if len(gens) < 3 {
 		t.Fatalf("only %d candidate partitions", len(gens))
 	}
@@ -248,17 +251,22 @@ func TestCandidatePartitionsValid(t *testing.T) {
 	}
 }
 
+// builders are the two constructions Build chooses between, and Build.
+var builders = []struct {
+	name  string
+	build func(*Skeleton, [][]graph.NodeID) (*Shortcut, error)
+}{{"trivial", buildTrivial}, {"steiner-tree", buildSteiner}, {"portfolio", Build}}
+
 // Property: on random connected graphs, every builder yields a verified
 // shortcut whose quality is at least the max part diameter... at least 0,
 // and Verify agrees with the builder's own certificate.
 func TestBuilderCertificatesProperty(t *testing.T) {
-	builders := []Builder{TrivialBuilder{}, SteinerBuilder{}, DefaultPortfolio()}
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%40) + 4
 		g := graph.RandomConnected(n, n/2, 1, seed)
 		parts := TreePartition(g, 4)
 		for _, b := range builders {
-			s, err := b.Build(g, parts)
+			s, err := b.build(NewSkeleton(g), parts)
 			if err != nil {
 				return false
 			}
@@ -295,5 +303,46 @@ func TestTreePartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A skeleton shared across partitions keeps per-member and per-edge
+// scratch from one build to the next; every shortcut built on it must
+// equal the one a fresh skeleton builds. The graphs are E5's families and
+// their Ĝ₂, the partitions every candidate EstimateSQ certifies, built in
+// sequence on one skeleton per graph.
+func TestSharedSkeletonMatchesFresh(t *testing.T) {
+	fams := map[string]*graph.Graph{
+		"grid":     graph.Grid(8, 8),
+		"widegrid": graph.Grid(3, 21),
+		"tree":     graph.CompleteTree(2, 6),
+		"expander": graph.RandomRegular(64, 4, 7),
+	}
+	for _, name := range []string{"grid", "widegrid", "tree", "expander"} {
+		lay, err := layered.New(fams[name], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*graph.Graph{fams[name], lay.G} {
+			shared := NewSkeleton(g)
+			for _, gen := range CandidatePartitions(g, shared.center(), 1) {
+				for _, b := range builders {
+					got, err := b.build(shared, gen.Parts)
+					if err != nil {
+						t.Fatalf("%s n=%d %s %s shared: %v", name, g.N(), gen.Name, b.name, err)
+					}
+					want, err := b.build(NewSkeleton(g), gen.Parts)
+					if err != nil {
+						t.Fatalf("%s n=%d %s %s fresh: %v", name, g.N(), gen.Name, b.name, err)
+					}
+					if !reflect.DeepEqual(got.Extra, want.Extra) || got.Congestion != want.Congestion ||
+						got.Dilation != want.Dilation || got.Builder != want.Builder {
+						t.Fatalf("%s n=%d %s %s: shared skeleton built (c=%d, d=%d, %s), fresh (c=%d, d=%d, %s)",
+							name, g.N(), gen.Name, b.name, got.Congestion, got.Dilation, got.Builder,
+							want.Congestion, want.Dilation, want.Builder)
+					}
+				}
+			}
+		}
 	}
 }

@@ -55,9 +55,9 @@ func LoadBench(path string) (*BenchFile, error) {
 	return &b, nil
 }
 
-// Regression is one gated metric of one experiment that regressed beyond
-// the comparison threshold. Metric "missing" marks an experiment present in
-// the baseline but absent from the new run (a coverage loss).
+// Regression is one gated metric of one experiment that differs from the
+// baseline. Metric "missing" marks an experiment present in the baseline
+// but absent from the new run (a coverage loss).
 type Regression struct {
 	ID     string
 	Metric string // "rounds", "messages", "max_edge_load", or "missing"
@@ -69,41 +69,28 @@ func (r Regression) String() string {
 	if r.Metric == "missing" {
 		return fmt.Sprintf("%s: present in baseline but missing from this run", r.ID)
 	}
-	return fmt.Sprintf("%s: %s regressed %d -> %d (%+.1f%%)",
-		r.ID, r.Metric, r.Old, r.New, 100*(float64(r.New)/float64(r.Old)-1))
+	return fmt.Sprintf("%s: %s changed %d -> %d", r.ID, r.Metric, r.Old, r.New)
 }
 
 // CompareBench gates cur against the baseline old: it returns one
-// Regression per (experiment, deterministic metric) where cur exceeds the
-// baseline by more than threshold (a fraction, e.g. 0.10 for 10%).
-// Improvements and new experiments absent from the baseline pass silently;
-// wall-time fields are never compared. The two files must share a schema
-// and a mode — quick and full sweeps measure different instances and are
-// not comparable.
-func CompareBench(old, cur *BenchFile, threshold float64) ([]Regression, error) {
+// Regression per (experiment, deterministic metric) where cur differs from
+// the baseline at all, up or down. The metrics are model costs, identical
+// for a given code version on any host, so a move in either direction is a
+// change to the model that must come with a new baseline, and an
+// improvement is no exception. New experiments absent from the baseline
+// pass; wall-time fields are never compared. The two files must share a
+// schema and a mode — quick and full sweeps measure different instances and
+// are not comparable.
+func CompareBench(old, cur *BenchFile) ([]Regression, error) {
 	if old.Schema != cur.Schema {
 		return nil, fmt.Errorf("simprof: schema mismatch: baseline %d vs current %d", old.Schema, cur.Schema)
 	}
 	if old.Mode != cur.Mode {
 		return nil, fmt.Errorf("simprof: mode mismatch: baseline %q vs current %q (quick and full sweeps are not comparable)", old.Mode, cur.Mode)
 	}
-	if threshold < 0 {
-		return nil, fmt.Errorf("simprof: negative threshold %g", threshold)
-	}
 	curByID := make(map[string]BenchExp, len(cur.Experiments))
 	for _, e := range cur.Experiments {
 		curByID[e.ID] = e
-	}
-	// regressed: old==0 with any growth is a regression (deterministic
-	// metrics should not appear from nothing); otherwise gate on the ratio.
-	regressed := func(oldV, newV int64) bool {
-		if newV <= oldV {
-			return false
-		}
-		if oldV == 0 {
-			return true
-		}
-		return float64(newV) > float64(oldV)*(1+threshold)
 	}
 	var out []Regression
 	for _, ob := range old.Experiments {
@@ -112,13 +99,13 @@ func CompareBench(old, cur *BenchFile, threshold float64) ([]Regression, error) 
 			out = append(out, Regression{ID: ob.ID, Metric: "missing"})
 			continue
 		}
-		if regressed(int64(ob.Rounds), int64(nb.Rounds)) {
+		if ob.Rounds != nb.Rounds {
 			out = append(out, Regression{ID: ob.ID, Metric: "rounds", Old: int64(ob.Rounds), New: int64(nb.Rounds)})
 		}
-		if regressed(ob.Messages, nb.Messages) {
+		if ob.Messages != nb.Messages {
 			out = append(out, Regression{ID: ob.ID, Metric: "messages", Old: ob.Messages, New: nb.Messages})
 		}
-		if regressed(ob.MaxEdgeLoad, nb.MaxEdgeLoad) {
+		if ob.MaxEdgeLoad != nb.MaxEdgeLoad {
 			out = append(out, Regression{ID: ob.ID, Metric: "max_edge_load", Old: ob.MaxEdgeLoad, New: nb.MaxEdgeLoad})
 		}
 	}

@@ -19,7 +19,7 @@ func benchFixture() *BenchFile {
 
 func TestCompareBenchSelf(t *testing.T) {
 	b := benchFixture()
-	regs, err := CompareBench(b, b, 0.10)
+	regs, err := CompareBench(b, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +30,16 @@ func TestCompareBenchSelf(t *testing.T) {
 
 func TestCompareBenchFlagsInflation(t *testing.T) {
 	old, cur := benchFixture(), benchFixture()
-	cur.Experiments[0].Rounds = 111     // +11% > 10%
-	cur.Experiments[2].Messages = 99001 // +10.001% > 10%
-	cur.Experiments[2].MaxEdgeLoad = 13 // +8.3% passes
+	cur.Experiments[0].Rounds = 111     // +11%
+	cur.Experiments[2].Messages = 90001 // one message more
+	cur.Experiments[2].MaxEdgeLoad = 13 // +8.3%: no allowance hides it
 	cur.Experiments[0].WallMS = 1e9     // wall time never gated
-	regs, err := CompareBench(old, cur, 0.10)
+	regs, err := CompareBench(old, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 2 {
-		t.Fatalf("regressions = %v, want rounds@E1 and messages@E3", regs)
+	if len(regs) != 3 {
+		t.Fatalf("regressions = %v, want rounds@E1, messages@E3 and max_edge_load@E3", regs)
 	}
 	if regs[0].ID != "E1" || regs[0].Metric != "rounds" {
 		t.Fatalf("regs[0] = %v", regs[0])
@@ -47,7 +47,10 @@ func TestCompareBenchFlagsInflation(t *testing.T) {
 	if regs[1].ID != "E3" || regs[1].Metric != "messages" {
 		t.Fatalf("regs[1] = %v", regs[1])
 	}
-	if !strings.Contains(regs[0].String(), "rounds regressed 100 -> 111") {
+	if regs[2].ID != "E3" || regs[2].Metric != "max_edge_load" {
+		t.Fatalf("regs[2] = %v", regs[2])
+	}
+	if !strings.Contains(regs[0].String(), "rounds changed 100 -> 111") {
 		t.Fatalf("String() = %q", regs[0].String())
 	}
 }
@@ -55,7 +58,7 @@ func TestCompareBenchFlagsInflation(t *testing.T) {
 func TestCompareBenchZeroBaselineGrowth(t *testing.T) {
 	old, cur := benchFixture(), benchFixture()
 	cur.Experiments[1].MaxEdgeLoad = 1
-	regs, err := CompareBench(old, cur, 0.10)
+	regs, err := CompareBench(old, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +67,33 @@ func TestCompareBenchZeroBaselineGrowth(t *testing.T) {
 	}
 }
 
+// The model costs are deterministic, so a lower one is a change to the
+// model like any other and is flagged until the baseline moves with it.
+func TestCompareBenchFlagsModelImprovements(t *testing.T) {
+	old, cur := benchFixture(), benchFixture()
+	cur.Experiments[0].Rounds = 10      // big improvement
+	cur.Experiments[2].MaxEdgeLoad = 11 // small improvement
+	regs, err := CompareBench(old, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 2 || regs[0].ID != "E1" || regs[0].Metric != "rounds" ||
+		regs[1].ID != "E3" || regs[1].Metric != "max_edge_load" {
+		t.Fatalf("regressions = %v, want rounds@E1 and max_edge_load@E3", regs)
+	}
+	if !strings.Contains(regs[0].String(), "rounds changed 100 -> 10") {
+		t.Fatalf("String() = %q", regs[0].String())
+	}
+}
+
+// Wall time is never gated, so a faster run passes, and so does an
+// experiment the baseline does not know yet.
 func TestCompareBenchImprovementsAndNewExperimentsPass(t *testing.T) {
 	old, cur := benchFixture(), benchFixture()
-	cur.Experiments[0].Rounds = 10 // big improvement
+	old.Experiments[0].WallMS = 1e9
+	cur.Experiments[0].WallMS = 1 // big wall-time improvement
 	cur.Experiments = append(cur.Experiments, BenchExp{ID: "E4", Rounds: 7})
-	regs, err := CompareBench(old, cur, 0.10)
+	regs, err := CompareBench(old, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +105,7 @@ func TestCompareBenchImprovementsAndNewExperimentsPass(t *testing.T) {
 func TestCompareBenchMissingExperiment(t *testing.T) {
 	old, cur := benchFixture(), benchFixture()
 	cur.Experiments = cur.Experiments[:2]
-	regs, err := CompareBench(old, cur, 0.10)
+	regs, err := CompareBench(old, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +117,12 @@ func TestCompareBenchMissingExperiment(t *testing.T) {
 func TestCompareBenchModeAndSchemaMismatch(t *testing.T) {
 	old, cur := benchFixture(), benchFixture()
 	cur.Mode = "full"
-	if _, err := CompareBench(old, cur, 0.10); err == nil {
+	if _, err := CompareBench(old, cur); err == nil {
 		t.Fatal("mode mismatch accepted")
 	}
 	cur = benchFixture()
 	cur.Schema = BenchSchema + 1
-	if _, err := CompareBench(old, cur, 0.10); err == nil {
+	if _, err := CompareBench(old, cur); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
 }

@@ -180,7 +180,7 @@ func (sv *Solver) MinimumSpanningTree(g *Graph) (*MSTResult, error) {
 	nw := congest.NewNetwork(g, congest.Options{
 		Supported: true, Seed: sv.cfg.Seed, Trace: sv.cfg.Trace,
 	})
-	return apps.MST(nw, partwise.ShortcutSolver{})
+	return apps.MST(nw, new(partwise.ShortcutSolver))
 }
 
 // AggregateResult reports a part-wise aggregation: the per-part aggregates
