@@ -25,9 +25,12 @@ fmt-check:
 # metrics-integrity invariants the simulator's measured round counts rest on,
 # and keeps internal/ free of exports only tests use (see internal/lint;
 # `go run ./cmd/distlint -list` names all twelve analyzers). Every
-# unsuppressed finding fails the run.
+# unsuppressed finding fails the run. The second run lints the boundcheck
+# build (see bound-check), whose checked sweep file the default build, and
+# so the first run, never compiles.
 lint:
 	$(GO) run ./cmd/distlint ./...
+	$(GO) run ./cmd/distlint -tags boundcheck ./...
 
 # Machine-readable lint report: the same run serialized as a versioned,
 # byte-stable JSON schema (suppressed findings included, with their
@@ -45,18 +48,20 @@ test:
 # steady-state Exchange at 0 allocs/round (reliable and under a drop-only
 # fault plan), AggregateMany at 1 alloc/call, UpDownMany at 0,
 # ncc.Deliver at 0 allocs/call (reliable and drop-only, on a dense and a
-# sparse batch), a PCG iteration within its fixed budget, graph.BFS at 5
-# on grid-400, and an induced-subgraph kernel sweep or
+# sparse batch), a PCG iteration within its fixed budget, graph.BFS and
+# graph.Grid at 5 on grid-400, and an induced-subgraph kernel sweep or
 # no-larger rebuild at 0 allocs; two cold-start budgets that hold
 # across graph sizes, a fresh network's first AggregateMany at 28 and
-# layered.New at 6; a bytes budget of 32 KiB for compiling a
-# request's two-fold global tree set on expander-512; and a prepared MST
+# layered.New at 6; bytes budgets of 32 KiB for compiling a request's
+# two-fold global tree set on expander-512, 1 MiB for layered.New of an
+# 8×8 grid at p = 61 and 11 MiB for a LayeredSolver solve of E7's
+# largest instance; and a prepared MST
 # request at 2,300 allocations on grid-400 and 7,100 on expander-512. The
 # tests are `//go:build !race` because the race runtime changes allocation
 # counts, so this is a separate plain-runtime pass; `make test` covers the
 # same code for correctness.
 alloc-check:
-	$(GO) test -run 'Allocs' . ./internal/graph ./internal/congest ./internal/layered ./internal/ncc ./internal/core
+	$(GO) test -run 'Allocs' . ./internal/graph ./internal/congest ./internal/layered ./internal/ncc ./internal/core ./internal/partwise
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing per native fuzz
 # target, on top of the committed seed corpus that `make test` replays.

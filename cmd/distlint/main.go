@@ -9,11 +9,13 @@
 //	go run ./cmd/distlint -checks maporder,floateq ./internal/...
 //	go run ./cmd/distlint -disable errcheck ./...
 //	go run ./cmd/distlint -json ./... > distlint.json
+//	go run ./cmd/distlint -tags boundcheck ./...
 //	go run ./cmd/distlint -list
 //
 // All analyzers share one parse + type-check pass per package. -checks
 // enables only the named analyzers, and -disable removes names from
-// whatever is enabled.
+// whatever is enabled. -tags lints the files the build with those tags
+// compiles instead of the default build's (congest's boundcheck mode).
 //
 // -json writes a machine-readable report to stdout instead of text lines:
 // a versioned schema listing the analyzers that ran and every finding —
@@ -61,6 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checks := fs.String("checks", "", "comma-separated subset of analyzers to run (default all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	jsonOut := fs.Bool("json", false, "write a machine-readable report to stdout")
+	tags := fs.String("tags", "", "comma-separated build tags: lint the files that build compiles")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -87,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "distlint: %v\n", err)
 		return 2
 	}
-	loader, err := lint.NewLoader(cwd)
+	loader, err := lint.NewLoader(cwd, splitList(*tags)...)
 	if err != nil {
 		fmt.Fprintf(stderr, "distlint: %v\n", err)
 		return 2

@@ -70,3 +70,13 @@ func TestBFSAllocs(t *testing.T) {
 		t.Fatalf("BFS on grid-400 allocates %.1f per call, want at most 5", a)
 	}
 }
+
+// TestGridAllocs pins a generator family at a fixed number of allocations:
+// Grid collects its edges in one list and builds the graph in one block
+// (the graph, degree offsets, half-edges and node slices), where growing
+// it edge by edge through AddEdge reallocated each node's slice.
+func TestGridAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(20, func() { Grid(20, 20) }); a > 5 {
+		t.Fatalf("Grid(20,20) allocates %.1f, want at most 5", a)
+	}
+}

@@ -10,57 +10,73 @@ import "math/rand"
 // (classic congestion bottlenecks) and random connected graphs.
 //
 // All generators are deterministic given their arguments (randomized ones
-// take an explicit seed) so that experiments are reproducible.
+// take an explicit seed) so that experiments are reproducible. Each collects
+// its edges in EdgeID order and builds the graph in one block (FromEdges),
+// so every node's half-edges are capped at its degree.
 
-// Path returns the n-node path 0-1-...-(n-1) with unit weights.
-func Path(n int) *Graph {
-	g := New(n)
-	for i := 0; i+1 < n; i++ {
-		g.MustAddEdge(i, i+1, 1)
+// fromValid is FromEdges for edges a generator made valid.
+func fromValid(n int, edges []Edge) *Graph {
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		panic(err)
 	}
 	return g
 }
 
+// unit returns the unit-weight edge {u, v}.
+func unit(u, v NodeID) Edge { return Edge{U: u, V: v, Weight: 1} }
+
+// pathEdges returns the edges of the n-node path, with room for extra more.
+func pathEdges(n, extra int) []Edge {
+	edges := make([]Edge, 0, max(n-1, 0)+extra)
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, unit(i, i+1))
+	}
+	return edges
+}
+
+// Path returns the n-node path 0-1-...-(n-1) with unit weights.
+func Path(n int) *Graph { return fromValid(n, pathEdges(n, 0)) }
+
 // Cycle returns the n-node cycle with unit weights (n >= 3).
 func Cycle(n int) *Graph {
-	g := Path(n)
+	edges := pathEdges(n, 1)
 	if n >= 3 {
-		g.MustAddEdge(n-1, 0, 1)
+		edges = append(edges, unit(n-1, 0))
 	}
-	return g
+	return fromValid(n, edges)
 }
 
 // Grid returns the rows x cols grid with unit weights. Node (r, c) has ID
 // r*cols + c. A "wide grid" (cylinder-like shape with small diameter but
 // large √n) is Grid(h, w) with h << w.
 func Grid(rows, cols int) *Graph {
-	g := New(rows * cols)
 	id := func(r, c int) NodeID { return r*cols + c }
+	edges := make([]Edge, 0, max(rows*(cols-1)+(rows-1)*cols, 0))
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.MustAddEdge(id(r, c), id(r, c+1), 1)
+				edges = append(edges, unit(id(r, c), id(r, c+1)))
 			}
 			if r+1 < rows {
-				g.MustAddEdge(id(r, c), id(r+1, c), 1)
+				edges = append(edges, unit(id(r, c), id(r+1, c)))
 			}
 		}
 	}
-	return g
+	return fromValid(rows*cols, edges)
 }
 
 // Torus returns the rows x cols torus (grid with wraparound) with unit
 // weights; rows, cols >= 3 to avoid parallel edges.
 func Torus(rows, cols int) *Graph {
-	g := New(rows * cols)
 	id := func(r, c int) NodeID { return r*cols + c }
+	edges := make([]Edge, 0, max(2*rows*cols, 0))
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			g.MustAddEdge(id(r, c), id(r, (c+1)%cols), 1)
-			g.MustAddEdge(id(r, c), id((r+1)%rows, c), 1)
+			edges = append(edges, unit(id(r, c), id(r, (c+1)%cols)), unit(id(r, c), id((r+1)%rows, c)))
 		}
 	}
-	return g
+	return fromValid(rows*cols, edges)
 }
 
 // CompleteTree returns the complete b-ary tree with the given number of
@@ -75,59 +91,59 @@ func CompleteTree(branching, levels int) *Graph {
 		width *= branching
 		n += width
 	}
-	g := New(n)
+	edges := make([]Edge, 0, n-1)
 	// Children of node v are b*v+1 ... b*v+b, heap style.
 	for v := 0; v < n; v++ {
 		for c := 1; c <= branching; c++ {
 			child := branching*v + c
 			if child < n {
-				g.MustAddEdge(v, child, 1)
+				edges = append(edges, unit(v, child))
 			}
 		}
 	}
-	return g
+	return fromValid(n, edges)
 }
 
 // Star returns the n-node star with center 0 and unit weights.
 //
 //distlint:allow testonly hub-and-leaves edge-case topology the congest, linalg and partwise tests share
 func Star(n int) *Graph {
-	g := New(n)
+	edges := make([]Edge, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(0, i, 1)
+		edges = append(edges, unit(0, i))
 	}
-	return g
+	return fromValid(n, edges)
 }
 
 // Complete returns the complete graph K_n with unit weights.
 //
 //distlint:allow testonly diameter-1 edge-case topology the apps, shortcut and treewidth tests share
-func Complete(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v, 1)
+func Complete(n int) *Graph { return fromValid(n, cliqueEdges(nil, 0, n)) }
+
+// cliqueEdges appends the unit edges of a clique on nodes start ..
+// start+k-1 to edges, pairs in lexicographic order.
+func cliqueEdges(edges []Edge, start, k int) []Edge {
+	for u := start; u < start+k; u++ {
+		for v := u + 1; v < start+k; v++ {
+			edges = append(edges, unit(u, v))
 		}
 	}
-	return g
+	return edges
 }
 
 // Caterpillar returns a caterpillar: a spine path of spine nodes, each spine
 // node with legs pendant leaves. Treewidth 1, diameter spine+1, n =
 // spine*(1+legs). Unit weights.
 func Caterpillar(spine, legs int) *Graph {
-	g := New(spine * (1 + legs))
-	for i := 0; i+1 < spine; i++ {
-		g.MustAddEdge(i, i+1, 1)
-	}
+	edges := pathEdges(spine, max(spine*legs, 0))
 	next := spine
 	for i := 0; i < spine; i++ {
 		for l := 0; l < legs; l++ {
-			g.MustAddEdge(i, next, 1)
+			edges = append(edges, unit(i, next))
 			next++
 		}
 	}
-	return g
+	return fromValid(spine*(1+legs), edges)
 }
 
 // Barbell returns two K_k cliques joined by a path of bridge nodes
@@ -135,23 +151,15 @@ func Caterpillar(spine, legs int) *Graph {
 // The classic bandwidth-bottleneck topology. Unit weights.
 func Barbell(k, bridge int) *Graph {
 	n := 2*k + bridge
-	g := New(n)
-	clique := func(start int) {
-		for u := start; u < start+k; u++ {
-			for v := u + 1; v < start+k; v++ {
-				g.MustAddEdge(u, v, 1)
-			}
-		}
-	}
-	clique(0)
-	clique(k + bridge)
+	edges := cliqueEdges(nil, 0, k)
+	edges = cliqueEdges(edges, k+bridge, k)
 	prev := k - 1 // a node of the first clique
 	for b := 0; b < bridge; b++ {
-		g.MustAddEdge(prev, k+b, 1)
+		edges = append(edges, unit(prev, k+b))
 		prev = k + b
 	}
-	g.MustAddEdge(prev, k+bridge, 1)
-	return g
+	edges = append(edges, unit(prev, k+bridge))
+	return fromValid(n, edges)
 }
 
 // RandomRegular returns a connected random d-regular-ish multigraph on n
@@ -162,9 +170,8 @@ func Barbell(k, bridge int) *Graph {
 // even for an exact configuration; otherwise one stub is dropped.
 func RandomRegular(n, d int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
 	if n <= 1 {
-		return g
+		return New(n)
 	}
 	if d >= n {
 		d = n - 1
@@ -180,6 +187,7 @@ func RandomRegular(n, d int, seed int64) *Graph {
 	}
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	used := make(map[[2]NodeID]bool)
+	edges := make([]Edge, 0, len(stubs)/2)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
 		if u == v {
@@ -190,8 +198,9 @@ func RandomRegular(n, d int, seed int64) *Graph {
 			continue
 		}
 		used[key] = true
-		g.MustAddEdge(u, v, 1)
+		edges = append(edges, unit(u, v))
 	}
+	g := fromValid(n, edges)
 	patchConnected(g, rng)
 	return g
 }
@@ -201,7 +210,6 @@ func RandomRegular(n, d int, seed int64) *Graph {
 // maxWeight > 1, in which case weights are uniform in [1, maxWeight].
 func RandomConnected(n, extra int, maxWeight int64, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
 	w := func() int64 {
 		if maxWeight <= 1 {
 			return 1
@@ -210,12 +218,13 @@ func RandomConnected(n, extra int, maxWeight int64, seed int64) *Graph {
 	}
 	// Random spanning tree by random attachment (random recursive tree).
 	perm := rng.Perm(n)
+	edges := make([]Edge, 0, max(n-1, 0)+max(extra, 0))
 	for i := 1; i < n; i++ {
 		parent := perm[rng.Intn(i)]
-		g.MustAddEdge(perm[i], parent, w())
+		edges = append(edges, Edge{U: perm[i], V: parent, Weight: w()})
 	}
 	used := make(map[[2]NodeID]bool, extra)
-	for _, e := range g.edges {
+	for _, e := range edges {
 		used[[2]NodeID{min(e.U, e.V), max(e.U, e.V)}] = true
 	}
 	for tries, added := 0, 0; added < extra && tries < 20*extra+100; tries++ {
@@ -228,10 +237,10 @@ func RandomConnected(n, extra int, maxWeight int64, seed int64) *Graph {
 			continue
 		}
 		used[key] = true
-		g.MustAddEdge(u, v, w())
+		edges = append(edges, Edge{U: u, V: v, Weight: w()})
 		added++
 	}
-	return g
+	return fromValid(n, edges)
 }
 
 // patchConnected adds unit edges between components until g is connected.

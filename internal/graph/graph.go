@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // NodeID identifies a node; nodes are dense integers in [0, N).
@@ -43,8 +44,27 @@ type Half struct {
 
 // Graph is a weighted undirected multigraph with dense node and edge IDs.
 // The zero value is an empty graph with no nodes; use New to pre-allocate.
+//
+// Every node's half-edges are listed in ascending EdgeID order. A layered
+// graph (Layers) keeps its clique edges implicit: they have EdgeIDs after
+// the stored edges and are computed from their ID by Edge, counted by M
+// and Degree and walked by BFS and Induced without being stored. Neighbors
+// and EdgeList, which return stored slices, lay the cliques out on first
+// use, once per graph.
 type Graph struct {
 	n     int
+	m     int      // edge count: the stored edges plus any clique edges
+	edges []Edge   // the stored edges, EdgeIDs 0 .. len(edges)-1
+	adj   [][]Half // each node's half-edges; nil on a layered graph
+	cl    cliques  // a layered graph's clique edges and layer half-edges; zero on any other graph
+	// full holds a layered graph's cliques laid out, once the first
+	// Neighbors or EdgeList call has built them.
+	full atomic.Pointer[layout]
+}
+
+// layout is a layered graph with its cliques laid out: every edge and
+// every node's half-edges, as FromEdges would store them.
+type layout struct {
 	edges []Edge
 	adj   [][]Half
 }
@@ -87,10 +107,15 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	return build(n, edges), nil
 }
 
-// build lays out the adjacency of n nodes and valid edges: degrees, then
+// build returns the graph of n nodes and valid edges.
+func build(n int, edges []Edge) *Graph {
+	return &Graph{n: n, m: len(edges), edges: edges, adj: layOut(n, edges)}
+}
+
+// layOut returns the adjacency of n nodes and valid edges: degrees, then
 // each node's offset into one half-edge block, then the half-edges in
 // EdgeID order.
-func build(n int, edges []Edge) *Graph {
+func layOut(n int, edges []Edge) [][]Half {
 	off := make([]int, n+1)
 	for _, e := range edges {
 		off[e.U+1]++
@@ -108,20 +133,39 @@ func build(n int, edges []Edge) *Graph {
 		adj[e.U] = append(adj[e.U], Half{To: e.V, Edge: id})
 		adj[e.V] = append(adj[e.V], Half{To: e.U, Edge: id})
 	}
-	return &Graph{n: n, edges: edges, adj: adj}
+	return adj
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph { return build(g.n, slices.Clone(g.edges)) }
+// Clone returns a deep copy of g. A layered graph's clone keeps its
+// cliques implicit; it shares only the read-only clique pair table.
+func (g *Graph) Clone() *Graph {
+	c := build(g.n, slices.Clone(g.edges))
+	if g.cl.pair != nil {
+		c.m, c.cl = g.m, g.cl
+		c.cl.adj, c.adj = c.adj, nil
+	}
+	return c
+}
+
+// stored returns each node's stored half-edges: all of them on an ordinary
+// graph, those of the layer edges on a layered graph.
+func (g *Graph) stored() [][]Half {
+	if g.cl.pair != nil {
+		return g.cl.adj
+	}
+	return g.adj
+}
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of (undirected) edges.
-func (g *Graph) M() int { return len(g.edges) }
+func (g *Graph) M() int { return g.m }
 
-// AddNode appends a fresh node and returns its ID.
+// AddNode appends a fresh node and returns its ID. On a layered graph it
+// first lays the cliques out, as AddEdge does.
 func (g *Graph) AddNode() NodeID {
+	g.flatten()
 	g.adj = append(g.adj, nil)
 	g.n++
 	return g.n - 1
@@ -129,12 +173,16 @@ func (g *Graph) AddNode() NodeID {
 
 // AddEdge inserts an undirected edge {u, v} of weight w and returns its
 // EdgeID. Parallel edges are allowed; self-loops and non-positive weights
-// are rejected.
+// are rejected. On a layered graph a valid edge first turns the implicit
+// cliques into stored edges with the same IDs, so the graph becomes an
+// ordinary one and the new edge gets the ID after every clique edge.
 func (g *Graph) AddEdge(u, v NodeID, w int64) (EdgeID, error) {
 	if err := checkEdge(g.n, u, v, w); err != nil {
 		return 0, err
 	}
+	g.flatten()
 	id := len(g.edges)
+	g.m++
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
 	g.adj[u] = append(g.adj[u], Half{To: v, Edge: id})
 	g.adj[v] = append(g.adj[v], Half{To: u, Edge: id})
@@ -166,24 +214,54 @@ func (g *Graph) MustAddEdge(u, v NodeID, w int64) EdgeID {
 	return id
 }
 
-// Edge returns the edge with the given ID.
-func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
+// Edge returns the edge with the given ID. A clique edge is computed, not
+// read: it is its pair's edge on base node 0, shifted to its base node.
+// The lookup stays free of calls so that the engine's per-word helpers
+// that use it are inlined: its inline cost of 54 puts congest's
+// Network.ends at the compiler's budget of 80.
+func (g *Graph) Edge(id EdgeID) Edge {
+	if uint(id) < uint(len(g.edges)) {
+		return g.edges[id]
+	}
+	return g.cl.edge(id - len(g.edges))
+}
 
 // EdgeList returns the graph's edge list in EdgeID order. The returned
 // slice is the graph's own storage and must not be modified by the caller.
-func (g *Graph) EdgeList() []Edge { return g.edges }
+// On a layered graph the first call lays the cliques out.
+func (g *Graph) EdgeList() []Edge {
+	if g.cl.pair != nil {
+		return g.laidOut().edges
+	}
+	return g.edges
+}
 
-// Neighbors returns the half-edges incident to v. The returned slice is the
-// graph's internal storage and must not be modified by the caller.
-func (g *Graph) Neighbors(v NodeID) []Half { return g.adj[v] }
+// Neighbors returns the half-edges incident to v in ascending EdgeID
+// order. The returned slice is the graph's internal storage and must not
+// be modified by the caller. On a layered graph, whose adj is nil, the
+// first call lays the cliques out. Folding that test into the index's
+// bounds check keeps an ordinary graph's lookup as cheap as a plain index
+// in Exchange's per-node loop; a node out of range reaches the same slow
+// path and panics there.
+func (g *Graph) Neighbors(v NodeID) []Half {
+	if uint(v) < uint(len(g.adj)) {
+		return g.adj[v]
+	}
+	return g.laidOut().adj[v]
+}
 
 // Degree returns the number of edge endpoints at v (parallel edges counted
 // with multiplicity).
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v NodeID) int {
+	if g.cl.pair != nil {
+		return len(g.cl.adj[v]) + g.cl.copies - 1
+	}
+	return len(g.adj[v])
+}
 
 // Other returns the endpoint of edge id that is not v.
 func (g *Graph) Other(id EdgeID, v NodeID) NodeID {
-	e := g.edges[id]
+	e := g.Edge(id)
 	if e.U == v {
 		return e.V
 	}
@@ -195,11 +273,15 @@ func (g *Graph) HasEdgeBetween(u, v NodeID) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	// Scan the smaller adjacency list.
-	if len(g.adj[u]) > len(g.adj[v]) {
+	if g.cl.pair != nil && u != v && u%g.cl.width == v%g.cl.width {
+		return true // copies of one base node
+	}
+	// Scan the smaller stored adjacency list.
+	adj := g.stored()
+	if len(adj[u]) > len(adj[v]) {
 		u, v = v, u
 	}
-	for _, h := range g.adj[u] {
+	for _, h := range adj[u] {
 		if h.To == v {
 			return true
 		}
@@ -207,23 +289,36 @@ func (g *Graph) HasEdgeBetween(u, v NodeID) bool {
 	return false
 }
 
-// Validate checks internal consistency (adjacency mirrors the edge list).
-// Every constructor keeps it (Read and FromEdges range-check each edge
-// before laying it out), so it serves as a test oracle.
+// Validate checks internal consistency: the adjacency mirrors the edge
+// list, each node's half-edges in ascending EdgeID order, and Degree and M
+// count them. Every constructor keeps it (Read and FromEdges range-check
+// each edge before laying it out), so it serves as a test oracle. On a
+// layered graph it checks the laid-out cliques.
 //
 //distlint:allow testonly adjacency-mirrors-edge-list oracle the graph, io and layered tests check every constructed graph against
 func (g *Graph) Validate() error {
-	if len(g.adj) != g.n {
-		return fmt.Errorf("graph: adjacency size %d != n %d", len(g.adj), g.n)
+	if len(g.stored()) != g.n {
+		return fmt.Errorf("graph: adjacency size %d != n %d", len(g.stored()), g.n)
+	}
+	edges := g.EdgeList()
+	if len(edges) != g.m {
+		return fmt.Errorf("graph: %d edges listed, m = %d", len(edges), g.m)
 	}
 	degSum := 0
 	for v := 0; v < g.n; v++ {
-		degSum += len(g.adj[v])
-		for _, h := range g.adj[v] {
-			if h.Edge < 0 || h.Edge >= len(g.edges) {
-				return fmt.Errorf("graph: node %d references edge %d of %d", v, h.Edge, len(g.edges))
+		halves := g.Neighbors(v)
+		degSum += len(halves)
+		if d := g.Degree(v); d != len(halves) {
+			return fmt.Errorf("graph: node %d has degree %d but %d half-edges", v, d, len(halves))
+		}
+		for i, h := range halves {
+			if h.Edge < 0 || h.Edge >= len(edges) {
+				return fmt.Errorf("graph: node %d references edge %d of %d", v, h.Edge, len(edges))
 			}
-			e := g.edges[h.Edge]
+			if i > 0 && h.Edge <= halves[i-1].Edge {
+				return fmt.Errorf("graph: node %d lists edge %d after edge %d", v, h.Edge, halves[i-1].Edge)
+			}
+			e := edges[h.Edge]
 			if e.U != v && e.V != v {
 				return fmt.Errorf("graph: node %d lists edge %d={%d,%d} not incident to it", v, h.Edge, e.U, e.V)
 			}
@@ -232,10 +327,10 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if degSum != 2*len(g.edges) {
-		return fmt.Errorf("graph: degree sum %d != 2m %d", degSum, 2*len(g.edges))
+	if degSum != 2*len(edges) {
+		return fmt.Errorf("graph: degree sum %d != 2m %d", degSum, 2*len(edges))
 	}
-	for id, e := range g.edges {
+	for id, e := range edges {
 		if e.U < 0 || e.U >= g.n || e.V < 0 || e.V >= g.n {
 			return fmt.Errorf("edge %d: %w", id, ErrNodeRange)
 		}
@@ -260,7 +355,7 @@ func (g *Graph) Subgraph(nodes []NodeID) (*Graph, []NodeID) {
 		orig[i] = v
 	}
 	sub := New(len(nodes))
-	for _, e := range g.edges {
+	for _, e := range g.EdgeList() {
 		iu, okU := idx[e.U]
 		iv, okV := idx[e.V]
 		if okU && okV {

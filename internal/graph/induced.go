@@ -3,7 +3,9 @@ package graph
 import "slices"
 
 // Induced is a reusable kernel for induced subgraphs. Build lays G[members]
-// out once as a CSR over local indices 0..k−1 in O(k + Σ deg(members)), and
+// out once as a CSR over local indices 0..k−1 in O(k + Σ deg(members)) (on
+// a layered graph, O(k + Σ layer deg) plus O(p) per member that shares
+// its base node with another member), and
 // Sweep runs breadth-first searches on that layout, so a search costs
 // O(k + |E(members)|) and never touches an array the size of the host
 // graph.
@@ -17,15 +19,17 @@ import "slices"
 // every tree, depth and visit order it yields is bit-identical to that
 // construction.
 //
-// The zero value is ready to use. The only host-indexed buffer is the
-// host-to-local index, allocated once per Induced (regrown for a larger
-// graph) and all zero again when Build returns. Every other buffer is
+// The zero value is ready to use. The only host-indexed buffers are the
+// host-to-local index and, for a layered graph, a member count per base
+// node, allocated once per Induced (regrown for a larger graph) and all
+// zero again when Build returns. Every other buffer is
 // part-sized and reused: a sweep allocates nothing, and neither does a
 // rebuild for a part with no more nodes and edges than an earlier one. An
 // Induced is not safe for concurrent use; keep one per call that loops over
 // parts, never one per package.
 type Induced struct {
 	local  []int32  // host node → local index + 1, 0 outside; all 0 between builds
+	copies []int32  // layered graph: base node → member copies; all 0 between builds
 	nodes  []NodeID // local index → host node
 	start  []int32  // node i's half-edges are start[i] .. start[i+1]-1
 	to     []int32  // half-edge → local neighbour
@@ -46,12 +50,19 @@ func (s *Induced) Build(g *Graph, members []NodeID) int {
 	if len(s.local) < g.n {
 		s.local = make([]int32, g.n)
 	}
-	local := s.local
+	cl := &g.cl
+	if cl.pair != nil && len(s.copies) < cl.width {
+		s.copies = make([]int32, cl.width)
+	}
+	adj, local, copies := g.stored(), s.local, s.copies
 	nodes := s.nodes[:0]
 	for _, v := range members {
 		if local[v] == 0 {
 			nodes = append(nodes, v)
 			local[v] = int32(len(nodes))
+			if cl.pair != nil {
+				copies[v%cl.width]++
+			}
 		}
 	}
 	s.nodes = nodes
@@ -60,10 +71,13 @@ func (s *Induced) Build(g *Graph, members []NodeID) int {
 	start[0] = 0
 	for i, v := range nodes {
 		d := start[i]
-		for _, h := range g.adj[v] {
+		for _, h := range adj[v] {
 			if local[h.To] != 0 {
 				d++
 			}
+		}
+		if cl.pair != nil {
+			d += copies[v%cl.width] - 1 // a clique edge to every other member copy
 		}
 		start[i+1] = d
 	}
@@ -75,23 +89,39 @@ func (s *Induced) Build(g *Graph, members []NodeID) int {
 	s.pedge = fit(s.pedge, k)
 	s.order = fit(s.order, k)
 	// Fill in edge-first-seen order; parent serves as the per-node fill
-	// cursor until the first Sweep overwrites it.
+	// cursor until the first Sweep overwrites it. A node's clique edges
+	// follow its stored ones, its sibling copies in ascending layer, and
+	// only a base node with two member copies has any.
 	next := s.parent
 	copy(next, start[:k])
+	add := func(i, j int32, id EdgeID) {
+		s.to[next[i]], s.edge[next[i]] = j, int32(id)
+		next[i]++
+		s.to[next[j]], s.edge[next[j]] = i, int32(id)
+		next[j]++
+	}
 	for i, v := range nodes {
-		for _, h := range g.adj[v] {
-			j := local[h.To] - 1
-			if j <= int32(i) {
-				continue // outside the part (-1), or seen while scanning j
+		for _, h := range adj[v] {
+			// j ≤ i: outside the part (-1), or seen while scanning j.
+			if j := local[h.To] - 1; j > int32(i) {
+				add(int32(i), j, h.Edge)
 			}
-			s.to[next[i]], s.edge[next[i]] = j, int32(h.Edge)
-			next[i]++
-			s.to[next[j]], s.edge[next[j]] = int32(i), int32(h.Edge)
-			next[j]++
+		}
+		if cl.pair == nil || copies[v%cl.width] < 2 {
+			continue
+		}
+		b, layer := v%cl.width, v/cl.width
+		for l, w := 0, b; l < cl.copies; l, w = l+1, w+cl.width {
+			if j := local[w] - 1; j > int32(i) {
+				add(int32(i), j, cl.id(b, layer, l))
+			}
 		}
 	}
 	for _, v := range nodes {
 		local[v] = 0
+		if cl.pair != nil {
+			copies[v%cl.width] = 0
+		}
 	}
 	return k
 }

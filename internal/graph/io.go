@@ -27,7 +27,7 @@ func Write(w io.Writer, g *Graph) error {
 	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), g.M()); err != nil {
 		return err
 	}
-	for _, e := range g.edges {
+	for _, e := range g.EdgeList() {
 		if _, err := fmt.Fprintf(bw, "%d %d %d\n", e.U, e.V, e.Weight); err != nil {
 			return err
 		}

@@ -137,7 +137,7 @@ func LowStretchTree(g *Graph, seed int64) *PartTree {
 		q := New(len(roots))
 		// Keep one lightest original edge per quotient pair.
 		bestEdge := make(map[[2]int]EdgeID)
-		for id, e := range g.edges {
+		for id, e := range g.EdgeList() {
 			ru, rv := repOf[uf.Find(e.U)], repOf[uf.Find(e.V)]
 			if ru == rv {
 				continue
@@ -221,7 +221,7 @@ func AverageStretch(g *Graph, t *PartTree) float64 {
 	t.IndexInto(pos)
 	member := func(v NodeID) bool { return int(pos[v]) < len(t.Members) && t.Members[pos[v]] == v }
 	total := 0.0
-	for _, e := range g.edges {
+	for _, e := range g.EdgeList() {
 		if !member(e.U) || !member(e.V) {
 			return math.Inf(1)
 		}
@@ -232,7 +232,7 @@ func AverageStretch(g *Graph, t *PartTree) float64 {
 			if t.Parent[child] != path[i+1] {
 				child = path[i+1]
 			}
-			r += 1 / float64(g.edges[t.ParentEdge[child]].Weight)
+			r += 1 / float64(g.Edge(int(t.ParentEdge[child])).Weight)
 		}
 		total += float64(e.Weight) * r
 	}

@@ -121,11 +121,11 @@ func MST(g *Graph) ([]EdgeID, int64) {
 func TreeFromEdges(g *Graph, edgeIDs []EdgeID, root NodeID) *PartTree {
 	adj := make([][]Half, g.n)
 	for _, id := range edgeIDs {
-		e := g.edges[id]
+		e := g.Edge(id)
 		adj[e.U] = append(adj[e.U], Half{To: e.V, Edge: id})
 		adj[e.V] = append(adj[e.V], Half{To: e.U, Edge: id})
 	}
-	return bfs(adj, root).Tree()
+	return bfs(adj, &cliques{}, root).Tree()
 }
 
 // PathInTree returns the member indices on the path along t from member i

@@ -16,10 +16,15 @@ type BFSResult struct {
 
 // BFS runs a breadth-first search over hop distances (ignoring weights, as
 // the paper's hop-diameter does).
-func BFS(g *Graph, root NodeID) *BFSResult { return bfs(g.adj, root) }
+func BFS(g *Graph, root NodeID) *BFSResult { return bfs(g.stored(), &g.cl, root) }
 
-// bfs searches the adjacency adj, whose length is the node count.
-func bfs(adj [][]Half, root NodeID) *BFSResult {
+// bfs searches the adjacency adj, whose length is the node count, plus the
+// clique edges cl (none when cl.pair is nil). A node's clique half-edges
+// follow its stored ones, its siblings in ascending layer. Once one copy
+// of a base node is scanned every copy is discovered, so a later copy's
+// clique scan would discover nothing and is skipped: the search visits,
+// orders and parents nodes exactly as one over the laid-out cliques.
+func bfs(adj [][]Half, cl *cliques, root NodeID) *BFSResult {
 	n := len(adj)
 	res := &BFSResult{
 		Root:       root,
@@ -33,6 +38,10 @@ func bfs(adj [][]Half, root NodeID) *BFSResult {
 		res.Parent[i] = -1
 		res.ParentEdge[i] = -1
 	}
+	var scanned []bool // per base node: its clique was scanned
+	if cl.pair != nil {
+		scanned = make([]bool, cl.width)
+	}
 	res.Dist[root] = 0
 	// Order is the FIFO queue: a node joins it when discovered, and the
 	// scan pops by index, so no queue is kept beside it.
@@ -45,6 +54,22 @@ func bfs(adj [][]Half, root NodeID) *BFSResult {
 				res.Parent[h.To] = v
 				res.ParentEdge[h.To] = h.Edge
 				res.Order = append(res.Order, h.To)
+			}
+		}
+		if scanned == nil {
+			continue
+		}
+		b, layer := v%cl.width, v/cl.width
+		if scanned[b] {
+			continue
+		}
+		scanned[b] = true
+		for l, w := 0, b; l < cl.copies; l, w = l+1, w+cl.width {
+			if w != v && res.Dist[w] == -1 {
+				res.Dist[w] = res.Dist[v] + 1
+				res.Parent[w] = v
+				res.ParentEdge[w] = cl.id(b, layer, l)
+				res.Order = append(res.Order, w)
 			}
 		}
 	}

@@ -87,12 +87,10 @@ func (emb *Embedding) Report(tr simtrace.Collector) {
 // colors (Lemma 17), then embeds each path edge into the layer given by
 // its color, joining consecutive path edges through clique edges at their
 // shared node. The resulting parts are node-disjoint (1-congested) in
-// Ĝ_L, which layers returns for the L the coloring uses: New(base, L), or
-// one it built earlier, so a caller embedding several batches can hand one
-// Ĝ_L to every batch that needs L layers.
+// Ĝ_L = New(base, L), for the L colors the coloring uses.
 //
 // Paths of a single node are rejected; callers aggregate those locally.
-func EmbedPaths(base *graph.Graph, paths []Path, seed int64, layers func(L int) (*Layered, error)) (*Embedding, error) {
+func EmbedPaths(base *graph.Graph, paths []Path, seed int64) (*Embedding, error) {
 	if len(paths) == 0 {
 		return nil, errors.New("layered: no paths")
 	}
@@ -122,7 +120,7 @@ func EmbedPaths(base *graph.Graph, paths []Path, seed int64, layers func(L int) 
 			remap[c] = numLayers
 		}
 	}
-	lay, err := layers(numLayers)
+	lay, err := New(base, numLayers)
 	if err != nil {
 		return nil, err
 	}

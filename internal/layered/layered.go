@@ -14,7 +14,6 @@ package layered
 
 import (
 	"errors"
-	"fmt"
 
 	"distlap/internal/graph"
 )
@@ -22,10 +21,10 @@ import (
 // Layered is the p-layered version Ĝ_p of a base graph: p disjoint copies
 // ("layers") of G, plus a p-clique on the copies of each base node.
 // Layer edges inherit the base edge's weight; clique edges have weight 1.
-//
-// Edge IDs are positional: layer l's copy of base edge e is l*m + e, and
-// the clique edges follow all layer edges, node by node, each node's pairs
-// (i, j), i < j, in lexicographic order.
+// G is built by graph.Layers, which owns the node and edge IDs: the copy
+// of base node v in layer l is l*n + v, layer l's copy of base edge e is
+// l*m + e, and the clique edges follow, implicit, computed from their IDs
+// rather than stored.
 type Layered struct {
 	Base *graph.Graph
 	P    int
@@ -35,35 +34,13 @@ type Layered struct {
 // ErrBadLayers is returned when p < 1.
 var ErrBadLayers = errors.New("layered: p must be >= 1")
 
-// New constructs Ĝ_p. The copy of base node v in layer l has layered ID
-// l*n + v. It knows all p*m + n*p(p-1)/2 edges up front, so it writes them
-// into one list and builds the graph from it in one block.
+// New constructs Ĝ_p. It stores the p*m layer edges; the n*p(p-1)/2
+// clique edges stay implicit (graph.Layers).
 func New(base *graph.Graph, p int) (*Layered, error) {
 	if p < 1 {
 		return nil, ErrBadLayers
 	}
-	n, m := base.N(), base.M()
-	l := &Layered{Base: base, P: p}
-	edges := make([]graph.Edge, 0, p*m+n*(p*(p-1)/2))
-	for layer := 0; layer < p; layer++ {
-		for _, be := range base.EdgeList() {
-			edges = append(edges, graph.Edge{U: l.Copy(be.U, layer), V: l.Copy(be.V, layer), Weight: be.Weight})
-		}
-	}
-	// Cliques on copies of each node, pairs in lexicographic order.
-	for v := 0; v < n; v++ {
-		for i := 0; i < p; i++ {
-			for j := i + 1; j < p; j++ {
-				edges = append(edges, graph.Edge{U: l.Copy(v, i), V: l.Copy(v, j), Weight: 1})
-			}
-		}
-	}
-	lg, err := graph.FromEdges(n*p, edges)
-	if err != nil {
-		return nil, fmt.Errorf("layered: %w", err)
-	}
-	l.G = lg
-	return l, nil
+	return &Layered{Base: base, P: p, G: graph.Layers(base, p)}, nil
 }
 
 // Copy returns the layered ID of base node v's copy in the given layer.

@@ -1,7 +1,10 @@
 package layered
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,14 +226,9 @@ func gridPaths(s int) (*graph.Graph, []Path) {
 	return g, paths
 }
 
-// fresh hands EmbedPaths a newly built Ĝ_L of g.
-func fresh(g *graph.Graph) func(L int) (*Layered, error) {
-	return func(L int) (*Layered, error) { return New(g, L) }
-}
-
 func TestEmbedPathsFigure1(t *testing.T) {
 	g, paths := gridPaths(5)
-	emb, err := EmbedPaths(g, paths, 11, fresh(g))
+	emb, err := EmbedPaths(g, paths, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,16 +252,16 @@ func TestEmbedPathsFigure1(t *testing.T) {
 
 func TestEmbedPathsRejectsBadInput(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := EmbedPaths(g, nil, 1, fresh(g)); err == nil {
+	if _, err := EmbedPaths(g, nil, 1); err == nil {
 		t.Fatal("want error for empty batch")
 	}
-	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{2}}}, 1, fresh(g)); err == nil {
+	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{2}}}, 1); err == nil {
 		t.Fatal("want error for singleton path")
 	}
-	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 2}, Edges: []graph.EdgeID{0}}}, 1, fresh(g)); err == nil {
+	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 2}, Edges: []graph.EdgeID{0}}}, 1); err == nil {
 		t.Fatal("want error for non-path edge sequence")
 	}
-	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 1, 0}, Edges: []graph.EdgeID{0, 0}}}, 1, fresh(g)); err == nil {
+	if _, err := EmbedPaths(g, []Path{{Nodes: []graph.NodeID{0, 1, 0}, Edges: []graph.EdgeID{0, 0}}}, 1); err == nil {
 		t.Fatal("want error for repeated node")
 	}
 }
@@ -286,7 +284,7 @@ func TestPathValidate(t *testing.T) {
 func TestEmbedPathsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g, paths := gridPaths(4)
-		emb, err := EmbedPaths(g, paths, seed, fresh(g))
+		emb, err := EmbedPaths(g, paths, seed)
 		if err != nil {
 			return false
 		}
@@ -311,16 +309,205 @@ func TestEmbedPathsProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkLayeredNew times building Ĝ_p of a 16×16 grid at p = 4 and
-// p = 8 (1,024 and 2,048 nodes), the layered graph every layered
-// part-wise aggregation builds.
+// explicitNew is Ĝ_p with every clique edge stored, as New built it
+// before the cliques became implicit: the p·m layer edges, then the
+// n·p(p−1)/2 clique edges node by node, each node's pairs (i, j), i < j,
+// in lexicographic order, built by graph.FromEdges. It is the reference
+// graph.Layers is held to.
+func explicitNew(t testing.TB, base *graph.Graph, p int) *graph.Graph {
+	n, m := base.N(), base.M()
+	edges := make([]graph.Edge, 0, p*m+n*(p*(p-1)/2))
+	for layer := 0; layer < p; layer++ {
+		for _, be := range base.EdgeList() {
+			edges = append(edges, graph.Edge{U: layer*n + be.U, V: layer*n + be.V, Weight: be.Weight})
+		}
+	}
+	for v := 0; v < n; v++ {
+		for i := 0; i < p; i++ {
+			for j := i + 1; j < p; j++ {
+				edges = append(edges, graph.Edge{U: i*n + v, V: j*n + v, Weight: 1})
+			}
+		}
+	}
+	g, err := graph.FromEdges(n*p, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// implicitBases are the base graphs the implicit cliques are checked on: a
+// grid, a path, an expander and a multigraph with parallel edges.
+func implicitBases(t *testing.T) map[string]*graph.Graph {
+	multi, err := graph.FromEdges(5, []graph.Edge{
+		{U: 0, V: 1, Weight: 2}, {U: 0, V: 1, Weight: 3}, {U: 1, V: 2, Weight: 1},
+		{U: 2, V: 3, Weight: 4}, {U: 1, V: 2, Weight: 1}, {U: 3, V: 4, Weight: 5}, {U: 4, V: 0, Weight: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*graph.Graph{
+		"grid":     graph.Grid(3, 4),
+		"path":     graph.Path(6),
+		"expander": graph.RandomRegular(12, 4, 5),
+		"multi":    multi,
+	}
+}
+
+// sameGraph reports the first method on which got and want differ: N, M,
+// every Edge, EdgeList, each node's Neighbors and Degree, HasEdgeBetween
+// on every pair, and Validate.
+func sameGraph(got, want *graph.Graph) error {
+	if got.N() != want.N() || got.M() != want.M() {
+		return fmt.Errorf("n=%d m=%d, want %d, %d", got.N(), got.M(), want.N(), want.M())
+	}
+	for id := 0; id < want.M(); id++ {
+		if got.Edge(id) != want.Edge(id) {
+			return fmt.Errorf("Edge(%d) = %+v, want %+v", id, got.Edge(id), want.Edge(id))
+		}
+	}
+	for v := 0; v < want.N(); v++ {
+		if got.Degree(v) != want.Degree(v) || !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			return fmt.Errorf("node %d: degree %d, half-edges %v; want %d, %v",
+				v, got.Degree(v), got.Neighbors(v), want.Degree(v), want.Neighbors(v))
+		}
+		for u := -1; u <= want.N(); u++ {
+			if got.HasEdgeBetween(u, v) != want.HasEdgeBetween(u, v) {
+				return fmt.Errorf("HasEdgeBetween(%d, %d) = %v", u, v, got.HasEdgeBetween(u, v))
+			}
+		}
+	}
+	if !slices.Equal(got.EdgeList(), want.EdgeList()) {
+		return errors.New("EdgeList differs")
+	}
+	if err := got.Validate(); err != nil {
+		return err
+	}
+	return want.Validate()
+}
+
+// TestImplicitCliquesMatchExplicit holds Ĝ_p with implicit cliques to the
+// explicit construction, p ∈ {1, 2, 3, 7} on every base: every graph
+// method, its Clone, every BFS from every root, and induced subgraphs on
+// random member sets that hold two or more copies of some base nodes, as
+// a part with color junctions does.
+func TestImplicitCliquesMatchExplicit(t *testing.T) {
+	for name, base := range implicitBases(t) {
+		for _, p := range []int{1, 2, 3, 7} {
+			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
+				want := explicitNew(t, base, p)
+				lay, err := New(base, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The searches run first, on the graph as New returned it.
+				for root := 0; root < want.N(); root++ {
+					got, ref := graph.BFS(lay.G, root), graph.BFS(want, root)
+					if !slices.Equal(got.Dist, ref.Dist) || !slices.Equal(got.Parent, ref.Parent) ||
+						!slices.Equal(got.ParentEdge, ref.ParentEdge) || !slices.Equal(got.Order, ref.Order) {
+						t.Fatalf("BFS from %d differs", root)
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(p)))
+				var got, ref graph.Induced
+				for trial := 0; trial < 40; trial++ {
+					members := randomCopies(rng, base.N(), p)
+					if err := sameInduced(&got, &ref, lay.G, want, members); err != nil {
+						t.Fatalf("members %v: %v", members, err)
+					}
+				}
+				clone := lay.G.Clone()
+				if err := sameGraph(lay.G, want); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameGraph(clone, want); err != nil {
+					t.Fatalf("clone: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// randomCopies returns a random set of copies of Ĝ_p, in random order with
+// some repeated, that holds several copies of at least one base node.
+func randomCopies(rng *rand.Rand, n, p int) []graph.NodeID {
+	var members []graph.NodeID
+	for range 1 + rng.Intn(2*n) {
+		members = append(members, rng.Intn(n*p))
+	}
+	v := rng.Intn(n)
+	for l := 0; l < p; l++ {
+		if rng.Intn(2) == 0 {
+			members = append(members, l*n+v)
+		}
+	}
+	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	return members
+}
+
+// sameInduced builds members' induced subgraph of got and of want and
+// compares the two layouts through every sweep, every depth and the tree
+// from every root.
+func sameInduced(a, b *graph.Induced, got, want *graph.Graph, members []graph.NodeID) error {
+	k := a.Build(got, members)
+	if kb := b.Build(want, members); k != kb {
+		return fmt.Errorf("k = %d, want %d", k, kb)
+	}
+	for root := 0; root < k; root++ {
+		r1, e1, f1 := a.Sweep(root)
+		r2, e2, f2 := b.Sweep(root)
+		if r1 != r2 || e1 != e2 || f1 != f2 {
+			return fmt.Errorf("sweep from %d: (%d, %d, %d), want (%d, %d, %d)", root, r1, e1, f1, r2, e2, f2)
+		}
+		for i := 0; i < k; i++ {
+			if a.Depth(i) != b.Depth(i) {
+				return fmt.Errorf("sweep from %d: depth of %d differs", root, i)
+			}
+		}
+	}
+	for _, root := range members {
+		t1, t2 := a.Tree(got, members, root), b.Tree(want, members, root)
+		if !slices.Equal(t1.Members, t2.Members) || !slices.Equal(t1.Parent, t2.Parent) ||
+			!slices.Equal(t1.ParentEdge, t2.ParentEdge) || !slices.Equal(t1.Depth, t2.Depth) {
+			return fmt.Errorf("tree from %d differs", root)
+		}
+	}
+	return nil
+}
+
+// TestAddEdgeOnLayered pins what AddEdge does on Ĝ_p: the cliques become
+// stored edges with their IDs, and the new edge takes the next ID, so the
+// graph equals the explicit construction with that edge added.
+func TestAddEdgeOnLayered(t *testing.T) {
+	base := graph.Grid(3, 3)
+	lay, err := New(base, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := explicitNew(t, base, 3)
+	m := want.M()
+	if id, err := lay.G.AddEdge(2, 13, 4); err != nil || id != m {
+		t.Fatalf("AddEdge = %d, %v; want %d", id, err, m)
+	}
+	want.MustAddEdge(2, 13, 4)
+	if err := sameGraph(lay.G, want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lay.G.AddEdge(4, 4, 1); !errors.Is(err, graph.ErrSelfLoop) {
+		t.Fatalf("self-loop: err = %v", err)
+	}
+}
+
+// BenchmarkLayeredNew times building Ĝ_p at the sizes the paper suite
+// builds: a 16×16 grid at p = 4 and 8, an 8×8 grid at p = 61 (E7's
+// largest layer count) and a 30×30 grid at p = 16 (E1's largest base).
 func BenchmarkLayeredNew(b *testing.B) {
-	base := graph.Grid(16, 16)
-	for _, p := range []int{4, 8} {
-		b.Run(fmt.Sprintf("grid-256/p=%d", p), func(b *testing.B) {
+	for _, c := range []struct{ side, p int }{{16, 4}, {16, 8}, {8, 61}, {30, 16}} {
+		base := graph.Grid(c.side, c.side)
+		b.Run(fmt.Sprintf("grid-%d/p=%d", c.side*c.side, c.p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := New(base, p); err != nil {
+				if _, err := New(base, c.p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -478,3 +478,36 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }
+
+// TestBoundcheckBuildIsClean lints the module as the boundcheck build
+// compiles it: congest's checked scheduling mode (boundcheck.go) replaces
+// its no-op twin, which the default build's run never analyzes, and must
+// lint clean too.
+func TestBoundcheckBuildIsClean(t *testing.T) {
+	loader, err := NewLoader(".", "boundcheck")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	paths, err := loader.Expand(loader.Root, []string{"./..."})
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	pkgs, err := loader.Load(paths)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var files []string
+	for _, p := range pkgs {
+		if p.Path == loader.ModulePath+"/internal/congest" {
+			for _, f := range p.Files {
+				files = append(files, filepath.Base(p.Fset.Position(f.Pos()).Filename))
+			}
+		}
+	}
+	if !slices.Contains(files, "boundcheck.go") || slices.Contains(files, "boundcheck_off.go") {
+		t.Fatalf("the boundcheck build of internal/congest loaded %v", files)
+	}
+	for _, d := range unsuppressed(pkgs, Analyzers()) {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}

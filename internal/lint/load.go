@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -37,6 +38,7 @@ type Loader struct {
 	Root       string // module root (directory containing go.mod)
 	ModulePath string // module path from go.mod
 
+	ctxt build.Context // selects the files a package compiles: the default build plus the loader's tags
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*Package // keyed by import path
@@ -63,10 +65,12 @@ var (
 	sharedStd  = importer.ForCompiler(sharedFset, "source", nil)
 )
 
-// NewLoader returns a loader for the module rooted at or above dir.
-// Loaders share one process-wide standard-library importer (see
-// sharedStd), so constructing a second loader is cheap.
-func NewLoader(dir string) (*Loader, error) {
+// NewLoader returns a loader for the module rooted at or above dir that
+// loads each package as the build with the given tags compiles it (the
+// default build when there are none). Loaders share one process-wide
+// standard-library importer (see sharedStd), so constructing a second
+// loader is cheap.
+func NewLoader(dir string, tags ...string) (*Loader, error) {
 	root, err := findModuleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -79,9 +83,12 @@ func NewLoader(dir string) (*Loader, error) {
 	if m == nil {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
+	ctxt := build.Default
+	ctxt.BuildTags = append(slices.Clone(ctxt.BuildTags), tags...)
 	return &Loader{
 		Root:       root,
 		ModulePath: string(m[1]),
+		ctxt:       ctxt,
 		fset:       sharedFset,
 		std:        sharedStd,
 		pkgs:       make(map[string]*Package),
@@ -122,7 +129,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // LoadDir parses and type-checks the non-test package in dir, as the
-// default build compiles it, under the given import path. Results are
+// loader's build compiles it, under the given import path. Results are
 // cached by import path.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
@@ -144,9 +151,9 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		// Only the files the default build compiles: a file behind a build
-		// tag (congest's boundcheck mode) would redeclare its default twin.
-		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+		// Only the files the loader's build compiles: a file behind a build
+		// tag (congest's boundcheck mode) would redeclare its twin.
+		if ok, err := l.ctxt.MatchFile(dir, name); err != nil {
 			return nil, err
 		} else if !ok {
 			continue

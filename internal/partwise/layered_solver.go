@@ -79,12 +79,11 @@ func (s LayeredSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) 
 	}
 
 	// 2–3. Upward sweep: deepest level first.
-	scope := newLayerScope(g, spec)
 	partAgg := make([]congest.Word, len(inst.Parts))
 	tr.Begin("levels-up")
 	for lvl := maxLevel; lvl >= 0; lvl-- {
 		batch := byLevel[lvl]
-		aggs, err := solvePathBatch(nw, scope, batch, valueAt, spec,
+		aggs, err := solvePathBatch(nw, batch, valueAt, spec,
 			seedderive.Derive(s.Seed, "level-up", int64(lvl)))
 		if err != nil {
 			tr.End("levels-up")
@@ -150,7 +149,7 @@ func (s LayeredSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) 
 		for _, dp := range batch {
 			tops[key{dp.part, dp.nodes[0]}] = partAgg[dp.part]
 		}
-		if _, err := solvePathBatch(nw, scope, batch,
+		if _, err := solvePathBatch(nw, batch,
 			func(part int, v graph.NodeID) congest.Word {
 				if w, ok := tops[key{part, v}]; ok {
 					return w
@@ -164,51 +163,15 @@ func (s LayeredSolver) Solve(nw *congest.Network, inst *Instance, spec AggSpec) 
 	return partAgg, nil
 }
 
-// layerScope is what one LayeredSolver.Solve carries from one path batch
-// to the next: the Ĝ_L the last batch embedded into, the Steiner skeleton
-// of Ĝ_L, and a value array over its nodes that holds the identity between
-// batches. A batch that needs as many layers reuses all three; one that
-// needs another L drops them before building its own, so no more than one
-// Ĝ_L is held at a time. Nothing in it outlives the Solve.
-type layerScope struct {
-	base     *graph.Graph
-	identity congest.Word
-	lay      *layered.Layered // nil before the first embedding
-	sk       *shortcut.Skeleton
-	vals     []congest.Word
-}
-
-func newLayerScope(g *graph.Graph, spec AggSpec) *layerScope {
-	return &layerScope{base: g, identity: spec.Identity}
-}
-
-// layers returns Ĝ_L for EmbedPaths: the held one when it has L layers,
-// else a new one with its own skeleton and value array.
-func (sc *layerScope) layers(L int) (*layered.Layered, error) {
-	if sc.lay != nil && sc.lay.P == L {
-		return sc.lay, nil
-	}
-	sc.lay, sc.sk, sc.vals = nil, nil, nil
-	lay, err := layered.New(sc.base, L)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]congest.Word, lay.G.N())
-	for i := range vals {
-		vals[i] = sc.identity
-	}
-	sc.lay, sc.sk, sc.vals = lay, shortcut.NewSkeleton(lay.G), vals
-	return lay, nil
-}
-
 // solvePathBatch solves one path-restricted congested batch: singleton
 // paths aggregate locally; multi-node paths go through the Lemma 18
 // embedding onto Ĝ_{O(p)}, are solved there as a 1-congested instance via
 // Proposition 6, and the layered cost is charged on the base network with
 // the Lemma 16 overhead. Returns per-path aggregates aligned with batch.
+// The batch's Ĝ_L, its skeleton and its value array are its own: with the
+// cliques implicit, building them costs about as much as the layer edges.
 func solvePathBatch(
 	nw *congest.Network,
-	scope *layerScope,
 	batch []decomposedPath,
 	valueAt func(part int, v graph.NodeID) congest.Word,
 	spec AggSpec,
@@ -228,27 +191,23 @@ func solvePathBatch(
 	if len(paths) == 0 {
 		return out, nil
 	}
-	emb, err := layered.EmbedPaths(nw.Graph(), paths, seed, scope.layers)
+	emb, err := layered.EmbedPaths(nw.Graph(), paths, seed)
 	if err != nil {
 		return nil, err
 	}
 	emb.Report(nw.Trace())
-	vals := scope.vals
 	// Each canonical copy carries its node's value; every other copy holds
-	// the identity, and is reset to it when the batch is done.
+	// the identity.
+	vals := make([]congest.Word, emb.Layered.G.N())
+	for i := range vals {
+		vals[i] = spec.Identity
+	}
 	for j, b := range multiIdx {
 		dp := batch[b]
 		for i, v := range dp.nodes {
 			vals[emb.Canonical[j][i]] = valueAt(dp.part, v)
 		}
 	}
-	defer func() {
-		for _, canon := range emb.Canonical {
-			for _, x := range canon {
-				vals[x] = spec.Identity
-			}
-		}
-	}()
 	// The sub-network shares the base trace but records under the
 	// "layered" engine label: its rounds are internal to the Lemma 16
 	// simulation, whose cost is charged on the base network (engine
@@ -260,7 +219,7 @@ func solvePathBatch(
 		Trace:       nw.Trace(),
 		TraceEngine: simtrace.EngineLayered,
 	})
-	aggs, _, err := SolveOneCongested(layNW, scope.sk, emb.Parts,
+	aggs, _, err := SolveOneCongested(layNW, shortcut.NewSkeleton(emb.Layered.G), emb.Parts,
 		func(_ int, x graph.NodeID) congest.Word { return vals[x] }, spec)
 	if err != nil {
 		return nil, err

@@ -507,3 +507,19 @@ func TestSolveOneCongestedRejectsBadParts(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLayeredSolve times one LayeredSolver.Solve of E7's largest
+// instance: an 8-congested instance of four parts per layer on a 64-node
+// random 4-regular graph, on a Supported-CONGEST network. Its embeddings
+// build Ĝ_L with L up to 61.
+func BenchmarkLayeredSolve(b *testing.B) {
+	g := graph.RandomRegular(64, 4, 9)
+	inst := RandomCongestedInstance(g, 8, 4, 13)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nw := congest.NewNetwork(g, congest.Options{Supported: true, Seed: 3})
+		if _, err := (LayeredSolver{Seed: 3}).Solve(nw, inst, Min); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

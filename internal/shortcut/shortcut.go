@@ -114,45 +114,46 @@ func Verify(g *graph.Graph, s *Shortcut) error {
 // certifier is the scratch that certifying shortcuts reuses across parts
 // and calls: the induced-subgraph kernel, the augmented node list, a lower
 // and an upper eccentricity bound per augmented node, the nodes still in
-// play, and a use count per host edge (all zero between calls). It is not
-// safe for concurrent use.
+// play, and every part's extra edges. All of it is sized by the parts, none
+// by the host graph. It is not safe for concurrent use.
 type certifier struct {
 	sub    graph.Induced
 	nodes  []graph.NodeID
 	lo, hi []int32
 	live   []int32
-	use    []int32
+	extra  []graph.EdgeID
 }
 
 // certify computes s's congestion and dilation certificates and stores
-// them. The parts must already have passed validateParts.
+// them. The parts must already have passed validateParts. The congestion
+// is the longest run of equal edges in a sorted copy of the parts' extra
+// edges, the rule congest.NewTreeSet counts its c by.
 func (c *certifier) certify(g *graph.Graph, s *Shortcut) error {
-	if len(c.use) < g.M() {
-		c.use = make([]int32, g.M())
-	}
-	defer func() {
-		for _, extra := range s.Extra {
-			for _, id := range extra {
-				if id >= 0 && id < g.M() {
-					c.use[id] = 0
-				}
-			}
-		}
-	}()
-	cong, dil := 0, 0
+	all := c.extra[:0]
+	dil := 0
 	for i, p := range s.Parts {
 		for _, id := range s.Extra[i] {
 			if id < 0 || id >= g.M() {
 				return fmt.Errorf("part %d: extra edge %d out of range", i, id)
 			}
-			c.use[id]++
-			cong = max(cong, int(c.use[id]))
 		}
+		all = append(all, s.Extra[i]...)
 		d, err := c.augmentedDiameter(g, p, s.Extra[i], dil)
 		if err != nil {
 			return fmt.Errorf("part %d: %w", i, err)
 		}
 		dil = d
+	}
+	c.extra = all
+	slices.Sort(all)
+	cong := 0
+	for i, run := 0, 0; i < len(all); i++ {
+		if i > 0 && all[i] == all[i-1] {
+			run++
+		} else {
+			run = 1
+		}
+		cong = max(cong, run)
 	}
 	s.Congestion = cong
 	s.Dilation = dil

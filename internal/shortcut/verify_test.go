@@ -163,8 +163,7 @@ func TestAugmentedDiameterProperty(t *testing.T) {
 			}
 			paths = append(paths, gridPath(base, part))
 		}
-		fresh := func(L int) (*layered.Layered, error) { return layered.New(base, L) }
-		emb, err := layered.EmbedPaths(base, paths, rng.Int63(), fresh)
+		emb, err := layered.EmbedPaths(base, paths, rng.Int63())
 		if err != nil {
 			t.Fatal(err)
 		}
