@@ -49,9 +49,10 @@ test:
 # fault plan), AggregateMany at 1 alloc/call, UpDownMany at 0,
 # ncc.Deliver at 0 allocs/call (reliable and drop-only, on a dense and a
 # sparse batch), a PCG iteration within its fixed budget, graph.BFS and
-# graph.Grid at 5 on grid-400, and an induced-subgraph kernel sweep or
-# no-larger rebuild at 0 allocs; two cold-start budgets that hold
-# across graph sizes, a fresh network's first AggregateMany at 28 and
+# graph.Grid at 5 and graph.CenterTree at 8 on grid-400, and an
+# induced-subgraph kernel sweep or no-larger rebuild at 0 allocs; two
+# cold-start budgets that hold across graph sizes, a fresh network's
+# first AggregateMany at 29 and
 # layered.New at 6; bytes budgets of 32 KiB for compiling a request's
 # two-fold global tree set on expander-512, 1 MiB for layered.New of an
 # 8×8 grid at p = 61 and 11 MiB for a LayeredSolver solve of E7's

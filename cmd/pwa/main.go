@@ -79,7 +79,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("%-14s %10d %10s\n", solver.Name(), nw.Rounds(), check(out))
 	}
-	nnw := ncc.NewNetwork(g.N())
+	nnw := ncc.NewNetwork(g.N(), nil, nil)
 	out, err := nnw.Aggregate(inst, partwise.Min)
 	if err != nil {
 		return err

@@ -41,8 +41,16 @@ import (
 // Graph is a weighted undirected multigraph with dense integer node IDs.
 type Graph = graph.Graph
 
-// NewGraph returns an empty graph with n nodes.
-func NewGraph(n int) *Graph { return graph.New(n) }
+// Edge is an undirected edge {U, V} of positive integer weight.
+type Edge = graph.Edge
+
+// NewGraph returns the graph with n nodes and the given edges, edge i
+// getting ID i; parallel edges are allowed. It rejects an edge with an
+// endpoint outside [0, n), a self-loop or a non-positive weight. The graph
+// never changes after it is returned, so one graph may back any number of
+// concurrent solves. NewGraph takes ownership of edges: the caller must
+// not modify the slice after the call.
+func NewGraph(n int, edges []Edge) (*Graph, error) { return graph.FromEdges(n, edges) }
 
 // Families returns the named standard graph generators (path, grid,
 // widegrid, tree, expander), each parameterized by an approximate size.

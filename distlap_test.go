@@ -7,6 +7,21 @@ import (
 	"distlap"
 )
 
+// newGraph returns the graph on n nodes whose edges are the given
+// {u, v, weight} triples, in order.
+func newGraph(t *testing.T, n int, triples [][3]int64) *distlap.Graph {
+	t.Helper()
+	edges := make([]distlap.Edge, len(triples))
+	for i, e := range triples {
+		edges[i] = distlap.Edge{U: int(e[0]), V: int(e[1]), Weight: e[2]}
+	}
+	g, err := distlap.NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestFacadeSolveRoundtrip(t *testing.T) {
 	var g *distlap.Graph
 	for _, f := range distlap.Families() {
@@ -36,9 +51,7 @@ func TestFacadeSolveRoundtrip(t *testing.T) {
 }
 
 func TestFacadeModesAgree(t *testing.T) {
-	g := distlap.NewGraph(3)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(1, 2, 1)
+	g := newGraph(t, 3, [][3]int64{{0, 1, 2}, {1, 2, 1}})
 	b := []float64{1, 0, -1}
 	var solutions [][]float64
 	for _, mode := range []distlap.Mode{
@@ -60,10 +73,7 @@ func TestFacadeModesAgree(t *testing.T) {
 }
 
 func TestFacadeAggregateParts(t *testing.T) {
-	g := distlap.NewGraph(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 3, 1)
+	g := newGraph(t, 4, [][3]int64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}})
 	inst := &distlap.PartwiseInstance{
 		Parts:  [][]int{{0, 1, 2}, {1, 2, 3}},
 		Values: [][]int64{{5, 2, 9}, {1, 7, 3}},
@@ -97,11 +107,7 @@ func TestFacadeShortcutQuality(t *testing.T) {
 }
 
 func TestFacadeMST(t *testing.T) {
-	g := distlap.NewGraph(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 2)
-	g.MustAddEdge(2, 3, 3)
-	g.MustAddEdge(0, 3, 10)
+	g := newGraph(t, 4, [][3]int64{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}, {0, 3, 10}})
 	res, err := distlap.NewSolver().MinimumSpanningTree(g)
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +118,7 @@ func TestFacadeMST(t *testing.T) {
 }
 
 func TestFacadeFlowAndResistance(t *testing.T) {
-	g := distlap.NewGraph(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
+	g := newGraph(t, 3, [][3]int64{{0, 1, 1}, {1, 2, 1}})
 	flow, err := distlap.NewSolver().Flow(g, 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +132,7 @@ func TestFacadeFlowAndResistance(t *testing.T) {
 }
 
 func TestFacadeSolveSDD(t *testing.T) {
-	g := distlap.NewGraph(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
+	g := newGraph(t, 3, [][3]int64{{0, 1, 1}, {1, 2, 1}})
 	res, err := distlap.NewSolver(distlap.WithEps(1e-9)).SolveSDD(g, []int64{1, 0, 1}, []float64{1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -142,11 +144,7 @@ func TestFacadeSolveSDD(t *testing.T) {
 }
 
 func TestFacadeMaxFlow(t *testing.T) {
-	g := distlap.NewGraph(4)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(1, 3, 2)
-	g.MustAddEdge(0, 2, 3)
-	g.MustAddEdge(2, 3, 3)
+	g := newGraph(t, 4, [][3]int64{{0, 1, 2}, {1, 3, 2}, {0, 2, 3}, {2, 3, 3}})
 	res, err := distlap.NewSolver().MaxFlow(g, 0, 3, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +156,7 @@ func TestFacadeMaxFlow(t *testing.T) {
 
 func TestFacadeSpectralPartition(t *testing.T) {
 	// Two triangles joined by one edge: the sign cut is that bridge.
-	g := distlap.NewGraph(6)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}} {
-		g.MustAddEdge(e[0], e[1], 1)
-	}
+	g := newGraph(t, 6, [][3]int64{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}, {2, 3, 1}})
 	res, err := distlap.NewSolver().SpectralPartition(g)
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,11 @@ import (
 // single solves, multi-RHS batches, flow queries — against the cached
 // state. Each request pays only iteration cost.
 func ExampleSolver_Prepare() {
-	g := distlap.NewGraph(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
+	g, err := distlap.NewGraph(3, []distlap.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	s := distlap.NewSolver(distlap.WithEps(1e-10))
 
 	inst, err := s.Prepare(context.Background(), g)
@@ -47,9 +49,11 @@ func ExampleSolver_Prepare() {
 // repeated solves on one graph, prefer Solver.Prepare — see
 // ExampleSolver_Prepare.)
 func ExampleSolver_Solve() {
-	g := distlap.NewGraph(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
+	g, err := distlap.NewGraph(3, []distlap.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	b := []float64{1, 0, -1}
 	res, err := distlap.NewSolver(distlap.WithEps(1e-10)).Solve(g, b)
 	if err != nil {
@@ -63,10 +67,11 @@ func ExampleSolver_Solve() {
 // ExampleSolver_AggregateParts runs the paper's congested part-wise
 // aggregation primitive on two overlapping parts.
 func ExampleSolver_AggregateParts() {
-	g := distlap.NewGraph(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 3, 1)
+	g, err := distlap.NewGraph(4, []distlap.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}, {U: 2, V: 3, Weight: 1}})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	inst := &distlap.PartwiseInstance{
 		Parts:  [][]int{{0, 1, 2}, {1, 2, 3}}, // node congestion p = 2
 		Values: [][]int64{{5, 2, 9}, {1, 7, 3}},
@@ -82,9 +87,11 @@ func ExampleSolver_AggregateParts() {
 
 // ExampleSolver_Flow computes a series resistance.
 func ExampleSolver_Flow() {
-	g := distlap.NewGraph(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
+	g, err := distlap.NewGraph(3, []distlap.Edge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 1}})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	fl, err := distlap.NewSolver().Flow(g, 0, 2)
 	if err != nil {
 		fmt.Println("error:", err)
@@ -97,11 +104,14 @@ func ExampleSolver_Flow() {
 // ExampleSolver_MaxFlow approximates (and here exactly recovers) an s-t
 // max flow.
 func ExampleSolver_MaxFlow() {
-	g := distlap.NewGraph(4)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(1, 3, 2)
-	g.MustAddEdge(0, 2, 3)
-	g.MustAddEdge(2, 3, 3)
+	g, err := distlap.NewGraph(4, []distlap.Edge{
+		{U: 0, V: 1, Weight: 2}, {U: 1, V: 3, Weight: 2}, // capacity-2 path
+		{U: 0, V: 2, Weight: 3}, {U: 2, V: 3, Weight: 3}, // capacity-3 path
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	res, err := distlap.NewSolver().MaxFlow(g, 0, 3, 0.1)
 	if err != nil {
 		fmt.Println("error:", err)

@@ -15,7 +15,10 @@ import (
 )
 
 func main() {
-	g, labels := buildRoadNetwork()
+	g, labels, err := buildRoadNetwork()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("road network: %d intersections, %d segments\n\n", g.N(), g.M())
 
 	pairs := [][2]int{
@@ -51,30 +54,32 @@ func main() {
 
 // buildRoadNetwork returns a 4×32 grid ("city blocks") plus three
 // high-capacity highway edges, and a few named landmark nodes.
-func buildRoadNetwork() (*distlap.Graph, map[string]int) {
+func buildRoadNetwork() (*distlap.Graph, map[string]int, error) {
 	const rows, cols = 4, 32
-	g := distlap.NewGraph(rows * cols)
 	id := func(r, c int) int { return r*cols + c }
+	var edges []distlap.Edge
+	road := func(u, v int, w int64) { edges = append(edges, distlap.Edge{U: u, V: v, Weight: w}) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.MustAddEdge(id(r, c), id(r, c+1), 1)
+				road(id(r, c), id(r, c+1), 1)
 			}
 			if r+1 < rows {
-				g.MustAddEdge(id(r, c), id(r+1, c), 1)
+				road(id(r, c), id(r+1, c), 1)
 			}
 		}
 	}
 	// Highways: heavy-weight (low-resistance) long-range edges.
-	g.MustAddEdge(id(0, 0), id(0, cols/2), 10)
-	g.MustAddEdge(id(0, cols/2), id(0, cols-1), 10)
-	g.MustAddEdge(id(rows-1, 0), id(rows-1, cols-1), 5)
+	road(id(0, 0), id(0, cols/2), 10)
+	road(id(0, cols/2), id(0, cols-1), 10)
+	road(id(rows-1, 0), id(rows-1, cols-1), 5)
 	labels := map[string]int{
 		"west-end": id(1, 0),
 		"midtown":  id(2, cols/2),
 		"east-end": id(1, cols-1),
 	}
-	return g, labels
+	g, err := distlap.NewGraph(rows*cols, edges)
+	return g, labels, err
 }
 
 func abs(f float64) float64 {

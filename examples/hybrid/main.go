@@ -18,9 +18,13 @@ func main() {
 	// A ring of 400 sensors: diameter ~200, the worst case for purely
 	// local global aggregation.
 	const n = 400
-	g := distlap.NewGraph(n)
-	for i := 0; i < n; i++ {
-		g.MustAddEdge(i, (i+1)%n, 1)
+	ring := make([]distlap.Edge, n)
+	for i := range ring {
+		ring[i] = distlap.Edge{U: i, V: (i + 1) % n, Weight: 1}
+	}
+	g, err := distlap.NewGraph(n, ring)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Heat sources at four points around the ring, sinks uniform.

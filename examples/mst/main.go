@@ -15,7 +15,10 @@ import (
 )
 
 func main() {
-	g := buildWeightedGrid(12, 12, 42)
+	g, err := buildWeightedGrid(12, 12, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("network: %d nodes, %d weighted edges\n", g.N(), g.M())
 
 	res, err := distlap.NewSolver().MinimumSpanningTree(g)
@@ -37,21 +40,22 @@ func main() {
 
 // buildWeightedGrid returns a grid with deterministic pseudo-random weights
 // in [1, 100].
-func buildWeightedGrid(rows, cols int, seed int64) *distlap.Graph {
+func buildWeightedGrid(rows, cols int, seed int64) (*distlap.Graph, error) {
 	rng := rand.New(rand.NewSource(seed))
-	g := distlap.NewGraph(rows * cols)
 	id := func(r, c int) int { return r*cols + c }
+	var edges []distlap.Edge
+	street := func(u, v int) { edges = append(edges, distlap.Edge{U: u, V: v, Weight: 1 + rng.Int63n(100)}) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.MustAddEdge(id(r, c), id(r, c+1), 1+rng.Int63n(100))
+				street(id(r, c), id(r, c+1))
 			}
 			if r+1 < rows {
-				g.MustAddEdge(id(r, c), id(r+1, c), 1+rng.Int63n(100))
+				street(id(r, c), id(r+1, c))
 			}
 		}
 	}
-	return g
+	return distlap.NewGraph(rows*cols, edges)
 }
 
 // sequentialMST is a tiny Kruskal for verification.

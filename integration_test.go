@@ -59,7 +59,7 @@ func TestScaleNCCAggregation(t *testing.T) {
 	}
 	g := graph.Grid(64, 64) // n = 4096
 	inst := partwise.RandomCongestedInstance(g, 8, 16, 5)
-	nw := ncc.NewNetwork(g.N())
+	nw := ncc.NewNetwork(g.N(), nil, nil)
 	out, err := nw.Aggregate(inst, partwise.Sum)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +81,7 @@ func TestScaleHybridRing(t *testing.T) {
 		t.Skip("scale test")
 	}
 	n := 1024
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.MustAddEdge(i, (i+1)%n, 1)
-	}
+	g := graph.Cycle(n)
 	b := linalg.RandomBVector(n, 2)
 	// Chebyshev in HYBRID: the cheapest configuration for a huge-diameter
 	// ring; just verify it converges and HYBRID stays far below D per

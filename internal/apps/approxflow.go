@@ -101,12 +101,15 @@ func (a *ApproxMaxFlow) probe(g *graph.Graph, s, t graph.NodeID, f int64) ([]flo
 		// Reweighted graph: conductance c_e = cap_e^2 / w_e, discretized.
 		// We keep weights in float by scaling to a large integer grid,
 		// preserving the paper's integer-weight convention.
-		rg := graph.New(g.N())
 		const scale = 1 << 16
+		redges := make([]graph.Edge, m)
 		for id, e := range g.EdgeList() {
 			c := caps[id] * caps[id] / w[id]
-			ic := int64(c*scale/float64(m)) + 1
-			rg.MustAddEdge(e.U, e.V, ic)
+			redges[id] = graph.Edge{U: e.U, V: e.V, Weight: int64(c*scale/float64(m)) + 1}
+		}
+		rg, err := graph.FromEdges(g.N(), redges)
+		if err != nil {
+			return nil, rounds, solves, false, err
 		}
 		b := make([]float64, g.N())
 		b[s] = float64(f)

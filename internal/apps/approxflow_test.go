@@ -9,11 +9,7 @@ import (
 )
 
 func TestApproxMaxFlowMatchesExactSmall(t *testing.T) {
-	parallel := graph.New(4)
-	parallel.MustAddEdge(0, 1, 2)
-	parallel.MustAddEdge(1, 3, 2)
-	parallel.MustAddEdge(0, 2, 3)
-	parallel.MustAddEdge(2, 3, 3)
+	parallel := edgeGraph(t, 4, [][3]int64{{0, 1, 2}, {1, 3, 2}, {0, 2, 3}, {2, 3, 3}})
 	cases := []struct {
 		name string
 		g    *graph.Graph
@@ -64,9 +60,7 @@ func TestApproxMaxFlowBadEpsilon(t *testing.T) {
 }
 
 func TestApproxMaxFlowDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(2, 3, 1)
+	g := edgeGraph(t, 4, [][3]int64{{0, 1, 1}, {2, 3, 1}})
 	a := &ApproxMaxFlow{Mode: core.ModeUniversal, Epsilon: 0.1}
 	res, err := a.Run(g, 0, 3)
 	if err != nil {

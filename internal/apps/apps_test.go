@@ -16,6 +16,21 @@ func newNet(g *graph.Graph) *congest.Network {
 	return congest.NewNetwork(g, congest.Options{Seed: 1, Supported: true})
 }
 
+// edgeGraph returns the graph on n nodes whose edges are the given
+// {u, v, weight} triples, in order.
+func edgeGraph(t testing.TB, n int, triples [][3]int64) *graph.Graph {
+	t.Helper()
+	edges := make([]graph.Edge, len(triples))
+	for i, e := range triples {
+		edges[i] = graph.Edge{U: int(e[0]), V: int(e[1]), Weight: e[2]}
+	}
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestMSTMatchesKruskal(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Grid(4, 5),
@@ -51,21 +66,18 @@ func TestMSTMatchesKruskal(t *testing.T) {
 }
 
 func TestMSTDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(2, 3, 1)
-	nw := newNet(g)
+	nw := newNet(edgeGraph(t, 4, [][3]int64{{0, 1, 1}, {2, 3, 1}}))
 	if _, err := MST(nw, partwise.NaiveGlobalSolver{}); err == nil {
 		t.Fatal("want disconnected error")
 	}
 }
 
 func TestMSTEmptyAndSingle(t *testing.T) {
-	nwEmpty := newNet(graph.New(0))
+	nwEmpty := newNet(edgeGraph(t, 0, nil))
 	if res, err := MST(nwEmpty, partwise.NaiveGlobalSolver{}); err != nil || len(res.Edges) != 0 {
 		t.Fatalf("empty: %v %v", res, err)
 	}
-	nw1 := newNet(graph.New(1))
+	nw1 := newNet(edgeGraph(t, 1, nil))
 	res, err := MST(nw1, partwise.NaiveGlobalSolver{})
 	if err != nil || len(res.Edges) != 0 {
 		t.Fatalf("single: %v %v", res, err)
@@ -206,9 +218,7 @@ func TestElectricalFlowPath(t *testing.T) {
 
 func TestElectricalParallelEdgesResistance(t *testing.T) {
 	// Two parallel unit edges: R_eff = 1/2.
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(0, 1, 1)
+	g := edgeGraph(t, 2, [][3]int64{{0, 1, 1}, {0, 1, 1}})
 	r, err := resistance(g, 0, 1, core.PrepareConfig{Mode: core.ModeUniversal, Seed: 2})
 	if err != nil {
 		t.Fatal(err)

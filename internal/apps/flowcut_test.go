@@ -8,10 +8,7 @@ import (
 )
 
 func TestMaxFlowExactPath(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 5)
-	g.MustAddEdge(1, 2, 3)
-	g.MustAddEdge(2, 3, 7)
+	g := edgeGraph(t, 4, [][3]int64{{0, 1, 5}, {1, 2, 3}, {2, 3, 7}})
 	res, err := MaxFlowExact(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -26,11 +23,7 @@ func TestMaxFlowExactPath(t *testing.T) {
 
 func TestMaxFlowExactParallelPaths(t *testing.T) {
 	// Two disjoint s-t paths of capacity 2 and 3.
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(1, 3, 2)
-	g.MustAddEdge(0, 2, 3)
-	g.MustAddEdge(2, 3, 3)
+	g := edgeGraph(t, 4, [][3]int64{{0, 1, 2}, {1, 3, 2}, {0, 2, 3}, {2, 3, 3}})
 	res, err := MaxFlowExact(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +56,7 @@ func TestMaxFlowExactErrors(t *testing.T) {
 		t.Fatal("want range error")
 	}
 	// Disconnected: flow 0, cut = s's component.
-	dg := graph.New(4)
-	dg.MustAddEdge(0, 1, 1)
-	dg.MustAddEdge(2, 3, 1)
+	dg := edgeGraph(t, 4, [][3]int64{{0, 1, 1}, {2, 3, 1}})
 	res, err := MaxFlowExact(dg, 0, 3)
 	if err != nil {
 		t.Fatal(err)

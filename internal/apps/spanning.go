@@ -23,10 +23,13 @@ type SpanningResult struct {
 // lower bound applies to).
 func SpanningConnectedViaPWA(nw *congest.Network, subEdges []graph.EdgeID, solver partwise.Solver) (*SpanningResult, error) {
 	g := nw.Graph()
-	h := graph.New(g.N())
-	for _, id := range subEdges {
-		e := g.Edge(id)
-		h.MustAddEdge(e.U, e.V, e.Weight)
+	hedges := make([]graph.Edge, len(subEdges))
+	for i, id := range subEdges {
+		hedges[i] = g.Edge(id)
+	}
+	h, err := graph.FromEdges(g.N(), hedges)
+	if err != nil {
+		return nil, err
 	}
 	// Borůvka-style component merging starting from singletons (each node
 	// initially knows only itself), communicating over G (H ⊆ G, so every
@@ -134,10 +137,14 @@ func SpanningConnectedViaLaplacian(g *graph.Graph, subEdges []graph.EdgeID, mode
 	if n == 0 {
 		return nil, errors.New("apps: empty graph")
 	}
-	h := graph.New(n)
-	for _, id := range subEdges {
+	hedges := make([]graph.Edge, len(subEdges))
+	for i, id := range subEdges {
 		e := g.Edge(id)
-		h.MustAddEdge(e.U, e.V, 1)
+		hedges[i] = graph.Edge{U: e.U, V: e.V, Weight: 1}
+	}
+	h, err := graph.FromEdges(n, hedges)
+	if err != nil {
+		return nil, err
 	}
 	// Local degree check: a node with no H edge decides "not spanning"
 	// immediately (0 rounds).

@@ -73,16 +73,14 @@ func TestLambda2ExactKnownValues(t *testing.T) {
 
 func TestSpectralPartitionErrors(t *testing.T) {
 	sp := &SpectralPartitioner{Mode: core.ModeUniversal}
-	if _, err := sp.Partition(graph.New(1)); err == nil {
+	if _, err := sp.Partition(edgeGraph(t, 1, nil)); err == nil {
 		t.Fatal("want size error")
 	}
-	disc := graph.New(4)
-	disc.MustAddEdge(0, 1, 1)
-	disc.MustAddEdge(2, 3, 1)
+	disc := edgeGraph(t, 4, [][3]int64{{0, 1, 1}, {2, 3, 1}})
 	if _, err := sp.Partition(disc); err == nil {
 		t.Fatal("want disconnected error")
 	}
-	if _, err := Lambda2Exact(graph.New(1)); err == nil {
+	if _, err := Lambda2Exact(edgeGraph(t, 1, nil)); err == nil {
 		t.Fatal("want size error")
 	}
 }

@@ -109,20 +109,23 @@ func TestUpDownManySteadyStateAllocs(t *testing.T) {
 
 // TestColdAggregateManyAllocs pins what a fresh network's first
 // AggregateMany allocates, which every request pays: the network, its
-// pooled scheduler and sweep state, the RNG and the result. The send store
-// and the scheduler's edge set are flat arrays, not a queue per directed
-// edge, so only the store's doublings grow with the graph; one budget
-// covers an 8×8 grid (24 allocations) and a 24×24 one (28).
+// pooled scheduler and sweep state, the RNG and the result. The network
+// goes to a package-level sink, as a request's network escapes into the
+// comm that holds it, so the count includes the Network itself even where
+// NewNetwork inlines. The send store and the scheduler's edge set are flat
+// arrays, not a queue per directed edge, so only the store's doublings
+// grow with the graph; one budget covers an 8×8 grid (25 allocations) and
+// a 24×24 one (29).
 func TestColdAggregateManyAllocs(t *testing.T) {
-	const budget = 28
+	const budget = 29
 	for _, side := range []int{8, 24} {
 		g := graph.Grid(side, side)
 		tr := graph.BFSTree(g, 0)
 		trees := mustSet(t, g, tr, tr, tr)
 		val := func(t int, v graph.NodeID) Word { return Word(v % 5) }
 		cold := func() {
-			nw := NewNetwork(g, Options{Supported: true, Seed: 3})
-			if _, err := nw.AggregateMany(trees, val, AggSum); err != nil {
+			netSink = NewNetwork(g, Options{Supported: true, Seed: 3})
+			if _, err := netSink.AggregateMany(trees, val, AggSum); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -143,7 +146,7 @@ func TestColdAggregateManyAllocs(t *testing.T) {
 func TestGlobalSetCompileAllocs(t *testing.T) {
 	const budget = 32 << 10
 	g := graph.RandomRegular(512, 4, 7)
-	tr := graph.BFSTree(g, graph.ApproxCenter(g))
+	tr := graph.CenterTree(g)
 	trees := []*graph.PartTree{tr, tr}
 	const runs = 20
 	var before, after runtime.MemStats
@@ -161,4 +164,7 @@ func TestGlobalSetCompileAllocs(t *testing.T) {
 	}
 }
 
-var setSink *TreeSet
+var (
+	setSink *TreeSet
+	netSink *Network
+)

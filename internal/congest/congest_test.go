@@ -459,13 +459,19 @@ func TestRouteBoundsProperty(t *testing.T) {
 	}
 }
 
+// parallelPair returns two nodes joined by two parallel unit edges.
+func parallelPair(t *testing.T) *graph.Graph {
+	g, err := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 0, V: 1, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestExchangeParallelEdges(t *testing.T) {
 	// Parallel edges each carry an independent message per round (the
 	// multigraph convention Lemma 17 needs).
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(0, 1, 1)
-	nw := newNet(g)
+	nw := newNet(parallelPair(t))
 	var got []Word
 	nw.Exchange(
 		func(v graph.NodeID, h graph.Half) (Word, bool) {
@@ -482,13 +488,10 @@ func TestExchangeParallelEdges(t *testing.T) {
 }
 
 func TestRouteManyParallelEdges(t *testing.T) {
-	g := graph.New(2)
-	e0 := g.MustAddEdge(0, 1, 1)
-	e1 := g.MustAddEdge(0, 1, 1)
-	nw := NewNetwork(g, Options{Seed: 1, DisableRandomDelays: true})
+	nw := NewNetwork(parallelPair(t), Options{Seed: 1, DisableRandomDelays: true})
 	arr, err := nw.RouteMany([]Packet{
-		{Start: 0, Edges: []graph.EdgeID{e0}},
-		{Start: 0, Edges: []graph.EdgeID{e1}},
+		{Start: 0, Edges: []graph.EdgeID{0}},
+		{Start: 0, Edges: []graph.EdgeID{1}},
 	})
 	if err != nil {
 		t.Fatal(err)

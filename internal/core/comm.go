@@ -134,12 +134,11 @@ func NewCongestComm(nw *congest.Network, naive bool) (*CongestComm, error) {
 	if g.N() == 0 {
 		return nil, errors.New("core: empty graph")
 	}
-	center := graph.ApproxCenter(g)
 	var tree *graph.PartTree
 	if nw.Supported() {
-		tree = graph.BFSTree(g, center)
+		tree = graph.CenterTree(g)
 	} else {
-		tree = nw.BFS(center).Tree()
+		tree = nw.BFS(graph.ApproxCenter(g)).Tree()
 	}
 	if len(tree.Members) != g.N() {
 		return nil, errors.New("core: graph disconnected")

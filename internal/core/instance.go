@@ -189,9 +189,7 @@ func (in *Instance) withNCC(local *CongestComm, faults *faultinject.Plan) Comm {
 	if !in.hybrid {
 		return local
 	}
-	global := ncc.NewNetworkWith(in.g.N(), local.nw.Trace())
-	global.SetFaults(faults)
-	return &HybridComm{CongestComm: local, global: global}
+	return &HybridComm{CongestComm: local, global: ncc.NewNetwork(in.g.N(), local.nw.Trace(), faults)}
 }
 
 // SolveOnce is a one-shot solve: PrepareInstance followed by one request

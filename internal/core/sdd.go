@@ -44,14 +44,16 @@ func SolveSDD(g *graph.Graph, extra []int64, b []float64, cfg PrepareConfig) (*R
 	if !anyPositive {
 		return nil, errors.New("core: extra diagonal is all zero; use SolveOnce for pure Laplacians")
 	}
-	aug := g.Clone()
-	z := aug.AddNode()
+	z := n // the ground
+	edges := append(make([]graph.Edge, 0, g.M()+n), g.EdgeList()...)
 	for v, d := range extra {
 		if d > 0 {
-			if _, err := aug.AddEdge(v, z, d); err != nil {
-				return nil, err
-			}
+			edges = append(edges, graph.Edge{U: v, V: z, Weight: d})
 		}
+	}
+	aug, err := graph.FromEdges(n+1, edges)
+	if err != nil {
+		return nil, err
 	}
 	bAug := make([]float64, n+1)
 	copy(bAug, b)

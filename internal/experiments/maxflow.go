@@ -8,16 +8,12 @@ import (
 )
 
 // threePaths builds the three-parallel-paths instance of E13.
-func threePaths() *graph.Graph {
-	g := graph.New(6)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(1, 5, 2)
-	g.MustAddEdge(0, 2, 3)
-	g.MustAddEdge(2, 5, 3)
-	g.MustAddEdge(0, 3, 1)
-	g.MustAddEdge(3, 4, 1)
-	g.MustAddEdge(4, 5, 1)
-	return g
+func threePaths() (*graph.Graph, error) {
+	return graph.FromEdges(6, []graph.Edge{
+		{U: 0, V: 1, Weight: 2}, {U: 1, V: 5, Weight: 2},
+		{U: 0, V: 2, Weight: 3}, {U: 2, V: 5, Weight: 3},
+		{U: 0, V: 3, Weight: 1}, {U: 3, V: 4, Weight: 1}, {U: 4, V: 5, Weight: 1},
+	})
 }
 
 // E13 — §5 application: approximate max-flow via electrical flows, each
@@ -30,8 +26,12 @@ func E13(cfg Config) (*Table, error) {
 		mk   func() *graph.Graph
 		s, t graph.NodeID
 	}
+	paths, err := threePaths()
+	if err != nil {
+		return nil, err
+	}
 	cases := []cse{
-		{name: "3-paths", mk: threePaths, s: 0, t: 5},
+		{name: "3-paths", mk: func() *graph.Graph { return paths }, s: 0, t: 5},
 		{name: "grid3x5", mk: func() *graph.Graph { return graph.Grid(3, 5) }, s: 0, t: 14},
 		{name: "barbell", mk: func() *graph.Graph { return graph.Barbell(4, 1) }, s: 0, t: 8},
 		{name: "weighted", mk: func() *graph.Graph { return graph.RandomConnected(12, 8, 6, 3) }, s: 0, t: 11},

@@ -148,7 +148,7 @@ func E8(cfg Config) (*Table, error) {
 				}
 				g := graph.Grid(side, side)
 				inst := partwise.RandomCongestedInstance(g, p, 6, 17)
-				nw := ncc.NewNetworkWith(g.N(), simtrace.OrNop(tr))
+				nw := ncc.NewNetwork(g.N(), tr, nil)
 				out, err := nw.Aggregate(inst, partwise.Min)
 				if err != nil {
 					return nil, err

@@ -34,7 +34,7 @@ func E14(cfg Config) (*Table, error) {
 	for _, f := range fams {
 		pts = append(pts, func(tr simtrace.Collector) ([][]string, error) {
 			g := f.mk()
-			bfs := graph.BFSTree(g, graph.ApproxCenter(g))
+			bfs := graph.CenterTree(g)
 			mstIDs, _ := graph.MST(g)
 			mst := graph.TreeFromEdges(g, mstIDs, graph.ApproxCenter(g))
 			lst := graph.LowStretchTree(g, 1)

@@ -71,8 +71,7 @@ func runTree(t *testing.T, plan *faultinject.Plan) fateRun {
 
 // runNCC delivers the word as one clique message.
 func runNCC(t *testing.T, plan *faultinject.Plan) fateRun {
-	nw := ncc.NewNetwork(2)
-	nw.SetFaults(plan)
+	nw := ncc.NewNetwork(2, nil, plan)
 	var r fateRun
 	_, err := nw.Deliver([]ncc.Message{{From: 0, To: 1, Payload: 5}}, func(m ncc.Message) {
 		if m.To != 1 || m.Payload != 5 {

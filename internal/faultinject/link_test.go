@@ -55,8 +55,7 @@ func TestTraceCountersMatchStats(t *testing.T) {
 			return nw.FaultStats()
 		}},
 		{"ncc.Deliver", func(p *faultinject.Plan, tr simtrace.Collector) faultinject.Stats {
-			nw := ncc.NewNetworkWith(g.N(), tr)
-			nw.SetFaults(p)
+			nw := ncc.NewNetwork(g.N(), tr, p)
 			var msgs []ncc.Message
 			for v := 0; v < g.N(); v++ {
 				for k := 1; k <= 8; k++ {

@@ -71,10 +71,19 @@ func TestBFSAllocs(t *testing.T) {
 	}
 }
 
+// TestCenterTreeAllocs pins the center and its BFS tree at eight
+// allocations on grid-400: the three searches share one result's four
+// node-sized arrays, and the tree takes four more.
+func TestCenterTreeAllocs(t *testing.T) {
+	g := Grid(20, 20)
+	if a := testing.AllocsPerRun(20, func() { CenterTree(g) }); a > 8 {
+		t.Fatalf("CenterTree on grid-400 allocates %.1f per call, want at most 8", a)
+	}
+}
+
 // TestGridAllocs pins a generator family at a fixed number of allocations:
 // Grid collects its edges in one list and builds the graph in one block
-// (the graph, degree offsets, half-edges and node slices), where growing
-// it edge by edge through AddEdge reallocated each node's slice.
+// (the graph, degree offsets, half-edges and node slices).
 func TestGridAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { Grid(20, 20) }); a > 5 {
 		t.Fatalf("Grid(20,20) allocates %.1f, want at most 5", a)

@@ -14,7 +14,8 @@ import "math/rand"
 // its edges in EdgeID order and builds the graph in one block (FromEdges),
 // so every node's half-edges are capped at its degree.
 
-// fromValid is FromEdges for edges a generator made valid.
+// fromValid is FromEdges for edges its caller made valid: a generator's,
+// a subgraph's or a quotient's.
 func fromValid(n int, edges []Edge) *Graph {
 	g, err := FromEdges(n, edges)
 	if err != nil {
@@ -83,7 +84,7 @@ func Torus(rows, cols int) *Graph {
 // levels (levels >= 1; a single level is one node). Unit weights.
 func CompleteTree(branching, levels int) *Graph {
 	if levels < 1 {
-		return New(0)
+		return fromValid(0, nil)
 	}
 	n := 1
 	width := 1
@@ -171,7 +172,7 @@ func Barbell(k, bridge int) *Graph {
 func RandomRegular(n, d int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	if n <= 1 {
-		return New(n)
+		return fromValid(n, nil)
 	}
 	if d >= n {
 		d = n - 1
@@ -200,9 +201,7 @@ func RandomRegular(n, d int, seed int64) *Graph {
 		used[key] = true
 		edges = append(edges, unit(u, v))
 	}
-	g := fromValid(n, edges)
-	patchConnected(g, rng)
-	return g
+	return patchConnected(n, edges, rng)
 }
 
 // RandomConnected returns a connected random graph on n nodes with roughly
@@ -243,15 +242,18 @@ func RandomConnected(n, extra int, maxWeight int64, seed int64) *Graph {
 	return fromValid(n, edges)
 }
 
-// patchConnected adds unit edges between components until g is connected.
-func patchConnected(g *Graph, rng *rand.Rand) {
-	comps := Components(g)
-	for len(comps) > 1 {
+// patchConnected returns the graph of n nodes and edges, with a unit edge
+// between its first two components appended and the graph rebuilt until
+// it is connected.
+func patchConnected(n int, edges []Edge, rng *rand.Rand) *Graph {
+	g := fromValid(n, edges)
+	for comps := Components(g); len(comps) > 1; comps = Components(g) {
 		a := comps[0][rng.Intn(len(comps[0]))]
 		b := comps[1][rng.Intn(len(comps[1]))]
-		g.MustAddEdge(a, b, 1)
-		comps = Components(g)
+		edges = append(edges, unit(a, b))
+		g = fromValid(n, edges)
 	}
+	return g
 }
 
 // Family is a named graph generator used by experiment sweeps.

@@ -20,7 +20,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 )
 
@@ -43,7 +42,9 @@ type Half struct {
 }
 
 // Graph is a weighted undirected multigraph with dense node and edge IDs.
-// The zero value is an empty graph with no nodes; use New to pre-allocate.
+// The zero value is an empty graph with no nodes. A graph is built once, by
+// FromEdges or Layers, and no method writes to it after, so one graph is
+// shared read-only by any number of concurrent readers.
 //
 // Every node's half-edges are listed in ascending EdgeID order. A layered
 // graph (Layers) keeps its clique edges implicit: they have EdgeIDs after
@@ -76,27 +77,15 @@ var (
 	ErrSelfLoop  = errors.New("graph: self-loops are not allowed")
 )
 
-// New returns an empty graph with n nodes and no edges.
-func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	return &Graph{
-		n:   n,
-		adj: make([][]Half, n),
-	}
-}
-
 // FromEdges returns the graph with n nodes and the given edges, edge i
-// getting EdgeID i: the graph that New(n) and AddEdge over edges in order
-// would build, with the same Neighbors order (each node's incident edges
-// in ascending EdgeID order). It rejects what AddEdge rejects, with the
-// same sentinel errors, and takes ownership of edges.
+// getting EdgeID i and each node listing its incident edges in ascending
+// EdgeID order. Parallel edges are allowed; an edge with an endpoint out
+// of range, a self-loop or a non-positive weight is rejected with the
+// sentinel error it breaks, wrapped with its index. FromEdges takes
+// ownership of edges: the caller must not modify the slice after the call.
 //
 // The adjacency is built eagerly in one block by a counting pass, each
-// node's slice capped at its degree, so a later AddEdge reallocates only
-// the nodes it touches and the graph is read-only shareable as soon as it
-// is returned.
+// node's slice capped at its degree.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	n = max(n, 0)
 	for id, e := range edges {
@@ -136,17 +125,6 @@ func layOut(n int, edges []Edge) [][]Half {
 	return adj
 }
 
-// Clone returns a deep copy of g. A layered graph's clone keeps its
-// cliques implicit; it shares only the read-only clique pair table.
-func (g *Graph) Clone() *Graph {
-	c := build(g.n, slices.Clone(g.edges))
-	if g.cl.pair != nil {
-		c.m, c.cl = g.m, g.cl
-		c.cl.adj, c.adj = c.adj, nil
-	}
-	return c
-}
-
 // stored returns each node's stored half-edges: all of them on an ordinary
 // graph, those of the layer edges on a layered graph.
 func (g *Graph) stored() [][]Half {
@@ -162,33 +140,6 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of (undirected) edges.
 func (g *Graph) M() int { return g.m }
 
-// AddNode appends a fresh node and returns its ID. On a layered graph it
-// first lays the cliques out, as AddEdge does.
-func (g *Graph) AddNode() NodeID {
-	g.flatten()
-	g.adj = append(g.adj, nil)
-	g.n++
-	return g.n - 1
-}
-
-// AddEdge inserts an undirected edge {u, v} of weight w and returns its
-// EdgeID. Parallel edges are allowed; self-loops and non-positive weights
-// are rejected. On a layered graph a valid edge first turns the implicit
-// cliques into stored edges with the same IDs, so the graph becomes an
-// ordinary one and the new edge gets the ID after every clique edge.
-func (g *Graph) AddEdge(u, v NodeID, w int64) (EdgeID, error) {
-	if err := checkEdge(g.n, u, v, w); err != nil {
-		return 0, err
-	}
-	g.flatten()
-	id := len(g.edges)
-	g.m++
-	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
-	g.adj[u] = append(g.adj[u], Half{To: v, Edge: id})
-	g.adj[v] = append(g.adj[v], Half{To: u, Edge: id})
-	return id, nil
-}
-
 // checkEdge rejects an edge {u, v} of weight w that a graph of n nodes
 // cannot hold.
 func checkEdge(n int, u, v NodeID, w int64) error {
@@ -202,16 +153,6 @@ func checkEdge(n int, u, v NodeID, w int64) error {
 		return fmt.Errorf("%w: %d", ErrBadWeight, w)
 	}
 	return nil
-}
-
-// MustAddEdge is AddEdge for construction-time code where the arguments are
-// known valid (generators, tests); it panics on error.
-func (g *Graph) MustAddEdge(u, v NodeID, w int64) EdgeID {
-	id, err := g.AddEdge(u, v, w)
-	if err != nil {
-		panic(err)
-	}
-	return id
 }
 
 // Edge returns the edge with the given ID. A clique edge is computed, not
@@ -354,13 +295,13 @@ func (g *Graph) Subgraph(nodes []NodeID) (*Graph, []NodeID) {
 		idx[v] = i
 		orig[i] = v
 	}
-	sub := New(len(nodes))
+	var edges []Edge
 	for _, e := range g.EdgeList() {
 		iu, okU := idx[e.U]
 		iv, okV := idx[e.V]
 		if okU && okV {
-			sub.MustAddEdge(iu, iv, e.Weight)
+			edges = append(edges, Edge{U: iu, V: iv, Weight: e.Weight})
 		}
 	}
-	return sub, orig
+	return fromValid(len(nodes), edges), orig
 }

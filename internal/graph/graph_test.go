@@ -3,13 +3,18 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewEmpty(t *testing.T) {
-	g := New(5)
+	g, err := FromEdges(5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.N() != 5 || g.M() != 0 {
 		t.Fatalf("got n=%d m=%d, want 5, 0", g.N(), g.M())
 	}
@@ -18,54 +23,42 @@ func TestNewEmpty(t *testing.T) {
 	}
 }
 
+// TestAddEdgeErrors pins the sentinel error FromEdges returns for each
+// edge it cannot add, wrapped with the index of the edge, after a valid one.
 func TestAddEdgeErrors(t *testing.T) {
-	g := New(3)
 	tests := []struct {
 		name    string
-		u, v    NodeID
-		w       int64
+		e       Edge
 		wantErr error
 	}{
-		{name: "out of range u", u: -1, v: 0, w: 1, wantErr: ErrNodeRange},
-		{name: "out of range v", u: 0, v: 3, w: 1, wantErr: ErrNodeRange},
-		{name: "self loop", u: 1, v: 1, w: 1, wantErr: ErrSelfLoop},
-		{name: "zero weight", u: 0, v: 1, w: 0, wantErr: ErrBadWeight},
-		{name: "negative weight", u: 0, v: 1, w: -2, wantErr: ErrBadWeight},
+		{name: "out of range u", e: Edge{U: -1, V: 0, Weight: 1}, wantErr: ErrNodeRange},
+		{name: "out of range v", e: Edge{U: 0, V: 3, Weight: 1}, wantErr: ErrNodeRange},
+		{name: "self loop", e: Edge{U: 1, V: 1, Weight: 1}, wantErr: ErrSelfLoop},
+		{name: "zero weight", e: Edge{U: 0, V: 1, Weight: 0}, wantErr: ErrBadWeight},
+		{name: "negative weight", e: Edge{U: 0, V: 1, Weight: -2}, wantErr: ErrBadWeight},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := g.AddEdge(tt.u, tt.v, tt.w); !errors.Is(err, tt.wantErr) {
-				t.Fatalf("AddEdge(%d,%d,%d) err=%v, want %v", tt.u, tt.v, tt.w, err, tt.wantErr)
-			}
-			// FromEdges rejects the same edge, after a valid one, the same way.
-			if _, err := FromEdges(3, []Edge{{U: 0, V: 2, Weight: 1}, {U: tt.u, V: tt.v, Weight: tt.w}}); !errors.Is(err, tt.wantErr) {
-				t.Fatalf("FromEdges with {%d,%d,%d}: err=%v, want %v", tt.u, tt.v, tt.w, err, tt.wantErr)
+			g, err := FromEdges(3, []Edge{{U: 0, V: 2, Weight: 1}, tt.e})
+			if !errors.Is(err, tt.wantErr) || !strings.HasPrefix(err.Error(), "edge 1: ") || g != nil {
+				t.Fatalf("FromEdges with %+v: graph %v, err=%v, want edge 1: %v", tt.e, g, err, tt.wantErr)
 			}
 		})
-	}
-	if g.M() != 0 {
-		t.Fatalf("failed AddEdge mutated graph: m=%d", g.M())
 	}
 }
 
 func TestAddEdgeAndAccessors(t *testing.T) {
-	g := New(4)
-	id, err := g.AddEdge(0, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := g.Edge(id); e.U != 0 || e.V != 1 || e.Weight != 5 {
+	g := fromValid(4, []Edge{{U: 0, V: 1, Weight: 5}, {U: 1, V: 2, Weight: 3}, {U: 1, V: 2, Weight: 7}}) // a parallel edge
+	if e := g.Edge(0); e.U != 0 || e.V != 1 || e.Weight != 5 {
 		t.Fatalf("edge = %+v", e)
 	}
-	g.MustAddEdge(1, 2, 3)
-	g.MustAddEdge(1, 2, 7) // parallel edge allowed
 	if g.Degree(1) != 3 {
 		t.Fatalf("degree(1)=%d, want 3", g.Degree(1))
 	}
 	if !g.HasEdgeBetween(1, 2) || g.HasEdgeBetween(0, 3) {
 		t.Fatal("HasEdgeBetween wrong")
 	}
-	if g.Other(id, 0) != 1 || g.Other(id, 1) != 0 {
+	if g.Other(0, 0) != 1 || g.Other(0, 1) != 0 {
 		t.Fatal("Other wrong")
 	}
 	if err := g.Validate(); err != nil {
@@ -73,18 +66,21 @@ func TestAddEdgeAndAccessors(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	g := Path(4)
-	c := g.Clone()
-	c.MustAddEdge(0, 3, 1)
-	if g.M() != 3 || c.M() != 4 {
-		t.Fatalf("clone not deep: g.M()=%d c.M()=%d", g.M(), c.M())
+// addEdges is the sequential reference FromEdges must match: the graph
+// built by adding edges one at a time, each appended to the edge list and
+// to both endpoints' half-edges.
+func addEdges(n int, edges []Edge) *Graph {
+	g := &Graph{n: n, m: len(edges), adj: make([][]Half, n)}
+	for id, e := range edges {
+		g.edges = append(g.edges, e)
+		g.adj[e.U] = append(g.adj[e.U], Half{To: e.V, Edge: id})
+		g.adj[e.V] = append(g.adj[e.V], Half{To: e.U, Edge: id})
 	}
+	return g
 }
 
-// Property: FromEdges builds exactly the graph sequential AddEdge calls
-// build, on random multigraphs with parallel edges, and an AddEdge after
-// FromEdges moves only the two nodes it touches.
+// Property: FromEdges builds exactly the graph sequential edge additions
+// (addEdges) build, on random multigraphs with parallel edges.
 func TestFromEdgesMatchesAddEdgeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -102,59 +98,23 @@ func TestFromEdgesMatchesAddEdgeProperty(t *testing.T) {
 				edges = append(edges, e) // a parallel edge
 			}
 		}
-		seq := New(n)
-		for _, e := range edges {
-			seq.MustAddEdge(e.U, e.V, e.Weight)
-		}
+		seq := addEdges(n, edges)
 		g, err := FromEdges(n, slices.Clone(edges))
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		same := func(a, b *Graph) bool {
-			if a.N() != b.N() || !slices.Equal(a.EdgeList(), b.EdgeList()) {
-				return false
-			}
-			for v := 0; v < a.N(); v++ {
-				if a.Degree(v) != b.Degree(v) || !slices.Equal(a.Neighbors(v), b.Neighbors(v)) {
-					return false
-				}
-			}
-			return a.Validate() == nil && b.Validate() == nil
-		}
-		if !same(g, seq) || !same(g.Clone(), seq) {
+		if g.N() != seq.N() || g.M() != seq.M() || !slices.Equal(g.EdgeList(), seq.EdgeList()) {
 			return false
 		}
-		before := make([][]Half, n)
-		for v := range before {
-			before[v] = slices.Clone(g.Neighbors(v))
-		}
-		u, v := rng.Intn(n), (rng.Intn(n-1)+1)%n
-		if u == v {
-			v = (u + 1) % n
-		}
-		g.MustAddEdge(u, v, 1)
-		seq.MustAddEdge(u, v, 1)
-		for x := range before {
-			if x != u && x != v && !slices.Equal(g.Neighbors(x), before[x]) {
+		for v := 0; v < n; v++ {
+			if g.Degree(v) != seq.Degree(v) || !slices.Equal(g.Neighbors(v), seq.Neighbors(v)) {
 				return false
 			}
 		}
-		return same(g, seq)
+		return g.Validate() == nil && seq.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAddNode(t *testing.T) {
-	g := New(1)
-	v := g.AddNode()
-	if v != 1 || g.N() != 2 {
-		t.Fatalf("AddNode = %d, n = %d", v, g.N())
-	}
-	g.MustAddEdge(0, 1, 1)
-	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -271,7 +231,7 @@ func TestDiameters(t *testing.T) {
 		{name: "grid", g: Grid(3, 4), want: 5},
 		{name: "star", g: Star(9), want: 2},
 		{name: "complete", g: Complete(6), want: 1},
-		{name: "single", g: New(1), want: 0},
+		{name: "single", g: fromValid(1, nil), want: 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -285,17 +245,14 @@ func TestDiameters(t *testing.T) {
 			}
 		})
 	}
-	g := New(3) // disconnected
+	g := fromValid(3, nil) // disconnected
 	if Diameter(g) != -1 || DiameterApprox(g) != -1 {
 		t.Fatal("disconnected diameter should be -1")
 	}
 }
 
 func TestComponents(t *testing.T) {
-	g := New(6)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(2, 3, 1)
-	g.MustAddEdge(3, 4, 1)
+	g := fromValid(6, []Edge{unit(0, 1), unit(2, 3), unit(3, 4)})
 	comps := Components(g)
 	if len(comps) != 3 {
 		t.Fatalf("got %d components, want 3", len(comps))
@@ -333,11 +290,23 @@ func TestBFSTree(t *testing.T) {
 	}
 	checkParents(t, g, tr)
 	// Only the root's component becomes the tree.
-	g = New(5)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(3, 4, 1)
+	g = fromValid(5, []Edge{unit(0, 1), unit(3, 4)})
 	if tr := BFSTree(g, 4); len(tr.Members) != 2 || tr.Members[1] != 3 {
 		t.Fatalf("tree of a two-node component: members %v", tr.Members)
+	}
+}
+
+// TestCenterTree pins CenterTree to the composition it replaces, the BFS
+// tree from ApproxCenter, on plain, layered and disconnected graphs.
+func TestCenterTree(t *testing.T) {
+	for _, g := range []*Graph{
+		Grid(5, 7), RandomRegular(40, 3, 2), Layers(Path(5), 3),
+		fromValid(6, []Edge{unit(0, 1), unit(3, 4), unit(4, 5)}),
+	} {
+		got, want := CenterTree(g), BFSTree(g, ApproxCenter(g))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: CenterTree %+v, want %+v", g.N(), got, want)
+		}
 	}
 }
 
@@ -358,17 +327,17 @@ func checkParents(t *testing.T, g *Graph, tr *PartTree) {
 }
 
 func TestBFSTreeOfSubgraph(t *testing.T) {
-	g := Grid(3, 3)
+	grid := Grid(3, 3)
 	// Two opposite corners plus a shortcut edge joining them directly.
-	id := g.MustAddEdge(0, 8, 1)
+	id := grid.M()
+	g := fromValid(9, append(slices.Clone(grid.EdgeList()), unit(0, 8)))
 	var sub Induced
 	tr := sub.Tree(g, []NodeID{0, 8}, 0)
 	if len(tr.Members) != 2 || tr.Members[1] != 8 || tr.Parent[1] != 0 || tr.Depth[1] != 1 || tr.ParentEdge[1] != int32(id) {
 		t.Fatalf("shortcut subtree wrong: %+v", tr)
 	}
-	// Without the shortcut edge the corners are separate (fresh grid, since
-	// g itself was augmented above).
-	if tr2 := sub.Tree(Grid(3, 3), []NodeID{0, 8}, 0); len(tr2.Members) != 1 {
+	// Without the shortcut edge the corners are separate.
+	if tr2 := sub.Tree(grid, []NodeID{0, 8}, 0); len(tr2.Members) != 1 {
 		t.Fatalf("unreachable member should not be in tree: members %v", tr2.Members)
 	}
 }
@@ -393,12 +362,10 @@ func TestUnionFind(t *testing.T) {
 }
 
 func TestMST(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 2)
-	g.MustAddEdge(2, 3, 3)
-	g.MustAddEdge(0, 3, 10)
-	g.MustAddEdge(0, 2, 10)
+	g := fromValid(4, []Edge{
+		{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 2}, {U: 2, V: 3, Weight: 3},
+		{U: 0, V: 3, Weight: 10}, {U: 0, V: 2, Weight: 10},
+	})
 	ids, total := MST(g)
 	if len(ids) != 3 || total != 6 {
 		t.Fatalf("MST edges=%d total=%d, want 3, 6", len(ids), total)
@@ -406,9 +373,7 @@ func TestMST(t *testing.T) {
 }
 
 func TestMSTOnDisconnected(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1, 2)
-	g.MustAddEdge(2, 3, 5)
+	g := fromValid(4, []Edge{{U: 0, V: 1, Weight: 2}, {U: 2, V: 3, Weight: 5}})
 	ids, total := MST(g)
 	if len(ids) != 2 || total != 7 {
 		t.Fatalf("forest edges=%d total=%d", len(ids), total)
@@ -494,12 +459,9 @@ func TestMSTWeightPermutationProperty(t *testing.T) {
 		g := RandomConnected(20, 15, 9, seed)
 		_, w1 := MST(g)
 		// Rebuild with reversed edge order.
-		h := New(g.N())
-		es := g.EdgeList()
-		for i := len(es) - 1; i >= 0; i-- {
-			h.MustAddEdge(es[i].U, es[i].V, es[i].Weight)
-		}
-		_, w2 := MST(h)
+		rev := slices.Clone(g.EdgeList())
+		slices.Reverse(rev)
+		_, w2 := MST(fromValid(g.N(), rev))
 		return w1 == w2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

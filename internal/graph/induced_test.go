@@ -79,17 +79,17 @@ func refConnected(g *Graph, nodes []NodeID) bool {
 // edges, parallel edges included.
 func randomMultigraph(rng *rand.Rand, maxN int) *Graph {
 	n := 1 + rng.Intn(maxN)
-	g := New(n)
+	var edges []Edge
 	if n < 2 {
-		return g
+		return fromValid(n, edges)
 	}
 	for i := rng.Intn(3*n + 1); i > 0; i-- {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.MustAddEdge(u, v, 1+rng.Int63n(4))
+			edges = append(edges, Edge{U: u, V: v, Weight: 1 + rng.Int63n(4)})
 		}
 	}
-	return g
+	return fromValid(n, edges)
 }
 
 // randomMembers returns a random nonempty node subset of g in random

@@ -35,7 +35,8 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses a graph in the text format, validating every edge.
+// Read parses a graph in the text format, validating each edge as its line
+// is read, so the first bad line decides the error.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -68,7 +69,7 @@ func Read(r io.Reader) (*Graph, error) {
 	if err != nil || m < 0 {
 		return nil, fmt.Errorf("%w: edge count %q", ErrBadFormat, fields[1])
 	}
-	g := New(n)
+	var edges []Edge
 	for i := 0; i < m; i++ {
 		line, err := next()
 		if err != nil {
@@ -84,12 +85,13 @@ func Read(r io.Reader) (*Graph, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("%w: edge line %q", ErrBadFormat, line)
 		}
-		if _, err := g.AddEdge(u, v, w); err != nil {
+		if err := checkEdge(n, u, v, w); err != nil {
 			return nil, fmt.Errorf("edge %d: %w", i, err)
 		}
+		edges = append(edges, Edge{U: u, V: v, Weight: w})
 	}
 	if line, err := next(); err == nil {
 		return nil, fmt.Errorf("%w: trailing content %q", ErrBadFormat, line)
 	}
-	return g, nil
+	return build(n, edges), nil
 }

@@ -10,8 +10,8 @@ import (
 
 func TestGraphIORoundtrip(t *testing.T) {
 	for _, g := range []*Graph{
-		New(0),
-		New(3),
+		fromValid(0, nil),
+		fromValid(3, nil),
 		Grid(3, 4),
 		RandomConnected(20, 15, 9, 7),
 	} {
@@ -54,9 +54,6 @@ func TestGraphReadErrors(t *testing.T) {
 		"3 2\n0 1 1",        // missing edge
 		"3 1\n0 1",          // short edge line
 		"3 1\n0 1 z",        // bad weight
-		"3 1\n0 5 1",        // out of range
-		"3 1\n1 1 1",        // self loop
-		"3 1\n0 1 0",        // zero weight
 		"2 1\n0 1 1\nextra", // trailing content
 	}
 	for _, in := range cases {
@@ -66,6 +63,32 @@ func TestGraphReadErrors(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("x 2\n")); !errors.Is(err, ErrBadFormat) {
 		t.Fatal("want ErrBadFormat")
+	}
+}
+
+// TestGraphReadRejectsBadEdges pins the sentinel Read returns for each
+// edge a graph cannot hold, and that the first bad line decides the error
+// when a bad edge and a malformed line meet in one file.
+func TestGraphReadRejectsBadEdges(t *testing.T) {
+	tests := []struct {
+		name, in string
+		wantErr  error
+	}{
+		{name: "self loop", in: "3 2\n0 1 1\n1 1 1\n", wantErr: ErrSelfLoop},
+		{name: "zero weight", in: "3 1\n0 1 0\n", wantErr: ErrBadWeight},
+		{name: "negative endpoint", in: "3 1\n-1 1 1\n", wantErr: ErrNodeRange},
+		{name: "bad edge then malformed line", in: "3 2\n0 5 1\n0 x\n", wantErr: ErrNodeRange},
+		{name: "malformed line then bad edge", in: "3 2\n0 x\n0 5 1\n", wantErr: ErrBadFormat},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			g, err := Read(strings.NewReader(tt.in))
+			for _, sentinel := range []error{ErrBadFormat, ErrNodeRange, ErrSelfLoop, ErrBadWeight} {
+				if errors.Is(err, sentinel) != (sentinel == tt.wantErr) || g != nil {
+					t.Fatalf("Read(%q) = %v, %v; want %v", tt.in, g, err, tt.wantErr)
+				}
+			}
+		})
 	}
 }
 

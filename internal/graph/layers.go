@@ -49,7 +49,7 @@ func (c *cliques) id(v, a, b int) EdgeID {
 // BFS and Induced compute the clique edges from their IDs, so a search over
 // Ĝ_p scans each base node's clique once, from the first copy it reaches,
 // and costs O(n·p + p·m). Neighbors and EdgeList lay the cliques out on
-// first use; AddEdge and AddNode turn them into stored edges.
+// first use.
 func Layers(base *Graph, p int) *Graph {
 	if p < 1 {
 		panic("graph: Layers needs p >= 1")
@@ -93,16 +93,4 @@ func (g *Graph) laidOut() *layout {
 	}
 	g.full.CompareAndSwap(nil, &layout{edges: edges, adj: layOut(g.n, edges)})
 	return g.full.Load()
-}
-
-// flatten turns a layered graph's cliques into stored edges, making it an
-// ordinary graph with the same edges, IDs and half-edge order, before a
-// mutation. It does nothing to a graph without cliques.
-func (g *Graph) flatten() {
-	if g.cl.pair == nil {
-		return
-	}
-	l := g.laidOut()
-	g.edges, g.adj, g.cl = l.edges, l.adj, cliques{}
-	g.full.Store(nil)
 }

@@ -7,7 +7,7 @@ import (
 
 // TestLayersComputeWithoutLayout pins which methods of a layered graph
 // compute its clique edges and which lay them out: Edge, Other, M, Degree,
-// HasEdgeBetween, Clone, the searches and Induced never build the layout;
+// HasEdgeBetween, the searches and Induced never build the layout;
 // Neighbors does, once, and concurrent first calls all return it.
 func TestLayersComputeWithoutLayout(t *testing.T) {
 	g := Layers(Grid(4, 4), 5)
@@ -28,13 +28,12 @@ func TestLayersComputeWithoutLayout(t *testing.T) {
 	if !IsConnected(g) || DiameterApprox(g) < 1 {
 		t.Fatal("layered grid disconnected")
 	}
-	BFSTree(g, ApproxCenter(g))
+	CenterTree(g)
 	var sub Induced
 	if tr := sub.Tree(g, []NodeID{1, 17, 33, 2, 34}, 17); len(tr.Members) != 5 {
 		t.Fatalf("tree spans %d of 5 copies", len(tr.Members))
 	}
-	c := g.Clone()
-	if g.full.Load() != nil || c.full.Load() != nil {
+	if g.full.Load() != nil {
 		t.Fatal("a computing method laid the cliques out")
 	}
 
@@ -55,28 +54,5 @@ func TestLayersComputeWithoutLayout(t *testing.T) {
 	}
 	if len(first[0]) != g.Degree(3) {
 		t.Fatalf("node 3 lists %d half-edges, degree %d", len(first[0]), g.Degree(3))
-	}
-}
-
-// TestLayersMutationFlattens pins that a mutation makes a layered graph an
-// ordinary one with the same edges: AddNode keeps every ID, and the
-// graph's clone, taken before, keeps its cliques implicit.
-func TestLayersMutationFlattens(t *testing.T) {
-	g := Layers(Path(3), 3)
-	c := g.Clone()
-	m := g.M()
-	if v := g.AddNode(); v != 9 || g.M() != m || g.cl.pair != nil {
-		t.Fatalf("AddNode = %d, m = %d", v, g.M())
-	}
-	for id := 0; id < m; id++ {
-		if g.Edge(id) != c.Edge(id) {
-			t.Fatalf("edge %d moved: %+v, was %+v", id, g.Edge(id), c.Edge(id))
-		}
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.cl.pair == nil || c.full.Load() != nil {
-		t.Fatal("the clone lost its implicit cliques")
 	}
 }

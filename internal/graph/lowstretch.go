@@ -134,7 +134,6 @@ func LowStretchTree(g *Graph, seed int64) *PartTree {
 				roots = append(roots, r)
 			}
 		}
-		q := New(len(roots))
 		// Keep one lightest original edge per quotient pair.
 		bestEdge := make(map[[2]int]EdgeID)
 		for id, e := range g.EdgeList() {
@@ -164,9 +163,11 @@ func LowStretchTree(g *Graph, seed int64) *PartTree {
 			}
 			return qkeys[i][1] < qkeys[j][1]
 		})
-		for _, key := range qkeys {
-			q.MustAddEdge(key[0], key[1], g.Edge(bestEdge[key]).Weight)
+		qedges := make([]Edge, len(qkeys))
+		for i, key := range qkeys {
+			qedges[i] = Edge{U: key[0], V: key[1], Weight: g.Edge(bestEdge[key]).Weight}
 		}
+		q := fromValid(len(roots), qedges)
 		// MPX-decompose the quotient; join each cluster with a BFS tree of
 		// quotient edges, realized by their original representatives.
 		clusters := MPXDecomposition(q, MPXOptions{Beta: beta, Seed: seedderive.Derive(seed, "lowstretch-mpx", int64(round))})

@@ -56,7 +56,7 @@ func TestMPXDeterministic(t *testing.T) {
 }
 
 func TestMPXEmptyAndDefaults(t *testing.T) {
-	if MPXDecomposition(New(0), MPXOptions{}) != nil {
+	if MPXDecomposition(fromValid(0, nil), MPXOptions{}) != nil {
 		t.Fatal("empty graph should give nil")
 	}
 	// Zero beta picks the default without panicking.
@@ -82,7 +82,7 @@ func TestLowStretchTreeSpans(t *testing.T) {
 
 func TestLowStretchBeatsBFSOnGrid(t *testing.T) {
 	g := Grid(16, 16)
-	bfs := BFSTree(g, ApproxCenter(g))
+	bfs := CenterTree(g)
 	lst := LowStretchTree(g, 1)
 	sb, sl := AverageStretch(g, bfs), AverageStretch(g, lst)
 	if sl >= sb {

@@ -125,7 +125,7 @@ func TreeFromEdges(g *Graph, edgeIDs []EdgeID, root NodeID) *PartTree {
 		adj[e.U] = append(adj[e.U], Half{To: e.V, Edge: id})
 		adj[e.V] = append(adj[e.V], Half{To: e.U, Edge: id})
 	}
-	return bfs(adj, &cliques{}, root).Tree()
+	return bfs(new(BFSResult), adj, &cliques{}, root).Tree()
 }
 
 // PathInTree returns the member indices on the path along t from member i

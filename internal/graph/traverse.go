@@ -16,23 +16,22 @@ type BFSResult struct {
 
 // BFS runs a breadth-first search over hop distances (ignoring weights, as
 // the paper's hop-diameter does).
-func BFS(g *Graph, root NodeID) *BFSResult { return bfs(g.stored(), &g.cl, root) }
+func BFS(g *Graph, root NodeID) *BFSResult { return bfs(new(BFSResult), g.stored(), &g.cl, root) }
 
 // bfs searches the adjacency adj, whose length is the node count, plus the
-// clique edges cl (none when cl.pair is nil). A node's clique half-edges
+// clique edges cl (none when cl.pair is nil), into res, reusing its arrays
+// when they have n entries, and returns res. A node's clique half-edges
 // follow its stored ones, its siblings in ascending layer. Once one copy
 // of a base node is scanned every copy is discovered, so a later copy's
 // clique scan would discover nothing and is skipped: the search visits,
 // orders and parents nodes exactly as one over the laid-out cliques.
-func bfs(adj [][]Half, cl *cliques, root NodeID) *BFSResult {
+func bfs(res *BFSResult, adj [][]Half, cl *cliques, root NodeID) *BFSResult {
 	n := len(adj)
-	res := &BFSResult{
-		Root:       root,
-		Dist:       make([]int, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-		Order:      make([]NodeID, 0, n),
+	if len(res.Dist) != n {
+		res.Dist, res.Parent, res.ParentEdge = make([]int, n), make([]NodeID, n), make([]EdgeID, n)
+		res.Order = make([]NodeID, 0, n)
 	}
+	res.Root, res.Order = root, res.Order[:0]
 	for i := range res.Dist {
 		res.Dist[i] = -1
 		res.Parent[i] = -1
@@ -199,23 +198,36 @@ func ApproxCenter(g *Graph) NodeID {
 	if g.N() == 0 {
 		return 0
 	}
-	first := BFS(g, 0)
-	u := 0
-	for v, d := range first.Dist {
-		if d > first.Dist[u] {
-			u = v
-		}
-	}
-	second := BFS(g, u)
-	w := u
-	for v, d := range second.Dist {
-		if d > second.Dist[w] {
-			w = v
-		}
-	}
+	return approxCenter(g, new(BFSResult))
+}
+
+// CenterTree returns the BFS tree from ApproxCenter(g), the tree of its
+// root's component, its three searches sharing one result's arrays. g
+// must have a node.
+func CenterTree(g *Graph) *PartTree {
+	var res BFSResult
+	return bfs(&res, g.stored(), &g.cl, approxCenter(g, &res)).Tree()
+}
+
+// approxCenter is ApproxCenter on a graph with a node, searching into res.
+func approxCenter(g *Graph, res *BFSResult) NodeID {
+	adj := g.stored()
+	u := farthest(bfs(res, adj, &g.cl, 0).Dist, 0)
+	w := farthest(bfs(res, adj, &g.cl, u).Dist, u)
 	v := w
-	for i := 0; i < second.Dist[w]/2; i++ {
-		v = second.Parent[v]
+	for i := 0; i < res.Dist[w]/2; i++ {
+		v = res.Parent[v]
 	}
 	return v
+}
+
+// farthest returns the first node of the largest distance in dist, or from
+// when no node lies farther than it.
+func farthest(dist []int, from NodeID) NodeID {
+	for v, d := range dist {
+		if d > dist[from] {
+			from = v
+		}
+	}
+	return from
 }

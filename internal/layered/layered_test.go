@@ -388,7 +388,7 @@ func sameGraph(got, want *graph.Graph) error {
 
 // TestImplicitCliquesMatchExplicit holds Ĝ_p with implicit cliques to the
 // explicit construction, p ∈ {1, 2, 3, 7} on every base: every graph
-// method, its Clone, every BFS from every root, and induced subgraphs on
+// method, every BFS from every root, and induced subgraphs on
 // random member sets that hold two or more copies of some base nodes, as
 // a part with color junctions does.
 func TestImplicitCliquesMatchExplicit(t *testing.T) {
@@ -416,12 +416,8 @@ func TestImplicitCliquesMatchExplicit(t *testing.T) {
 						t.Fatalf("members %v: %v", members, err)
 					}
 				}
-				clone := lay.G.Clone()
 				if err := sameGraph(lay.G, want); err != nil {
 					t.Fatal(err)
-				}
-				if err := sameGraph(clone, want); err != nil {
-					t.Fatalf("clone: %v", err)
 				}
 			})
 		}
@@ -473,29 +469,6 @@ func sameInduced(a, b *graph.Induced, got, want *graph.Graph, members []graph.No
 		}
 	}
 	return nil
-}
-
-// TestAddEdgeOnLayered pins what AddEdge does on Ĝ_p: the cliques become
-// stored edges with their IDs, and the new edge takes the next ID, so the
-// graph equals the explicit construction with that edge added.
-func TestAddEdgeOnLayered(t *testing.T) {
-	base := graph.Grid(3, 3)
-	lay, err := New(base, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := explicitNew(t, base, 3)
-	m := want.M()
-	if id, err := lay.G.AddEdge(2, 13, 4); err != nil || id != m {
-		t.Fatalf("AddEdge = %d, %v; want %d", id, err, m)
-	}
-	want.MustAddEdge(2, 13, 4)
-	if err := sameGraph(lay.G, want); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lay.G.AddEdge(4, 4, 1); !errors.Is(err, graph.ErrSelfLoop) {
-		t.Fatalf("self-loop: err = %v", err)
-	}
 }
 
 // BenchmarkLayeredNew times building Ĝ_p at the sizes the paper suite

@@ -71,8 +71,10 @@ func TestMatVecPath(t *testing.T) {
 }
 
 func TestQuadraticAndNorm(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1, 4)
+	g, err := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, Weight: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := NewLaplacian(g)
 	x := []float64{1, -1}
 	if q := l.Quadratic(x); q != 16 {
@@ -128,8 +130,10 @@ func TestSolveExactErrors(t *testing.T) {
 	if _, err := l.SolveExact([]float64{1, 1, 1}); !errors.Is(err, ErrNotInRange) {
 		t.Fatal("want range error")
 	}
-	disc := graph.New(3)
-	disc.MustAddEdge(0, 1, 1)
+	disc, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := NewLaplacian(disc).SolveExact([]float64{1, -1, 0}); !errors.Is(err, ErrDisconnected) {
 		t.Fatal("want disconnected error")
 	}

@@ -45,7 +45,7 @@ func batches(n int) []batch {
 // pooled on the network.
 func TestDeliverSteadyStateAllocs(t *testing.T) {
 	for _, b := range batches(64) {
-		if a := deliverAllocs(t, NewNetwork(64), b.msgs); a > 0 {
+		if a := deliverAllocs(t, NewNetwork(64, nil, nil), b.msgs); a > 0 {
 			t.Fatalf("steady-state Deliver of the %s batch allocates %.1f per call, want 0", b.name, a)
 		}
 	}
@@ -57,8 +57,7 @@ func TestDeliverSteadyStateAllocs(t *testing.T) {
 // constant trace names.
 func TestFaultyDeliverSteadyStateAllocs(t *testing.T) {
 	for _, b := range batches(64) {
-		nw := NewNetwork(64)
-		nw.SetFaults(faultinject.MustNew(faultinject.Spec{Seed: 3, DropProb: 0.05}))
+		nw := NewNetwork(64, nil, faultinject.MustNew(faultinject.Spec{Seed: 3, DropProb: 0.05}))
 		a := deliverAllocs(t, nw, b.msgs)
 		if nw.FaultStats().Drops == 0 {
 			t.Fatalf("the plan dropped nothing in the %s batch; the test would not exercise the retry path", b.name)

@@ -22,8 +22,7 @@ func cliqueMsgs(n int) []Message {
 func TestFaultyDeliverDeterministic(t *testing.T) {
 	spec := faultinject.Spec{Seed: 3, DropProb: 0.2, DupProb: 0.1, DelayProb: 0.2, CrashProb: 0.1}
 	run := func() (map[graph.NodeID]congest.Word, int, faultinject.Stats) {
-		nw := NewNetwork(32)
-		nw.SetFaults(faultinject.MustNew(spec))
+		nw := NewNetwork(32, nil, faultinject.MustNew(spec))
 		got := map[graph.NodeID]congest.Word{}
 		used, err := nw.Deliver(cliqueMsgs(32), func(m Message) { got[m.To] += m.Payload + 1 })
 		if err != nil {
@@ -52,8 +51,7 @@ func TestFaultyDeliverDeterministic(t *testing.T) {
 func TestFaultyDeliverAllDropped(t *testing.T) {
 	// DropProb=1 defeats retransmission: the round budget must convert the
 	// starved schedule into ErrFaultBudget, with nothing delivered.
-	nw := NewNetwork(8)
-	nw.SetFaults(faultinject.MustNew(faultinject.Spec{Seed: 1, DropProb: 1}))
+	nw := NewNetwork(8, nil, faultinject.MustNew(faultinject.Spec{Seed: 1, DropProb: 1}))
 	delivered := 0
 	used, err := nw.Deliver(cliqueMsgs(8), func(Message) { delivered++ })
 	if !errors.Is(err, ErrFaultBudget) {
@@ -73,13 +71,12 @@ func TestFaultyDeliverAllDropped(t *testing.T) {
 func TestFaultyDeliverDropRetransmits(t *testing.T) {
 	// Fair loss: every message eventually arrives exactly once, over more
 	// rounds than the reliable schedule.
-	reliable := NewNetwork(16)
+	reliable := NewNetwork(16, nil, nil)
 	wantUsed, err := reliable.Deliver(cliqueMsgs(16), func(Message) {})
 	if err != nil {
 		t.Fatalf("reliable deliver: %v", err)
 	}
-	nw := NewNetwork(16)
-	nw.SetFaults(faultinject.MustNew(faultinject.Spec{Seed: 6, DropProb: 0.4}))
+	nw := NewNetwork(16, nil, faultinject.MustNew(faultinject.Spec{Seed: 6, DropProb: 0.4}))
 	count := map[graph.NodeID]int{}
 	used, err := nw.Deliver(cliqueMsgs(16), func(m Message) { count[m.To]++ })
 	if err != nil {
@@ -104,8 +101,7 @@ func TestFaultyDeliverDropRetransmits(t *testing.T) {
 func TestFaultyDeliverNeverHangs(t *testing.T) {
 	// Perpetual delays starve the schedule; the round budget must convert
 	// that into an error instead of a spin.
-	nw := NewNetwork(4)
-	nw.SetFaults(faultinject.MustNew(faultinject.Spec{Seed: 2, DelayProb: 1}))
+	nw := NewNetwork(4, nil, faultinject.MustNew(faultinject.Spec{Seed: 2, DelayProb: 1}))
 	_, err := nw.Deliver(cliqueMsgs(4), func(Message) {})
 	if !errors.Is(err, ErrFaultBudget) {
 		t.Fatalf("expected ErrFaultBudget, got %v", err)
@@ -130,8 +126,7 @@ func (l *wordLog) NodeWords(_ string, from, to int, n int64) {
 // handler and the tree scheduler's consumers do.
 func TestFaultyDeliverDupChargesTwiceDeliversOnce(t *testing.T) {
 	log := &wordLog{}
-	nw := NewNetworkWith(6, log)
-	nw.SetFaults(faultinject.MustNew(faultinject.Spec{Seed: 4, DupProb: 1}))
+	nw := NewNetwork(6, log, faultinject.MustNew(faultinject.Spec{Seed: 4, DupProb: 1}))
 	var got []Message
 	if _, err := nw.Deliver(cliqueMsgs(6), func(m Message) { got = append(got, m) }); err != nil {
 		t.Fatalf("dup deliver: %v", err)
@@ -152,21 +147,19 @@ func TestFaultyDeliverDupChargesTwiceDeliversOnce(t *testing.T) {
 	}
 }
 
+// TestNilFaultPlanKeepsReliablePath pins that a nil plan compiles to
+// nothing: the network runs the reliable schedule, handing each message
+// over once in sender order and injecting no fault.
 func TestNilFaultPlanKeepsReliablePath(t *testing.T) {
-	a, b := NewNetwork(16), NewNetwork(16)
-	b.SetFaults(nil)
-	var da, db []Message
-	ua, erra := a.Deliver(cliqueMsgs(16), func(m Message) { da = append(da, m) })
-	ub, errb := b.Deliver(cliqueMsgs(16), func(m Message) { db = append(db, m) })
-	if erra != nil || errb != nil {
-		t.Fatalf("reliable delivers errored: %v, %v", erra, errb)
+	nw := NewNetwork(16, nil, nil)
+	if nw.link.Faulty() {
+		t.Fatal("a nil plan compiled a faulty link")
 	}
-	if ua != ub || len(da) != len(db) {
-		t.Fatalf("nil plan changed schedule: %d vs %d rounds, %d vs %d deliveries", ua, ub, len(da), len(db))
+	var got []Message
+	if _, err := nw.Deliver(cliqueMsgs(16), func(m Message) { got = append(got, m) }); err != nil {
+		t.Fatalf("reliable deliver: %v", err)
 	}
-	for i := range da {
-		if da[i] != db[i] {
-			t.Fatalf("delivery %d diverged", i)
-		}
+	if !slices.Equal(got, cliqueMsgs(16)) || nw.Messages() != 16 || nw.FaultStats() != (faultinject.Stats{}) {
+		t.Fatalf("nil plan: delivered %v, %d messages, stats %+v", got, nw.Messages(), nw.FaultStats())
 	}
 }

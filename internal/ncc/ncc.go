@@ -94,27 +94,17 @@ func grown[T any](buf []T, n int) []T {
 var ErrNoNodes = errors.New("ncc: network has no nodes")
 
 // NewNetwork returns an NCC network over n nodes with the standard
-// per-node capacity ceil(log2 n) (minimum 1).
-func NewNetwork(n int) *Network {
-	return NewNetworkWith(n, nil)
-}
-
-// NewNetworkWith is NewNetwork with a trace collector attached (nil selects
-// simtrace.Nop). The collector records rounds, clique deliveries, and the
-// ncc.sends / ncc.overloads / ncc.drops counters; it never influences
-// scheduling or the metrics.
-func NewNetworkWith(n int, tr simtrace.Collector) *Network {
+// per-node capacity ceil(log2 n) (minimum 1), recording to tr (nil selects
+// simtrace.Nop) and injecting the faults of plan (nil = reliable). The
+// collector records rounds, clique deliveries, and the ncc.sends /
+// ncc.overloads / ncc.drops counters; it never influences scheduling or
+// the metrics. Fault decisions are pure functions of (plan seed, round,
+// sender, receiver), so a faulty clique run replays byte-identically
+// (DESIGN.md §9).
+func NewNetwork(n int, tr simtrace.Collector, plan *faultinject.Plan) *Network {
 	tr = simtrace.OrNop(tr)
 	_, quiet := tr.(simtrace.Nop)
-	return &Network{n: n, cap: log2ceil(n), trace: tr, quiet: quiet}
-}
-
-// SetFaults attaches a deterministic fault plan (nil = reliable). Set it
-// before the first Deliver; decisions are pure functions of (plan seed,
-// round, sender, receiver), so a faulty clique run replays byte-identically
-// (DESIGN.md §9).
-func (nw *Network) SetFaults(p *faultinject.Plan) {
-	nw.link = faultinject.NewLink(p, nw.trace, nw.n, 0)
+	return &Network{n: n, cap: log2ceil(n), trace: tr, quiet: quiet, link: faultinject.NewLink(plan, tr, n, 0)}
 }
 
 // FaultStats returns the faults injected so far (zero on reliable
@@ -139,7 +129,7 @@ func (nw *Network) Messages() int64 { return nw.messages }
 // and its rounds: only the senders the batch names are bucketed and
 // scanned, never all n nodes.
 //
-// Under a fault plan (SetFaults) the same schedule applies each offered
+// Under a fault plan the same schedule applies each offered
 // message's fate. A drop uses a send slot, is not counted in Messages and
 // is retried from its FIFO slot next round; a duplicate uses one receive
 // slot, is counted twice and is handed to recv once; a delay uses no slot

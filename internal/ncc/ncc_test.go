@@ -16,14 +16,14 @@ func TestCapacityIsLogN(t *testing.T) {
 		{n: 5, want: 3}, {n: 1024, want: 10}, {n: 1025, want: 11},
 	}
 	for _, tt := range tests {
-		if c := NewNetwork(tt.n).Capacity(); c != tt.want {
+		if c := NewNetwork(tt.n, nil, nil).Capacity(); c != tt.want {
 			t.Fatalf("n=%d: cap=%d, want %d", tt.n, c, tt.want)
 		}
 	}
 }
 
 func TestDeliverRespectsCaps(t *testing.T) {
-	nw := NewNetwork(4) // cap 2
+	nw := NewNetwork(4, nil, nil) // cap 2
 	// Node 0 sends 5 messages to node 1: needs ceil(5/2)=3 rounds.
 	var msgs []Message
 	for i := 0; i < 5; i++ {
@@ -43,7 +43,7 @@ func TestDeliverRespectsCaps(t *testing.T) {
 }
 
 func TestDeliverReceiverBottleneck(t *testing.T) {
-	nw := NewNetwork(8) // cap 3
+	nw := NewNetwork(8, nil, nil) // cap 3
 	// 6 distinct senders all target node 0: ceil(6/3)=2 rounds.
 	var msgs []Message
 	for s := 1; s <= 6; s++ {
@@ -60,14 +60,14 @@ func TestDeliverReceiverBottleneck(t *testing.T) {
 }
 
 func TestDeliverValidatesRange(t *testing.T) {
-	nw := NewNetwork(3)
+	nw := NewNetwork(3, nil, nil)
 	if _, err := nw.Deliver([]Message{{From: 0, To: 5}}, func(Message) {}); err == nil {
 		t.Fatal("want range error")
 	}
 }
 
 func TestDeliverEmpty(t *testing.T) {
-	nw := NewNetwork(3)
+	nw := NewNetwork(3, nil, nil)
 	rounds, err := nw.Deliver(nil, func(Message) {})
 	if err != nil || rounds != 0 {
 		t.Fatalf("rounds=%d err=%v", rounds, err)
@@ -76,7 +76,7 @@ func TestDeliverEmpty(t *testing.T) {
 
 func TestAggregateSingleGlobalPart(t *testing.T) {
 	n := 64
-	nw := NewNetwork(n)
+	nw := NewNetwork(n, nil, nil)
 	part := make([]graph.NodeID, n)
 	vals := make([]congest.Word, n)
 	for i := 0; i < n; i++ {
@@ -100,7 +100,7 @@ func TestAggregateSingleGlobalPart(t *testing.T) {
 
 func TestAggregateCongestedInstance(t *testing.T) {
 	g, inst := partwise.GridCongestedInstance(6)
-	nw := NewNetwork(g.N())
+	nw := NewNetwork(g.N(), nil, nil)
 	out, err := nw.Aggregate(inst, partwise.Max)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestAggregateCongestedInstance(t *testing.T) {
 }
 
 func TestAggregateRejectsBadInstance(t *testing.T) {
-	nw := NewNetwork(4)
+	nw := NewNetwork(4, nil, nil)
 	bad := &partwise.Instance{Parts: [][]graph.NodeID{{0, 1}}, Values: [][]congest.Word{{1}}}
 	if _, err := nw.Aggregate(bad, partwise.Sum); err == nil {
 		t.Fatal("want mismatch error")
@@ -134,7 +134,7 @@ func TestAggregateRoundsScaleLemma26(t *testing.T) {
 	g := graph.Grid(8, 8)
 	measure := func(p int) int {
 		inst := partwise.RandomCongestedInstance(g, p, 4, 7)
-		nw := NewNetwork(g.N())
+		nw := NewNetwork(g.N(), nil, nil)
 		if _, err := nw.Aggregate(inst, partwise.Min); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestAggregateProperty(t *testing.T) {
 		p := int(pp%4) + 1
 		g := graph.Grid(5, 5)
 		inst := partwise.RandomCongestedInstance(g, p, 3, seed)
-		nw := NewNetwork(g.N())
+		nw := NewNetwork(g.N(), nil, nil)
 		out, err := nw.Aggregate(inst, partwise.Sum)
 		if err != nil {
 			return false
@@ -174,7 +174,7 @@ func TestAggregateProperty(t *testing.T) {
 // Property: parts that are disconnected in any graph still aggregate (NCC
 // needs no connectivity).
 func TestAggregateDisconnectedParts(t *testing.T) {
-	nw := NewNetwork(10)
+	nw := NewNetwork(10, nil, nil)
 	inst := &partwise.Instance{
 		Parts:  [][]graph.NodeID{{0, 9}, {3, 5, 7}},
 		Values: [][]congest.Word{{4, 6}, {1, 2, 3}},
@@ -215,7 +215,7 @@ func levelMsgs(n, stride int) []Message {
 // BenchmarkDeliver times one reliable Deliver of 256 nodes × 8 messages on
 // a warmed network, the steady state of every NCC aggregation round.
 func BenchmarkDeliver(b *testing.B) {
-	nw := NewNetwork(256)
+	nw := NewNetwork(256, nil, nil)
 	msgs := fanMsgs(nw.n, 8)
 	recv := func(Message) {}
 	if _, err := nw.Deliver(msgs, recv); err != nil {
@@ -235,7 +235,7 @@ func BenchmarkDeliver(b *testing.B) {
 // which 16 of the 256 nodes send one message each, the shape of an
 // aggregation's upper levels.
 func BenchmarkDeliverSparse(b *testing.B) {
-	nw := NewNetwork(256)
+	nw := NewNetwork(256, nil, nil)
 	msgs := levelMsgs(nw.n, 8)
 	recv := func(Message) {}
 	if _, err := nw.Deliver(msgs, recv); err != nil {

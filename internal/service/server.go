@@ -155,13 +155,11 @@ func (gs *GraphSpec) build(maxSize int) (*distlap.Graph, error) {
 	if gs.N > len(gs.Edges)+1 {
 		return nil, fmt.Errorf("graph with n=%d and %d edges cannot be connected", gs.N, len(gs.Edges))
 	}
-	g := distlap.NewGraph(gs.N)
+	edges := make([]distlap.Edge, len(gs.Edges))
 	for i, e := range gs.Edges {
-		if _, err := g.AddEdge(int(e[0]), int(e[1]), e[2]); err != nil {
-			return nil, fmt.Errorf("edge %d: %w", i, err)
-		}
+		edges[i] = distlap.Edge{U: int(e[0]), V: int(e[1]), Weight: e[2]}
 	}
-	return g, nil
+	return distlap.NewGraph(gs.N, edges)
 }
 
 // LoadRequest is the body of POST /v1/graphs.

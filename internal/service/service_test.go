@@ -133,7 +133,6 @@ func TestServerErrorSurface(t *testing.T) {
 		{"load bad family", "POST", "/v1/graphs", `{"id":"x","graph":{"family":"moebius","size":16}}`, http.StatusBadRequest},
 		{"load bad mode", "POST", "/v1/graphs", `{"id":"x","graph":{"family":"grid","size":16},"mode":"quantum"}`, http.StatusBadRequest},
 		{"load negative eps", "POST", "/v1/graphs", `{"id":"x","graph":{"family":"grid","size":16},"eps":-1}`, http.StatusBadRequest},
-		{"load bad edge", "POST", "/v1/graphs", `{"id":"x","graph":{"n":2,"edges":[[0,5,1]]}}`, http.StatusBadRequest},
 		{"malformed json", "POST", "/v1/graphs", `{"id":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/graphs", `{"id":"x","graf":{}}`, http.StatusBadRequest},
 		{"load n past its edges", "POST", "/v1/graphs", `{"id":"a","graph":{"n":1099511627776}}`, http.StatusBadRequest},
@@ -147,6 +146,20 @@ func TestServerErrorSurface(t *testing.T) {
 		}
 		if !bytes.Contains(body, []byte(`"error"`)) {
 			t.Errorf("%s: error body missing envelope: %s", c.name, body)
+		}
+	}
+
+	// A bad explicit edge is refused with its index and the graph
+	// package's reason, byte for byte.
+	for _, c := range []struct{ edges, want string }{
+		{`[[0,5,1]]`, `{"error":"edge 0: graph: node out of range: {0,5} with n=2"}`},
+		{`[[-1,1,1]]`, `{"error":"edge 0: graph: node out of range: {-1,1} with n=2"}`},
+		{`[[0,1,1],[1,1,1]]`, `{"error":"edge 1: graph: self-loops are not allowed: node 1"}`},
+		{`[[0,1,0]]`, `{"error":"edge 0: graph: weight must be positive: 0"}`},
+	} {
+		code, body := doReq(t, h, "POST", "/v1/graphs", `{"id":"x","graph":{"n":2,"edges":`+c.edges+`}}`)
+		if code != http.StatusBadRequest || string(bytes.TrimSpace(body)) != c.want {
+			t.Errorf("load with edges %s: status %d, body %s; want 400, %s", c.edges, code, body, c.want)
 		}
 	}
 

@@ -22,8 +22,7 @@ import (
 // instance.
 type Skeleton struct {
 	g       *graph.Graph
-	root    graph.NodeID
-	tree    *graph.PartTree // nil until first use
+	tree    *graph.PartTree // nil until first use; rooted at the center
 	pos     []int32         // host node → member index in tree
 	treeErr error           // non-nil when tree does not span g
 	cert    certifier
@@ -39,8 +38,8 @@ func (sk *Skeleton) Graph() *graph.Graph { return sk.g }
 
 // center returns the Steiner tree's root, graph.ApproxCenter of the graph.
 func (sk *Skeleton) center() graph.NodeID {
-	_, _, _ = sk.steinerTree() // the center is set even when the tree does not span the graph
-	return sk.root
+	tree, _, _ := sk.steinerTree() // the tree has its root even when it does not span the graph
+	return tree.Members[0]
 }
 
 // steinerTree returns the BFS tree from the center and the host-to-member
@@ -48,10 +47,9 @@ func (sk *Skeleton) center() graph.NodeID {
 // span the graph.
 func (sk *Skeleton) steinerTree() (*graph.PartTree, []int32, error) {
 	if sk.tree == nil {
-		sk.root = graph.ApproxCenter(sk.g)
-		sk.tree = graph.BFSTree(sk.g, sk.root)
+		sk.tree = graph.CenterTree(sk.g)
 		if len(sk.tree.Members) != sk.g.N() {
-			sk.treeErr = fmt.Errorf("shortcut: graph disconnected from root %d", sk.root)
+			sk.treeErr = fmt.Errorf("shortcut: graph disconnected from root %d", sk.tree.Members[0])
 		}
 		sk.pos = make([]int32, sk.g.N())
 		sk.tree.IndexInto(sk.pos)

@@ -49,9 +49,10 @@ func TestMultipleUnicastCongestion(t *testing.T) {
 }
 
 func TestMultipleUnicastDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(2, 3, 1)
+	g, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 2, V: 3, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	nw := newNet(g)
 	if _, err := SolveMultipleUnicast(nw, []UnicastPair{{Source: 0, Sink: 3}}); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("err=%v", err)

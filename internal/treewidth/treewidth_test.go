@@ -16,7 +16,7 @@ func TestHeuristicWidths(t *testing.T) {
 		g    *graph.Graph
 		want int // expected heuristic width (== treewidth on these inputs)
 	}{
-		{name: "single", g: graph.New(1), want: 0},
+		{name: "single", g: graph.Path(1), want: 0},
 		{name: "path", g: graph.Path(8), want: 1},
 		{name: "tree", g: graph.CompleteTree(2, 4), want: 1},
 		{name: "caterpillar", g: graph.Caterpillar(5, 3), want: 1},
@@ -128,7 +128,7 @@ func TestLiftToLayeredLemma19(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := graph.New(0)
+	g := graph.Path(0)
 	d := Heuristic(g)
 	if err := d.Validate(g); err != nil {
 		t.Fatal(err)
