@@ -46,10 +46,12 @@ type Edge = graph.Edge
 
 // NewGraph returns the graph with n nodes and the given edges, edge i
 // getting ID i; parallel edges are allowed. It rejects an edge with an
-// endpoint outside [0, n), a self-loop or a non-positive weight. The graph
-// never changes after it is returned, so one graph may back any number of
-// concurrent solves. NewGraph takes ownership of edges: the caller must
-// not modify the slice after the call.
+// endpoint outside [0, n), a self-loop or a non-positive weight, and a
+// graph too large for the engines to index (more than math.MaxInt32
+// nodes, or 2·len(edges) past it). The graph never changes after it is
+// returned, so one graph may back any number of concurrent solves.
+// NewGraph takes ownership of edges: the caller must not modify the slice
+// after the call.
 func NewGraph(n int, edges []Edge) (*Graph, error) { return graph.FromEdges(n, edges) }
 
 // Families returns the named standard graph generators (path, grid,

@@ -137,12 +137,13 @@ func TestColdAggregateManyAllocs(t *testing.T) {
 
 // TestGlobalSetCompileAllocs pins the bytes a request pays to compile its
 // two-fold global set (the tree of a batched two-vector GlobalSums) on
-// expander-512, the solve-expander graph: the set's own arrays, 30.1 KB
-// for 1,024 slots, and no scratch the size of the graph. The set takes
-// c from a sort of its up edges in its own child-list array, so the
-// compile needs no per-directed-edge count; the budget sits below the
-// 40.4 KB the compile allocated while it kept an n + 2m host-to-slot map
-// and count array.
+// expander-512, the solve-expander graph: the set's own arrays, 28.1 KB
+// for 1,024 slots (their host nodes as int32) and the 511 host edges its
+// links name, and no scratch the size of the graph. The set takes c and
+// its links from a radix sort of its up edges in its own child-list
+// arrays, so the compile needs no per-directed-edge count; the budget
+// sits below the 40.4 KB the compile allocated while it kept an n + 2m
+// host-to-slot map and count array.
 func TestGlobalSetCompileAllocs(t *testing.T) {
 	const budget = 32 << 10
 	g := graph.RandomRegular(512, 4, 7)
@@ -168,3 +169,31 @@ var (
 	setSink *TreeSet
 	netSink *Network
 )
+
+// TestLayeredSubnetworkAllocs bounds the bytes of BenchmarkLayeredSubnetwork's
+// pair, a fresh network over Ĝ_61 of Grid(8,8) and one AggregateMany over
+// short trees: what each Lemma 16 path batch pays. The network's loads are
+// dense over the 6,832 stored layer edges only (16 bytes each) and its send
+// store holds the trees' links, so the budget is those loads plus a
+// per-slot and a fixed allowance; a network whose load array or send store
+// spans all 2·m_L = 247,904 directed edges allocates about 4 MB.
+func TestLayeredSubnetworkAllocs(t *testing.T) {
+	base := graph.Grid(8, 8)
+	g := graph.Layers(base, 61)
+	s := mustSet(t, g, layeredTrees(base, g)...)
+	budget := uint64(16*g.StoredM() + 256*s.First(s.Len()) + 16<<10)
+	val := func(_ int, v graph.NodeID) Word { return Word(v % 7) }
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		netSink = NewNetwork(g, Options{Supported: true, Seed: 3})
+		if _, err := netSink.AggregateMany(s, val, AggSum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+		t.Fatalf("a network over Ĝ_61 of Grid(8,8) and one AggregateMany allocate %d bytes, budget %d", per, budget)
+	}
+}

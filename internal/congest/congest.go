@@ -110,10 +110,14 @@ type Network struct {
 	opts    Options
 	rng     *rand.Rand // seeded from opts.Seed on the first draw (randomDelays)
 	metrics Metrics
-	load    []int64 // per directed edge: total words carried
-	trace   simtrace.Collector
-	quiet   bool   // collector is simtrace.Nop: skip per-event trace emission
-	engine  string // simtrace engine label for this network's charges
+	// Words carried per directed edge: dense over the graph's stored
+	// edges, sparse over a layered graph's computed clique edges, which
+	// its trees hardly use (chargeEdge).
+	load     []int64
+	computed map[int]int64
+	trace    simtrace.Collector
+	quiet    bool   // collector is simtrace.Nop: skip per-event trace emission
+	engine   string // simtrace engine label for this network's charges
 
 	// Fault injection: the plan compiled against the graph (a zero Link
 	// until the first primitive under a plan, see faulty) and the Exchange
@@ -172,7 +176,10 @@ func CatchCancel(errp *error) {
 	panic(r)
 }
 
-// NewNetwork returns a network over g with the given options.
+// NewNetwork returns a network over g with the given options. Its
+// per-edge load counters are dense over g's stored edges only (a layered
+// graph's computed clique edges are counted on first use), and its tree
+// scheduler's send store grows with the schedules it runs.
 func NewNetwork(g *graph.Graph, opts Options) *Network {
 	engine := opts.TraceEngine
 	if engine == "" {
@@ -183,7 +190,7 @@ func NewNetwork(g *graph.Graph, opts Options) *Network {
 	return &Network{
 		g:      g,
 		opts:   opts,
-		load:   make([]int64, 2*g.M()),
+		load:   make([]int64, 2*g.StoredM()),
 		trace:  tr,
 		quiet:  quiet,
 		engine: engine,
@@ -237,18 +244,44 @@ func dirEdge(g *graph.Graph, id graph.EdgeID, from graph.NodeID) int {
 // chargeEdge records one word crossing a directed edge, attributing it to
 // the edge (Messages) and to both endpoint nodes (NodeWords), which are
 // recovered from the directed-edge encoding (ends). Metrics accounting is
-// three flat-array operations; the per-message trace emission behind it
-// is skipped entirely on untraced networks (traced runs keep the exact
-// historical emission order).
+// three flat-array operations on a stored edge; a computed one takes the
+// out-of-line chargeComputed, as a tail call, so the stored-edge path
+// spills nothing. The per-message trace emission behind it is skipped
+// entirely on untraced networks (traced runs keep the exact historical
+// emission order).
 func (nw *Network) chargeEdge(de int) {
 	nw.metrics.Messages++
+	if uint(de) >= uint(len(nw.load)) {
+		nw.chargeComputed(de)
+		return
+	}
 	nw.load[de]++
 	if l := int(nw.load[de]); l > nw.metrics.MaxEdgeLoad {
 		nw.metrics.MaxEdgeLoad = l
 	}
-	if nw.quiet {
-		return
+	if !nw.quiet {
+		nw.traceEdge(de)
 	}
+}
+
+// chargeComputed is chargeEdge past Messages for directed edge de of a
+// computed (clique) edge, whose load goes to a table. Only a layered graph
+// has computed edges, so only its networks ever build the table.
+func (nw *Network) chargeComputed(de int) {
+	if nw.computed == nil {
+		nw.computed = make(map[int]int64)
+	}
+	nw.computed[de]++
+	if l := int(nw.computed[de]); l > nw.metrics.MaxEdgeLoad {
+		nw.metrics.MaxEdgeLoad = l
+	}
+	if !nw.quiet {
+		nw.traceEdge(de)
+	}
+}
+
+// traceEdge emits the trace records of one word crossing de.
+func (nw *Network) traceEdge(de int) {
 	nw.trace.Messages(nw.engine, de, 1)
 	from, to := nw.ends(de)
 	nw.trace.NodeWords(nw.engine, from, to, 1)

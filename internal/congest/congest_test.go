@@ -48,7 +48,7 @@ func broadcast(nw *Network, trees []*graph.PartTree, rootVal []Word, on func(int
 		return err
 	}
 	return nw.sweepDown("broadcast", s, func(t int, _ Word) Word { return rootVal[t] }, nil,
-		func(t, i int, w Word) { on(t, s.node[i], w) })
+		func(t, i int, w Word) { on(t, s.Node(i), w) })
 }
 
 func TestExchangeCostsOneRound(t *testing.T) {

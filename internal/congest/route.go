@@ -22,10 +22,13 @@ type Packet struct {
 // certify shortcut quality (paper §3.1.3, "Multiple-Unicast Problem"): the
 // measured makespan is a valid completion time for the instance.
 func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
-	// Validate paths and compute congestion (max packets over a directed
-	// edge) for the random-delay draw.
-	use := make(map[int]int)
-	c := 1
+	// Validate the paths and list each hop's directed edge, packet after
+	// packet.
+	total := 0
+	for _, p := range pkts {
+		total += len(p.Edges)
+	}
+	hops := make([]int32, 0, total)
 	for i, p := range pkts {
 		v := p.Start
 		for _, id := range p.Edges {
@@ -33,51 +36,53 @@ func (nw *Network) RouteMany(pkts []Packet) ([]int, error) {
 			if e.U != v && e.V != v {
 				return nil, fmt.Errorf("congest: packet %d: edge %d not incident to %d", i, id, v)
 			}
-			de := dirEdge(nw.g, id, v)
-			use[de]++
-			if use[de] > c {
-				c = use[de]
-			}
+			hops = append(hops, int32(dirEdge(nw.g, id, v)))
 			v = nw.g.Other(id, v)
 		}
 	}
+	// Each hop becomes its link; sorting them also gives the congestion
+	// (the most packets over one directed edge) for the random-delay draw.
+	lists := make([]int32, 2*total)
+	uses, buf := lists[:total], lists[total:]
+	for h := range uses {
+		uses[h] = int32(h)
+	}
+	edges, c := linkUses(hops, uses, buf)
 	delays := nw.randomDelays(len(pkts), c)
 
 	type pkState struct {
-		at   graph.NodeID
-		next int // index into Edges
-		last int // round of the latest arrival
+		next, end int // indices into hops: the packet's next hop and one past its last
+		last      int // round of the latest arrival
 	}
 	states := make([]pkState, len(pkts))
 	arrival := make([]int, len(pkts))
-	sched := newTreeSched(nw)
+	sched := newTreeSched(nw, edges)
 	remaining := 0
+	h := 0
 	for i, p := range pkts {
-		states[i] = pkState{at: p.Start}
+		states[i] = pkState{next: h, end: h + len(p.Edges)}
+		h += len(p.Edges)
 		if len(p.Edges) == 0 {
-			arrival[i] = 0
 			continue
 		}
 		remaining++
-		sched.push(dirEdge(nw.g, p.Edges[0], p.Start), int32(i), p.Payload, 1+delays[i])
+		sched.push(int(hops[states[i].next]), int32(i), p.Payload, 1+delays[i])
 	}
 	deliver := func(id int32, w Word) {
-		i := int(id)
-		st := &states[i]
+		st := &states[id]
 		if st.last == sched.round {
 			// A packet crosses at most one edge per round, so this is the
 			// duplicate a fault plan delivered twice; the receiver drops it.
 			return
 		}
 		st.last = sched.round
-		st.at = nw.g.Other(pkts[i].Edges[st.next], st.at)
 		st.next++
-		if st.next == len(pkts[i].Edges) {
-			arrival[i] = sched.round
+		if st.next == st.end {
+			arrival[id] = sched.round
 			remaining--
 			return
 		}
-		sched.push(dirEdge(nw.g, pkts[i].Edges[st.next], st.at), id, w, sched.round+1)
+		sched.push(int(hops[st.next]), id, w, sched.round+1)
 	}
 	for sched.step(deliver) {
 	}

@@ -40,21 +40,20 @@ func AggOr(a, b Word) Word {
 	return 0
 }
 
-// send is one word waiting to cross a directed edge, a node of that edge's
-// FIFO in the scheduler's send store. id tells the receiver what the word
-// is for: the set slot of the tree edge's child end in the tree primitives
-// (the sender going up, the receiver going down), the packet index in
-// RouteMany. The endpoints are the directed edge's, so a send does not
-// carry them.
+// send is one word waiting to cross a link, a node of that link's FIFO in
+// the scheduler's send store. id tells the receiver what the word is for:
+// the set slot of the tree edge's child end in the tree primitives (the
+// sender going up, the receiver going down), the packet index in
+// RouteMany. The endpoints are the link's, so a send does not carry them.
 type send struct {
 	id       int32
-	next     int32 // the edge's next send in push order; 0 ends the FIFO
+	next     int32 // the link's next send in push order; 0 ends the FIFO
 	w        Word
 	eligible int // earliest round this send may occur
 }
 
-// fifo is one directed edge's queue in the send store: the indices of its
-// first and last sends, both 0 while it is empty.
+// fifo is one link's queue in the send store: the indices of its first and
+// last sends, both 0 while it is empty.
 type fifo struct{ head, tail int32 }
 
 // arrival is a send delivered in the current round, handed to the
@@ -64,58 +63,67 @@ type arrival struct {
 	w  Word
 }
 
-// edgeSet is an ordered set of directed edges: one bit per edge, and one
-// summary bit per 64-edge word, set while that word is nonzero. A walk
-// reads every summary word (one per 4,096 edges) and only the flagged
-// edge words, so it visits the members in ascending order without
-// scanning the empty ones.
+// edgeSet is an ordered set of links: one bit per link, and one summary
+// bit per 64-link word, set while that word is nonzero. A walk reads every
+// summary word (one per 4,096 links) and only the flagged link words, so
+// it visits the members in ascending order without scanning the empty
+// ones.
 type edgeSet struct {
-	words []uint64 // bit de%64 of words[de/64]: de is in the set
+	words []uint64 // bit l%64 of words[l/64]: link l is in the set
 	sum   []uint64 // bit w%64 of sum[w/64]: words[w] is nonzero
 	n     int      // members
 }
 
-// reset sizes the set for n directed edges, all absent.
+// reset sizes the set for n links, all absent.
 func (e *edgeSet) reset(n int) {
 	e.words = make([]uint64, (n+63)/64)
 	e.sum = make([]uint64, (len(e.words)+63)/64)
 	e.n = 0
 }
 
-// add inserts de, which must be absent.
-func (e *edgeSet) add(de int) {
-	e.words[de>>6] |= 1 << (de & 63)
-	e.sum[de>>12] |= 1 << ((de >> 6) & 63)
+// add inserts link l, which must be absent.
+func (e *edgeSet) add(l int) {
+	e.words[l>>6] |= 1 << (l & 63)
+	e.sum[l>>12] |= 1 << ((l >> 6) & 63)
 	e.n++
 }
 
 // sendStore is the tree scheduler's pooled, pointer-free queue memory:
-// one array of sends shared by every directed edge, each edge's FIFO a
-// list linked through it in push order, and a free list through which
-// the sends a round removes are reused by later pushes. It lives in the
-// network's scratch and keeps its arrays across schedules, so a schedule
-// allocates only when it holds more sends at once than any earlier one.
+// one array of sends shared by every link, each link's FIFO a list linked
+// through it in push order, and a free list through which the sends a
+// round removes are reused by later pushes. It lives in the network's
+// scratch and keeps its arrays across schedules, so a schedule allocates
+// only when it uses more links, or holds more sends at once, than any
+// earlier one: the store is sized by the schedules the network has run,
+// not by its graph.
 type sendStore struct {
 	sends []send    // sends[0] is the nil send: index 0 ends every list
-	fifo  []fifo    // per directed edge
+	fifo  []fifo    // per link, at least the current schedule's
 	free  int32     // first reusable send, linked through next; 0 when none
-	set   edgeSet   // exactly the directed edges whose FIFOs are nonempty
+	set   edgeSet   // exactly the links whose FIFOs are nonempty
 	out   []arrival // the current round's deliveries, in walk order
 }
 
-// ready readies the store for a schedule over m directed edges. Every
-// send is free again. A schedule abandoned under faults may have left
-// FIFOs nonempty; the ordered set still names exactly those (push adds an
-// edge, only an emptied edge leaves), so walking it restores the
-// all-empty invariant without touching the other edges. It is kept out of
+// ready readies the store for a schedule over the given number of links
+// on g. Every send is free again. A store too small for the schedule is
+// replaced by an empty one for twice its links, at most every directed
+// edge of g: one growth then also serves a later schedule up to twice as
+// wide (a request's cluster trees after its global tree, on an ordinary
+// graph), while a schedule over a small share of a large graph (a Lemma 16
+// sub-network's trees over Ĝ_L) keeps a store of its own order. Otherwise
+// a schedule abandoned under faults may have left FIFOs nonempty, anywhere
+// in the store; the ordered set still names exactly those (push adds a
+// link, only an emptied link leaves), so walking it restores the all-empty
+// invariant without touching the other links. It is kept out of
 // newTreeSched, whose inlining keeps the scheduler off the heap.
-func (st *sendStore) ready(m int) {
+func (st *sendStore) ready(links int, g *graph.Graph) {
 	st.sends = append(st.sends[:0], send{})
 	st.free = 0
 	set := &st.set
-	if len(st.fifo) != m {
-		st.fifo = make([]fifo, m)
-		set.reset(m)
+	if links > len(st.fifo) {
+		n := min(2*links, 2*g.M())
+		st.fifo = make([]fifo, n)
+		set.reset(n)
 		return
 	}
 	for si, sw := range set.sum {
@@ -161,31 +169,36 @@ func (st *sendStore) drop(f *fifo) int {
 }
 
 // treeSched is the shared store-and-forward scheduler for tree-structured
-// communication: per directed edge a FIFO of pending sends, at most one
-// crossing per round. The FIFOs live in the network's pooled send store
-// (indexed by directed edge, so lookup is an array access, not a map
-// probe).
+// communication: per link a FIFO of pending sends, at most one crossing
+// per round. A schedule's links are the directions of the host edges its
+// trees or packets use, given in ascending order (edges): link l is
+// direction l&1 of host edge edges[l>>1], so the FIFOs live in the
+// network's pooled send store indexed by link (an array access, not a map
+// probe), and a link is mapped back to its directed edge only to charge,
+// trace and decide faults.
 //
-// Ordering invariant: the store's edgeSet holds exactly the directed edges
-// with nonempty FIFOs, every round walks it in ascending order, and on
-// each edge the round acts on the first eligible send in push order. That
-// processed order is what keeps charge order and delivery order — and
+// Ordering invariant: the store's edgeSet holds exactly the links with
+// nonempty FIFOs, every round walks it in ascending order, and on each
+// link the round acts on the first eligible send in push order. Ascending
+// links are ascending directed edges, so that processed order is the
+// directed-edge order that keeps charge order and delivery order — and
 // therefore every gated metric — byte-identical; a set walk yields it with
 // no sort, and where a send sits in the store's array does not enter it.
 type treeSched struct {
 	nw     *Network
+	edges  []int32 // the schedule's host edges, ascending
 	round  int
 	pushes int // total sends ever queued (sizes the faulty-run round cap)
 }
 
-func newTreeSched(nw *Network) *treeSched {
-	nw.scr.sched.ready(2 * nw.g.M())
-	return &treeSched{nw: nw}
+func newTreeSched(nw *Network, edges []int32) *treeSched {
+	nw.scr.sched.ready(2*len(edges), nw.g)
+	return &treeSched{nw: nw, edges: edges}
 }
 
-// push queues word w for id at the tail of directed edge de's FIFO, to
-// cross no earlier than round eligible.
-func (s *treeSched) push(de int, id int32, w Word, eligible int) {
+// push queues word w for id at the tail of link l's FIFO, to cross no
+// earlier than round eligible.
+func (s *treeSched) push(l int, id int32, w Word, eligible int) {
 	st := &s.nw.scr.sched
 	i := st.free
 	if i != 0 {
@@ -195,10 +208,10 @@ func (s *treeSched) push(de int, id int32, w Word, eligible int) {
 		i = int32(len(st.sends))
 		st.sends = append(st.sends, send{id: id, w: w, eligible: eligible})
 	}
-	f := &st.fifo[de]
+	f := &st.fifo[l]
 	if f.head == 0 {
 		f.head = i
-		st.set.add(de)
+		st.set.add(l)
 	} else {
 		st.sends[f.tail].next = i
 	}
@@ -206,8 +219,8 @@ func (s *treeSched) push(de int, id int32, w Word, eligible int) {
 	s.pushes++
 }
 
-// step advances one round, acting on at most one eligible send per directed
-// edge (the link carries one word per round) and preserving FIFO order
+// step advances one round, acting on at most one eligible send per link
+// (a directed edge carries one word per round) and preserving FIFO order
 // otherwise; deliveries are handed to deliver after the walk, in walk
 // order, so the caller can apply their effects (which may enqueue new
 // sends eligible from round+1). Returns false when no FIFO holds any send.
@@ -234,26 +247,27 @@ func (s *treeSched) step(deliver func(id int32, w Word)) bool {
 	s.round++
 	round := nw.metrics.Rounds + 1 // global round in progress: fault decisions key on it
 	out := st.out[:0]
-	sends := st.sends // no push happens during the walk
-	// Walk the nonempty FIFOs in ascending directed-edge order: summary
-	// bits name the nonzero words, word bits the edges. The round's pushes
-	// happen after the walk, in deliver.
+	sends, edges := st.sends, s.edges // no push happens during the walk
+	// Walk the nonempty FIFOs in ascending link order, which is ascending
+	// directed-edge order: summary bits name the nonzero words, word bits
+	// the links. The round's pushes happen after the walk, in deliver.
 	for si, sw := range set.sum {
 		for ; sw != 0; sw &= sw - 1 {
 			wi := si<<6 | bits.TrailingZeros64(sw)
 			for w := set.words[wi]; w != 0; w &= w - 1 {
-				de := wi<<6 | bits.TrailingZeros64(w)
-				f := &st.fifo[de]
+				l := wi<<6 | bits.TrailingZeros64(w)
+				f := &st.fifo[l]
 				for prev, i := int32(0), f.head; i != 0; prev, i = i, sends[i].next {
 					sd := &sends[i]
 					if sd.eligible > s.round {
 						continue
 					}
+					de := 2*int(edges[l>>1]) | l&1
 					o := faultinject.Outcome{} // a reliable link delivers
 					if faulty {
 						from, to := nw.ends(de)
 						if nw.link.SenderDown(from, round) {
-							// Every send queued on this edge is from the dead node
+							// Every send queued on this link is from the dead node
 							// (by the directed-edge encoding); all die unsent.
 							nw.link.CrashDrop(st.drop(f))
 							break
@@ -358,12 +372,12 @@ func (nw *Network) sweepFor(s *TreeSet) error {
 // folds every child's word exactly once. The caller has run sweepFor.
 func (nw *Network) sweepUp(s *TreeSet, val func(t int, v graph.NodeID) Word, agg Agg) {
 	acc, pending, seen := nw.scr.acc, nw.scr.pending, nw.scr.seen
-	sched := newTreeSched(nw)
+	sched := newTreeSched(nw, s.edges)
 	delays := nw.randomDelays(s.Len(), s.c)
 	before := nw.metrics.Rounds
 	clear(seen)
 	for i, v := range s.node {
-		acc[i] = val(int(s.tree[i]), v)
+		acc[i] = val(int(s.tree[i]), graph.NodeID(v))
 		pending[i] = s.kids[i+1] - s.kids[i]
 	}
 	// Leaves are immediately ready to send to their parents.
@@ -421,7 +435,7 @@ func (nw *Network) sweepDown(
 	on func(t, i int, w Word),
 ) error {
 	acc, seen, got := nw.scr.acc, nw.scr.seen, nw.scr.got
-	sched := newTreeSched(nw)
+	sched := newTreeSched(nw, s.edges)
 	delays := nw.randomDelays(s.Len(), s.c)
 	before := nw.metrics.Rounds
 	clear(seen)
@@ -432,7 +446,7 @@ func (nw *Network) sweepDown(
 			if next != nil {
 				cw = next(t, int(i), int(c), w, acc[c])
 			}
-			// The parent→child directed edge is the child's up edge reversed.
+			// The parent→child link is the child's up link reversed.
 			sched.push(int(s.up[c]^1), c, cw, eligible)
 		}
 	}

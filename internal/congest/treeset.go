@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"distlap/internal/graph"
@@ -10,13 +11,18 @@ import (
 
 // TreeSet is a tree collection compiled once for one graph: it numbers the
 // members into slots, tree by tree, member i of tree t at slot First(t)+i,
-// and records per slot its tree, host node, parent slot, child→parent
-// directed edge and child list, plus the collection's congestion c. Every
-// tree primitive takes a set, so a collection swept many times (a prepared
-// instance's cluster trees, a request's global tree) pays for its layout
-// once. The set is all a compiled collection keeps: its size is
-// proportional to Σ members, and the part trees it was compiled from are
-// not retained.
+// and records per slot its tree, host node, parent slot, child→parent link
+// and child list, plus the collection's congestion c. A link is one
+// direction of one host edge the trees use: the set lists those edges in
+// ascending order, and link 2·r + d is direction d (0 for U→V) of the
+// r-th, so ascending links are ascending directed edges and the tree
+// scheduler's send store needs one FIFO per link, not one per directed
+// edge of the host. Every slot array is int32, host nodes included (a
+// graph has at most math.MaxInt32 nodes). Every tree primitive takes a
+// set, so a collection swept many times (a prepared instance's cluster
+// trees, a request's global tree) pays for its layout once. The set is
+// all a compiled collection keeps: its size is proportional to Σ members,
+// and the part trees it was compiled from are not retained.
 //
 // A set is immutable after NewTreeSet returns and safe to share across
 // goroutines: networks over its graph sweep it read-only and keep their
@@ -24,28 +30,29 @@ import (
 // another graph refuses it before charging anything.
 type TreeSet struct {
 	g      *graph.Graph
-	first  []int32        // per tree, plus a sentinel: tree t owns slots first[t]:first[t+1], its root first
-	tree   []int32        // per slot: its tree
-	node   []graph.NodeID // per slot: its host node
-	parent []int32        // per slot: its parent's slot, -1 at the root
-	up     []int32        // per slot: the child→parent directed edge (unused at the root)
-	kids   []int32        // per slot, plus a sentinel: offsets into kid
-	kid    []int32        // child slots grouped by parent, each group in slot order
-	c      int            // congestion: most trees on one directed edge, at least 1
+	first  []int32 // per tree, plus a sentinel: tree t owns slots first[t]:first[t+1], its root first
+	tree   []int32 // per slot: its tree
+	node   []int32 // per slot: its host node
+	parent []int32 // per slot: its parent's slot, -1 at the root
+	up     []int32 // per slot: the child→parent link (unused at the root)
+	edges  []int32 // the host edges the trees use, ascending: link l crosses edges[l>>1]
+	kids   []int32 // per slot, plus a sentinel: offsets into kid
+	kid    []int32 // child slots grouped by parent, each group in slot order
+	c      int     // congestion: most trees on one directed edge, at least 1
 }
 
-// errForeignSet refuses a set compiled for another graph: its directed
-// edges would name the wrong links.
+// errForeignSet refuses a set compiled for another graph: its links would
+// name the wrong edges.
 var errForeignSet = errors.New("congest: tree set compiled for another graph")
 
-// NewTreeSet compiles trees over g in O(Σ members · log Σ members) and
-// allocates nothing the size of g. It rejects an empty collection
-// (ErrNoTrees), an empty tree, and a member whose parent does not come
-// before it in its tree (the root, member 0, has parent -1).
+// NewTreeSet compiles trees over g in O(Σ members) and allocates nothing
+// the size of g. It rejects an empty collection (ErrNoTrees), an empty
+// tree, and a member whose parent does not come before it in its tree
+// (the root, member 0, has parent -1).
 //
-// The congestion c is the longest run of equal directed edges in a sorted
-// copy of the members' up edges (k for one tree repeated k times, a
-// batched global sum).
+// The congestion c is the longest run of equal directed edges among the
+// members' up edges sorted (k for one tree repeated k times, a batched
+// global sum); the same order gives the links (linkUses).
 func NewTreeSet(g *graph.Graph, trees []*graph.PartTree) (*TreeSet, error) {
 	k := len(trees)
 	if k == 0 {
@@ -55,7 +62,7 @@ func NewTreeSet(g *graph.Graph, trees []*graph.PartTree) (*TreeSet, error) {
 	for _, tr := range trees {
 		total += len(tr.Members)
 	}
-	// One block holds every int32 array of the set.
+	// One block holds every slot array of the set but the nodes.
 	block := make([]int32, k+1+5*total+1)
 	cut := func(n int) []int32 {
 		s := block[:n:n]
@@ -66,12 +73,16 @@ func NewTreeSet(g *graph.Graph, trees []*graph.PartTree) (*TreeSet, error) {
 		g:      g,
 		first:  cut(k + 1),
 		tree:   cut(total),
+		node:   make([]int32, total),
 		parent: cut(total),
 		up:     cut(total),
 		kids:   cut(total + 1),
 		kid:    cut(total),
-		node:   make([]graph.NodeID, total),
 	}
+	// up holds directed edges until they become links; kid lists the
+	// members with a parent, and kids is linkUses' scratch, until the
+	// child lists fill them.
+	uses := s.kid[:0]
 	slot := int32(0)
 	for t, tr := range trees {
 		if len(tr.Members) == 0 {
@@ -81,7 +92,7 @@ func NewTreeSet(g *graph.Graph, trees []*graph.PartTree) (*TreeSet, error) {
 		s.first[t] = first
 		for i, v := range tr.Members {
 			s.tree[slot] = int32(t)
-			s.node[slot] = v
+			s.node[slot] = int32(v)
 			s.parent[slot] = -1
 			if p := tr.Parent[i]; i > 0 || p != -1 {
 				if p < 0 || int(p) >= i {
@@ -89,31 +100,22 @@ func NewTreeSet(g *graph.Graph, trees []*graph.PartTree) (*TreeSet, error) {
 				}
 				s.parent[slot] = first + p
 				s.up[slot] = int32(dirEdge(g, graph.EdgeID(tr.ParentEdge[i]), v))
-				s.kids[first+p+1]++
+				uses = append(uses, slot)
 			}
 			slot++
 		}
 	}
 	s.first[k] = slot
-	// kid is the sort buffer until the child lists fill it.
-	ups := s.kid[:0]
-	for i, p := range s.parent {
+	edges, c := linkUses(s.up, uses, s.kids[:len(uses)])
+	s.edges, s.c = slices.Clone(edges), c
+	// Child lists: count, prefix-sum, then fill in slot order using each
+	// parent's offset as its cursor, which leaves kids shifted by one.
+	clear(s.kids)
+	for _, p := range s.parent {
 		if p != -1 {
-			ups = append(ups, s.up[i])
+			s.kids[p+1]++
 		}
 	}
-	slices.Sort(ups)
-	s.c = 1
-	run := 1
-	for i := 1; i < len(ups); i++ {
-		if ups[i] != ups[i-1] {
-			run = 0
-		}
-		run++
-		s.c = max(s.c, run)
-	}
-	// Child lists: prefix-sum the counts, then fill in slot order using
-	// each parent's offset as its cursor, which leaves kids shifted by one.
 	for i := 1; i <= total; i++ {
 		s.kids[i] += s.kids[i-1]
 	}
@@ -126,6 +128,52 @@ func NewTreeSet(g *graph.Graph, trees []*graph.PartTree) (*TreeSet, error) {
 	copy(s.kids[1:], s.kids[:total])
 	s.kids[0] = 0
 	return s, nil
+}
+
+// linkUses turns uses of directed edges into links, in place: de[u] is the
+// directed edge use u crosses, uses lists the uses to link, each once, and
+// buf is scratch as long as uses. It sorts uses by directed edge with a
+// stable LSD radix sort over 8-bit digits (one pass per byte of the
+// largest edge, at most four, with no comparisons), then walks them in
+// that order: each use's directed edge becomes its link, the distinct host
+// edges are listed in ascending order at the front of whichever of uses
+// and buf the sort left free, and that list is returned with c, the most
+// uses of one directed edge (at least 1). It allocates nothing.
+func linkUses(de, uses, buf []int32) (edges []int32, c int) {
+	top := int32(0)
+	for _, u := range uses {
+		top = max(top, de[u])
+	}
+	for shift := 0; shift < bits.Len32(uint32(top)); shift += 8 {
+		var start [257]int32 // digit d's uses go to buf[start[d]:start[d+1]]
+		for _, u := range uses {
+			start[(de[u]>>shift)&0xff+1]++
+		}
+		for d := 0; d < 256; d++ {
+			start[d+1] += start[d]
+		}
+		for _, u := range uses {
+			d := (de[u] >> shift) & 0xff
+			buf[start[d]] = u
+			start[d]++
+		}
+		uses, buf = buf, uses
+	}
+	edges, c = buf[:0], 1
+	prev, run := int32(-1), 0
+	for _, u := range uses {
+		e := de[u]
+		if e != prev {
+			if h := e >> 1; len(edges) == 0 || edges[len(edges)-1] != h {
+				edges = append(edges, h)
+			}
+			prev, run = e, 0
+		}
+		run++
+		c = max(c, run)
+		de[u] = int32(2*(len(edges)-1)) | e&1
+	}
+	return edges, c
 }
 
 // height returns the most hops from a root to a member that reaches it by
@@ -156,23 +204,23 @@ func (s *TreeSet) First(t int) int { return int(s.first[t]) }
 
 // Members returns tree t's members in slot order, the root first (shared,
 // read-only).
-func (s *TreeSet) Members(t int) []graph.NodeID { return s.node[s.first[t]:s.first[t+1]] }
+func (s *TreeSet) Members(t int) []int32 { return s.node[s.first[t]:s.first[t+1]] }
 
 // Node returns slot i's host node.
-func (s *TreeSet) Node(i int) graph.NodeID { return s.node[i] }
+func (s *TreeSet) Node(i int) graph.NodeID { return graph.NodeID(s.node[i]) }
 
-// ParentEdge returns the host edge from slot i to its parent (its up
-// edge halved), or -1 at a root.
+// ParentEdge returns the host edge from slot i to its parent (the edge
+// its up link crosses), or -1 at a root.
 func (s *TreeSet) ParentEdge(i int) graph.EdgeID {
 	if s.parent[i] == -1 {
 		return -1
 	}
-	return graph.EdgeID(s.up[i] >> 1)
+	return graph.EdgeID(s.edges[s.up[i]>>1])
 }
 
 // SizeBytes is the resident size of the set: its struct and its arrays.
 func (s *TreeSet) SizeBytes() int64 {
 	const header = 256 // the struct and its slice headers
 	k, slots := int64(s.Len()), int64(len(s.node))
-	return header + 4*(k+1+5*slots+1) + 8*slots
+	return header + 4*(k+1+6*slots+1) + 4*int64(len(s.edges))
 }

@@ -359,7 +359,7 @@ func (p *SchwarzPrecond) Apply(c Comm, r []float64) ([]float64, error) {
 		mean := potSum[t] / float64(len(p.clusters[t]))
 		first := p.trees.First(t)
 		for i, v := range p.trees.Members(t) {
-			if p.memberSlot(t, v) == first+i {
+			if p.memberSlot(t, graph.NodeID(v)) == first+i {
 				z[v] += (row[i] - mean) / count
 			}
 		}

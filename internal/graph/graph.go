@@ -20,6 +20,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -75,19 +76,24 @@ var (
 	ErrNodeRange = errors.New("graph: node out of range")
 	ErrBadWeight = errors.New("graph: weight must be positive")
 	ErrSelfLoop  = errors.New("graph: self-loops are not allowed")
+	ErrTooLarge  = errors.New("graph: too large to index")
 )
 
 // FromEdges returns the graph with n nodes and the given edges, edge i
 // getting EdgeID i and each node listing its incident edges in ascending
 // EdgeID order. Parallel edges are allowed; an edge with an endpoint out
 // of range, a self-loop or a non-positive weight is rejected with the
-// sentinel error it breaks, wrapped with its index. FromEdges takes
-// ownership of edges: the caller must not modify the slice after the call.
+// sentinel error it breaks, wrapped with its index; a graph too large to
+// index (checkSize) is ErrTooLarge. FromEdges takes ownership of edges:
+// the caller must not modify the slice after the call.
 //
 // The adjacency is built eagerly in one block by a counting pass, each
 // node's slice capped at its degree.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	n = max(n, 0)
+	if err := checkSize(n, len(edges)); err != nil {
+		return nil, err
+	}
 	for id, e := range edges {
 		if err := checkEdge(n, e.U, e.V, e.Weight); err != nil {
 			return nil, fmt.Errorf("edge %d: %w", id, err)
@@ -139,6 +145,24 @@ func (g *Graph) N() int { return g.n }
 
 // M returns the number of (undirected) edges.
 func (g *Graph) M() int { return g.m }
+
+// StoredM returns the number of stored edges, those with EdgeIDs below
+// it: every edge of an ordinary graph, and the layer edges of a layered
+// graph, whose clique edges (EdgeIDs StoredM() to M()-1) are computed.
+func (g *Graph) StoredM() int { return len(g.edges) }
+
+// checkSize rejects a graph of n nodes and m edges that the engines
+// cannot index: they store nodes, slots and directed edges (2·EdgeID + 1)
+// as int32.
+func checkSize(n, m int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("%w: %d nodes, at most %d", ErrTooLarge, n, math.MaxInt32)
+	}
+	if m > math.MaxInt32/2 {
+		return fmt.Errorf("%w: %d edges, at most %d", ErrTooLarge, m, math.MaxInt32/2)
+	}
+	return nil
+}
 
 // checkEdge rejects an edge {u, v} of weight w that a graph of n nodes
 // cannot hold.

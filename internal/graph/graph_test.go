@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -24,26 +25,52 @@ func TestNewEmpty(t *testing.T) {
 }
 
 // TestAddEdgeErrors pins the sentinel error FromEdges returns for each
-// edge it cannot add, wrapped with the index of the edge, after a valid one.
+// edge it cannot add, wrapped with the index of the edge, after a valid one,
+// and ErrTooLarge for a graph whose nodes or directed edges int32 cannot
+// index, checked before anything the size of the graph is allocated.
 func TestAddEdgeErrors(t *testing.T) {
 	tests := []struct {
 		name    string
+		n       int64
 		e       Edge
 		wantErr error
+		prefix  string
 	}{
-		{name: "out of range u", e: Edge{U: -1, V: 0, Weight: 1}, wantErr: ErrNodeRange},
-		{name: "out of range v", e: Edge{U: 0, V: 3, Weight: 1}, wantErr: ErrNodeRange},
-		{name: "self loop", e: Edge{U: 1, V: 1, Weight: 1}, wantErr: ErrSelfLoop},
-		{name: "zero weight", e: Edge{U: 0, V: 1, Weight: 0}, wantErr: ErrBadWeight},
-		{name: "negative weight", e: Edge{U: 0, V: 1, Weight: -2}, wantErr: ErrBadWeight},
+		{name: "out of range u", n: 3, e: Edge{U: -1, V: 0, Weight: 1}, wantErr: ErrNodeRange, prefix: "edge 1: "},
+		{name: "out of range v", n: 3, e: Edge{U: 0, V: 3, Weight: 1}, wantErr: ErrNodeRange, prefix: "edge 1: "},
+		{name: "self loop", n: 3, e: Edge{U: 1, V: 1, Weight: 1}, wantErr: ErrSelfLoop, prefix: "edge 1: "},
+		{name: "zero weight", n: 3, e: Edge{U: 0, V: 1, Weight: 0}, wantErr: ErrBadWeight, prefix: "edge 1: "},
+		{name: "negative weight", n: 3, e: Edge{U: 0, V: 1, Weight: -2}, wantErr: ErrBadWeight, prefix: "edge 1: "},
+		{name: "too many nodes", n: math.MaxInt32 + 1, e: Edge{U: 0, V: 1, Weight: 1}, wantErr: ErrTooLarge, prefix: "graph: too large"},
+		{name: "node count past the allocator", n: 1 << 50, e: Edge{U: 0, V: 1, Weight: 1}, wantErr: ErrTooLarge, prefix: "graph: too large"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g, err := FromEdges(3, []Edge{{U: 0, V: 2, Weight: 1}, tt.e})
-			if !errors.Is(err, tt.wantErr) || !strings.HasPrefix(err.Error(), "edge 1: ") || g != nil {
-				t.Fatalf("FromEdges with %+v: graph %v, err=%v, want edge 1: %v", tt.e, g, err, tt.wantErr)
+			if int64(int(tt.n)) != tt.n {
+				t.Skip("n does not fit this platform's int")
+			}
+			g, err := FromEdges(int(tt.n), []Edge{{U: 0, V: 2, Weight: 1}, tt.e})
+			if !errors.Is(err, tt.wantErr) || !strings.HasPrefix(err.Error(), tt.prefix) || g != nil {
+				t.Fatalf("FromEdges(%d, ..., %+v): graph %v, err=%v, want %s…: %v", tt.n, tt.e, g, err, tt.prefix, tt.wantErr)
 			}
 		})
+	}
+	// No test can hold 2^30 edges; the bound FromEdges and Read share is
+	// checkSize, exact at both limits.
+	for _, c := range []struct {
+		n, m int64
+		ok   bool
+	}{
+		{math.MaxInt32, math.MaxInt32 / 2, true},
+		{math.MaxInt32 + 1, 0, false},
+		{3, math.MaxInt32/2 + 1, false},
+	} {
+		if int64(int(c.n)) != c.n {
+			continue // past this platform's int
+		}
+		if err := checkSize(int(c.n), int(c.m)); (err == nil) != c.ok || (err != nil && !errors.Is(err, ErrTooLarge)) {
+			t.Fatalf("checkSize(%d, %d) = %v, want ok=%v", c.n, c.m, err, c.ok)
+		}
 	}
 }
 

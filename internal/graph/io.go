@@ -36,7 +36,8 @@ func Write(w io.Writer, g *Graph) error {
 }
 
 // Read parses a graph in the text format, validating each edge as its line
-// is read, so the first bad line decides the error.
+// is read, so the first bad line decides the error. A header naming a
+// graph too large to index is ErrTooLarge.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -68,6 +69,9 @@ func Read(r io.Reader) (*Graph, error) {
 	m, err := strconv.Atoi(fields[1])
 	if err != nil || m < 0 {
 		return nil, fmt.Errorf("%w: edge count %q", ErrBadFormat, fields[1])
+	}
+	if err := checkSize(n, m); err != nil {
+		return nil, fmt.Errorf("header %q: %w", header, err)
 	}
 	var edges []Edge
 	for i := 0; i < m; i++ {

@@ -64,6 +64,17 @@ func TestGraphReadErrors(t *testing.T) {
 	if _, err := Read(strings.NewReader("x 2\n")); !errors.Is(err, ErrBadFormat) {
 		t.Fatal("want ErrBadFormat")
 	}
+	// A header naming a graph the engines cannot index is refused before
+	// anything its size is allocated or a further line is read.
+	for _, in := range []string{
+		"1125899906842624 0",  // past the allocator's limit
+		"2147483648 0",        // one node past math.MaxInt32
+		"3 1073741824\n0 1 1", // 2·m one past math.MaxInt32
+	} {
+		if g, err := Read(strings.NewReader(in)); !errors.Is(err, ErrTooLarge) || g != nil {
+			t.Fatalf("input %q: graph %v, err=%v, want %v", in, g, err, ErrTooLarge)
+		}
+	}
 }
 
 // TestGraphReadRejectsBadEdges pins the sentinel Read returns for each

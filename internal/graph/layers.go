@@ -49,12 +49,15 @@ func (c *cliques) id(v, a, b int) EdgeID {
 // BFS and Induced compute the clique edges from their IDs, so a search over
 // Ĝ_p scans each base node's clique once, from the first copy it reaches,
 // and costs O(n·p + p·m). Neighbors and EdgeList lay the cliques out on
-// first use.
+// first use. Like p < 1, a Ĝ_p too large to index (ErrTooLarge) panics.
 func Layers(base *Graph, p int) *Graph {
 	if p < 1 {
 		panic("graph: Layers needs p >= 1")
 	}
 	n, m := base.N(), base.M()
+	if err := checkSize(n*p, p*m+n*(p*(p-1)/2)); err != nil {
+		panic(err)
+	}
 	// One block holds the layer edges and the clique pair table.
 	block := make([]Edge, p*m+p*(p-1)/2)
 	edges, pair := block[:p*m:p*m], block[p*m:]

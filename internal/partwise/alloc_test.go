@@ -15,10 +15,11 @@ import (
 )
 
 // TestLayeredSolveAllocs pins the bytes one LayeredSolver.Solve allocates
-// on E7's largest instance, 8-congested on a 64-node expander, about
-// 8.5 MB with Ĝ_L's cliques implicit. Most of what is left is each batch's
-// Lemma 16 network over Ĝ_L. The budget fails a solve whose Ĝ_L stores
-// its clique edges (16.1 MB).
+// on E7's largest instance, 8-congested on a 64-node expander: about
+// 2.9 MB with Ĝ_L's cliques implicit and each batch's Lemma 16 network
+// sized by Ĝ_L's layer edges and its trees' links (7.3 MB while the
+// network's loads and send store spanned every clique edge). The budget
+// fails a solve whose Ĝ_L stores its clique edges (16.1 MB).
 func TestLayeredSolveAllocs(t *testing.T) {
 	const budget = 11 << 20
 	g := graph.RandomRegular(64, 4, 9)
